@@ -329,12 +329,12 @@ class _Session:
             except Exception as exc:
                 raise DriverError(f"policy failed on arrival {iv.id}: {exc}") from exc
             self.entries.append(TranscriptEntry(iv.id, action))
-            if iv.id in self.state.ids:
+            if iv.id in self.state:
                 return iv, True
         return iv, False
 
     def holds(self, iv: Interval) -> bool:
-        return iv.id in self.state.ids
+        return iv.id in self.state
 
 
 def _play_level(
@@ -406,12 +406,12 @@ def _probe_branch(policy: Policy, history: list[Interval], lo: int, L: int, v: i
         next_id = iv.id + 1
     p1 = Interval(next_id, lo, lo + L)
     apply_action(state, p1, probe.decide(state, p1, None), retired)
-    held_p1 = p1.id in state.ids
+    held_p1 = p1.id in state
     p2 = Interval(next_id + 1, lo + (L - v), lo + (2 * L - v))
     apply_action(state, p2, probe.decide(state, p2, None), retired)
-    if p2.id in state.ids:
+    if p2.id in state:
         return "right"
-    if held_p1 and p1.id in state.ids:
+    if held_p1 and p1.id in state:
         return "left"
     return "no-take"
 

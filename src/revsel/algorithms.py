@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import copy
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .core import Interval, conflicts, contains_properly, overlap_amount
+from .core import Interval, contains_properly, overlap_amount
 from .rng import Stream
 
 
@@ -71,39 +72,68 @@ class Action:
 
 
 class PolicyState:
-    """The feasible solution a policy currently holds (full records)."""
+    """The feasible solution a policy currently holds (full records).
+
+    Members are pairwise disjoint at all times: the constructor and
+    :meth:`_add` raise ``ValueError`` on an overlapping member, and the
+    harness refuses any action that would create one. Disjoint members have
+    distinct starts, and sorting them by start also sorts their ends, so the
+    members are kept in start-sorted parallel lists (records, starts, ends).
+    The members that conflict with an arrival then form one contiguous run
+    of those lists, which :meth:`conflicting` finds with two bisections:
+    O(log n) plus the length of the run.
+    """
 
     def __init__(self, members: Iterable[Interval] = ()):
-        self._members: dict[int, Interval] = {iv.id: iv for iv in members}
+        self._by_id: dict[int, Interval] = {}
+        self._members: list[Interval] = []
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        for iv in members:
+            self._add(iv)
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._by_id)
 
     def __contains__(self, interval_id: int) -> bool:
-        return interval_id in self._members
+        return interval_id in self._by_id
 
     @property
     def ids(self) -> frozenset[int]:
-        return frozenset(self._members)
+        return frozenset(self._by_id)
+
+    def by_id(self, interval_id: int) -> Interval:
+        return self._by_id[interval_id]
 
     def members(self) -> tuple[Interval, ...]:
         """Members in ascending start order (deterministic iteration)."""
-        return tuple(
-            sorted(self._members.values(), key=lambda iv: (iv.start, iv.end, iv.id))
-        )
+        return tuple(self._members)
 
     def conflicting(self, arrival: Interval) -> tuple[Interval, ...]:
-        return tuple(iv for iv in self.members() if conflicts(iv, arrival))
+        """Members overlapping the arrival, in ascending start order."""
+        lo = bisect_right(self._ends, arrival.start)
+        hi = bisect_left(self._starts, arrival.end, lo)
+        return tuple(self._members[lo:hi])
 
     def copy(self) -> "PolicyState":
-        return PolicyState(self._members.values())
+        return PolicyState(self._members)
 
-    # Mutation is reserved for the harness.
+    # Mutation is reserved for the harness and replays of its transcripts.
     def _add(self, iv: Interval) -> None:
-        self._members[iv.id] = iv
+        if iv.id in self._by_id:
+            raise ValueError(f"interval {iv.id} is already held")
+        i = bisect_right(self._ends, iv.start)
+        if i < len(self._starts) and self._starts[i] < iv.end:
+            raise ValueError(f"interval {iv.id} overlaps held {self._members[i].id}")
+        self._by_id[iv.id] = iv
+        self._members.insert(i, iv)
+        self._starts.insert(i, iv.start)
+        self._ends.insert(i, iv.end)
 
     def _remove(self, interval_id: int) -> None:
-        del self._members[interval_id]
+        iv = self._by_id.pop(interval_id)
+        i = bisect_left(self._starts, iv.start)
+        del self._members[i], self._starts[i], self._ends[i]
 
 
 class Policy:

@@ -199,11 +199,14 @@ def _build_bench(sub):
     p.add_argument("--random-order", action="store_true", default=True,
                    help="permute arrivals per trial (default; classify policies "
                         "run in arrival order instead)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for python trials")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for python trials (at most the CPU count)")
     p.add_argument("--out", help="CSV path (defaults to stdout)")
 
 
 def _cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise SystemExit_Usage("--jobs must be >= 1")
     policy = make_policy(args.policy)
     seq = read_jsonl(args.instance)
     if len(seq) == 0:
@@ -363,7 +366,7 @@ def main(argv=None) -> int:
     except adversary.DriverError as exc:
         print(f"driver error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,8 +13,10 @@ conflict. This convention is fixed once here and used by every module.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -177,21 +179,38 @@ def instance_stats(seq: ArrivalSequence) -> InstanceStats:
         raise EmptyInstanceError("instance_stats requires a non-empty instance")
     k = len(seq.lengths())
 
-    # Longest containment chain, DP over intervals in decreasing length order
-    # so every potential container is finalized before its contents.
-    order = sorted(seq, key=lambda iv: (-iv.length, iv.start, iv.id))
-    depth: dict[int, int] = {}
-    for iv in order:
-        d_iv = 0
-        for other_id, d_other in depth.items():
-            if contains_properly(seq.by_id(other_id), iv):
-                d_iv = max(d_iv, d_other + 1)
-        depth[iv.id] = d_iv
-    d = max(depth.values())
+    d = _nesting_depth(seq)
     assert d <= k - 1, f"nesting depth {d} exceeds k-1={k - 1}"
 
     _, n_points = normalize_to_grid(seq)
     return InstanceStats(distinct_lengths=k, nesting_depth=d, grid_points=n_points)
+
+
+def _nesting_depth(seq: ArrivalSequence) -> int:
+    """Longest proper-containment chain minus one, level by level.
+
+    An interval has depth >= j+1 iff it lies properly inside some interval
+    of depth >= j. With a level sorted by start and a running max of its
+    ends, that test is two bisections per interval: a container either
+    starts strictly earlier and ends no earlier, or starts at the same point
+    and ends strictly later. Each level is a start-sorted subsequence of the
+    one before, and proper containment strictly shortens, so there are at
+    most k levels: O(k n log n) in all.
+    """
+    level = sorted(seq, key=lambda iv: iv.start)
+    depth = -1
+    while level:
+        depth += 1
+        starts = [iv.start for iv in level]
+        reach = list(accumulate((iv.end for iv in level), max))
+        inner = []
+        for iv in level:
+            before = bisect_left(starts, iv.start)
+            upto = bisect_right(starts, iv.start, before)
+            if (before and reach[before - 1] >= iv.end) or reach[upto - 1] > iv.end:
+                inner.append(iv)
+        level = inner
+    return depth
 
 
 def normalize_to_grid(seq: ArrivalSequence) -> tuple[ArrivalSequence, int]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,19 +73,18 @@ def apply_action(state: PolicyState, arrival, action: Action, retired: set[int])
             raise InfeasibleActionError("a discarding accept must displace the whole solution")
     else:
         for gone in action.displaced:
-            member = next(m for m in state.members() if m.id == gone)
-            if not conflicts(member, arrival):
+            if not conflicts(state.by_id(gone), arrival):
                 raise InfeasibleActionError(
                     f"displaced id {gone} does not conflict with arrival {arrival.id}"
                 )
     for gone in action.displaced:
         state._remove(gone)
         retired.add(gone)
-    for member in state.members():
-        if conflicts(member, arrival):
-            raise InfeasibleActionError(
-                f"accepting {arrival.id} leaves a conflict with held {member.id}"
-            )
+    clash = state.conflicting(arrival)
+    if clash:
+        raise InfeasibleActionError(
+            f"accepting {arrival.id} leaves a conflict with held {clash[0].id}"
+        )
     state._add(arrival)
 
 
@@ -267,6 +267,13 @@ def _kernel_eligible(policy: Policy, seq: ArrivalSequence) -> Optional[dict]:
     return spec
 
 
+def pool_size(jobs: int, chunks: int) -> int:
+    """Worker processes for a trial pool: never more than the CPUs or the
+    chunks. Under fork the pool starts all its workers up front, so an
+    unclamped --jobs 5000 would fork 5000 processes."""
+    return max(1, min(jobs, os.cpu_count() or 1, chunks))
+
+
 def _worker_chunk(args):
     policy, seq, trials, seed, lo, hi = args
     return _python_trials(policy, seq, trials, seed, range(lo, hi))
@@ -284,6 +291,8 @@ def run_random_order(
     available; results are identical either way."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if len(seq) == 0:
         raise EmptyInstanceError("cannot benchmark an empty instance")
     opt = opt_for(seq)
@@ -300,7 +309,7 @@ def run_random_order(
     elif jobs > 1:
         chunk = -(-trials // jobs)
         ranges = [(lo, min(trials, lo + chunk)) for lo in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size(jobs, len(ranges))) as pool:
             parts = list(
                 pool.map(
                     _worker_chunk,

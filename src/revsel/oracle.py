@@ -20,11 +20,11 @@ from math import gcd
 from typing import Iterable
 
 from . import _engine
+from .algorithms import PolicyState
 from .core import (
     ArrivalSequence,
     EmptyInstanceError,
     Interval,
-    conflicts,
     contains_properly,
     solution_weight,
     validate_solution,
@@ -221,39 +221,38 @@ def normalize_certificate(
     ever accepted; exact coincidences are resolved toward the accepted copy.
 
     Each swap keeps cardinality and feasibility (the replacement sits inside
-    the member it replaces, so it conflicts nothing else in the set).
+    the member it replaces, so it conflicts nothing else in the set). The
+    members are disjoint, so no swap changes what another member may swap
+    to, and the swapped-in interval has nothing left to swap: one pass over
+    the members in ascending id order makes every swap. A member's
+    candidates are the accepted intervals starting inside it; these windows
+    are disjoint, so each accepted interval is looked at once at most.
     Returns the rewritten set and the list of coincidence id swaps.
     """
     accepted = set(ever_accepted)
+    pool = sorted((seq.by_id(a) for a in accepted), key=lambda iv: iv.start)
+    starts = [iv.start for iv in pool]
     opt = set(opt_members)
     swaps: list[tuple[int, int]] = []
-    for _ in range(len(seq) + len(opt) * len(seq)):
-        for opt_id in sorted(opt):
-            outer = seq.by_id(opt_id)
-            candidates = _swap_candidates(seq, outer, accepted, opt)
-            if candidates:
-                inner = min(candidates, key=lambda iv: (iv.length, iv.start, iv.id))
-                opt.remove(opt_id)
-                opt.add(inner.id)
-                break
-            if opt_id in accepted:
-                continue
-            twins = [
-                a
-                for a in accepted
-                if a not in opt
-                and (seq.by_id(a).start, seq.by_id(a).end) == (outer.start, outer.end)
-            ]
-            if twins:
-                twin = min(twins)
-                opt.remove(opt_id)
-                opt.add(twin)
-                swaps.append((opt_id, twin))
-                break
-        else:
-            break
-    else:
-        raise AssertionError("normalization did not terminate")
+    for opt_id in sorted(opt_members):
+        outer = seq.by_id(opt_id)
+        lo = bisect.bisect_left(starts, outer.start)
+        hi = bisect.bisect_left(starts, outer.end, lo)
+        window = [iv for iv in pool[lo:hi] if iv.id not in opt]
+        candidates = [iv for iv in window if contains_properly(outer, iv)]
+        if candidates:
+            inner = min(candidates, key=lambda iv: (iv.length, iv.start, iv.id))
+            opt.remove(opt_id)
+            opt.add(inner.id)
+            continue
+        if opt_id in accepted:
+            continue
+        twins = [iv.id for iv in window if (iv.start, iv.end) == (outer.start, outer.end)]
+        if twins:
+            twin = min(twins)
+            opt.remove(opt_id)
+            opt.add(twin)
+            swaps.append((opt_id, twin))
     assert len(opt) == len(opt_members), "normalization changed |OPT|"
     assert validate_solution(seq, opt), "normalization broke feasibility"
     return frozenset(opt), swaps
@@ -262,7 +261,7 @@ def normalize_certificate(
 def _charge_direct(records, events, held, arrival: Interval) -> None:
     """Charge a rejected optimal arrival to the held interval it conflicts
     with; with two partial conflicts, always the one on the right."""
-    hits = [m for m in held.values() if conflicts(m, arrival)]
+    hits = held.conflicting(arrival)
     assert hits, "rejected optimal arrival conflicts nothing held"
     assert len(hits) <= 2, "an arrival cannot partially conflict 3+ disjoint members"
     for m in hits:
@@ -272,7 +271,7 @@ def _charge_direct(records, events, held, arrival: Interval) -> None:
         assert not contains_properly(m, arrival), (
             "the run rejected an arrival properly inside a member"
         )
-    target = max(hits, key=lambda iv: iv.start)
+    target = hits[-1]  # hits come in start order
     rec = records[target.id]
     rec.direct_ids.append(arrival.id)
     rec.current.append(arrival.id)
@@ -287,8 +286,8 @@ def _apply_accept(records, events, held, arrival: Interval, displaced) -> None:
             records[arrival.id].current.extend(moved)
             records[gone].current = []
             events.append(("transfer", gone, arrival.id, len(moved)))
-        del held[gone]
-    held[arrival.id] = arrival
+        held._remove(gone)
+    held._add(arrival)
 
 
 def _check_bounds(seq: ArrivalSequence, ledger: ChargeLedger) -> ChargeLedger:
@@ -342,7 +341,7 @@ def verify_charging(
 
     records = {iv.id: ChargeRecord() for iv in seq}
     events: list[tuple] = []
-    held: dict[int, Interval] = {}
+    held = PolicyState()
 
     for entry in transcript.entries:
         arrival = seq.by_id(entry.arrival_id)
@@ -357,7 +356,7 @@ def verify_charging(
         if entry.action.accepted:
             _apply_accept(records, events, held, arrival, entry.action.displaced)
 
-    final_members = frozenset(held)
+    final_members = held.ids
     assert final_members == replay_actions(seq, transcript), "transcript replay mismatch"
     ledger = ChargeLedger(
         k=k,
@@ -391,7 +390,7 @@ def verify_charging_lazy(
     swaps: list[tuple[int, int]] = []
     records = {iv.id: ChargeRecord() for iv in seq}
     events: list[tuple] = []
-    held: dict[int, Interval] = {}
+    held = PolicyState()
 
     # Coincidences have no arrival-time trigger; resolve them up front.
     all_accepted = {e.arrival_id for e in transcript.entries if e.action.accepted}
@@ -441,7 +440,7 @@ def verify_charging_lazy(
             accepted_so_far.add(arrival.id)
             _apply_accept(records, events, held, arrival, entry.action.displaced)
 
-    final_members = frozenset(held)
+    final_members = held.ids
     assert final_members == replay_actions(seq, transcript)
     ledger = ChargeLedger(
         k=k,

@@ -196,3 +196,21 @@ def test_bench_backends_command(capsys):
 def test_missing_file_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "run", "greedy-subsume", "/nonexistent/file.jsonl")
     assert code == EXIT_USAGE
+
+
+def test_directory_instance_is_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", "greedy-subsume", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+
+
+def test_bench_rejects_nonpositive_jobs(tmp_path, capsys):
+    inst = str(tmp_path / "two.jsonl")
+    run_cli(capsys, "generate", "two-length", "--K", "3", "--out", inst)
+    for jobs in ("0", "-3"):
+        for policy in ("greedy-subsume", "arb:greedy-disjoint"):
+            code, out, err = run_cli(
+                capsys, "bench", policy, inst, "--trials", "5", "--seed", "1", "--jobs", jobs
+            )
+            assert code == EXIT_USAGE and out == ""
+            assert "--jobs" in err

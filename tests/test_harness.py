@@ -26,6 +26,7 @@ from revsel.harness import (
     InfeasibleActionError,
     exact_ratio,
     format_value,
+    pool_size,
     replay_actions,
     run_adversarial,
     run_arb_expectation,
@@ -201,6 +202,23 @@ def test_parallel_jobs_match_serial():
     serial = run_random_order(policy, seq, 24, seed=8, jobs=1)
     parallel = run_random_order(policy, seq, 24, seed=8, jobs=3)
     assert serial.alg_samples == parallel.alg_samples
+
+
+def test_pool_size_never_exceeds_cpus_or_chunks(monkeypatch):
+    monkeypatch.setattr("revsel.harness.os.cpu_count", lambda: 4)
+    assert pool_size(5000, 150) == 4
+    assert pool_size(3, 150) == 3
+    assert pool_size(8, 2) == 2
+    assert pool_size(1, 10) == 1
+    monkeypatch.setattr("revsel.harness.os.cpu_count", lambda: None)
+    assert pool_size(5000, 150) == 1
+
+
+def test_random_order_rejects_nonpositive_jobs():
+    seq = gen_random_instance(6, 2, "unit", 3)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError):
+            run_random_order(make_policy("greedy-subsume"), seq, 4, seed=1, jobs=jobs)
 
 
 # -- distributional ---------------------------------------------------------------
