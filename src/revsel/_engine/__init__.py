@@ -2,10 +2,12 @@
 
 The compiled extension (Cython) implements the permutation-trial loop for
 single-length table policies and the exhaustive subset search. The fallback
-implements the identical bit-level algorithms in pure Python; outputs are
-byte-for-byte equal, which the test suite asserts. Selection happens once at
-import: the extension if it built, otherwise the fallback. Set
-``REVSEL_PURE_PYTHON=1`` to force the fallback.
+implements the identical bit-level algorithms in pure Python: its trial loop
+finds conflicts by bisection in a start-sorted held set and shuffles with
+:mod:`revsel.rng`'s splitmix64. Outputs are byte-for-byte equal, which the
+test suite asserts. Selection happens once at import: the extension if it
+built, otherwise the fallback. Set ``REVSEL_PURE_PYTHON=1`` to force the
+fallback.
 """
 
 from __future__ import annotations
@@ -57,10 +59,8 @@ def run_single_length_trials(starts, ends, spec: dict, trials: int, seed: int, i
     """ALG size per permutation trial for a single-length table policy."""
     mode, flk, flv, fld, frk, frv, frd = _unpack_spec(spec)
     engine = impl if impl is not None else _impl
-    return list(
-        engine.run_single_length_trials_raw(
-            list(starts), list(ends), mode, flk, flv, fld, frk, frv, frd, trials, seed
-        )
+    return engine.run_single_length_trials_raw(
+        list(starts), list(ends), mode, flk, flv, fld, frk, frv, frd, trials, seed
     )
 
 
@@ -69,8 +69,3 @@ def best_subset_scaled(starts, ends, weights, impl=None):
     engine = impl if impl is not None else _impl
     return engine.best_subset_scaled(list(starts), list(ends), list(weights))
 
-
-def permutation_check(n: int, seed: int, trial: int, impl=None):
-    """The trial permutation as the engine computes it (parity testing)."""
-    engine = impl if impl is not None else _impl
-    return list(engine.permutation_raw(n, seed, trial))

@@ -2,46 +2,17 @@
 
 Every function here matches the extension bit for bit: same splitmix64
 stream, same rejection sampling, same Fisher-Yates order, same enumeration
-order. Keep the two in lockstep when changing either.
+order. The stream and the shuffle are :mod:`revsel.rng`'s; this module keeps
+no splitmix64 code of its own. Keep the kernels here and in the extension in
+lockstep when changing either.
 """
 
 from __future__ import annotations
 
-_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+from bisect import bisect_left, bisect_right
 
-
-def _mix64(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
-def _substream(seed: int, index: int) -> int:
-    return _mix64((seed & _MASK) ^ _mix64((index + 1) * _GOLDEN))
-
-
-def _next_u64(state: int) -> tuple[int, int]:
-    state = (state + _GOLDEN) & _MASK
-    return state, _mix64(state)
-
-
-def _randbelow(state: int, n: int) -> tuple[int, int]:
-    limit = (1 << 64) - ((1 << 64) % n)
-    while True:
-        state, z = _next_u64(state)
-        if z < limit:
-            return state, z % n
-
-
-def permutation_raw(n: int, seed: int, trial: int) -> list[int]:
-    idx = list(range(n))
-    state = _substream(seed, trial)
-    for i in range(n - 1, 0, -1):
-        state, j = _randbelow(state, i + 1)
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx
+from ..rng import _shuffle, substream_seed
+from ..rng import permutation as permutation_raw  # the extension's name for it
 
 
 def run_single_length_trials_raw(
@@ -62,36 +33,39 @@ def run_single_length_trials_raw(
     mode 0: threshold tables (reject on two or more conflicts).
     mode 1: always replace. mode 2: never replace.
     Returns the final solution size of each trial.
+
+    Every mode keeps the held set disjoint, so it is kept sorted by start in
+    two parallel lists (which sorts the ends too), and the members that
+    conflict with an arrival [s, e) are the run [bisect_right(ends, s),
+    bisect_left(starts, e)). Intervals must have start < end.
     """
-    n = len(starts)
+    arrivals = list(zip(starts, ends))
     fl = dict(zip(fl_keys, fl_vals))
     fr = dict(zip(fr_keys, fr_vals))
     out = []
     for t in range(trials):
-        perm = permutation_raw(n, seed, t)
-        sol_s: list[int] = []
-        sol_e: list[int] = []
-        for idx in perm:
-            s, e = starts[idx], ends[idx]
-            hits = [
-                i for i in range(len(sol_s)) if max(sol_s[i], s) < min(sol_e[i], e)
-            ]
-            if not hits:
-                sol_s.append(s)
-                sol_e.append(e)
+        # Shuffling the arrivals with trial t's draws plays them in
+        # permutation_raw(n, seed, t) order.
+        order = arrivals[:]
+        _shuffle(order, substream_seed(seed, t))
+        held_s: list[int] = []
+        held_e: list[int] = []
+        for s, e in order:
+            lo = bisect_right(held_e, s)
+            hi = bisect_left(held_s, e, lo)
+            if lo == hi:
+                held_s.insert(lo, s)
+                held_e.insert(lo, e)
                 continue
             if mode == 2:
                 continue
             if mode == 1:
-                for i in reversed(hits):
-                    del sol_s[i], sol_e[i]
-                sol_s.append(s)
-                sol_e.append(e)
+                held_s[lo:hi] = (s,)
+                held_e[lo:hi] = (e,)
                 continue
-            if len(hits) >= 2:
+            if hi - lo >= 2:
                 continue
-            i = hits[0]
-            ms, me = sol_s[i], sol_e[i]
+            ms, me = held_s[lo], held_e[lo]
             # Containment cannot occur between equal lengths; guard anyway.
             if (ms <= s and e <= me and (ms, me) != (s, e)) or (
                 s <= ms and me <= e and (ms, me) != (s, e)
@@ -103,10 +77,10 @@ def run_single_length_trials_raw(
             else:
                 bit = fr.get(v, fr_default)
             if bit:
-                del sol_s[i], sol_e[i]
-                sol_s.append(s)
-                sol_e.append(e)
-        out.append(len(sol_s))
+                # The only conflict leaves; the arrival takes its slot.
+                held_s[lo] = s
+                held_e[lo] = e
+        out.append(len(held_s))
     return out
 
 

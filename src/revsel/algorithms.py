@@ -495,15 +495,3 @@ def make_policy(identifier: str) -> Policy:
         return RandMemorylessPolicy(Fraction(spec[2:]))
     raise ValueError(f"unknown policy identifier {identifier!r}")
 
-
-POLICY_IDS = [
-    "greedy-subsume",
-    "call-control",
-    "one-dir-left",
-    "one-dir-right",
-    "always-replace",
-    "never-replace",
-    "threshold:<table-file>",
-    "arb:<subroutine>",
-    "rand-memoryless:<spec>",
-]

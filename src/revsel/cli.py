@@ -196,9 +196,6 @@ def _build_bench(sub):
     p.add_argument("instance")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--random-order", action="store_true", default=True,
-                   help="permute arrivals per trial (default; classify policies "
-                        "run in arrival order instead)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for python trials (at most the CPU count)")
     p.add_argument("--out", help="CSV path (defaults to stdout)")
@@ -232,12 +229,11 @@ def _cmd_bench(args) -> int:
             "opt": format_value(stats.opt_value),
             "fraction_ratio_ge_2": str(stats.fraction_with_ratio_at_least(Fraction(2))),
         }
-    csv_text = stats.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+            stats.to_csv(fh)
     else:
-        sys.stdout.write(csv_text)
+        stats.to_csv(sys.stdout)
     print(json.dumps(summary, indent=2, sort_keys=True), file=sys.stderr)
     return EXIT_OK
 

@@ -13,14 +13,16 @@ executed in parallel and folded back in index order.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
+from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Optional, Sequence, TextIO
 
 from . import _engine
 from .algorithms import Action, ArbPolicy, Policy, PolicyState
@@ -93,8 +95,11 @@ def run_policy(
     seq: ArrivalSequence,
     rng: Optional[Stream] = None,
     fresh: bool = True,
+    record: bool = True,
 ) -> tuple[PolicyState, RunTranscript]:
-    """Feed the arrivals to a policy and return (final state, transcript)."""
+    """Feed the arrivals to a policy and return (final state, transcript).
+    With ``record=False`` the transcript has no entries, which saves its
+    cost in trials that need only the final state."""
     live = policy.fresh() if fresh else policy
     state = PolicyState()
     retired: set[int] = set()
@@ -102,7 +107,8 @@ def run_policy(
     for arrival in seq:
         action = live.decide(state, arrival, rng)
         apply_action(state, arrival, action, retired)
-        entries.append(TranscriptEntry(arrival.id, action))
+        if record:
+            entries.append(TranscriptEntry(arrival.id, action))
     return state, RunTranscript(policy=live.name, entries=tuple(entries))
 
 
@@ -186,73 +192,124 @@ def run_adversarial(
 # Random-order trials
 # ---------------------------------------------------------------------------
 
+_CSV_CHUNK_ROWS = 4096
 
-@dataclass
+
 class TrialStats:
-    """Aggregated exact ratios over seeded permutation trials."""
+    """Exact aggregates over seeded trials, computed from a histogram of ALG.
 
-    trials: int
-    seed: int
-    ratio_samples: list[Optional[Fraction]]
-    alg_samples: list[Fraction]
-    opt_value: Fraction
+    ``algs`` holds each trial's ALG in trial order as the trial loop made it:
+    an int from the engine kernel or a Fraction from the Python loop. Equal
+    values share one histogram entry, and the exact ALG, its ratio and its
+    CSV cells are built once per entry, so the per-trial cost is a lookup.
+    ALG takes few distinct values, so the aggregates below stay exact and
+    cheap; the per-trial sequence is kept because the CSV lists every trial.
+    """
+
+    def __init__(self, seed: int, opt_value: Fraction, algs: list):
+        self.trials = len(algs)
+        self.seed = seed
+        self.opt_value = opt_value
+        self._algs = algs
+        self.histogram = Counter(algs)
+        # raw ALG -> (exact ALG, exact ratio or None for infinity)
+        self._exact = {}
+        for raw in self.histogram:
+            alg = Fraction(raw)
+            self._exact[raw] = (alg, exact_ratio(opt_value, alg))
+
+    @property
+    def alg_samples(self) -> list[Fraction]:
+        exact = self._exact
+        return [exact[raw][0] for raw in self._algs]
+
+    @property
+    def ratio_samples(self) -> list[Optional[Fraction]]:
+        exact = self._exact
+        return [exact[raw][1] for raw in self._algs]
+
+    def _ratio_counts(self) -> list[tuple[Optional[Fraction], int]]:
+        return [(self._exact[raw][1], count) for raw, count in self.histogram.items()]
 
     @property
     def mean_ratio(self) -> Fraction:
-        if any(r is None for r in self.ratio_samples):
+        counts = self._ratio_counts()
+        if any(r is None for r, _ in counts):
             raise ValueError("mean undefined: some trials had an empty solution")
-        return sum(self.ratio_samples, Fraction(0)) / self.trials
+        return sum((r * c for r, c in counts), Fraction(0)) / self.trials
 
     @property
     def mean_alg(self) -> Fraction:
-        return sum(self.alg_samples, Fraction(0)) / self.trials
+        exact = self._exact
+        total = sum((exact[raw][0] * c for raw, c in self.histogram.items()), Fraction(0))
+        return total / self.trials
 
     def fraction_with_ratio_at_least(self, threshold: Fraction) -> Fraction:
-        hits = sum(1 for r in self.ratio_samples if r is None or r >= threshold)
+        hits = sum(c for r, c in self._ratio_counts() if r is None or r >= threshold)
         return Fraction(hits, self.trials)
 
     def fraction_with_ratio_exactly(self, value: Fraction) -> Fraction:
-        hits = sum(1 for r in self.ratio_samples if r == value)
+        hits = sum(c for r, c in self._ratio_counts() if r == value)
         return Fraction(hits, self.trials)
 
     def quantile(self, q: Fraction) -> Optional[Fraction]:
         """Nearest-rank quantile of the ratio samples (infinities sort last)."""
         order = sorted(
-            self.ratio_samples,
-            key=lambda r: (r is None, r if r is not None else Fraction(0)),
+            self._ratio_counts(),
+            key=lambda rc: (rc[0] is None, rc[0] if rc[0] is not None else Fraction(0)),
         )
         rank = min(self.trials, max(1, math.ceil(Fraction(q) * self.trials)))
-        return order[rank - 1]
+        cumulative = list(accumulate(c for _, c in order))
+        return order[bisect_left(cumulative, rank)][0]
 
     def alg_std(self) -> float:
-        """Sample standard deviation of ALG values (float; reporting only)."""
-        n = len(self.alg_samples)
-        if n < 2:
+        """Sample standard deviation of ALG values (float; reporting only).
+        The variance is exact; only its square root is a float."""
+        if self.trials < 2:
             return 0.0
         mean = self.mean_alg
-        var = sum((float(a - mean)) ** 2 for a in self.alg_samples) / (n - 1)
-        return var**0.5
+        exact = self._exact
+        squares = sum(
+            ((exact[raw][0] - mean) ** 2 * c for raw, c in self.histogram.items()),
+            Fraction(0),
+        )
+        return math.sqrt(squares / (self.trials - 1))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["trial", "seed", "alg", "opt", "ratio"])
-        for t, (alg, ratio) in enumerate(zip(self.alg_samples, self.ratio_samples)):
-            writer.writerow(
-                [t, self.seed, format_value(alg), format_value(self.opt_value), format_value(ratio)]
-            )
-        return buf.getvalue()
+    def to_csv(self, out: Optional[TextIO] = None) -> Optional[str]:
+        """One ``trial,seed,alg,opt,ratio`` row per trial after that header,
+        each ending in ``\\r\\n`` with no cell quoted (no cell holds a comma
+        or a quote): the bytes ``csv.writer`` writes. Rows go to `out` a
+        chunk at a time; with no `out`, the text is returned instead."""
+        target = io.StringIO() if out is None else out
+        opt_cell = format_value(self.opt_value)
+        tails = {
+            raw: f",{self.seed},{format_value(alg)},{opt_cell},{format_value(ratio)}\r\n"
+            for raw, (alg, ratio) in self._exact.items()
+        }
+        target.write("trial,seed,alg,opt,ratio\r\n")
+        algs = self._algs
+        for lo in range(0, len(algs), _CSV_CHUNK_ROWS):
+            chunk = algs[lo : lo + _CSV_CHUNK_ROWS]
+            target.write("".join([f"{t}{tails[raw]}" for t, raw in enumerate(chunk, lo)]))
+        return target.getvalue() if out is None else None
 
 
-def _python_trials(policy, seq, trials, seed, trial_range=None) -> list[Fraction]:
-    n = len(seq)
-    out = []
-    for t in trial_range if trial_range is not None else range(trials):
-        perm = permutation(n, seed, t)
-        rng = Stream.for_trial(seed, (1 << 32) + t)  # separate stream for decisions
-        state, _ = run_policy(policy, seq.permuted(perm), rng)
-        out.append(sum((m.weight for m in state.members()), Fraction(0)))
-    return out
+def _trials(policy: Policy, seq: ArrivalSequence, seed: int, trial_range: range, permuted: bool):
+    """The one trial loop: a fresh run of `policy` per trial t in
+    `trial_range`; yields (ALG, the policy instance that ran).
+
+    A permuted trial plays the arrivals in ``permutation(n, seed, t)`` order
+    and draws its decisions from substream 2**32 + t, clear of the
+    permutation substreams; otherwise the arrivals come in file order and
+    the decisions from substream t.
+    """
+    offset = (1 << 32) if permuted else 0
+    for t in trial_range:
+        order = seq.permuted(permutation(len(seq), seed, t)) if permuted else seq
+        live = policy.fresh()
+        rng = Stream.for_trial(seed, offset + t)
+        state, _ = run_policy(live, order, rng, fresh=False, record=False)
+        yield sum((m.weight for m in state.members()), Fraction(0)), live
 
 
 def _kernel_eligible(policy: Policy, seq: ArrivalSequence) -> Optional[dict]:
@@ -274,9 +331,10 @@ def pool_size(jobs: int, chunks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, chunks))
 
 
-def _worker_chunk(args):
-    policy, seq, trials, seed, lo, hi = args
-    return _python_trials(policy, seq, trials, seed, range(lo, hi))
+def _worker_chunk(args) -> list[Fraction]:
+    """Pool task: ALG of the permuted trials lo..hi-1."""
+    policy, seq, seed, lo, hi = args
+    return [alg for alg, _ in _trials(policy, seq, seed, range(lo, hi), permuted=True)]
 
 
 def run_random_order(
@@ -287,8 +345,8 @@ def run_random_order(
     jobs: int = 1,
 ) -> TrialStats:
     """Uniformly permute the arrivals per trial (seeded) and aggregate exact
-    ratios. Single-length table policies run through the compiled engine when
-    available; results are identical either way."""
+    ratios. Single-length table policies run through the engine kernel;
+    results are identical either way."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs < 1:
@@ -298,31 +356,24 @@ def run_random_order(
     opt = opt_for(seq)
     spec = _kernel_eligible(policy, seq)
     if spec is not None:
-        algs_int = _engine.run_single_length_trials(
+        algs = _engine.run_single_length_trials(
             [iv.start for iv in seq],
             [iv.end for iv in seq],
             spec,
             trials,
             seed,
         )
-        algs = [Fraction(a) for a in algs_int]
     elif jobs > 1:
         chunk = -(-trials // jobs)
         ranges = [(lo, min(trials, lo + chunk)) for lo in range(0, trials, chunk)]
         with ProcessPoolExecutor(max_workers=pool_size(jobs, len(ranges))) as pool:
             parts = list(
-                pool.map(
-                    _worker_chunk,
-                    [(policy, seq, trials, seed, lo, hi) for lo, hi in ranges],
-                )
+                pool.map(_worker_chunk, [(policy, seq, seed, lo, hi) for lo, hi in ranges])
             )
         algs = [a for part in parts for a in part]
     else:
-        algs = _python_trials(policy, seq, trials, seed)
-    ratios = [exact_ratio(opt.value, a) for a in algs]
-    return TrialStats(
-        trials=trials, seed=seed, ratio_samples=ratios, alg_samples=algs, opt_value=opt.value
-    )
+        algs = [alg for alg, _ in _trials(policy, seq, seed, range(trials), permuted=True)]
+    return TrialStats(seed, opt.value, algs)
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +445,11 @@ def run_arb_expectation(
     opt = opt_for(seq)
     algs = []
     choices: dict[int, int] = {}
-    for t in range(trials):
-        rng = Stream.for_trial(seed, t)
-        live = policy.fresh()
-        state = PolicyState()
-        retired: set[int] = set()
-        for arrival in seq:
-            action = live.decide(state, arrival, rng)
-            apply_action(state, arrival, action, retired)
-        algs.append(sum((m.weight for m in state.members()), Fraction(0)))
+    for alg, live in _trials(policy, seq, seed, range(trials), permuted=False):
+        algs.append(alg)
         choices[live.chosen_length] = choices.get(live.chosen_length, 0) + 1
-    ratios = [exact_ratio(opt.value, a) for a in algs]
-    stats = TrialStats(
-        trials=trials, seed=seed, ratio_samples=ratios, alg_samples=algs, opt_value=opt.value
-    )
     return ArbTrialStats(
-        stats=stats, length_choices=choices, distinct_lengths=len(seq.lengths())
+        stats=TrialStats(seed, opt.value, algs),
+        length_choices=choices,
+        distinct_lengths=len(seq.lengths()),
     )

@@ -206,14 +206,6 @@ class ChargeLedger:
         }
 
 
-def _swap_candidates(seq, outer, accepted, opt):
-    return [
-        seq.by_id(a)
-        for a in accepted
-        if a not in opt and contains_properly(outer, seq.by_id(a))
-    ]
-
-
 def normalize_certificate(
     seq: ArrivalSequence, opt_members: frozenset[int], ever_accepted: Iterable[int]
 ) -> tuple[frozenset[int], list[tuple[int, int]]]:
@@ -361,90 +353,6 @@ def verify_charging(
     ledger = ChargeLedger(
         k=k,
         normalized_opt=opt_norm,
-        records=records,
-        events=events,
-        final_members=final_members,
-        coincidence_swaps=swaps,
-    )
-    return _check_bounds(seq, ledger)
-
-
-def verify_charging_lazy(
-    seq: ArrivalSequence,
-    transcript,
-    opt: OptCertificate,
-    k: int,
-) -> ChargeLedger:
-    """Variant that normalizes during the replay instead of up front.
-
-    When an optimal interval arrives and strictly contains something the run
-    has accepted so far, the certificate is rewritten on the spot and the
-    swapped-in interval self-charges retroactively. Used as a cross-check of
-    the eager normalization; on certificates produced by
-    :func:`opt_unweighted` the two variants build identical ledgers.
-    """
-    from .harness import replay_actions
-
-    accepted_so_far: set[int] = set()
-    opt_current = set(opt.members)
-    swaps: list[tuple[int, int]] = []
-    records = {iv.id: ChargeRecord() for iv in seq}
-    events: list[tuple] = []
-    held = PolicyState()
-
-    # Coincidences have no arrival-time trigger; resolve them up front.
-    all_accepted = {e.arrival_id for e in transcript.entries if e.action.accepted}
-    for opt_id in sorted(opt_current):
-        outer = seq.by_id(opt_id)
-        if opt_id in all_accepted:
-            continue
-        twins = [
-            a
-            for a in all_accepted
-            if a not in opt_current
-            and (seq.by_id(a).start, seq.by_id(a).end) == (outer.start, outer.end)
-        ]
-        if twins:
-            twin = min(twins)
-            opt_current.discard(opt_id)
-            opt_current.add(twin)
-            swaps.append((opt_id, twin))
-
-    for entry in transcript.entries:
-        arrival = seq.by_id(entry.arrival_id)
-        if arrival.id in opt_current:
-            current = arrival
-            swapped = False
-            while True:
-                candidates = _swap_candidates(seq, current, accepted_so_far, opt_current)
-                if not candidates:
-                    break
-                inner = min(candidates, key=lambda iv: (iv.length, iv.start, iv.id))
-                opt_current.discard(current.id)
-                opt_current.add(inner.id)
-                current = inner
-                swapped = True
-            if swapped:
-                rec = records[current.id]
-                rec.direct_ids.append(current.id)
-                rec.current.append(current.id)
-                events.append(("direct-self-retro", current.id, current.id))
-            elif entry.action.accepted:
-                rec = records[arrival.id]
-                rec.direct_ids.append(arrival.id)
-                rec.current.append(arrival.id)
-                events.append(("direct-self", arrival.id, arrival.id))
-            else:
-                _charge_direct(records, events, held, arrival)
-        if entry.action.accepted:
-            accepted_so_far.add(arrival.id)
-            _apply_accept(records, events, held, arrival, entry.action.displaced)
-
-    final_members = held.ids
-    assert final_members == replay_actions(seq, transcript)
-    ledger = ChargeLedger(
-        k=k,
-        normalized_opt=frozenset(opt_current),
         records=records,
         events=events,
         final_members=final_members,

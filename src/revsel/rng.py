@@ -2,9 +2,11 @@
 
 Everything random in this package flows through a splitmix64 generator with
 explicitly derived substreams: trial t of a run seeded with s always consumes
-the same draws, no matter how many other trials run or in which order. The
-compiled engine implements the identical bit-level algorithm, so results are
-byte-for-byte equal across backends.
+the same draws, no matter how many other trials run or in which order. This
+module holds the package's only splitmix64 code; the pure-Python engine
+shuffles through :func:`_shuffle` here, and the compiled engine implements
+the identical bit-level algorithm, so results are byte-for-byte equal across
+backends.
 
 No floats are produced here. Bounded draws use rejection sampling, which keeps
 probabilities exact (``randbelow(b) < a`` has probability a/b exactly).
@@ -29,6 +31,29 @@ def mix64(z: int) -> int:
 def substream_seed(seed: int, index: int) -> int:
     """State for substream `index` of master `seed` (trial isolation)."""
     return mix64((seed & _MASK) ^ mix64((index + 1) * _GOLDEN))
+
+
+def _shuffle(items: list, state: int) -> int:
+    """Fisher-Yates shuffle of `items` in place, drawing from the splitmix64
+    stream at `state`; returns the stream's state after the last draw.
+
+    Draw for draw this is ``Stream(state).shuffle(items)``: each swap takes
+    ``randbelow(i + 1)``, a rejection-sampled step of the stream. The step is
+    written out inline because the trial kernel calls this once per trial.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        bound = i + 1
+        limit = (1 << 64) - (1 << 64) % bound
+        while True:
+            state = (state + _GOLDEN) & _MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            if z < limit:
+                break
+        j = z % bound
+        items[i], items[j] = items[j], items[i]
+    return state
 
 
 class Stream:
@@ -67,13 +92,11 @@ class Stream:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
+        self.state = _shuffle(items, self.state)
 
 
 def permutation(n: int, seed: int, trial: int) -> list[int]:
     """The index permutation used by trial `trial` of a run seeded `seed`."""
     idx = list(range(n))
-    Stream.for_trial(seed, trial).shuffle(idx)
+    _shuffle(idx, substream_seed(seed, trial))
     return idx

@@ -2,18 +2,40 @@
 
 Each mirrors an earlier, simpler version of a fast path in revsel: a held
 set that re-sorts and scans all members on every query, the harness step
-that scans it, the pairwise nesting-depth DP, and the restart-loop
-certificate normalization. They are quadratic or worse and exist so that
-random inputs can be checked against them.
+that scans it, the pairwise nesting-depth DP, the restart-loop certificate
+normalization, the charging audit that normalizes during its replay, the
+trial kernel that scans its held set with its own splitmix64 copy, and the
+trial statistics that keep one Fraction per trial. They are quadratic or
+worse, or slow per trial, and exist so that random inputs can be checked
+against them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import csv
+import io
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Optional
 
-from revsel.algorithms import Action
+from revsel.algorithms import Action, PolicyState
 from revsel.core import ArrivalSequence, Interval, conflicts, contains_properly, validate_solution
-from revsel.harness import InfeasibleActionError, RunTranscript, TranscriptEntry
+from revsel.harness import (
+    InfeasibleActionError,
+    RunTranscript,
+    TranscriptEntry,
+    format_value,
+    replay_actions,
+)
+from revsel.oracle import (
+    ChargeLedger,
+    ChargeRecord,
+    OptCertificate,
+    _apply_accept,
+    _charge_direct,
+    _check_bounds,
+)
 
 
 class ScanningPolicyState:
@@ -149,3 +171,239 @@ def restart_normalize_certificate(
     assert len(opt) == len(opt_members)
     assert validate_solution(seq, opt)
     return frozenset(opt), swaps
+
+
+def _swap_candidates(seq, outer, accepted, opt):
+    return [
+        seq.by_id(a)
+        for a in accepted
+        if a not in opt and contains_properly(outer, seq.by_id(a))
+    ]
+
+
+def verify_charging_lazy(
+    seq: ArrivalSequence,
+    transcript,
+    opt: OptCertificate,
+    k: int,
+) -> ChargeLedger:
+    """Variant that normalizes during the replay instead of up front.
+
+    When an optimal interval arrives and strictly contains something the run
+    has accepted so far, the certificate is rewritten on the spot and the
+    swapped-in interval self-charges retroactively. A cross-check of the
+    eager normalization in ``oracle.verify_charging``; on certificates
+    produced by ``opt_unweighted`` the two build identical ledgers.
+    """
+    accepted_so_far: set[int] = set()
+    opt_current = set(opt.members)
+    swaps: list[tuple[int, int]] = []
+    records = {iv.id: ChargeRecord() for iv in seq}
+    events: list[tuple] = []
+    held = PolicyState()
+
+    # Coincidences have no arrival-time trigger; resolve them up front.
+    all_accepted = {e.arrival_id for e in transcript.entries if e.action.accepted}
+    for opt_id in sorted(opt_current):
+        outer = seq.by_id(opt_id)
+        if opt_id in all_accepted:
+            continue
+        twins = [
+            a
+            for a in all_accepted
+            if a not in opt_current
+            and (seq.by_id(a).start, seq.by_id(a).end) == (outer.start, outer.end)
+        ]
+        if twins:
+            twin = min(twins)
+            opt_current.discard(opt_id)
+            opt_current.add(twin)
+            swaps.append((opt_id, twin))
+
+    for entry in transcript.entries:
+        arrival = seq.by_id(entry.arrival_id)
+        if arrival.id in opt_current:
+            current = arrival
+            swapped = False
+            while True:
+                candidates = _swap_candidates(seq, current, accepted_so_far, opt_current)
+                if not candidates:
+                    break
+                inner = min(candidates, key=lambda iv: (iv.length, iv.start, iv.id))
+                opt_current.discard(current.id)
+                opt_current.add(inner.id)
+                current = inner
+                swapped = True
+            if swapped:
+                rec = records[current.id]
+                rec.direct_ids.append(current.id)
+                rec.current.append(current.id)
+                events.append(("direct-self-retro", current.id, current.id))
+            elif entry.action.accepted:
+                rec = records[arrival.id]
+                rec.direct_ids.append(arrival.id)
+                rec.current.append(arrival.id)
+                events.append(("direct-self", arrival.id, arrival.id))
+            else:
+                _charge_direct(records, events, held, arrival)
+        if entry.action.accepted:
+            accepted_so_far.add(arrival.id)
+            _apply_accept(records, events, held, arrival, entry.action.displaced)
+
+    final_members = held.ids
+    assert final_members == replay_actions(seq, transcript)
+    ledger = ChargeLedger(
+        k=k,
+        normalized_opt=frozenset(opt_current),
+        records=records,
+        events=events,
+        final_members=final_members,
+        coincidence_swaps=swaps,
+    )
+    return _check_bounds(seq, ledger)
+
+
+# -- the random-order trial path, before the bisecting kernel -----------------
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _substream(seed: int, index: int) -> int:
+    return _mix64((seed & _MASK) ^ _mix64((index + 1) * _GOLDEN))
+
+
+def _next_u64(state: int) -> tuple[int, int]:
+    state = (state + _GOLDEN) & _MASK
+    return state, _mix64(state)
+
+
+def _randbelow(state: int, n: int) -> tuple[int, int]:
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        state, z = _next_u64(state)
+        if z < limit:
+            return state, z % n
+
+
+def permutation_raw(n: int, seed: int, trial: int) -> list[int]:
+    """Trial permutation from a private splitmix64 copy, one call per draw."""
+    idx = list(range(n))
+    state = _substream(seed, trial)
+    for i in range(n - 1, 0, -1):
+        state, j = _randbelow(state, i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+def scanning_single_length_trials_raw(
+    starts, ends, mode, fl_keys, fl_vals, fl_default, fr_keys, fr_vals, fr_default,
+    trials, seed,
+) -> list[int]:
+    """The trial kernel that scans its whole held set for every arrival."""
+    n = len(starts)
+    fl = dict(zip(fl_keys, fl_vals))
+    fr = dict(zip(fr_keys, fr_vals))
+    out = []
+    for t in range(trials):
+        perm = permutation_raw(n, seed, t)
+        sol_s: list[int] = []
+        sol_e: list[int] = []
+        for idx in perm:
+            s, e = starts[idx], ends[idx]
+            hits = [
+                i for i in range(len(sol_s)) if max(sol_s[i], s) < min(sol_e[i], e)
+            ]
+            if not hits:
+                sol_s.append(s)
+                sol_e.append(e)
+                continue
+            if mode == 2:
+                continue
+            if mode == 1:
+                for i in reversed(hits):
+                    del sol_s[i], sol_e[i]
+                sol_s.append(s)
+                sol_e.append(e)
+                continue
+            if len(hits) >= 2:
+                continue
+            i = hits[0]
+            ms, me = sol_s[i], sol_e[i]
+            if (ms <= s and e <= me and (ms, me) != (s, e)) or (
+                s <= ms and me <= e and (ms, me) != (s, e)
+            ):
+                continue
+            v = min(e, me) - max(s, ms)
+            if s < ms:
+                bit = fl.get(v, fl_default)
+            else:
+                bit = fr.get(v, fr_default)
+            if bit:
+                del sol_s[i], sol_e[i]
+                sol_s.append(s)
+                sol_e.append(e)
+        out.append(len(sol_s))
+    return out
+
+
+@dataclass
+class ListTrialStats:
+    """Trial statistics over one list of Fractions per trial."""
+
+    trials: int
+    seed: int
+    ratio_samples: list[Optional[Fraction]]
+    alg_samples: list[Fraction]
+    opt_value: Fraction
+
+    @property
+    def mean_ratio(self) -> Fraction:
+        if any(r is None for r in self.ratio_samples):
+            raise ValueError("mean undefined: some trials had an empty solution")
+        return sum(self.ratio_samples, Fraction(0)) / self.trials
+
+    @property
+    def mean_alg(self) -> Fraction:
+        return sum(self.alg_samples, Fraction(0)) / self.trials
+
+    def fraction_with_ratio_at_least(self, threshold: Fraction) -> Fraction:
+        hits = sum(1 for r in self.ratio_samples if r is None or r >= threshold)
+        return Fraction(hits, self.trials)
+
+    def fraction_with_ratio_exactly(self, value: Fraction) -> Fraction:
+        hits = sum(1 for r in self.ratio_samples if r == value)
+        return Fraction(hits, self.trials)
+
+    def quantile(self, q: Fraction) -> Optional[Fraction]:
+        order = sorted(
+            self.ratio_samples,
+            key=lambda r: (r is None, r if r is not None else Fraction(0)),
+        )
+        rank = min(self.trials, max(1, math.ceil(Fraction(q) * self.trials)))
+        return order[rank - 1]
+
+    def alg_std(self) -> float:
+        n = len(self.alg_samples)
+        if n < 2:
+            return 0.0
+        mean = self.mean_alg
+        var = sum((float(a - mean)) ** 2 for a in self.alg_samples) / (n - 1)
+        return var**0.5
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["trial", "seed", "alg", "opt", "ratio"])
+        for t, (alg, ratio) in enumerate(zip(self.alg_samples, self.ratio_samples)):
+            writer.writerow(
+                [t, self.seed, format_value(alg), format_value(self.opt_value), format_value(ratio)]
+            )
+        return buf.getvalue()

@@ -214,3 +214,15 @@ def test_bench_rejects_nonpositive_jobs(tmp_path, capsys):
             )
             assert code == EXIT_USAGE and out == ""
             assert "--jobs" in err
+
+
+def test_bench_random_order_flag_is_gone(tmp_path, capsys):
+    # Trials were always random-order (classify policies: arrival order), so
+    # the flag did nothing; passing it is now an unknown-argument error.
+    inst = str(tmp_path / "two.jsonl")
+    run_cli(capsys, "generate", "two-length", "--K", "3", "--out", inst)
+    code, out, err = run_cli(
+        capsys, "bench", "never-replace", inst, "--trials", "5", "--seed", "1", "--random-order"
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert "--random-order" in err

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from reference import verify_charging_lazy
 
 from revsel.adversary import gen_greedy_tight, gen_random_instance, gen_two_length
 from revsel.algorithms import make_policy
@@ -16,7 +17,6 @@ from revsel.oracle import (
     opt_unweighted,
     opt_weighted,
     verify_charging,
-    verify_charging_lazy,
 )
 
 

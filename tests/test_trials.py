@@ -1,0 +1,195 @@
+"""The random-order trial path, diffed against the references in
+``reference.py``: the bisecting kernel against the scanning one, the one
+splitmix64 shuffle against the old private copy, and the histogram-based
+TrialStats against the one that keeps a Fraction per trial."""
+
+import io
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import ListTrialStats, permutation_raw, scanning_single_length_trials_raw
+
+from revsel._engine import fallback
+from revsel.adversary import gen_random_instance
+from revsel.algorithms import make_policy
+from revsel.core import ArrivalSequence, Interval
+from revsel.harness import TrialStats, exact_ratio, run_random_order
+from revsel.rng import Stream, permutation
+
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**63, 2**64 - 1, -1, -(2**40)]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+# Small coordinates make touching endpoints and exact copies common.
+@st.composite
+def kernel_inputs(draw):
+    """(starts, ends) of one length or of several, with copies appended."""
+    lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True))
+    rows = draw(
+        st.lists(st.tuples(st.integers(-4, 20), st.sampled_from(lengths)), min_size=1, max_size=14)
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    rows = draw(st.permutations(rows))
+    return [s for s, _ in rows], [s + length for s, length in rows]
+
+
+@st.composite
+def kernel_modes(draw):
+    """Kernel arguments after the interval lists: mode and threshold tables."""
+    mode = draw(st.integers(0, 2))
+    table = st.dictionaries(st.integers(1, 7), st.integers(0, 1), max_size=5)
+    left, right = draw(table), draw(table)
+    return (
+        mode,
+        sorted(left),
+        [left[k] for k in sorted(left)],
+        draw(st.integers(0, 1)),
+        sorted(right),
+        [right[k] for k in sorted(right)],
+        draw(st.integers(0, 1)),
+    )
+
+
+@given(kernel_inputs(), kernel_modes(), st.integers(1, 25), SEEDS)
+@settings(max_examples=400, deadline=None)
+def test_kernel_matches_scanning_reference(intervals, modes, trials, seed):
+    starts, ends = intervals
+    args = (starts, ends, *modes, trials, seed)
+    assert fallback.run_single_length_trials_raw(*args) == (
+        scanning_single_length_trials_raw(*args)
+    )
+
+
+def test_kernel_matches_reference_on_dense_single_length_instances():
+    for seed in range(6):
+        seq = gen_random_instance(40, 1, "unit", seed)
+        starts = [iv.start for iv in seq]
+        ends = [iv.end for iv in seq]
+        for mode in range(3):
+            args = (starts, ends, mode, [2, 5], [1, 0], 1, [3], [1], 0, 60, seed)
+            assert fallback.run_single_length_trials_raw(*args) == (
+                scanning_single_length_trials_raw(*args)
+            )
+
+
+@given(st.integers(1, 64), SEEDS, st.integers(0, 2**33))
+@settings(max_examples=300, deadline=None)
+def test_permutation_matches_old_private_splitmix64(n, seed, trial):
+    expected = permutation_raw(n, seed, trial)
+    assert permutation(n, seed, trial) == expected
+    assert fallback.permutation_raw(n, seed, trial) == expected
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_stream_shuffle_draws_like_randbelow(state, items):
+    """Stream.shuffle keeps the exact draws of a randbelow Fisher-Yates and
+    leaves the stream where that loop leaves it."""
+    shuffled, stream = list(items), Stream(state)
+    stream.shuffle(shuffled)
+    expected, ref = list(items), Stream(state)
+    for i in range(len(expected) - 1, 0, -1):
+        j = ref.randbelow(i + 1)
+        expected[i], expected[j] = expected[j], expected[i]
+    assert shuffled == expected
+    assert stream.next_u64() == ref.next_u64()
+
+
+# -- TrialStats ------------------------------------------------------------------
+
+ALG_INTS = st.lists(st.integers(0, 5), min_size=1, max_size=60)
+ALG_FRACTIONS = st.lists(
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)), min_size=1, max_size=60
+)
+QUANTILES = [Fraction(0), Fraction(1, 100), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+             Fraction(9, 10), Fraction(1)]
+
+
+def _reference(seed, opt, algs):
+    exact = [Fraction(a) for a in algs]
+    return ListTrialStats(
+        trials=len(algs),
+        seed=seed,
+        ratio_samples=[exact_ratio(opt, a) for a in exact],
+        alg_samples=exact,
+        opt_value=opt,
+    )
+
+
+def _assert_same_stats(stats, ref):
+    assert stats.trials == ref.trials
+    assert stats.alg_samples == ref.alg_samples
+    assert stats.ratio_samples == ref.ratio_samples
+    assert stats.mean_alg == ref.mean_alg
+    if None in ref.ratio_samples:
+        with pytest.raises(ValueError):
+            stats.mean_ratio
+    else:
+        assert stats.mean_ratio == ref.mean_ratio
+    for threshold in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5)):
+        assert stats.fraction_with_ratio_at_least(threshold) == (
+            ref.fraction_with_ratio_at_least(threshold)
+        )
+        assert stats.fraction_with_ratio_exactly(threshold) == (
+            ref.fraction_with_ratio_exactly(threshold)
+        )
+    assert stats.fraction_with_ratio_exactly(None) == ref.fraction_with_ratio_exactly(None)
+    for q in QUANTILES:
+        assert stats.quantile(q) == ref.quantile(q)
+    assert math.isclose(stats.alg_std(), ref.alg_std(), rel_tol=1e-12, abs_tol=1e-12)
+    assert stats.to_csv() == ref.to_csv()
+
+
+@given(st.one_of(ALG_INTS, ALG_FRACTIONS), st.integers(0, 6), SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_trial_stats_match_list_reference(algs, opt, seed):
+    # opt 0 with alg 0 gives ratio 1; alg 0 below a positive opt gives inf.
+    _assert_same_stats(TrialStats(seed, Fraction(opt), algs), _reference(seed, Fraction(opt), algs))
+
+
+def test_trial_stats_quantile_ties_and_infinity():
+    algs = [2, 2, 0, 1, 2, 0, 1, 1]
+    stats = TrialStats(3, Fraction(2), algs)
+    _assert_same_stats(stats, _reference(3, Fraction(2), algs))
+    # sorted ratios: 1, 1, 1, 2, 2, 2, inf, inf
+    assert stats.quantile(Fraction(3, 8)) == 1  # rank 3, the last tied 1
+    assert stats.quantile(Fraction(1, 2)) == 2  # rank 4, the first tied 2
+    assert stats.quantile(Fraction(3, 4)) == 2
+    assert stats.quantile(Fraction(7, 8)) is None  # infinity sorts last
+    assert stats.histogram == {2: 3, 1: 3, 0: 2}
+
+
+def test_trial_stats_csv_to_a_file_handle(tmp_path):
+    algs = [0, 3, 3, 1] * 3000  # more rows than one write chunk
+    stats = TrialStats(-7, Fraction(3), algs)
+    path = tmp_path / "trials.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        assert stats.to_csv(fh) is None
+    expected = _reference(-7, Fraction(3), algs).to_csv()
+    assert path.read_bytes() == expected.encode()
+    assert expected.startswith("trial,seed,alg,opt,ratio\r\n0,-7,0/1,3/1,inf\r\n")
+    buf = io.StringIO()
+    stats.to_csv(buf)
+    assert buf.getvalue() == expected
+
+
+def test_random_order_stats_match_reference_on_both_paths():
+    seq = ArrivalSequence(
+        Interval(i, s, s + 4) for i, s in enumerate([0, 2, 2, 4, 5, 8, 1, 3, 6])
+    )
+    starts = [iv.start for iv in seq]
+    ends = [iv.end for iv in seq]
+    for pid, mode in (("always-replace", 1), ("never-replace", 2), ("one-dir-left", 0)):
+        algs = scanning_single_length_trials_raw(
+            starts, ends, mode, [], [], 1, [], [], 0, 70, 2**63
+        )
+        ref = _reference(2**63, Fraction(3), algs)  # OPT: [0,4), [4,8), [8,12)
+        _assert_same_stats(run_random_order(make_policy(pid), seq, 70, seed=2**63), ref)
+        python_only = make_policy(pid)
+        python_only.kernel_spec = lambda: None
+        _assert_same_stats(run_random_order(python_only, seq, 70, seed=2**63), ref)
