@@ -1,24 +1,14 @@
-"""Build script: compiles the optional speedup extension when Cython is available.
+"""Build script: compiles the optional C kernel.
 
-The package is fully functional without the extension; revsel._engine falls
-back to the pure-Python implementation at import time.
+The package is fully functional without it: revsel._engine otherwise builds
+the kernel into its __pycache__ on first import, or falls back to the
+pure-Python implementation.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "revsel._engine._speedups",
-                ["src/revsel/_engine/_speedups.pyx"],
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension("revsel._engine._kernel", ["src/revsel/_engine/_kernel.c"], optional=True)
+    ]
+)

@@ -1,32 +1,88 @@
 """Hot-loop engine with a compiled core and a pure-Python twin.
 
-The compiled extension (Cython) implements the permutation-trial loop for
-single-length table policies and the exhaustive subset search. The fallback
-implements the identical bit-level algorithms in pure Python: its trial loop
-finds conflicts by bisection in a start-sorted held set and shuffles with
-:mod:`revsel.rng`'s splitmix64. Outputs are byte-for-byte equal, which the
-test suite asserts. Selection happens once at import: the extension if it
-built, otherwise the fallback. Set ``REVSEL_PURE_PYTHON=1`` to force the
-fallback.
+The compiled kernel, ``_kernel.c``, is one CPython C-API module that
+implements the permutation-trial loop for single-length table policies and
+the exhaustive subset search. The fallback implements the identical
+bit-level algorithms in pure Python, in lockstep with the C source: both
+find a trial's conflicts by bisection in a start-sorted held set and shuffle
+with :mod:`revsel.rng`'s splitmix64. Outputs are byte-for-byte equal, which
+the test suite asserts.
+
+Selection happens once at import: the module ``setup.py`` installed, else a
+build cached in this package's ``__pycache__`` (named by a checksum of the C
+source, so an edit rebuilds it), else a fresh build into that cache with the
+compiler Python was built with, else the fallback, silently. Set
+``REVSEL_PURE_PYTHON=1`` to force the fallback.
+
+The dispatchers send inputs the kernel's 64-bit arithmetic cannot hold
+(coordinates or table keys at +-2**62 or beyond, subset weights summing to
+2**62 or more) to the fallback.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import subprocess
+import zlib
+from importlib.machinery import EXTENSION_SUFFIXES
 
 from . import fallback
 
-if os.environ.get("REVSEL_PURE_PYTHON"):
-    _impl = fallback
-    COMPILED = False
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_COMPILE_TIMEOUT_S = 120
 
-        COMPILED = True
+
+def _compile(source: str, target: str) -> None:
+    """Build `source` into `target`. The compiler writes a temporary file in
+    the target's directory that is renamed into place, so a concurrent
+    importer sees no file or a whole one; a failed build leaves nothing."""
+    import shlex
+    import sysconfig
+    import tempfile
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    fd, tmp = tempfile.mkstemp(suffix=EXTENSION_SUFFIXES[0], dir=os.path.dirname(target))
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*cc, "-O2", "-shared", "-fPIC", f"-I{include}", source, "-o", tmp],
+            check=True, capture_output=True, timeout=_COMPILE_TIMEOUT_S,
+        )
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _cached_build(source: str, cache: str):
+    """The kernel built from `source` and cached in `cache`, compiling it on
+    a miss; None if reading, building or loading it fails."""
+    try:
+        with open(source, "rb") as f:
+            key = zlib.crc32(f.read())
+        path = os.path.join(cache, f"_kernel.{key:08x}{EXTENSION_SUFFIXES[0]}")
+        if not os.path.exists(path):
+            os.makedirs(cache, exist_ok=True)
+            _compile(source, path)
+        spec = importlib.util.spec_from_file_location(__name__ + "._kernel", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except (OSError, ImportError, subprocess.SubprocessError):
+        return None
+
+
+_impl = None
+if not os.environ.get("REVSEL_PURE_PYTHON"):
+    try:
+        from . import _kernel as _impl  # type: ignore[attr-defined]
     except ImportError:
-        _impl = fallback
-        COMPILED = False
+        _impl = _cached_build(os.path.join(_HERE, "_kernel.c"), os.path.join(_HERE, "__pycache__"))
+COMPILED = _impl is not None
+if _impl is None:
+    _impl = fallback
 
 BACKEND = "compiled" if COMPILED else "pure-python"
 
@@ -35,6 +91,14 @@ MODE_ALWAYS = 1
 MODE_NEVER = 2
 
 _MODES = {"threshold": MODE_THRESHOLD, "always": MODE_ALWAYS, "never": MODE_NEVER}
+
+# Kernel inputs stay strictly inside +-2**62, so that differences of
+# coordinates and sums of weights fit in 64 bits.
+_LIMIT = 1 << 62
+
+
+def _fits(*columns) -> bool:
+    return all(-_LIMIT < min(c) and max(c) < _LIMIT for c in columns if c)
 
 
 def _unpack_spec(spec: dict):
@@ -58,14 +122,18 @@ def _unpack_spec(spec: dict):
 def run_single_length_trials(starts, ends, spec: dict, trials: int, seed: int, impl=None):
     """ALG size per permutation trial for a single-length table policy."""
     mode, flk, flv, fld, frk, frv, frd = _unpack_spec(spec)
-    engine = impl if impl is not None else _impl
-    return engine.run_single_length_trials_raw(
-        list(starts), list(ends), mode, flk, flv, fld, frk, frv, frd, trials, seed
+    starts, ends = list(starts), list(ends)
+    if impl is None:
+        impl = _impl if _fits(starts, ends, flk, frk) else fallback
+    return impl.run_single_length_trials_raw(
+        starts, ends, mode, flk, flv, fld, frk, frv, frd, trials, seed
     )
 
 
 def best_subset_scaled(starts, ends, weights, impl=None):
     """(best total weight, member bitmask) over all conflict-free subsets."""
-    engine = impl if impl is not None else _impl
-    return engine.best_subset_scaled(list(starts), list(ends), list(weights))
-
+    starts, ends, weights = list(starts), list(ends), list(weights)
+    if impl is None:
+        fits = _fits(starts, ends) and sum(map(abs, weights)) < _LIMIT
+        impl = _impl if fits else fallback
+    return impl.best_subset_scaled(starts, ends, weights)

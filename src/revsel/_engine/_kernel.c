@@ -1,0 +1,331 @@
+/* Compiled engine: permutation-trial loop and exhaustive subset search.
+ *
+ * A CPython module that gcc alone builds. Every function matches its twin in
+ * revsel._engine.fallback bit for bit (same splitmix64 stream, same rejection
+ * sampling, same Fisher-Yates order, same bisections, same enumeration
+ * order); keep the two in lockstep. Coordinates and weights are read as
+ * 64-bit integers, and an int that does not fit raises OverflowError: the
+ * dispatchers in revsel._engine send such inputs to the fallback.
+ */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef uint64_t u64;
+typedef int64_t i64;
+
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+#define SUBSET_CAP 24
+
+static inline u64 mix64(u64 z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* rng.substream_seed: the stream state of trial `index`. */
+static inline u64 substream(u64 seed, u64 index)
+{
+    return mix64(seed ^ mix64((index + 1) * GOLDEN));
+}
+
+/* One rng.Stream.randbelow(n) step: r = 2**64 mod n, and a draw z is
+ * accepted iff z < 2**64 - r (always, when r == 0). */
+static inline u64 randbelow(u64 *state, u64 n)
+{
+    u64 r = (0 - n) % n, z;
+    do {
+        *state += GOLDEN;
+        z = mix64(*state);
+    } while (r != 0 && z >= 0 - r);
+    return z % n;
+}
+
+typedef struct {
+    i64 s, e;
+} span;
+
+/* rng._shuffle: Fisher-Yates over items, drawing from the stream at state. */
+static void shuffle(span *items, Py_ssize_t n, u64 state)
+{
+    for (Py_ssize_t i = n - 1; i > 0; i--) {
+        Py_ssize_t j = (Py_ssize_t)randbelow(&state, (u64)i + 1);
+        span tmp = items[i];
+        items[i] = items[j];
+        items[j] = tmp;
+    }
+}
+
+static PyObject *permutation_raw(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_ssize_t n;
+    PyObject *seed, *trial;
+    if (!PyArg_ParseTuple(args, "nOO", &n, &seed, &trial))
+        return NULL;
+    u64 s = PyLong_AsUnsignedLongLongMask(seed);
+    if (s == (u64)-1 && PyErr_Occurred())
+        return NULL;
+    u64 state = substream(s, PyLong_AsUnsignedLongLongMask(trial));
+    if (PyErr_Occurred())
+        return NULL;
+    if (n < 0)
+        n = 0;
+    span *idx = PyMem_New(span, n + 1);
+    if (idx == NULL)
+        return PyErr_NoMemory();
+    for (Py_ssize_t i = 0; i < n; i++)
+        idx[i] = (span){i, i};
+    shuffle(idx, n, state);
+    PyObject *out = PyList_New(n);
+    for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
+        PyObject *v = PyLong_FromLongLong(idx[i].s);
+        if (v == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, v);
+    }
+    PyMem_Free(idx);
+    return out;
+}
+
+/* Reads item i of `list` (at least n long) into out[i]; -1 on error. */
+static int read_i64s(PyObject *list, Py_ssize_t n, i64 *out)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        out[i] = PyLong_AsLongLong(PyList_GET_ITEM(list, i));
+        if (out[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* One side's replace bits: the table's keys and truth values, and its
+ * default. A later duplicate key wins, as in dict(zip(keys, vals)). */
+typedef struct {
+    Py_ssize_t n;
+    i64 *keys;
+    char *bits;
+    int dflt;
+} table;
+
+static int read_table(PyObject *keys, PyObject *vals, int dflt, table *tb)
+{
+    tb->n = Py_MIN(PyList_GET_SIZE(keys), PyList_GET_SIZE(vals));
+    tb->dflt = dflt;
+    tb->keys = PyMem_New(i64, tb->n + 1);
+    tb->bits = PyMem_Malloc(tb->n + 1);
+    if (tb->keys == NULL || tb->bits == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < tb->n; i++) {
+        int bit = PyObject_IsTrue(PyList_GET_ITEM(vals, i));
+        if (bit < 0)
+            return -1;
+        tb->bits[i] = (char)bit;
+    }
+    return read_i64s(keys, tb->n, tb->keys);
+}
+
+static int lookup(const table *tb, i64 v)
+{
+    for (Py_ssize_t i = tb->n - 1; i >= 0; i--)
+        if (tb->keys[i] == v)
+            return tb->bits[i];
+    return tb->dflt;
+}
+
+static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *starts, *ends, *flk, *flv, *frk, *frv, *seed_obj, *out = NULL;
+    int mode, fld, frd;
+    Py_ssize_t trials;
+    if (!PyArg_ParseTuple(args, "O!O!iO!O!pO!O!pnO", &PyList_Type, &starts,
+                          &PyList_Type, &ends, &mode, &PyList_Type, &flk,
+                          &PyList_Type, &flv, &fld, &PyList_Type, &frk,
+                          &PyList_Type, &frv, &frd, &trials, &seed_obj))
+        return NULL;
+    u64 seed = PyLong_AsUnsignedLongLongMask(seed_obj);
+    if (seed == (u64)-1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t n = Py_MIN(PyList_GET_SIZE(starts), PyList_GET_SIZE(ends));
+    span *arrivals = PyMem_New(span, n + 1), *order = PyMem_New(span, n + 1);
+    i64 *held_s = PyMem_New(i64, n + 1), *held_e = PyMem_New(i64, n + 1);
+    table fl = {0}, fr = {0};
+    if (arrivals == NULL || order == NULL || held_s == NULL || held_e == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_table(flk, flv, fld, &fl) < 0 || read_table(frk, frv, frd, &fr) < 0)
+        goto done;
+    /* The held arrays are free until the first trial: read through them. */
+    if (read_i64s(starts, n, held_s) < 0 || read_i64s(ends, n, held_e) < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        arrivals[i].s = held_s[i];
+        arrivals[i].e = held_e[i];
+    }
+    if (trials < 0)
+        trials = 0;
+    if ((out = PyList_New(trials)) == NULL)
+        goto done;
+    for (Py_ssize_t t = 0; t < trials; t++) {
+        /* Shuffling the arrivals with trial t's draws plays them in
+         * permutation_raw(n, seed, t) order. */
+        memcpy(order, arrivals, n * sizeof(span));
+        shuffle(order, n, substream(seed, (u64)t));
+        /* The held set is disjoint and sorted by start, so the members that
+         * conflict with [s, e) are [bisect_right(held_e, s),
+         * bisect_left(held_s, e, lo)). Both searches probe as bisect does. */
+        Py_ssize_t h = 0;
+        for (Py_ssize_t p = 0; p < n; p++) {
+            i64 s = order[p].s, e = order[p].e;
+            Py_ssize_t lo = 0, hi = h;
+            while (lo < hi) {
+                Py_ssize_t mid = (lo + hi) / 2;
+                if (s < held_e[mid])
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            Py_ssize_t first = lo;
+            hi = h;
+            while (lo < hi) {
+                Py_ssize_t mid = (lo + hi) / 2;
+                if (held_s[mid] < e)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            Py_ssize_t last = lo, take = last - first;
+            if (take == 0) {
+                memmove(held_s + first + 1, held_s + first, (h - first) * sizeof(i64));
+                memmove(held_e + first + 1, held_e + first, (h - first) * sizeof(i64));
+                held_s[first] = s;
+                held_e[first] = e;
+                h++;
+                continue;
+            }
+            if (mode == 2)
+                continue;
+            if (mode == 1) {
+                /* The arrival replaces the whole conflicting run. */
+                memmove(held_s + first + 1, held_s + last, (h - last) * sizeof(i64));
+                memmove(held_e + first + 1, held_e + last, (h - last) * sizeof(i64));
+                held_s[first] = s;
+                held_e[first] = e;
+                h -= take - 1;
+                continue;
+            }
+            if (take >= 2)
+                continue;
+            i64 ms = held_s[first], me = held_e[first];
+            int copy = ms == s && me == e;
+            /* Containment cannot occur between equal lengths; guard anyway. */
+            if (((ms <= s && e <= me) || (s <= ms && me <= e)) && !copy)
+                continue;
+            i64 v = (e < me ? e : me) - (s > ms ? s : ms);
+            if (lookup(s < ms ? &fl : &fr, v)) {
+                /* The only conflict leaves; the arrival takes its slot. */
+                held_s[first] = s;
+                held_e[first] = e;
+            }
+        }
+        PyObject *alg = PyLong_FromSsize_t(h);
+        if (alg == NULL) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        PyList_SET_ITEM(out, t, alg);
+    }
+done:
+    PyMem_Free(arrivals);
+    PyMem_Free(order);
+    PyMem_Free(held_s);
+    PyMem_Free(held_e);
+    PyMem_Free(fl.keys);
+    PyMem_Free(fl.bits);
+    PyMem_Free(fr.keys);
+    PyMem_Free(fr.bits);
+    return out;
+}
+
+static PyObject *best_subset_scaled(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *starts, *ends, *weights, *out = NULL;
+    if (!PyArg_ParseTuple(args, "O!O!O!", &PyList_Type, &starts, &PyList_Type,
+                          &ends, &PyList_Type, &weights))
+        return NULL;
+    Py_ssize_t n = PyList_GET_SIZE(starts);
+    if (n == 0)
+        return Py_BuildValue("(ii)", 0, 0);
+    if (n > SUBSET_CAP) {
+        PyErr_SetString(PyExc_ValueError, "subset search capped at 24 intervals");
+        return NULL;
+    }
+    if (PyList_GET_SIZE(ends) < n || PyList_GET_SIZE(weights) < n) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return NULL;
+    }
+    uint32_t size = (uint32_t)1 << n, masks[SUBSET_CAP] = {0}, best_mask = 0;
+    i64 cs[SUBSET_CAP], ce[SUBSET_CAP], ws[SUBSET_CAP], best = 0;
+    char *feasible = PyMem_Calloc(size, 1);
+    i64 *weight = PyMem_Malloc((size_t)size * sizeof(i64));
+    if (feasible == NULL || weight == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_i64s(starts, n, cs) < 0 || read_i64s(ends, n, ce) < 0 ||
+        read_i64s(weights, n, ws) < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++)
+        for (Py_ssize_t j = 0; j < n; j++)
+            if (i != j && (cs[i] > cs[j] ? cs[i] : cs[j]) < (ce[i] < ce[j] ? ce[i] : ce[j]))
+                masks[i] |= (uint32_t)1 << j;
+    /* feasible[S] extends feasible[S minus its lowest bit]; ties on weight
+     * keep the smallest mask. */
+    feasible[0] = 1;
+    weight[0] = 0;
+    for (uint32_t set = 1; set < size; set++) {
+        int i = __builtin_ctz(set);
+        uint32_t rest = set & (set - 1);
+        if (feasible[rest] && !(masks[i] & rest)) {
+            feasible[set] = 1;
+            weight[set] = weight[rest] + ws[i];
+            if (weight[set] > best) {
+                best = weight[set];
+                best_mask = set;
+            }
+        }
+    }
+    out = Py_BuildValue("(LI)", (long long)best, (unsigned int)best_mask);
+done:
+    PyMem_Free(feasible);
+    PyMem_Free(weight);
+    return out;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"permutation_raw", permutation_raw, METH_VARARGS,
+     "Trial permutation, matching rng.permutation exactly."},
+    {"run_single_length_trials_raw", run_single_length_trials_raw, METH_VARARGS,
+     "Final solution size of each permutation trial of a single-length table policy."},
+    {"best_subset_scaled", best_subset_scaled, METH_VARARGS,
+     "(best total weight, member bitmask) over all conflict-free subsets."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_kernel",
+    .m_doc = "Compiled twin of revsel._engine.fallback.",
+    .m_size = -1,
+    .m_methods = kernel_methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModule_Create(&kernel_module);
+}

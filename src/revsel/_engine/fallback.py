@@ -1,10 +1,11 @@
-"""Pure-Python twin of the compiled engine.
+"""Pure-Python twin of the compiled engine, ``_kernel.c``.
 
-Every function here matches the extension bit for bit: same splitmix64
-stream, same rejection sampling, same Fisher-Yates order, same enumeration
-order. The stream and the shuffle are :mod:`revsel.rng`'s; this module keeps
-no splitmix64 code of its own. Keep the kernels here and in the extension in
-lockstep when changing either.
+Every function here matches the C kernel bit for bit and step for step: same
+splitmix64 stream, same rejection sampling, same Fisher-Yates order, same
+bisections, same enumeration order. The stream and the shuffle are
+:mod:`revsel.rng`'s; this module keeps no splitmix64 code of its own. The
+two are kept in lockstep: change both together, and ``tests/test_backends.py``
+diffs them on random inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from ..rng import _shuffle, substream_seed
-from ..rng import permutation as permutation_raw  # the extension's name for it
+from ..rng import permutation as permutation_raw  # the C kernel's name for it
 
 
 def run_single_length_trials_raw(

@@ -533,13 +533,3 @@ def _check_replay(policy: Policy, arrivals: ArrivalSequence, transcript: RunTran
                 f"non-deterministic policy detected: replay diverged at arrival {iv.id}"
             )
         apply_action(state, iv, action, retired)
-
-
-def amplify_copies(
-    k: int, policy: Policy, copies: int, seed: int, base: int = 10
-) -> AdaptiveTranscript:
-    """Adaptive game against a randomized memoryless policy: every chain step
-    is re-emitted as identical copies (up to `copies`) until the policy takes
-    it; a step all copies of which are declined is treated as the
-    deterministic decline branch."""
-    return adaptive_lower_bound_driver(k, policy, copies=copies, seed=seed, base=base)

@@ -388,12 +388,6 @@ class FunctionMemorylessPolicy(Policy):
 # ---------------------------------------------------------------------------
 
 
-def greedy_disjoint_step(state: PolicyState, arrival: Interval) -> Action:
-    """Accept iff no conflict; never revokes. Per-length subroutine for the
-    unweighted case."""
-    return never_replace_step(state, arrival)
-
-
 def heavier_replace_step(state: PolicyState, arrival: Interval) -> Action:
     """Accept displacing the conflicting members iff the arrival outweighs
     them. A labeled heuristic stand-in for a proper weighted per-length
@@ -407,7 +401,7 @@ def heavier_replace_step(state: PolicyState, arrival: Interval) -> Action:
 
 
 ARB_SUBROUTINES: dict[str, Callable[[PolicyState, Interval], Action]] = {
-    "greedy-disjoint": greedy_disjoint_step,
+    "greedy-disjoint": never_replace_step,
     "heavier-replace": heavier_replace_step,
 }
 

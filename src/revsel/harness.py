@@ -318,9 +318,6 @@ def _kernel_eligible(policy: Policy, seq: ArrivalSequence) -> Optional[dict]:
         return None
     if not seq.is_unweighted() or not seq.is_single_length():
         return None
-    bound = 1 << 62
-    if any(abs(iv.start) >= bound or abs(iv.end) >= bound for iv in seq):
-        return None
     return spec
 
 

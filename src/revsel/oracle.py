@@ -103,8 +103,7 @@ def opt_bruteforce(seq: ArrivalSequence) -> OptCertificate:
 
     Weights are scaled to integers for the enumeration kernel; the certified
     value is recomputed from the winning subset with exact rationals, so the
-    kernel only ever picks the argmax. Scaled weights that could overflow the
-    compiled kernel's 64-bit accumulator fall back to the big-integer path.
+    kernel only ever picks the argmax.
     """
     n = len(seq)
     if n > BRUTE_FORCE_LIMIT:
@@ -118,12 +117,7 @@ def opt_bruteforce(seq: ArrivalSequence) -> OptCertificate:
     scaled = [int(iv.weight * denom) for iv in seq]
     starts = [iv.start for iv in seq]
     ends = [iv.end for iv in seq]
-    if sum(scaled) < (1 << 62):
-        _, mask = _engine.best_subset_scaled(starts, ends, scaled)
-    else:
-        from ._engine import fallback
-
-        _, mask = fallback.best_subset_scaled(starts, ends, scaled)
+    _, mask = _engine.best_subset_scaled(starts, ends, scaled)
     members = [seq[i].id for i in range(n) if mask >> i & 1]
     return _certify(seq, members, "brute")
 

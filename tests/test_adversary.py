@@ -8,7 +8,6 @@ from revsel.adversary import (
     DriverError,
     GeneratorParameterError,
     adaptive_lower_bound_driver,
-    amplify_copies,
     gen_call_control_bad,
     gen_chain,
     gen_fork_pair,
@@ -266,7 +265,7 @@ def test_driver_flags_nondeterministic_liars():
 
 
 def test_amplified_driver_against_coin_flip_policy():
-    t = amplify_copies(2, make_policy("rand-memoryless:p=1/2"), copies=20, seed=7)
+    t = adaptive_lower_bound_driver(2, make_policy("rand-memoryless:p=1/2"), copies=20, seed=7)
     assert len(t.final_solution) <= 1
     assert len(t.opt_certificate) >= 4
     assert validate_solution(t.arrivals, t.opt_certificate)
@@ -275,7 +274,7 @@ def test_amplified_driver_against_coin_flip_policy():
 
 def test_amplified_driver_with_certain_acceptance_matches_deterministic():
     always = adaptive_lower_bound_driver(2, make_policy("always-replace"))
-    amplified = amplify_copies(2, make_policy("rand-memoryless:p=1"), copies=5, seed=1)
+    amplified = adaptive_lower_bound_driver(2, make_policy("rand-memoryless:p=1"), copies=5, seed=1)
     assert [
         (iv.start, iv.end) for iv in amplified.arrivals
     ] == [(iv.start, iv.end) for iv in always.arrivals]
@@ -288,7 +287,7 @@ def test_amplified_driver_reject_on_conflict_policy():
 
     policy = FunctionMemorylessPolicy(cautious, name="take-if-free")
     for k in (1, 2, 3):
-        t = amplify_copies(k, policy, copies=6, seed=3)
+        t = adaptive_lower_bound_driver(k, policy, copies=6, seed=3)
         assert len(t.opt_certificate) >= 2 * k
         assert len(t.final_solution) <= 1
         assert t.ratio_at_least(Fraction(2 * k))

@@ -1,23 +1,41 @@
-"""Compiled engine vs pure-Python fallback: byte-for-byte parity."""
+"""Compiled engine vs pure-Python fallback: byte-for-byte parity, the
+dispatchers' 64-bit guard, and the loader that builds the C kernel."""
+
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import permutation_raw
+from test_trials import SEEDS, kernel_inputs, kernel_modes
 
 from revsel import _engine
 from revsel._engine import fallback
 from revsel.adversary import gen_random_instance, gen_random_order_bad
 from revsel.algorithms import ThresholdPolicyTables
+from revsel.core import ArrivalSequence, Interval
 from revsel.oracle import opt_bruteforce, opt_unweighted, opt_weighted
-from revsel.rng import Stream, permutation
+from revsel.rng import Stream, mix64, substream_seed
 
 compiled = pytest.mark.skipif(
     not _engine.COMPILED, reason="compiled engine not built"
 )
+KERNEL_C = Path(_engine.__file__).with_name("_kernel.c")
+CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
+needs_cc = pytest.mark.skipif(shutil.which(CC[0]) is None, reason="no C compiler")
 
 
 def test_fallback_permutations_match_rng_streams():
     for seed in (0, 1, 99, 2**63):
         for trial in (0, 1, 7):
-            assert fallback.permutation_raw(20, seed, trial) == permutation(20, seed, trial)
+            assert fallback.permutation_raw(20, seed, trial) == permutation_raw(20, seed, trial)
 
 
 def test_fallback_randbelow_is_uniform_enough():
@@ -102,3 +120,167 @@ def test_subset_search_agrees_with_oracles_regardless_of_backend():
     for seed in range(60):
         inst = gen_random_instance(1 + seed % 12, 1 + seed % 4, "int", seed)
         assert opt_bruteforce(inst).value == opt_weighted(inst).value
+
+
+# -- randomized diffs of the compiled kernel against the fallback -------------
+
+
+@compiled
+@given(st.one_of(kernel_inputs(), st.just(([], []))), kernel_modes(), st.integers(0, 25), SEEDS)
+@settings(max_examples=500, deadline=None)
+def test_kernel_trials_match_fallback(intervals, modes, trials, seed):
+    starts, ends = intervals
+    args = (starts, ends, *modes, trials, seed)
+    assert _engine._impl.run_single_length_trials_raw(*args) == (
+        fallback.run_single_length_trials_raw(*args)
+    )
+
+
+@compiled
+@given(st.integers(0, 70), SEEDS, SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_kernel_permutation_matches_fallback(n, seed, trial):
+    assert _engine._impl.permutation_raw(n, seed, trial) == fallback.permutation_raw(n, seed, trial)
+
+
+@compiled
+@given(st.lists(st.tuples(st.integers(-4, 20), st.integers(1, 7), st.integers(0, 9)), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_kernel_subset_search_matches_fallback(rows):
+    starts = [s for s, _, _ in rows]
+    ends = [s + length for s, length, _ in rows]
+    weights = [w for _, _, w in rows]
+    assert _engine._impl.best_subset_scaled(starts, ends, weights) == (
+        fallback.best_subset_scaled(starts, ends, weights)
+    )
+
+
+_MASK = 2**64 - 1
+
+
+def _unxorshift(z: int, k: int) -> int:
+    x = z
+    for _ in range(64 // k + 1):
+        x = z ^ (x >> k)
+    return x
+
+
+def _unmix64(z: int) -> int:
+    """Inverse of rng.mix64."""
+    z = _unxorshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & _MASK
+    z = _unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & _MASK
+    return _unxorshift(z, 30)
+
+
+def _seed_rejecting_first_draw(n: int) -> int:
+    """A seed whose trial 0 first draws 2**64 - (2**64 mod n), the smallest
+    value randbelow(n) rejects. Random seeds hit the rejection branch with
+    probability below n / 2**64, so it has to be aimed at."""
+    state = (_unmix64(2**64 - 2**64 % n) - 0x9E3779B97F4A7C15) & _MASK
+    return _unmix64(state) ^ mix64(0x9E3779B97F4A7C15)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 11, 12])
+def test_rejected_draws_are_skipped(n):
+    seed = _seed_rejecting_first_draw(n)
+    state = substream_seed(seed, 0)
+    assert Stream(state).next_u64() == 2**64 - 2**64 % n
+    expected = permutation_raw(n, seed, 0)
+    assert fallback.permutation_raw(n, seed, 0) == expected
+    starts = [3 * i for i in range(n)]
+    args = (starts, [s + 4 for s in starts], 1, [], [], 0, [], [], 0, 1, seed)
+    if _engine.COMPILED:
+        assert _engine._impl.permutation_raw(n, seed, 0) == expected
+        assert _engine._impl.run_single_length_trials_raw(*args) == (
+            fallback.run_single_length_trials_raw(*args)
+        )
+
+
+# -- the dispatchers keep inputs beyond 64 bits away from the kernel ----------
+
+
+@compiled
+def test_coordinates_beyond_64_bits_take_the_fallback(monkeypatch):
+    top = 2**63
+    seq = ArrivalSequence(
+        Interval(i, top - 40 + s, top - 40 + s + 10, Fraction(w))
+        for i, (s, w) in enumerate([(0, 1), (5, 3), (10, 2), (25, 1), (30, 4)])
+    )
+    starts = [iv.start for iv in seq]
+    ends = [iv.end for iv in seq]
+    with pytest.raises(OverflowError):
+        _engine._impl.best_subset_scaled(starts, ends, [1] * len(seq))
+    compiled_cert = opt_bruteforce(seq)
+    trials = _engine.run_single_length_trials(starts, ends, {"mode": "always"}, 40, 3)
+    monkeypatch.setattr(_engine, "_impl", fallback)
+    assert opt_bruteforce(seq) == compiled_cert
+    assert compiled_cert.value == opt_weighted(seq).value
+    assert _engine.run_single_length_trials(starts, ends, {"mode": "always"}, 40, 3) == trials
+
+
+@compiled
+def test_weight_sums_beyond_64_bits_take_the_fallback():
+    seq = ArrivalSequence(Interval(i, 2 * i, 2 * i + 1, Fraction(2**61)) for i in range(5))
+    cert = opt_bruteforce(seq)
+    assert cert.members == frozenset(range(5)) and cert.value == 5 * 2**61
+
+
+# -- the loader ---------------------------------------------------------------
+
+
+@needs_cc
+def test_cache_hit_runs_no_compiler(tmp_path, monkeypatch):
+    source, cache = tmp_path / "_kernel.c", tmp_path / "cache"
+    shutil.copy(KERNEL_C, source)
+    built = _engine._cached_build(str(source), str(cache))
+    assert built is not None and built.permutation_raw(9, 1, 2) == fallback.permutation_raw(9, 1, 2)
+    assert len(os.listdir(cache)) == 1
+    calls = []
+    monkeypatch.setattr(_engine, "_compile", lambda *args: calls.append(args))
+    assert _engine._cached_build(str(source), str(cache)) is not None
+    assert calls == []
+    # An edited source has another checksum, so it is built again.
+    source.write_text(KERNEL_C.read_text() + "/* edited */\n")
+    _engine._cached_build(str(source), str(cache))
+    assert len(calls) == 1
+
+
+def test_failing_compiler_leaves_no_temp_file(tmp_path, monkeypatch):
+    fake_cc = tmp_path / "cc"
+    fake_cc.write_text('#!/bin/sh\nfor out; do :; done\necho partial > "$out"\nexit 1\n')
+    fake_cc.chmod(0o755)
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: str(fake_cc))
+    cache = tmp_path / "cache"
+    assert _engine._cached_build(str(KERNEL_C), str(cache)) is None
+    assert os.listdir(cache) == []
+
+
+def test_unwritable_cache_falls_back(tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    assert _engine._cached_build(str(KERNEL_C), str(blocker / "cache")) is None
+    assert os.listdir(tmp_path) == ["not-a-directory"]
+
+
+def test_pure_python_environment_forces_fallback():
+    env = dict(os.environ, REVSEL_PURE_PYTHON="1")
+    src = str(Path(_engine.__file__).parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import revsel; print(revsel.BACKEND, revsel.COMPILED)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["pure-python", "False"]
+
+
+@needs_cc
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    include = sysconfig.get_paths()["include"]
+    build = subprocess.run(
+        [*CC, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror", f"-I{include}",
+         str(KERNEL_C), "-o", str(tmp_path / "kernel.so")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert build.returncode == 0, build.stderr
