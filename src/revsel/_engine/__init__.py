@@ -1,8 +1,11 @@
 """Hot-loop engine with a compiled core and a pure-Python twin.
 
 The compiled kernel, ``_kernel.c``, is one CPython C-API module that
-implements the permutation-trial loop for single-length table policies and
-the exhaustive subset search. The fallback implements the identical
+implements the permutation-trial loop and the exhaustive subset search. The
+trial loop replays five policy modes on unweighted instances: the
+single-length threshold tables (which include one-directional replacement),
+always-replace, never-replace, greedy-subsume and call-control; the last
+four take intervals of any lengths. The fallback implements the identical
 bit-level algorithms in pure Python, in lockstep with the C source: both
 find a trial's conflicts by bisection in a start-sorted held set and shuffle
 with :mod:`revsel.rng`'s splitmix64. Outputs are byte-for-byte equal, which
@@ -10,9 +13,9 @@ the test suite asserts.
 
 Selection happens once at import: the module ``setup.py`` installed, else a
 build cached in this package's ``__pycache__`` (named by a checksum of the C
-source, so an edit rebuilds it), else a fresh build into that cache with the
-compiler Python was built with, else the fallback, silently. Set
-``REVSEL_PURE_PYTHON=1`` to force the fallback.
+source, so an edit rebuilds it and a new build deletes the old ones), else a
+fresh build into that cache with the compiler Python was built with, else
+the fallback, silently. Set ``REVSEL_PURE_PYTHON=1`` to force the fallback.
 
 The dispatchers send inputs the kernel's 64-bit arithmetic cannot hold
 (coordinates or table keys at +-2**62 or beyond, subset weights summing to
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import re
 import subprocess
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -56,6 +60,19 @@ def _compile(source: str, target: str) -> None:
         raise
 
 
+def _prune(cache: str, keep: str) -> None:
+    """Delete this interpreter's builds of other kernel sources from `cache`,
+    keeping `keep`; best effort."""
+    suffix = EXTENSION_SUFFIXES[0]
+    stale = re.compile(r"_kernel\.[0-9a-f]{8}" + re.escape(suffix))
+    try:
+        for name in os.listdir(cache):
+            if name != keep and stale.fullmatch(name):
+                os.unlink(os.path.join(cache, name))
+    except OSError:
+        pass
+
+
 def _cached_build(source: str, cache: str):
     """The kernel built from `source` and cached in `cache`, compiling it on
     a miss; None if reading, building or loading it fails."""
@@ -66,6 +83,7 @@ def _cached_build(source: str, cache: str):
         if not os.path.exists(path):
             os.makedirs(cache, exist_ok=True)
             _compile(source, path)
+            _prune(cache, os.path.basename(path))
         spec = importlib.util.spec_from_file_location(__name__ + "._kernel", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -86,11 +104,8 @@ if _impl is None:
 
 BACKEND = "compiled" if COMPILED else "pure-python"
 
-MODE_THRESHOLD = 0
-MODE_ALWAYS = 1
-MODE_NEVER = 2
-
-_MODES = {"threshold": MODE_THRESHOLD, "always": MODE_ALWAYS, "never": MODE_NEVER}
+# Kernel mode per kernel_spec()["mode"]; the C source numbers them alike.
+_MODES = {"threshold": 0, "always": 1, "never": 2, "greedy-subsume": 3, "call-control": 4}
 
 # Kernel inputs stay strictly inside +-2**62, so that differences of
 # coordinates and sums of weights fit in 64 bits.
@@ -103,7 +118,7 @@ def _fits(*columns) -> bool:
 
 def _unpack_spec(spec: dict):
     mode = _MODES[spec["mode"]]
-    if mode == MODE_THRESHOLD:
+    if spec["mode"] == "threshold":
         tables = spec["tables"]
         fl = sorted(tables.left.items())
         fr = sorted(tables.right.items())
@@ -120,7 +135,9 @@ def _unpack_spec(spec: dict):
 
 
 def run_single_length_trials(starts, ends, spec: dict, trials: int, seed: int, impl=None):
-    """ALG size per permutation trial for a single-length table policy."""
+    """ALG size per permutation trial of a kernel-mode policy on an
+    unweighted instance. Every mode but "threshold" takes any mix of
+    lengths; the name dates from when all modes were single-length."""
     mode, flk, flv, fld, frk, frv, frd = _unpack_spec(spec)
     starts, ends = list(starts), list(ends)
     if impl is None:

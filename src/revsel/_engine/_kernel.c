@@ -137,6 +137,42 @@ static int lookup(const table *tb, i64 v)
     return tb->dflt;
 }
 
+/* The kernel modes; revsel._engine names them. */
+enum { THRESHOLD, ALWAYS, NEVER, SUBSUME, CALL_CONTROL };
+
+/* Whether the arrival [s, e) takes the place of the conflicting run
+ * held[first, last), which is never empty, in mode THRESHOLD, SUBSUME or
+ * CALL_CONTROL (the trial loop decides ALWAYS and NEVER itself). */
+static int replaces(int mode, i64 s, i64 e, const i64 *held_s, const i64 *held_e,
+                    Py_ssize_t first, Py_ssize_t last, const table *fl, const table *fr)
+{
+    i64 ms = held_s[first], me = held_e[first];
+    int copy = ms == s && me == e;
+    /* A member that contains the arrival is its only conflict: the held set
+     * is disjoint. */
+    int inside = ms <= s && e <= me && !copy;
+    if (mode == SUBSUME)
+        return inside;
+    if (mode == CALL_CONTROL) {
+        if (inside)
+            return 1;
+        /* Lengths reach 2**63 - 2 inside the dispatchers' +-2**62 guard, so
+         * twice a length needs 64 unsigned bits. */
+        u64 twice = 2 * ((u64)e - (u64)s);
+        for (Py_ssize_t i = first; i < last; i++)
+            if ((u64)held_e[i] - (u64)held_s[i] <= twice)
+                return 0;
+        return 1;
+    }
+    if (last - first >= 2)
+        return 0;
+    /* Containment cannot occur between equal lengths; guard anyway. */
+    if (inside || (s <= ms && me <= e && !copy))
+        return 0;
+    i64 v = (e < me ? e : me) - (s > ms ? s : ms);
+    return lookup(s < ms ? fl : fr, v);
+}
+
 static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *starts, *ends, *flk, *flv, *frk, *frv, *seed_obj, *out = NULL;
@@ -208,29 +244,16 @@ static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObjec
                 h++;
                 continue;
             }
-            if (mode == 2)
+            if (mode == NEVER ||
+                (mode != ALWAYS && !replaces(mode, s, e, held_s, held_e, first, last, &fl, &fr)))
                 continue;
-            if (mode == 1) {
-                /* The arrival replaces the whole conflicting run. */
+            /* The arrival replaces the whole conflicting run. */
+            held_s[first] = s;
+            held_e[first] = e;
+            if (take > 1) {
                 memmove(held_s + first + 1, held_s + last, (h - last) * sizeof(i64));
                 memmove(held_e + first + 1, held_e + last, (h - last) * sizeof(i64));
-                held_s[first] = s;
-                held_e[first] = e;
                 h -= take - 1;
-                continue;
-            }
-            if (take >= 2)
-                continue;
-            i64 ms = held_s[first], me = held_e[first];
-            int copy = ms == s && me == e;
-            /* Containment cannot occur between equal lengths; guard anyway. */
-            if (((ms <= s && e <= me) || (s <= ms && me <= e)) && !copy)
-                continue;
-            i64 v = (e < me ? e : me) - (s > ms ? s : ms);
-            if (lookup(s < ms ? &fl : &fr, v)) {
-                /* The only conflict leaves; the arrival takes its slot. */
-                held_s[first] = s;
-                held_e[first] = e;
             }
         }
         PyObject *alg = PyLong_FromSsize_t(h);
@@ -311,7 +334,7 @@ static PyMethodDef kernel_methods[] = {
     {"permutation_raw", permutation_raw, METH_VARARGS,
      "Trial permutation, matching rng.permutation exactly."},
     {"run_single_length_trials_raw", run_single_length_trials_raw, METH_VARARGS,
-     "Final solution size of each permutation trial of a single-length table policy."},
+     "Final solution size of each permutation trial of a kernel-mode policy."},
     {"best_subset_scaled", best_subset_scaled, METH_VARARGS,
      "(best total weight, member bitmask) over all conflict-free subsets."},
     {NULL, NULL, 0, NULL},

@@ -16,6 +16,31 @@ from ..rng import _shuffle, substream_seed
 from ..rng import permutation as permutation_raw  # the C kernel's name for it
 
 
+def _replaces(mode, s, e, held_s, held_e, lo, hi, left, right) -> bool:
+    """Whether the arrival [s, e) takes the place of the conflicting run
+    held[lo:hi], which is never empty, in mode 0, 3 or 4 (the trial loop
+    decides modes 1 and 2 itself). `left` and `right` are the threshold
+    tables as (dict, default) pairs."""
+    ms, me = held_s[lo], held_e[lo]
+    copy = ms == s and me == e
+    # A member that contains the arrival is its only conflict: the held set
+    # is disjoint.
+    inside = ms <= s and e <= me and not copy
+    if mode == 3:
+        return inside
+    if mode == 4:
+        twice = 2 * (e - s)
+        return inside or all(twice < held_e[i] - held_s[i] for i in range(lo, hi))
+    if hi - lo >= 2:
+        return False
+    # Containment cannot occur between equal lengths; guard anyway.
+    if inside or (s <= ms and me <= e and not copy):
+        return False
+    v = min(e, me) - max(s, ms)
+    table, default = left if s < ms else right
+    return bool(table.get(v, default))
+
+
 def run_single_length_trials_raw(
     starts: list[int],
     ends: list[int],
@@ -29,10 +54,15 @@ def run_single_length_trials_raw(
     trials: int,
     seed: int,
 ) -> list[int]:
-    """Replay a single-length table policy over seeded permutations.
+    """Replay a kernel-mode policy over seeded permutations.
 
     mode 0: threshold tables (reject on two or more conflicts).
     mode 1: always replace. mode 2: never replace.
+    mode 3: greedy-subsume (a lone conflict that properly contains the
+    arrival gives way to it).
+    mode 4: call-control (the whole conflicting run gives way when its
+    member properly contains the arrival, or when twice the arrival's length
+    is below every conflicting member's length).
     Returns the final solution size of each trial.
 
     Every mode keeps the held set disjoint, so it is kept sorted by start in
@@ -41,8 +71,8 @@ def run_single_length_trials_raw(
     bisect_left(starts, e)). Intervals must have start < end.
     """
     arrivals = list(zip(starts, ends))
-    fl = dict(zip(fl_keys, fl_vals))
-    fr = dict(zip(fr_keys, fr_vals))
+    left = (dict(zip(fl_keys, fl_vals)), fl_default)
+    right = (dict(zip(fr_keys, fr_vals)), fr_default)
     out = []
     for t in range(trials):
         # Shuffling the arrivals with trial t's draws plays them in
@@ -58,29 +88,13 @@ def run_single_length_trials_raw(
                 held_s.insert(lo, s)
                 held_e.insert(lo, e)
                 continue
-            if mode == 2:
-                continue
-            if mode == 1:
-                held_s[lo:hi] = (s,)
-                held_e[lo:hi] = (e,)
-                continue
-            if hi - lo >= 2:
-                continue
-            ms, me = held_s[lo], held_e[lo]
-            # Containment cannot occur between equal lengths; guard anyway.
-            if (ms <= s and e <= me and (ms, me) != (s, e)) or (
-                s <= ms and me <= e and (ms, me) != (s, e)
+            if mode == 2 or (
+                mode != 1 and not _replaces(mode, s, e, held_s, held_e, lo, hi, left, right)
             ):
                 continue
-            v = min(e, me) - max(s, ms)
-            if s < ms:
-                bit = fl.get(v, fl_default)
-            else:
-                bit = fr.get(v, fr_default)
-            if bit:
-                # The only conflict leaves; the arrival takes its slot.
-                held_s[lo] = s
-                held_e[lo] = e
+            # The arrival replaces the whole conflicting run.
+            held_s[lo:hi] = (s,)
+            held_e[lo:hi] = (e,)
         out.append(len(held_s))
     return out
 

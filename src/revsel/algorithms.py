@@ -150,7 +150,8 @@ class Policy:
         return copy.deepcopy(self)
 
     def kernel_spec(self) -> Optional[dict]:
-        """Descriptor for the compiled trial loop, or None if not supported."""
+        """Descriptor for the engine's trial loop on unweighted instances
+        (see :mod:`revsel._engine`), or None if not supported."""
         return None
 
 
@@ -282,12 +283,18 @@ class GreedySubsumePolicy(Policy):
     def decide(self, state, arrival, rng=None):
         return greedy_subsume_step(state, arrival)
 
+    def kernel_spec(self):
+        return {"mode": "greedy-subsume"}
+
 
 class CallControlPolicy(Policy):
     name = "call-control"
 
     def decide(self, state, arrival, rng=None):
         return call_control_unweighted_step(state, arrival)
+
+    def kernel_spec(self):
+        return {"mode": "call-control"}
 
 
 class AlwaysReplacePolicy(Policy):

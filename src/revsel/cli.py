@@ -197,7 +197,9 @@ def _build_bench(sub):
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for python trials (at most the CPU count)")
+                   help="parallel workers (at most the CPU count) for the Python trial "
+                        "loop, which weighted instances and rand-memoryless take; "
+                        "engine-kernel and arb: runs ignore it")
     p.add_argument("--out", help="CSV path (defaults to stdout)")
 
 
@@ -280,22 +282,30 @@ def _build_bench_backends(sub):
 def _cmd_bench_backends(args) -> int:
     from ._engine import fallback
 
-    seq = adversary.gen_random_order_bad(3, 4, 100, 10)
-    starts = [iv.start for iv in seq]
-    ends = [iv.end for iv in seq]
-    spec = {"mode": "always"}
+    # Always-replace on a copy-flooded single-length instance, and
+    # call-control on a multi-length unit one.
+    trial_cases = [
+        ("always-replace", adversary.gen_random_order_bad(3, 4, 100, 10)),
+        ("call-control", adversary.gen_random_instance(100, 3, "unit", args.seed)),
+    ]
 
     rows = []
     impls = [("pure-python", fallback)]
     if _engine.COMPILED:
         impls.append(("compiled", _engine._impl))
     results = {}
-    for name, impl in impls:
-        t0 = time.perf_counter()
-        res = _engine.run_single_length_trials(starts, ends, spec, args.trials, args.seed, impl=impl)
-        dt = time.perf_counter() - t0
-        results[name] = res
-        rows.append((name, "trial-loop", dt, args.trials / dt))
+    for policy, seq in trial_cases:
+        starts = [iv.start for iv in seq]
+        ends = [iv.end for iv in seq]
+        spec = make_policy(policy).kernel_spec()
+        for name, impl in impls:
+            t0 = time.perf_counter()
+            res = _engine.run_single_length_trials(
+                starts, ends, spec, args.trials, args.seed, impl=impl
+            )
+            dt = time.perf_counter() - t0
+            results.setdefault(name, []).append(res)
+            rows.append((name, f"trials {policy}", dt, args.trials / dt))
 
     brute = adversary.gen_random_instance(15, 4, "int", args.seed)
     bs = [iv.start for iv in brute]
@@ -311,9 +321,9 @@ def _cmd_bench_backends(args) -> int:
         brute_results[name] = out
         rows.append((name, "subset-search", dt, reps / dt))
 
-    print(f"{'backend':<14}{'kernel':<16}{'seconds':>10}{'ops/s':>14}")
+    print(f"{'backend':<14}{'kernel':<24}{'seconds':>10}{'ops/s':>14}")
     for name, op, dt, rate in rows:
-        print(f"{name:<14}{op:<16}{dt:>10.4f}{rate:>14.1f}")
+        print(f"{name:<14}{op:<24}{dt:>10.4f}{rate:>14.1f}")
     if _engine.COMPILED:
         same = results["compiled"] == results["pure-python"] and (
             brute_results["compiled"] == brute_results["pure-python"]

@@ -316,6 +316,8 @@ def dumps_jsonl(seq: ArrivalSequence) -> str:
 
 
 def loads_jsonl(text: str) -> ArrivalSequence:
+    """Parse an instance file; ids must be 0..n-1 in file order (blank lines
+    are skipped). A bad record raises ``ValueError`` naming its line."""
     intervals = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -323,16 +325,20 @@ def loads_jsonl(text: str) -> ArrivalSequence:
             continue
         try:
             row = json.loads(line)
-            intervals.append(
-                Interval(
-                    id=int(row["id"]),
-                    start=int(row["start"]),
-                    end=int(row["end"]),
-                    weight=_weight_from_json(row.get("weight", 1)),
-                )
+            iv = Interval(
+                id=int(row["id"]),
+                start=int(row["start"]),
+                end=int(row["end"]),
+                weight=_weight_from_json(row.get("weight", 1)),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"line {lineno}: invalid interval record: {exc}") from exc
+        if iv.id != len(intervals):
+            raise ValueError(
+                f"line {lineno}: expected id {len(intervals)}, got {iv.id} "
+                "(ids are 0..n-1 in file order)"
+            )
+        intervals.append(iv)
     return ArrivalSequence(intervals)
 
 

@@ -313,10 +313,13 @@ def _trials(policy: Policy, seq: ArrivalSequence, seed: int, trial_range: range,
 
 
 def _kernel_eligible(policy: Policy, seq: ArrivalSequence) -> Optional[dict]:
+    """The policy's kernel spec if the engine can run it on `seq`: every
+    mode needs unit weights, and threshold tables a single length (on mixed
+    lengths the Python path raises PolicyDomainError)."""
     spec = policy.kernel_spec()
-    if spec is None:
+    if spec is None or not seq.is_unweighted():
         return None
-    if not seq.is_unweighted() or not seq.is_single_length():
+    if spec["mode"] == "threshold" and not seq.is_single_length():
         return None
     return spec
 
@@ -342,8 +345,9 @@ def run_random_order(
     jobs: int = 1,
 ) -> TrialStats:
     """Uniformly permute the arrivals per trial (seeded) and aggregate exact
-    ratios. Single-length table policies run through the engine kernel;
-    results are identical either way."""
+    ratios. Policies with a kernel spec run through the engine kernel on
+    unweighted instances (threshold tables on single-length ones only), and
+    `jobs` then starts no pool; results are identical either way."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs < 1:

@@ -19,8 +19,9 @@ from test_trials import SEEDS, kernel_inputs, kernel_modes
 from revsel import _engine
 from revsel._engine import fallback
 from revsel.adversary import gen_random_instance, gen_random_order_bad
-from revsel.algorithms import ThresholdPolicyTables
+from revsel.algorithms import CallControlPolicy, ThresholdPolicyTables
 from revsel.core import ArrivalSequence, Interval
+from revsel.harness import run_random_order
 from revsel.oracle import opt_bruteforce, opt_unweighted, opt_weighted
 from revsel.rng import Stream, mix64, substream_seed
 
@@ -126,7 +127,7 @@ def test_subset_search_agrees_with_oracles_regardless_of_backend():
 
 
 @compiled
-@given(st.one_of(kernel_inputs(), st.just(([], []))), kernel_modes(), st.integers(0, 25), SEEDS)
+@given(st.one_of(kernel_inputs(), st.just(([], []))), kernel_modes(4), st.integers(0, 25), SEEDS)
 @settings(max_examples=500, deadline=None)
 def test_kernel_trials_match_fallback(intervals, modes, trials, seed):
     starts, ends = intervals
@@ -220,6 +221,30 @@ def test_coordinates_beyond_64_bits_take_the_fallback(monkeypatch):
     assert _engine.run_single_length_trials(starts, ends, {"mode": "always"}, 40, 3) == trials
 
 
+def test_call_control_near_the_64_bit_guard():
+    """Lengths just inside +-2**62 reach 2**63 - 2, so twice a length
+    overflows signed 64 bits; both backends must still match the policy."""
+    top = 2**62 - 1
+    rows = [
+        (-top, 1),  # M: length 2**62
+        (-(2**61), top),  # meets M; twice its length is about 3 * 2**62, so M stays
+        (2, 10),  # held beside M; had the long one displaced M, this would displace it
+        (-top, top),  # length 2**63 - 2: any arrival it contains replaces it
+        (-top + 1, -top + 3),
+    ]
+    seq = ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(rows))
+    starts = [iv.start for iv in seq]
+    ends = [iv.end for iv in seq]
+    python_only = CallControlPolicy()
+    python_only.kernel_spec = lambda: None
+    expected = run_random_order(python_only, seq, 200, seed=7).alg_samples
+    for impl in {_engine._impl, fallback}:
+        assert _engine.run_single_length_trials(
+            starts, ends, {"mode": "call-control"}, 200, 7, impl=impl
+        ) == expected
+    assert run_random_order(CallControlPolicy(), seq, 200, seed=7).alg_samples == expected
+
+
 @compiled
 def test_weight_sums_beyond_64_bits_take_the_fallback():
     seq = ArrivalSequence(Interval(i, 2 * i, 2 * i + 1, Fraction(2**61)) for i in range(5))
@@ -245,6 +270,30 @@ def test_cache_hit_runs_no_compiler(tmp_path, monkeypatch):
     source.write_text(KERNEL_C.read_text() + "/* edited */\n")
     _engine._cached_build(str(source), str(cache))
     assert len(calls) == 1
+
+
+@needs_cc
+def test_new_build_prunes_superseded_ones(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    first, second = tmp_path / "first.c", tmp_path / "second.c"
+    shutil.copy(KERNEL_C, first)
+    second.write_text(KERNEL_C.read_text() + "/* edited */\n")
+    assert _engine._cached_build(str(first), str(cache)) is not None
+    (old,) = os.listdir(cache)
+    # Neither another interpreter's build nor an unrelated file is touched.
+    others = {"_kernel.0badcafe.cpython-399-other.so", "notes.txt"}
+    for name in others:
+        (cache / name).write_text("")
+    assert _engine._cached_build(str(second), str(cache)) is not None
+    (new,) = set(os.listdir(cache)) - others
+    assert new != old and set(os.listdir(cache)) == others | {new}
+    # A failed build keeps the last good one.
+    def fail(source, target):
+        raise subprocess.CalledProcessError(1, "cc")
+
+    monkeypatch.setattr(_engine, "_compile", fail)
+    assert _engine._cached_build(str(first), str(cache)) is None
+    assert set(os.listdir(cache)) == others | {new}
 
 
 def test_failing_compiler_leaves_no_temp_file(tmp_path, monkeypatch):

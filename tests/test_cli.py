@@ -2,6 +2,7 @@
 
 import json
 
+from revsel import _engine
 from revsel.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -191,6 +192,9 @@ def test_bench_backends_command(capsys):
     code, out, _ = run_cli(capsys, "bench-backends", "--trials", "100", "--seed", "1")
     assert code == EXIT_OK
     assert "pure-python" in out
+    assert "trials always-replace" in out and "trials call-control" in out
+    if _engine.COMPILED:
+        assert out.splitlines()[-1] == "outputs identical across backends: True"
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -226,3 +230,13 @@ def test_bench_random_order_flag_is_gone(tmp_path, capsys):
     )
     assert code == EXIT_USAGE and out == ""
     assert "--random-order" in err
+
+
+def test_out_of_order_ids_are_usage_error(tmp_path, capsys):
+    inst = tmp_path / "ids.jsonl"
+    inst.write_text('{"id": 0, "start": 0, "end": 4}\n\n{"id": 2, "start": 5, "end": 9}\n')
+    for argv in (("run", "greedy-subsume", str(inst)), ("verify", str(inst)),
+                 ("bench", "never-replace", str(inst), "--trials", "3", "--seed", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: line 3: expected id 1, got 2")

@@ -220,3 +220,16 @@ def test_jsonl_rejects_garbage():
         loads_jsonl('{"id": 0, "start": 1}\n')
     with pytest.raises(ValueError):
         loads_jsonl('{"id": 0, "start": 3, "end": 3}\n')
+
+
+def test_jsonl_reader_requires_ids_in_file_order():
+    def text(*ids):  # one record per id; None is a blank line
+        return "\n".join(
+            "" if i is None else f'{{"id": {i}, "start": {3 * k}, "end": {3 * k + 1}}}'
+            for k, i in enumerate(ids)
+        )
+
+    assert [i.id for i in loads_jsonl(text(0, None, 1))] == [0, 1]
+    for ids, line in (((1, 0), 1), ((0, None, 2), 3), ((0, 0), 2), ((0, -1), 2)):
+        with pytest.raises(ValueError, match=rf"^line {line}: expected id"):
+            loads_jsonl(text(*ids))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from revsel import _engine
 from revsel.adversary import (
     gen_random_order_bad_wide,
     gen_fork_pair,
@@ -17,6 +18,7 @@ from revsel.algorithms import (
     Action,
     ArbPolicy,
     Policy,
+    PolicyDomainError,
     ThresholdPolicy,
     ThresholdPolicyTables,
     make_policy,
@@ -202,6 +204,53 @@ def test_parallel_jobs_match_serial():
     serial = run_random_order(policy, seq, 24, seed=8, jobs=1)
     parallel = run_random_order(policy, seq, 24, seed=8, jobs=3)
     assert serial.alg_samples == parallel.alg_samples
+    # Unit weights take the engine kernel, where jobs starts no pool; rational
+    # weights take the Python trial loop and its process pool.
+    weighted = gen_random_instance(15, 2, "rational", 3)
+    serial = run_random_order(policy, weighted, 24, seed=8, jobs=1)
+    parallel = run_random_order(policy, weighted, 24, seed=8, jobs=3)
+    assert serial.alg_samples == parallel.alg_samples
+
+
+def _spy_on_kernel(monkeypatch):
+    calls = []
+    real = _engine.run_single_length_trials
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_engine, "run_single_length_trials", spy)
+    return calls
+
+
+def test_kernel_takes_unit_weights_of_any_length_mix(monkeypatch):
+    calls = _spy_on_kernel(monkeypatch)
+    multi = gen_random_instance(20, 3, "unit", 4)
+    assert len(multi.lengths()) == 3
+    for pid in ("greedy-subsume", "call-control", "always-replace", "never-replace"):
+        run_random_order(make_policy(pid), multi, 5, seed=1, jobs=2)
+    assert [spec["mode"] for spec in calls] == [
+        "greedy-subsume", "call-control", "always", "never"
+    ]
+
+
+def test_weighted_instances_take_the_python_trial_loop(monkeypatch):
+    calls = _spy_on_kernel(monkeypatch)
+    weighted = gen_random_instance(12, 3, "rational", 4)
+    assert not weighted.is_unweighted()
+    for pid in ("greedy-subsume", "call-control", "always-replace", "never-replace"):
+        run_random_order(make_policy(pid), weighted, 5, seed=1)
+    assert calls == []
+
+
+def test_threshold_policy_on_mixed_lengths_still_raises(monkeypatch):
+    calls = _spy_on_kernel(monkeypatch)
+    seq = ArrivalSequence([Interval(0, 0, 6), Interval(1, 4, 14)])
+    for pid in ("one-dir-left", "one-dir-right"):
+        with pytest.raises(PolicyDomainError):
+            run_random_order(make_policy(pid), seq, 4, seed=1)
+    assert calls == []
 
 
 def test_pool_size_never_exceeds_cpus_or_chunks(monkeypatch):

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import ListTrialStats, permutation_raw, scanning_single_length_trials_raw
 
-from revsel._engine import fallback
-from revsel.adversary import gen_random_instance
+from revsel._engine import fallback, run_single_length_trials
+from revsel.adversary import gen_call_control_bad, gen_greedy_bad, gen_random_instance
 from revsel.algorithms import make_policy
 from revsel.core import ArrivalSequence, Interval
 from revsel.harness import TrialStats, exact_ratio, run_random_order
@@ -39,9 +39,10 @@ def kernel_inputs(draw):
 
 
 @st.composite
-def kernel_modes(draw):
-    """Kernel arguments after the interval lists: mode and threshold tables."""
-    mode = draw(st.integers(0, 2))
+def kernel_modes(draw, top=2):
+    """Kernel arguments after the interval lists: a mode in 0..top and
+    threshold tables. The scanning reference knows modes 0-2."""
+    mode = draw(st.integers(0, top))
     table = st.dictionaries(st.integers(1, 7), st.integers(0, 1), max_size=5)
     left, right = draw(table), draw(table)
     return (
@@ -193,3 +194,53 @@ def test_random_order_stats_match_reference_on_both_paths():
         python_only = make_policy(pid)
         python_only.kernel_spec = lambda: None
         _assert_same_stats(run_random_order(python_only, seq, 70, seed=2**63), ref)
+
+
+# -- multi-length kernel modes against the Python policy path ---------------------
+
+MULTI_LENGTH_POLICIES = ("greedy-subsume", "call-control", "always-replace", "never-replace")
+
+
+def _python_path(pid):
+    policy = make_policy(pid)
+    policy.kernel_spec = lambda: None
+    return policy
+
+
+def _assert_paths_agree(seq, trials, seed):
+    """The active engine (through the harness) and the pure-Python kernel
+    both match the policy replayed in Python."""
+    starts = [iv.start for iv in seq]
+    ends = [iv.end for iv in seq]
+    for pid in MULTI_LENGTH_POLICIES:
+        expected = run_random_order(_python_path(pid), seq, trials, seed).alg_samples
+        assert run_random_order(make_policy(pid), seq, trials, seed).alg_samples == expected
+        spec = make_policy(pid).kernel_spec()
+        assert run_single_length_trials(starts, ends, spec, trials, seed, impl=fallback) == expected
+
+
+@given(
+    st.one_of(
+        kernel_inputs().map(lambda se: ArrivalSequence(
+            Interval(i, s, e) for i, (s, e) in enumerate(zip(*se)))),
+        st.builds(gen_greedy_bad, st.integers(2, 4)),
+        st.builds(gen_call_control_bad, st.integers(2, 4)),
+    ),
+    st.integers(1, 12),
+    SEEDS,
+)
+@settings(max_examples=300, deadline=None)
+def test_multi_length_kernel_modes_match_python_policies(seq, trials, seed):
+    _assert_paths_agree(seq, trials, seed)
+
+
+@pytest.mark.parametrize("rows", [
+    [(-3, 1), (1, 5), (0, 2)],  # twice 2 is not below 4: no displacement
+    [(-4, 1), (1, 6), (0, 2)],  # twice 2 is below 5: both members go
+    [(0, 4), (0, 2), (2, 4)],  # proper containment sharing an endpoint
+    [(0, 4), (0, 4), (4, 8), (1, 3), (1, 3)],  # exact copies never displace
+])
+def test_multi_length_kernel_modes_at_their_boundaries(rows):
+    seq = ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(rows))
+    # At seed 3, 80 trials include all six orders of three arrivals.
+    _assert_paths_agree(seq, 80, seed=3)
