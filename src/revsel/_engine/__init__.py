@@ -2,24 +2,27 @@
 
 The compiled kernel, ``_kernel.c``, is one CPython C-API module that
 implements the permutation-trial loop and the exhaustive subset search. The
-trial loop replays five policy modes on unweighted instances: the
-single-length threshold tables (which include one-directional replacement),
-always-replace, never-replace, greedy-subsume and call-control; the last
-four take intervals of any lengths. The fallback implements the identical
-bit-level algorithms in pure Python, in lockstep with the C source: both
-find a trial's conflicts by bisection in a start-sorted held set and shuffle
-with :mod:`revsel.rng`'s splitmix64. Outputs are byte-for-byte equal, which
-the test suite asserts.
+trial loop replays six policy modes on any weights: the single-length
+threshold tables (which include one-directional replacement),
+always-replace, never-replace, greedy-subsume, call-control and the
+constant-probability memoryless policy; all but the first take intervals of
+any lengths. A trial returns its final held count, or with integer weights
+its held weight. The fallback implements the identical bit-level algorithms
+in pure Python, in lockstep with the C source: both find a trial's conflicts
+by bisection in a start-sorted held set and draw with :mod:`revsel.rng`'s
+splitmix64. Outputs are byte-for-byte equal, which the test suite asserts.
 
 Selection happens once at import: the module ``setup.py`` installed, else a
 build cached in this package's ``__pycache__`` (named by a checksum of the C
 source, so an edit rebuilds it and a new build deletes the old ones), else a
 fresh build into that cache with the compiler Python was built with, else
-the fallback, silently. Set ``REVSEL_PURE_PYTHON=1`` to force the fallback.
+the fallback, silently. Only a build loads :mod:`subprocess`, so a cache hit
+imports nothing it does not need. Set ``REVSEL_PURE_PYTHON=1`` to force the
+fallback.
 
 The dispatchers send inputs the kernel's 64-bit arithmetic cannot hold
-(coordinates or table keys at +-2**62 or beyond, subset weights summing to
-2**62 or more) to the fallback.
+(coordinates or table keys at +-2**62 or beyond, weights summing to 2**62
+or more, an acceptance denominator of 2**62 or more) to the fallback.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import importlib.util
 import os
 import re
-import subprocess
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 
@@ -42,6 +44,7 @@ def _compile(source: str, target: str) -> None:
     the target's directory that is renamed into place, so a concurrent
     importer sees no file or a whole one; a failed build leaves nothing."""
     import shlex
+    import subprocess
     import sysconfig
     import tempfile
 
@@ -73,6 +76,21 @@ def _prune(cache: str, keep: str) -> None:
         pass
 
 
+def _build(source: str, target: str) -> bool:
+    """Compile `source` into `target` on a cache miss and prune the builds
+    it supersedes; False if the build fails. Only this path imports
+    subprocess."""
+    import subprocess
+
+    try:
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        _compile(source, target)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    _prune(os.path.dirname(target), os.path.basename(target))
+    return True
+
+
 def _cached_build(source: str, cache: str):
     """The kernel built from `source` and cached in `cache`, compiling it on
     a miss; None if reading, building or loading it fails."""
@@ -80,15 +98,13 @@ def _cached_build(source: str, cache: str):
         with open(source, "rb") as f:
             key = zlib.crc32(f.read())
         path = os.path.join(cache, f"_kernel.{key:08x}{EXTENSION_SUFFIXES[0]}")
-        if not os.path.exists(path):
-            os.makedirs(cache, exist_ok=True)
-            _compile(source, path)
-            _prune(cache, os.path.basename(path))
+        if not os.path.exists(path) and not _build(source, path):
+            return None
         spec = importlib.util.spec_from_file_location(__name__ + "._kernel", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
-    except (OSError, ImportError, subprocess.SubprocessError):
+    except (OSError, ImportError):
         return None
 
 
@@ -105,7 +121,14 @@ if _impl is None:
 BACKEND = "compiled" if COMPILED else "pure-python"
 
 # Kernel mode per kernel_spec()["mode"]; the C source numbers them alike.
-_MODES = {"threshold": 0, "always": 1, "never": 2, "greedy-subsume": 3, "call-control": 4}
+_MODES = {
+    "threshold": 0,
+    "always": 1,
+    "never": 2,
+    "greedy-subsume": 3,
+    "call-control": 4,
+    "memoryless": 5,
+}
 
 # Kernel inputs stay strictly inside +-2**62, so that differences of
 # coordinates and sums of weights fit in 64 bits.
@@ -116,34 +139,44 @@ def _fits(*columns) -> bool:
     return all(-_LIMIT < min(c) and max(c) < _LIMIT for c in columns if c)
 
 
-def _unpack_spec(spec: dict):
+def _tables(spec: dict):
+    """The threshold tables as kernel arguments: keys, bits and default for
+    the left side, then for the right; empty for every other mode."""
+    if spec["mode"] != "threshold":
+        return [], [], 0, [], [], 0
+    tables = spec["tables"]
+    fl = sorted(tables.left.items())
+    fr = sorted(tables.right.items())
+    return (
+        [k for k, _ in fl],
+        [v for _, v in fl],
+        tables.left_default,
+        [k for k, _ in fr],
+        [v for _, v in fr],
+        tables.right_default,
+    )
+
+
+def run_single_length_trials(starts, ends, spec: dict, trials: int, seed: int, impl=None,
+                             weights=()):
+    """ALG per permutation trial of a kernel-mode policy: the final held
+    count, or with `weights` (one integer per arrival; empty means unit
+    weights) the final held weight. Every mode but "threshold" takes any mix
+    of lengths; the name dates from when all modes were single-length."""
     mode = _MODES[spec["mode"]]
-    if spec["mode"] == "threshold":
-        tables = spec["tables"]
-        fl = sorted(tables.left.items())
-        fr = sorted(tables.right.items())
-        return (
-            mode,
-            [k for k, _ in fl],
-            [v for _, v in fl],
-            tables.left_default,
-            [k for k, _ in fr],
-            [v for _, v in fr],
-            tables.right_default,
-        )
-    return (mode, [], [], 0, [], [], 0)
-
-
-def run_single_length_trials(starts, ends, spec: dict, trials: int, seed: int, impl=None):
-    """ALG size per permutation trial of a kernel-mode policy on an
-    unweighted instance. Every mode but "threshold" takes any mix of
-    lengths; the name dates from when all modes were single-length."""
-    mode, flk, flv, fld, frk, frv, frd = _unpack_spec(spec)
-    starts, ends = list(starts), list(ends)
+    flk, flv, fld, frk, frv, frd = _tables(spec)
+    p = spec.get("p")  # the memoryless mode's acceptance probability
+    num, den = (p.numerator, p.denominator) if p is not None else (0, 1)
+    starts, ends, weights = list(starts), list(ends), list(weights)
     if impl is None:
-        impl = _impl if _fits(starts, ends, flk, frk) else fallback
+        fits = (
+            _fits(starts, ends, flk, frk)
+            and den < _LIMIT
+            and sum(map(abs, weights)) < _LIMIT
+        )
+        impl = _impl if fits else fallback
     return impl.run_single_length_trials_raw(
-        starts, ends, mode, flk, flv, fld, frk, frv, frd, trials, seed
+        starts, ends, mode, flk, flv, fld, frk, frv, frd, trials, seed, weights, num, den
     )
 
 

@@ -3,9 +3,10 @@
  * A CPython module that gcc alone builds. Every function matches its twin in
  * revsel._engine.fallback bit for bit (same splitmix64 stream, same rejection
  * sampling, same Fisher-Yates order, same bisections, same enumeration
- * order); keep the two in lockstep. Coordinates and weights are read as
- * 64-bit integers, and an int that does not fit raises OverflowError: the
- * dispatchers in revsel._engine send such inputs to the fallback.
+ * order); keep the two in lockstep. Coordinates, weights and the acceptance
+ * fraction are read as 64-bit integers, and an int that does not fit raises
+ * OverflowError: the dispatchers in revsel._engine send such inputs to the
+ * fallback.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -47,14 +48,20 @@ typedef struct {
     i64 s, e;
 } span;
 
-/* rng._shuffle: Fisher-Yates over items, drawing from the stream at state. */
-static void shuffle(span *items, Py_ssize_t n, u64 state)
+/* rng._shuffle: Fisher-Yates over items, drawing from the stream at state.
+ * A non-NULL `w` is permuted in lockstep with the items. */
+static void shuffle(span *items, i64 *w, Py_ssize_t n, u64 state)
 {
     for (Py_ssize_t i = n - 1; i > 0; i--) {
         Py_ssize_t j = (Py_ssize_t)randbelow(&state, (u64)i + 1);
         span tmp = items[i];
         items[i] = items[j];
         items[j] = tmp;
+        if (w != NULL) {
+            i64 tmp_w = w[i];
+            w[i] = w[j];
+            w[j] = tmp_w;
+        }
     }
 }
 
@@ -77,7 +84,7 @@ static PyObject *permutation_raw(PyObject *Py_UNUSED(self), PyObject *args)
         return PyErr_NoMemory();
     for (Py_ssize_t i = 0; i < n; i++)
         idx[i] = (span){i, i};
-    shuffle(idx, n, state);
+    shuffle(idx, NULL, n, state);
     PyObject *out = PyList_New(n);
     for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
         PyObject *v = PyLong_FromLongLong(idx[i].s);
@@ -138,12 +145,14 @@ static int lookup(const table *tb, i64 v)
 }
 
 /* The kernel modes; revsel._engine names them. */
-enum { THRESHOLD, ALWAYS, NEVER, SUBSUME, CALL_CONTROL };
+enum { THRESHOLD, ALWAYS, NEVER, SUBSUME, CALL_CONTROL, MEMORYLESS };
 
 /* Whether the arrival [s, e) takes the place of the conflicting run
  * held[first, last), which is never empty, in mode THRESHOLD, SUBSUME or
- * CALL_CONTROL (the trial loop decides ALWAYS and NEVER itself). */
-static int replaces(int mode, i64 s, i64 e, const i64 *held_s, const i64 *held_e,
+ * CALL_CONTROL (the trial loop decides the other modes itself). Inlined
+ * into each trial loop: a call per conflict costs several percent on short
+ * trials. */
+static inline __attribute__((always_inline)) int replaces(int mode, i64 s, i64 e, const i64 *held_s, const i64 *held_e,
                     Py_ssize_t first, Py_ssize_t last, const table *fl, const table *fr)
 {
     i64 ms = held_s[first], me = held_e[first];
@@ -173,24 +182,173 @@ static int replaces(int mode, i64 s, i64 e, const i64 *held_s, const i64 *held_e
     return lookup(s < ms ? fl : fr, v);
 }
 
+/* rng.Stream.bernoulli(num/den) for a fraction in lowest terms: no draw
+ * when den == 1. */
+static inline int bernoulli(u64 *state, u64 num, u64 den)
+{
+    return den == 1 ? num == 1 : randbelow(state, den) < num;
+}
+
+/* Plays one trial's arrivals, in order, against an empty held set and
+ * returns ALG: the final held count, or with `weighted` the final held
+ * weight (order_w holds the arrivals' weights, held_w the members').
+ * `memoryless` is mode == MEMORYLESS, and `draws` that mode's decision
+ * stream.
+ *
+ * The held set is disjoint and sorted by start, so the members that
+ * conflict with [s, e) are [bisect_right(held_e, s), bisect_left(held_s, e,
+ * lo)). Both searches probe as bisect does. */
+static inline __attribute__((always_inline)) u64
+play(int weighted, int memoryless, int mode, const span *order, const i64 *order_w,
+     Py_ssize_t n, i64 *held_s, i64 *held_e, i64 *held_w, u64 draws, u64 num, u64 den,
+     const table *fl, const table *fr)
+{
+    Py_ssize_t h = 0;
+    for (Py_ssize_t p = 0; p < n; p++) {
+        i64 s = order[p].s, e = order[p].e;
+        /* A memoryless policy draws for every arrival, conflict-free ones
+         * included, and a miss rejects it. */
+        if (memoryless && !bernoulli(&draws, num, den))
+            continue;
+        Py_ssize_t lo = 0, hi = h;
+        while (lo < hi) {
+            Py_ssize_t mid = (lo + hi) / 2;
+            if (s < held_e[mid])
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        Py_ssize_t first = lo;
+        hi = h;
+        while (lo < hi) {
+            Py_ssize_t mid = (lo + hi) / 2;
+            if (held_s[mid] < e)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        Py_ssize_t last = lo, take = last - first;
+        if (take == 0) {
+            memmove(held_s + first + 1, held_s + first, (h - first) * sizeof(i64));
+            memmove(held_e + first + 1, held_e + first, (h - first) * sizeof(i64));
+            held_s[first] = s;
+            held_e[first] = e;
+            if (weighted) {
+                memmove(held_w + first + 1, held_w + first, (h - first) * sizeof(i64));
+                held_w[first] = order_w[p];
+            }
+            h++;
+            continue;
+        }
+        if (mode == NEVER || (mode != ALWAYS && !memoryless &&
+                              !replaces(mode, s, e, held_s, held_e, first, last, fl, fr)))
+            continue;
+        /* The arrival replaces the whole conflicting run. */
+        held_s[first] = s;
+        held_e[first] = e;
+        if (weighted)
+            held_w[first] = order_w[p];
+        if (take > 1) {
+            memmove(held_s + first + 1, held_s + last, (h - last) * sizeof(i64));
+            memmove(held_e + first + 1, held_e + last, (h - last) * sizeof(i64));
+            if (weighted)
+                memmove(held_w + first + 1, held_w + last, (h - last) * sizeof(i64));
+            h -= take - 1;
+        }
+    }
+    if (!weighted)
+        return (u64)h;
+    /* The dispatchers keep weight sums below 2**62; unsigned addition keeps
+     * any other sum defined. */
+    u64 total = 0;
+    for (Py_ssize_t i = 0; i < h; i++)
+        total += (u64)held_w[i];
+    return total;
+}
+
+/* The inputs and scratch arrays of one run_single_length_trials_raw call. */
+typedef struct {
+    PyObject *out;
+    Py_ssize_t trials, n;
+    u64 seed, num, den;
+    const span *arrivals;
+    const i64 *weights; /* NULL for unit weights */
+    span *order;
+    i64 *order_w, *held_s, *held_e, *held_w;
+    const table *fl, *fr;
+} job;
+
+/* Runs every trial of `jb` into jb->out; -1 on error. Every call site passes
+ * `weighted` and `memoryless` as constants, so that the inlined unit-weight
+ * loop of the other modes carries no weight or draw code. The job's fields
+ * are copied into locals, which the held-array stores cannot alias. */
+static inline __attribute__((always_inline)) int
+run_trials(int weighted, int memoryless, int mode, const job *jb)
+{
+    PyObject *out = jb->out;
+    const Py_ssize_t trials = jb->trials, n = jb->n;
+    const u64 seed = jb->seed, num = jb->num, den = jb->den;
+    const span *arrivals = jb->arrivals;
+    const i64 *weights = jb->weights;
+    span *order = jb->order;
+    i64 *order_w = weighted ? jb->order_w : NULL;
+    i64 *held_s = jb->held_s, *held_e = jb->held_e, *held_w = jb->held_w;
+    const table *fl = jb->fl, *fr = jb->fr;
+    for (Py_ssize_t t = 0; t < trials; t++) {
+        /* Shuffling the arrivals with trial t's draws plays them in
+         * permutation_raw(n, seed, t) order; decisions draw from substream
+         * 2**32 + t, clear of the permutation substreams. */
+        memcpy(order, arrivals, n * sizeof(span));
+        if (weighted)
+            memcpy(order_w, weights, n * sizeof(i64));
+        shuffle(order, order_w, n, substream(seed, (u64)t));
+        u64 draws = memoryless ? substream(seed, ((u64)1 << 32) + (u64)t) : 0;
+        u64 alg = play(weighted, memoryless, mode, order, order_w, n, held_s, held_e, held_w,
+                       draws, num, den, fl, fr);
+        PyObject *v = PyLong_FromLongLong((i64)alg);
+        if (v == NULL)
+            return -1;
+        PyList_SET_ITEM(out, t, v);
+    }
+    return 0;
+}
+
 static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *starts, *ends, *flk, *flv, *frk, *frv, *seed_obj, *out = NULL;
+    PyObject *starts, *ends, *flk, *flv, *frk, *frv, *seed_obj, *weights = NULL, *out = NULL;
     int mode, fld, frd;
     Py_ssize_t trials;
-    if (!PyArg_ParseTuple(args, "O!O!iO!O!pO!O!pnO", &PyList_Type, &starts,
+    long long num = 0, den = 1;
+    if (!PyArg_ParseTuple(args, "O!O!iO!O!pO!O!pnO|O!LL", &PyList_Type, &starts,
                           &PyList_Type, &ends, &mode, &PyList_Type, &flk,
                           &PyList_Type, &flv, &fld, &PyList_Type, &frk,
-                          &PyList_Type, &frv, &frd, &trials, &seed_obj))
+                          &PyList_Type, &frv, &frd, &trials, &seed_obj,
+                          &PyList_Type, &weights, &num, &den))
         return NULL;
+    if (den < 1 || num < 0) {
+        PyErr_SetString(PyExc_ValueError, "acceptance fraction needs num >= 0 and den >= 1");
+        return NULL;
+    }
     u64 seed = PyLong_AsUnsignedLongLongMask(seed_obj);
     if (seed == (u64)-1 && PyErr_Occurred())
         return NULL;
     Py_ssize_t n = Py_MIN(PyList_GET_SIZE(starts), PyList_GET_SIZE(ends));
+    /* An empty weights list means unit weights: a trial's ALG is then its
+     * held count, and no weight is kept. */
+    int weighted = weights != NULL && PyList_GET_SIZE(weights) > 0;
+    if (weighted)
+        n = Py_MIN(n, PyList_GET_SIZE(weights));
     span *arrivals = PyMem_New(span, n + 1), *order = PyMem_New(span, n + 1);
     i64 *held_s = PyMem_New(i64, n + 1), *held_e = PyMem_New(i64, n + 1);
+    i64 *arrival_w = NULL, *order_w = NULL, *held_w = NULL;
+    if (weighted) {
+        arrival_w = PyMem_New(i64, n + 1);
+        order_w = PyMem_New(i64, n + 1);
+        held_w = PyMem_New(i64, n + 1);
+    }
     table fl = {0}, fr = {0};
-    if (arrivals == NULL || order == NULL || held_s == NULL || held_e == NULL) {
+    if (arrivals == NULL || order == NULL || held_s == NULL || held_e == NULL ||
+        (weighted && (arrival_w == NULL || order_w == NULL || held_w == NULL))) {
         PyErr_NoMemory();
         goto done;
     }
@@ -199,75 +357,31 @@ static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObjec
     /* The held arrays are free until the first trial: read through them. */
     if (read_i64s(starts, n, held_s) < 0 || read_i64s(ends, n, held_e) < 0)
         goto done;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        arrivals[i].s = held_s[i];
-        arrivals[i].e = held_e[i];
-    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        arrivals[i] = (span){held_s[i], held_e[i]};
+    if (weighted && read_i64s(weights, n, arrival_w) < 0)
+        goto done;
     if (trials < 0)
         trials = 0;
     if ((out = PyList_New(trials)) == NULL)
         goto done;
-    for (Py_ssize_t t = 0; t < trials; t++) {
-        /* Shuffling the arrivals with trial t's draws plays them in
-         * permutation_raw(n, seed, t) order. */
-        memcpy(order, arrivals, n * sizeof(span));
-        shuffle(order, n, substream(seed, (u64)t));
-        /* The held set is disjoint and sorted by start, so the members that
-         * conflict with [s, e) are [bisect_right(held_e, s),
-         * bisect_left(held_s, e, lo)). Both searches probe as bisect does. */
-        Py_ssize_t h = 0;
-        for (Py_ssize_t p = 0; p < n; p++) {
-            i64 s = order[p].s, e = order[p].e;
-            Py_ssize_t lo = 0, hi = h;
-            while (lo < hi) {
-                Py_ssize_t mid = (lo + hi) / 2;
-                if (s < held_e[mid])
-                    hi = mid;
-                else
-                    lo = mid + 1;
-            }
-            Py_ssize_t first = lo;
-            hi = h;
-            while (lo < hi) {
-                Py_ssize_t mid = (lo + hi) / 2;
-                if (held_s[mid] < e)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
-            Py_ssize_t last = lo, take = last - first;
-            if (take == 0) {
-                memmove(held_s + first + 1, held_s + first, (h - first) * sizeof(i64));
-                memmove(held_e + first + 1, held_e + first, (h - first) * sizeof(i64));
-                held_s[first] = s;
-                held_e[first] = e;
-                h++;
-                continue;
-            }
-            if (mode == NEVER ||
-                (mode != ALWAYS && !replaces(mode, s, e, held_s, held_e, first, last, &fl, &fr)))
-                continue;
-            /* The arrival replaces the whole conflicting run. */
-            held_s[first] = s;
-            held_e[first] = e;
-            if (take > 1) {
-                memmove(held_s + first + 1, held_s + last, (h - last) * sizeof(i64));
-                memmove(held_e + first + 1, held_e + last, (h - last) * sizeof(i64));
-                h -= take - 1;
-            }
-        }
-        PyObject *alg = PyLong_FromSsize_t(h);
-        if (alg == NULL) {
-            Py_CLEAR(out);
-            goto done;
-        }
-        PyList_SET_ITEM(out, t, alg);
-    }
+    job jb = {out, trials, n, seed, (u64)num, (u64)den, arrivals, arrival_w, order,
+              order_w, held_s, held_e, held_w, &fl, &fr};
+    int status;
+    if (mode == MEMORYLESS)
+        status = weighted ? run_trials(1, 1, mode, &jb) : run_trials(0, 1, mode, &jb);
+    else
+        status = weighted ? run_trials(1, 0, mode, &jb) : run_trials(0, 0, mode, &jb);
+    if (status < 0)
+        Py_CLEAR(out);
 done:
     PyMem_Free(arrivals);
     PyMem_Free(order);
     PyMem_Free(held_s);
     PyMem_Free(held_e);
+    PyMem_Free(arrival_w);
+    PyMem_Free(order_w);
+    PyMem_Free(held_w);
     PyMem_Free(fl.keys);
     PyMem_Free(fl.bits);
     PyMem_Free(fr.keys);
@@ -334,7 +448,7 @@ static PyMethodDef kernel_methods[] = {
     {"permutation_raw", permutation_raw, METH_VARARGS,
      "Trial permutation, matching rng.permutation exactly."},
     {"run_single_length_trials_raw", run_single_length_trials_raw, METH_VARARGS,
-     "Final solution size of each permutation trial of a kernel-mode policy."},
+     "Final solution size (or weight) of each permutation trial of a kernel-mode policy."},
     {"best_subset_scaled", best_subset_scaled, METH_VARARGS,
      "(best total weight, member bitmask) over all conflict-free subsets."},
     {NULL, NULL, 0, NULL},

@@ -11,15 +11,17 @@ diffs them on random inputs.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import repeat
+from typing import Sequence
 
-from ..rng import _shuffle, substream_seed
+from ..rng import Stream, _shuffle, substream_seed
 from ..rng import permutation as permutation_raw  # the C kernel's name for it
 
 
 def _replaces(mode, s, e, held_s, held_e, lo, hi, left, right) -> bool:
     """Whether the arrival [s, e) takes the place of the conflicting run
     held[lo:hi], which is never empty, in mode 0, 3 or 4 (the trial loop
-    decides modes 1 and 2 itself). `left` and `right` are the threshold
+    decides the other modes itself). `left` and `right` are the threshold
     tables as (dict, default) pairs."""
     ms, me = held_s[lo], held_e[lo]
     copy = ms == s and me == e
@@ -53,6 +55,9 @@ def run_single_length_trials_raw(
     fr_default: int,
     trials: int,
     seed: int,
+    weights: Sequence[int] = (),
+    num: int = 0,
+    den: int = 1,
 ) -> list[int]:
     """Replay a kernel-mode policy over seeded permutations.
 
@@ -63,14 +68,22 @@ def run_single_length_trials_raw(
     mode 4: call-control (the whole conflicting run gives way when its
     member properly contains the arrival, or when twice the arrival's length
     is below every conflicting member's length).
-    Returns the final solution size of each trial.
+    mode 5: memoryless with acceptance probability num/den, in lowest terms:
+    every arrival, conflict-free ones included, is taken (displacing its
+    whole conflicting run) iff ``randbelow(den) < num`` on trial t's
+    decision substream 2**32 + t; den == 1 draws nothing.
+    Returns each trial's final solution size or, when `weights` (integers,
+    one per arrival) is not empty, its total weight.
 
     Every mode keeps the held set disjoint, so it is kept sorted by start in
     two parallel lists (which sorts the ends too), and the members that
     conflict with an arrival [s, e) are the run [bisect_right(ends, s),
     bisect_left(starts, e)). Intervals must have start < end.
     """
-    arrivals = list(zip(starts, ends))
+    if den < 1 or num < 0:
+        raise ValueError("acceptance fraction needs num >= 0 and den >= 1")
+    weighted = len(weights) > 0
+    arrivals = list(zip(starts, ends, weights if weighted else repeat(1)))
     left = (dict(zip(fl_keys, fl_vals)), fl_default)
     right = (dict(zip(fr_keys, fr_vals)), fr_default)
     out = []
@@ -79,23 +92,34 @@ def run_single_length_trials_raw(
         # permutation_raw(n, seed, t) order.
         order = arrivals[:]
         _shuffle(order, substream_seed(seed, t))
+        draws = Stream(substream_seed(seed, (1 << 32) + t)) if mode == 5 else None
+        # The C kernel keeps the weights only for a weighted run; here the
+        # unit weights cost less than a branch per arrival.
         held_s: list[int] = []
         held_e: list[int] = []
-        for s, e in order:
+        held_w: list[int] = []
+        for s, e, w in order:
+            # A memoryless policy draws for every arrival, conflict-free
+            # ones included, and a miss rejects it.
+            if mode == 5 and not (num == 1 if den == 1 else draws.randbelow(den) < num):
+                continue
             lo = bisect_right(held_e, s)
             hi = bisect_left(held_s, e, lo)
             if lo == hi:
                 held_s.insert(lo, s)
                 held_e.insert(lo, e)
+                held_w.insert(lo, w)
                 continue
             if mode == 2 or (
-                mode != 1 and not _replaces(mode, s, e, held_s, held_e, lo, hi, left, right)
+                mode not in (1, 5)
+                and not _replaces(mode, s, e, held_s, held_e, lo, hi, left, right)
             ):
                 continue
             # The arrival replaces the whole conflicting run.
             held_s[lo:hi] = (s,)
             held_e[lo:hi] = (e,)
-        out.append(len(held_s))
+            held_w[lo:hi] = (w,)
+        out.append(sum(held_w) if weighted else len(held_s))
     return out
 
 

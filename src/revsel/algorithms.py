@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -150,8 +151,8 @@ class Policy:
         return copy.deepcopy(self)
 
     def kernel_spec(self) -> Optional[dict]:
-        """Descriptor for the engine's trial loop on unweighted instances
-        (see :mod:`revsel._engine`), or None if not supported."""
+        """Descriptor for the engine's trial loop (see :mod:`revsel._engine`),
+        or None if not supported."""
         return None
 
 
@@ -196,6 +197,11 @@ def never_replace_step(state: PolicyState, arrival: Interval) -> Action:
     return Action.accept()
 
 
+# A threshold table key: JSON object keys are strings, and an overlap is an
+# integer.
+_INTEGER_KEY = re.compile(r"-?[0-9]+")
+
+
 @dataclass(frozen=True)
 class ThresholdPolicyTables:
     """Replace/keep bits per overlap amount, one table per conflict side.
@@ -225,12 +231,33 @@ class ThresholdPolicyTables:
 
     @staticmethod
     def from_json(text: str) -> "ThresholdPolicyTables":
+        """Parse a table file. Overlap keys must be integer literals and
+        bits JSON integers: a bool or a float raises ``ValueError``."""
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("threshold tables must be a JSON object")
+
+        def bit(name: str, value):
+            if type(value) is not int:
+                raise ValueError(f"threshold {name} must be a JSON integer, got {value!r}")
+            return value
+
+        def table(side: str) -> dict[int, int]:
+            entries = raw.get(side, {})
+            if not isinstance(entries, dict):
+                raise ValueError(f"threshold table {side!r} must be a JSON object")
+            out = {}
+            for key, value in entries.items():
+                if not _INTEGER_KEY.fullmatch(key):
+                    raise ValueError(f"threshold {side} key {key!r} is not an integer")
+                out[int(key)] = bit(f"{side}[{key}]", value)
+            return out
+
         return ThresholdPolicyTables(
-            left={int(k): int(v) for k, v in raw.get("left", {}).items()},
-            right={int(k): int(v) for k, v in raw.get("right", {}).items()},
-            left_default=int(raw.get("left_default", 0)),
-            right_default=int(raw.get("right_default", 0)),
+            left=table("left"),
+            right=table("right"),
+            left_default=bit("left_default", raw.get("left_default", 0)),
+            right_default=bit("right_default", raw.get("right_default", 0)),
         )
 
 
@@ -373,6 +400,9 @@ class RandMemorylessPolicy(Policy):
         if rng is None:
             raise ValueError(f"{self.name} needs an rng stream")
         return memoryless_randomized_step(lambda _iv, _st: self.p, state, arrival, rng)
+
+    def kernel_spec(self):
+        return {"mode": "memoryless", "p": self.p}
 
 
 class FunctionMemorylessPolicy(Policy):

@@ -29,6 +29,7 @@ from .core import (
 from .harness import (
     InfeasibleActionError,
     format_value,
+    kernel_weights,
     run_adversarial,
     run_arb_expectation,
     run_random_order,
@@ -197,9 +198,8 @@ def _build_bench(sub):
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (at most the CPU count) for the Python trial "
-                        "loop, which weighted instances and rand-memoryless take; "
-                        "engine-kernel and arb: runs ignore it")
+                   help="accepted for compatibility (must be >= 1); it changes nothing, "
+                        "since every built-in policy's trials run in one process")
     p.add_argument("--out", help="CSV path (defaults to stdout)")
 
 
@@ -282,11 +282,15 @@ def _build_bench_backends(sub):
 def _cmd_bench_backends(args) -> int:
     from ._engine import fallback
 
-    # Always-replace on a copy-flooded single-length instance, and
-    # call-control on a multi-length unit one.
+    # Always-replace on a copy-flooded single-length instance, call-control
+    # on a multi-length unit one and on a rational one, and the memoryless
+    # policy's draws on a multi-length unit one.
+    multi = adversary.gen_random_instance(100, 3, "unit", args.seed)
     trial_cases = [
         ("always-replace", adversary.gen_random_order_bad(3, 4, 100, 10)),
-        ("call-control", adversary.gen_random_instance(100, 3, "unit", args.seed)),
+        ("call-control", multi),
+        ("call-control", adversary.gen_random_instance(100, 3, "rational", args.seed)),
+        ("rand-memoryless:p=1/3", multi),
     ]
 
     rows = []
@@ -298,14 +302,16 @@ def _cmd_bench_backends(args) -> int:
         starts = [iv.start for iv in seq]
         ends = [iv.end for iv in seq]
         spec = make_policy(policy).kernel_spec()
+        weights, _ = kernel_weights(seq)
+        label = f"trials {policy}" + (" weighted" if weights else "")
         for name, impl in impls:
             t0 = time.perf_counter()
             res = _engine.run_single_length_trials(
-                starts, ends, spec, args.trials, args.seed, impl=impl
+                starts, ends, spec, args.trials, args.seed, impl=impl, weights=weights
             )
             dt = time.perf_counter() - t0
             results.setdefault(name, []).append(res)
-            rows.append((name, f"trials {policy}", dt, args.trials / dt))
+            rows.append((name, label, dt, args.trials / dt))
 
     brute = adversary.gen_random_instance(15, 4, "int", args.seed)
     bs = [iv.start for iv in brute]
@@ -321,9 +327,9 @@ def _cmd_bench_backends(args) -> int:
         brute_results[name] = out
         rows.append((name, "subset-search", dt, reps / dt))
 
-    print(f"{'backend':<14}{'kernel':<24}{'seconds':>10}{'ops/s':>14}")
+    print(f"{'backend':<14}{'kernel':<32}{'seconds':>10}{'ops/s':>14}")
     for name, op, dt, rate in rows:
-        print(f"{name:<14}{op:<24}{dt:>10.4f}{rate:>14.1f}")
+        print(f"{name:<14}{op:<32}{dt:>10.4f}{rate:>14.1f}")
     if _engine.COMPILED:
         same = results["compiled"] == results["pure-python"] and (
             brute_results["compiled"] == brute_results["pure-python"]

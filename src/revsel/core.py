@@ -260,6 +260,16 @@ def solution_weight(seq: ArrivalSequence, members: Iterable[int]) -> Fraction:
     return sum((seq.by_id(i).weight for i in members), Fraction(0))
 
 
+def scaled_weights(seq: ArrivalSequence) -> tuple[list[int], int]:
+    """The weights as integers over one scale, the lcm of their
+    denominators: returns ([w * scale for each weight], scale)."""
+    scale = 1
+    for iv in seq:
+        d = iv.weight.denominator
+        scale = scale // gcd(scale, d) * d
+    return [int(iv.weight * scale) for iv in seq], scale
+
+
 def scale_rational_endpoints(
     triples: Iterable[tuple[Fraction | int, Fraction | int, Fraction | int]],
 ) -> ArrivalSequence:
@@ -325,10 +335,16 @@ def loads_jsonl(text: str) -> ArrivalSequence:
             continue
         try:
             row = json.loads(line)
+            ident, start, end = row["id"], row["start"], row["end"]
+            # A JSON float or bool must not pass as an int.
+            if type(ident) is not int or type(start) is not int or type(end) is not int:
+                raise TypeError(
+                    f"id, start and end must be JSON integers, got {ident!r}, {start!r}, {end!r}"
+                )
             iv = Interval(
-                id=int(row["id"]),
-                start=int(row["start"]),
-                end=int(row["end"]),
+                id=ident,
+                start=start,
+                end=end,
                 weight=_weight_from_json(row.get("weight", 1)),
             )
         except (KeyError, ValueError, TypeError) as exc:

@@ -7,18 +7,19 @@ an empty algorithm solution against a non-empty optimum is reported with an
 infinity sentinel rather than a division error.
 
 Random-order trials draw their permutations from per-trial substreams, so
-growing the trial count never changes earlier trials, and trials can be
-executed in parallel and folded back in index order.
+growing the trial count never changes earlier trials. Every built-in policy
+runs its trials in the engine kernel (:mod:`revsel._engine`), and the
+classify-by-length wrapper needs no trial replay at all (see
+:func:`run_arb_expectation`); only library policies without a kernel spec
+replay each trial through :func:`run_policy`.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import os
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -26,7 +27,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import _engine
 from .algorithms import Action, ArbPolicy, Policy, PolicyState
-from .core import ArrivalSequence, EmptyInstanceError, conflicts
+from .core import ArrivalSequence, EmptyInstanceError, conflicts, scaled_weights
 from .oracle import OptCertificate, opt_unweighted, opt_weighted
 from .rng import Stream, permutation
 
@@ -94,13 +95,12 @@ def run_policy(
     policy: Policy,
     seq: ArrivalSequence,
     rng: Optional[Stream] = None,
-    fresh: bool = True,
     record: bool = True,
 ) -> tuple[PolicyState, RunTranscript]:
-    """Feed the arrivals to a policy and return (final state, transcript).
-    With ``record=False`` the transcript has no entries, which saves its
-    cost in trials that need only the final state."""
-    live = policy.fresh() if fresh else policy
+    """Feed the arrivals to a fresh copy of the policy and return (final
+    state, transcript). With ``record=False`` the transcript has no entries,
+    which saves its cost in trials that need only the final state."""
+    live = policy.fresh()
     state = PolicyState()
     retired: set[int] = set()
     entries = []
@@ -198,15 +198,16 @@ _CSV_CHUNK_ROWS = 4096
 class TrialStats:
     """Exact aggregates over seeded trials, computed from a histogram of ALG.
 
-    ``algs`` holds each trial's ALG in trial order as the trial loop made it:
-    an int from the engine kernel or a Fraction from the Python loop. Equal
-    values share one histogram entry, and the exact ALG, its ratio and its
-    CSV cells are built once per entry, so the per-trial cost is a lookup.
-    ALG takes few distinct values, so the aggregates below stay exact and
-    cheap; the per-trial sequence is kept because the CSV lists every trial.
+    ``algs`` holds each trial's raw ALG in trial order as the trial loop
+    made it: an int from the engine kernel, which is the exact ALG times
+    `scale`, or a Fraction. Equal values share one histogram entry, and the
+    exact ALG ``Fraction(raw, scale)``, its ratio and its CSV cells are built
+    once per entry, so the per-trial cost is a lookup. ALG takes few
+    distinct values, so the aggregates below stay exact and cheap; the
+    per-trial sequence is kept because the CSV lists every trial.
     """
 
-    def __init__(self, seed: int, opt_value: Fraction, algs: list):
+    def __init__(self, seed: int, opt_value: Fraction, algs: list, scale: int = 1):
         self.trials = len(algs)
         self.seed = seed
         self.opt_value = opt_value
@@ -215,7 +216,7 @@ class TrialStats:
         # raw ALG -> (exact ALG, exact ratio or None for infinity)
         self._exact = {}
         for raw in self.histogram:
-            alg = Fraction(raw)
+            alg = Fraction(raw, scale)
             self._exact[raw] = (alg, exact_ratio(opt_value, alg))
 
     @property
@@ -294,47 +295,38 @@ class TrialStats:
         return target.getvalue() if out is None else None
 
 
-def _trials(policy: Policy, seq: ArrivalSequence, seed: int, trial_range: range, permuted: bool):
-    """The one trial loop: a fresh run of `policy` per trial t in
-    `trial_range`; yields (ALG, the policy instance that ran).
-
-    A permuted trial plays the arrivals in ``permutation(n, seed, t)`` order
-    and draws its decisions from substream 2**32 + t, clear of the
-    permutation substreams; otherwise the arrivals come in file order and
-    the decisions from substream t.
-    """
-    offset = (1 << 32) if permuted else 0
-    for t in trial_range:
-        order = seq.permuted(permutation(len(seq), seed, t)) if permuted else seq
-        live = policy.fresh()
-        rng = Stream.for_trial(seed, offset + t)
-        state, _ = run_policy(live, order, rng, fresh=False, record=False)
-        yield sum((m.weight for m in state.members()), Fraction(0)), live
+def _trials(policy: Policy, seq: ArrivalSequence, seed: int, trials: int) -> list[Fraction]:
+    """The Python trial loop, for policies with no kernel spec (library
+    ones such as FunctionMemorylessPolicy): ALG of a fresh run per trial t,
+    playing the arrivals in ``permutation(n, seed, t)`` order and drawing
+    decisions from substream 2**32 + t, clear of the permutation substreams.
+    The engine kernel plays the same draws."""
+    algs = []
+    for t in range(trials):
+        order = seq.permuted(permutation(len(seq), seed, t))
+        rng = Stream.for_trial(seed, (1 << 32) + t)
+        state, _ = run_policy(policy, order, rng, record=False)
+        algs.append(sum((m.weight for m in state.members()), Fraction(0)))
+    return algs
 
 
 def _kernel_eligible(policy: Policy, seq: ArrivalSequence) -> Optional[dict]:
-    """The policy's kernel spec if the engine can run it on `seq`: every
-    mode needs unit weights, and threshold tables a single length (on mixed
-    lengths the Python path raises PolicyDomainError)."""
+    """The policy's kernel spec if the engine can run it on `seq`: threshold
+    tables need a single length (on mixed lengths the Python path raises
+    PolicyDomainError); every other mode takes any instance."""
     spec = policy.kernel_spec()
-    if spec is None or not seq.is_unweighted():
+    if spec is None:
         return None
     if spec["mode"] == "threshold" and not seq.is_single_length():
         return None
     return spec
 
 
-def pool_size(jobs: int, chunks: int) -> int:
-    """Worker processes for a trial pool: never more than the CPUs or the
-    chunks. Under fork the pool starts all its workers up front, so an
-    unclamped --jobs 5000 would fork 5000 processes."""
-    return max(1, min(jobs, os.cpu_count() or 1, chunks))
-
-
-def _worker_chunk(args) -> list[Fraction]:
-    """Pool task: ALG of the permuted trials lo..hi-1."""
-    policy, seq, seed, lo, hi = args
-    return [alg for alg, _ in _trials(policy, seq, seed, range(lo, hi), permuted=True)]
+def kernel_weights(seq: ArrivalSequence) -> tuple[list[int], int]:
+    """The engine's weights argument and the scale of its sums: no weights
+    (a trial's ALG is its held count) on unit weights, else the weights as
+    integers over the lcm of their denominators."""
+    return ([], 1) if seq.is_unweighted() else scaled_weights(seq)
 
 
 def run_random_order(
@@ -345,9 +337,10 @@ def run_random_order(
     jobs: int = 1,
 ) -> TrialStats:
     """Uniformly permute the arrivals per trial (seeded) and aggregate exact
-    ratios. Policies with a kernel spec run through the engine kernel on
-    unweighted instances (threshold tables on single-length ones only), and
-    `jobs` then starts no pool; results are identical either way."""
+    ratios. Policies with a kernel spec run through the engine kernel
+    (threshold tables on single-length instances only); the rest replay
+    each trial in Python. `jobs` must be at least 1 and changes nothing:
+    every path runs in this process."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs < 1:
@@ -356,25 +349,18 @@ def run_random_order(
         raise EmptyInstanceError("cannot benchmark an empty instance")
     opt = opt_for(seq)
     spec = _kernel_eligible(policy, seq)
-    if spec is not None:
-        algs = _engine.run_single_length_trials(
-            [iv.start for iv in seq],
-            [iv.end for iv in seq],
-            spec,
-            trials,
-            seed,
-        )
-    elif jobs > 1:
-        chunk = -(-trials // jobs)
-        ranges = [(lo, min(trials, lo + chunk)) for lo in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=pool_size(jobs, len(ranges))) as pool:
-            parts = list(
-                pool.map(_worker_chunk, [(policy, seq, seed, lo, hi) for lo, hi in ranges])
-            )
-        algs = [a for part in parts for a in part]
-    else:
-        algs = [alg for alg, _ in _trials(policy, seq, seed, range(trials), permuted=True)]
-    return TrialStats(seed, opt.value, algs)
+    if spec is None:
+        return TrialStats(seed, opt.value, _trials(policy, seq, seed, trials))
+    weights, scale = kernel_weights(seq)
+    algs = _engine.run_single_length_trials(
+        [iv.start for iv in seq],
+        [iv.end for iv in seq],
+        spec,
+        trials,
+        seed,
+        weights=weights,
+    )
+    return TrialStats(seed, opt.value, algs, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +426,41 @@ def run_arb_expectation(
     policy: ArbPolicy, seq: ArrivalSequence, trials: int, seed: int
 ) -> ArbTrialStats:
     """Repeated seeded runs of the classify-by-length wrapper in arrival
-    order; reports mean ALG and the final-length-choice counts."""
+    order; reports mean ALG and the final-length-choice counts.
+
+    No trial is replayed. The wrapper switches only at the first arrival of
+    a new length, to that length, and a switch empties the held set; so a
+    trial that ends on length L holds what the subroutine holds after a run
+    from an empty set over the arrivals of length L in file order. That run
+    is made once per length, through :func:`run_policy`, which validates
+    every action. Trial t then makes only the wrapper's length draws from
+    substream t: over the lengths in first-arrival order, the i-th (i >= 2)
+    takes over when ``randbelow(i) == 0``.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     opt = opt_for(seq)
+    by_length: dict[int, list] = {}
+    for iv in seq:
+        by_length.setdefault(iv.length, []).append(iv)
+    alg_of = {}
+    for length, arrivals in by_length.items():
+        # A single-length run makes no length draw, so the stream is unused.
+        state, _ = run_policy(policy, ArrivalSequence(arrivals), Stream(0), record=False)
+        alg_of[length] = sum((m.weight for m in state.members()), Fraction(0))
+    lengths = list(by_length)
     algs = []
     choices: dict[int, int] = {}
-    for alg, live in _trials(policy, seq, seed, range(trials), permuted=False):
-        algs.append(alg)
-        choices[live.chosen_length] = choices.get(live.chosen_length, 0) + 1
+    for t in range(trials):
+        rng = Stream.for_trial(seed, t)
+        chosen = lengths[0]
+        for i in range(2, len(lengths) + 1):
+            if rng.randbelow(i) == 0:
+                chosen = lengths[i - 1]
+        algs.append(alg_of[chosen])
+        choices[chosen] = choices.get(chosen, 0) + 1
     return ArbTrialStats(
         stats=TrialStats(seed, opt.value, algs),
         length_choices=choices,
-        distinct_lengths=len(seq.lengths()),
+        distinct_lengths=len(lengths),
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Iterable
 
 from . import _engine
@@ -26,6 +25,7 @@ from .core import (
     EmptyInstanceError,
     Interval,
     contains_properly,
+    scaled_weights,
     solution_weight,
     validate_solution,
 )
@@ -110,11 +110,7 @@ def opt_bruteforce(seq: ArrivalSequence) -> OptCertificate:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_LIMIT} intervals, got {n}")
     if n == 0:
         return OptCertificate(frozenset(), Fraction(0), "brute")
-    denom = 1
-    for iv in seq:
-        d = iv.weight.denominator
-        denom = denom // gcd(denom, d) * d
-    scaled = [int(iv.weight * denom) for iv in seq]
+    scaled, _ = scaled_weights(seq)
     starts = [iv.start for iv in seq]
     ends = [iv.end for iv in seq]
     _, mask = _engine.best_subset_scaled(starts, ends, scaled)

@@ -4,10 +4,10 @@ Each mirrors an earlier, simpler version of a fast path in revsel: a held
 set that re-sorts and scans all members on every query, the harness step
 that scans it, the pairwise nesting-depth DP, the restart-loop certificate
 normalization, the charging audit that normalizes during its replay, the
-trial kernel that scans its held set with its own splitmix64 copy, and the
-trial statistics that keep one Fraction per trial. They are quadratic or
-worse, or slow per trial, and exist so that random inputs can be checked
-against them.
+trial kernel that scans its held set with its own splitmix64 copy, the
+trial statistics that keep one Fraction per trial, and the classify-by-length
+trials replayed one decision at a time. They are quadratic or worse, or slow
+per trial, and exist so that random inputs can be checked against them.
 """
 
 from __future__ import annotations
@@ -19,13 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from revsel.algorithms import Action, PolicyState
+from revsel.algorithms import Action, ArbPolicy, PolicyState
 from revsel.core import ArrivalSequence, Interval, conflicts, contains_properly, validate_solution
 from revsel.harness import (
     InfeasibleActionError,
     RunTranscript,
     TranscriptEntry,
+    apply_action,
+    exact_ratio,
     format_value,
+    opt_for,
     replay_actions,
 )
 from revsel.oracle import (
@@ -36,6 +39,7 @@ from revsel.oracle import (
     _charge_direct,
     _check_bounds,
 )
+from revsel.rng import Stream
 
 
 class ScanningPolicyState:
@@ -407,3 +411,28 @@ class ListTrialStats:
                 [t, self.seed, format_value(alg), format_value(self.opt_value), format_value(ratio)]
             )
         return buf.getvalue()
+
+
+def replay_arb_expectation(policy: ArbPolicy, seq: ArrivalSequence, trials: int, seed: int):
+    """Classify-by-length trials replayed one decision at a time: trial t
+    runs a fresh wrapper over the arrivals in file order, drawing from
+    substream t. Returns (stats, length_choices, distinct_lengths)."""
+    opt = opt_for(seq).value
+    algs: list[Fraction] = []
+    choices: dict[int, int] = {}
+    for t in range(trials):
+        live = policy.fresh()
+        rng = Stream.for_trial(seed, t)
+        state, retired = PolicyState(), set()
+        for arrival in seq:
+            apply_action(state, arrival, live.decide(state, arrival, rng), retired)
+        algs.append(sum((m.weight for m in state.members()), Fraction(0)))
+        choices[live.chosen_length] = choices.get(live.chosen_length, 0) + 1
+    stats = ListTrialStats(
+        trials=trials,
+        seed=seed,
+        ratio_samples=[exact_ratio(opt, a) for a in algs],
+        alg_samples=algs,
+        opt_value=opt,
+    )
+    return stats, choices, len(seq.lengths())

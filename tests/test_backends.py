@@ -1,5 +1,6 @@
-"""Compiled engine vs pure-Python fallback: byte-for-byte parity, the
-dispatchers' 64-bit guard, and the loader that builds the C kernel."""
+"""Compiled engine vs pure-Python fallback: byte-for-byte parity, draws
+aimed at the rejection branch, the dispatchers' 64-bit guards, and the
+loader that builds the C kernel."""
 
 import os
 import shlex
@@ -13,15 +14,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import permutation_raw
+from reference import permutation_raw, replay_arb_expectation
 from test_trials import SEEDS, kernel_inputs, kernel_modes
 
 from revsel import _engine
 from revsel._engine import fallback
 from revsel.adversary import gen_random_instance, gen_random_order_bad
-from revsel.algorithms import CallControlPolicy, ThresholdPolicyTables
+from revsel.algorithms import ArbPolicy, CallControlPolicy, ThresholdPolicyTables, make_policy
 from revsel.core import ArrivalSequence, Interval
-from revsel.harness import run_random_order
+from revsel.harness import run_arb_expectation, run_random_order
 from revsel.oracle import opt_bruteforce, opt_unweighted, opt_weighted
 from revsel.rng import Stream, mix64, substream_seed
 
@@ -175,17 +176,21 @@ def _unmix64(z: int) -> int:
     return _unxorshift(z, 30)
 
 
-def _seed_rejecting_first_draw(n: int) -> int:
-    """A seed whose trial 0 first draws 2**64 - (2**64 mod n), the smallest
-    value randbelow(n) rejects. Random seeds hit the rejection branch with
-    probability below n / 2**64, so it has to be aimed at."""
-    state = (_unmix64(2**64 - 2**64 % n) - 0x9E3779B97F4A7C15) & _MASK
-    return _unmix64(state) ^ mix64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _seed_rejecting_draw(n: int, draw: int = 0, substream: int = 0) -> int:
+    """A seed whose substream `substream` makes draw number `draw` (from 0)
+    2**64 - (2**64 mod n), the smallest value randbelow(n) rejects. Random
+    seeds hit the rejection branch with probability below n / 2**64, so it
+    has to be aimed at."""
+    state = (_unmix64(2**64 - 2**64 % n) - (draw + 1) * _GOLDEN) & _MASK
+    return _unmix64(state) ^ mix64((substream + 1) * _GOLDEN)
 
 
 @pytest.mark.parametrize("n", [3, 5, 6, 7, 11, 12])
 def test_rejected_draws_are_skipped(n):
-    seed = _seed_rejecting_first_draw(n)
+    seed = _seed_rejecting_draw(n)
     state = substream_seed(seed, 0)
     assert Stream(state).next_u64() == 2**64 - 2**64 % n
     expected = permutation_raw(n, seed, 0)
@@ -197,6 +202,45 @@ def test_rejected_draws_are_skipped(n):
         assert _engine._impl.run_single_length_trials_raw(*args) == (
             fallback.run_single_length_trials_raw(*args)
         )
+
+
+@pytest.mark.parametrize("k", [3, 5, 6, 7])
+def test_rejected_length_draws_are_skipped(k):
+    """Trial 0 of the classify-by-length wrapper draws randbelow(2), ...,
+    randbelow(k) on substream 0; aim its last draw at the rejection branch."""
+    seed = _seed_rejecting_draw(k, draw=k - 2)
+    stream = Stream(substream_seed(seed, 0))
+    assert [stream.next_u64() for _ in range(k - 1)][-1] == 2**64 - 2**64 % k
+    # k lengths, with repeats and copies between their first arrivals.
+    rows = [(10 * i, 10 * i + 1 + i) for i in range(k)] + [(3, 4), (20, 23), (3, 4)]
+    seq = ArrivalSequence(
+        Interval(i, s, e, Fraction(1 + i % 3)) for i, (s, e) in enumerate(rows)
+    )
+    for subroutine in ("greedy-disjoint", "heavier-replace"):
+        policy = ArbPolicy(subroutine)
+        arb = run_arb_expectation(policy, seq, 4, seed)
+        ref, choices, _ = replay_arb_expectation(policy, seq, 4, seed)
+        assert arb.stats.to_csv() == ref.to_csv()
+        assert arb.length_choices == choices
+
+
+@pytest.mark.parametrize("p", ["1/3", "2/5", "3/7", "5/12"])
+def test_rejected_memoryless_draws_are_skipped(p):
+    """The memoryless mode's first decision draw, on substream 2**32 of
+    trial 0, is aimed at the rejection branch of randbelow(den)."""
+    den = Fraction(p).denominator
+    seed = _seed_rejecting_draw(den, substream=2**32)
+    assert Stream.for_trial(seed, 2**32).next_u64() == 2**64 - 2**64 % den
+    rows = [(0, 4), (2, 6), (5, 9), (1, 3), (8, 12), (0, 12)]
+    seq = ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(rows))
+    python_only = make_policy(f"rand-memoryless:p={p}")
+    spec = python_only.kernel_spec()
+    python_only.kernel_spec = lambda: None
+    expected = run_random_order(python_only, seq, 3, seed).alg_samples
+    starts = [iv.start for iv in seq]
+    ends = [iv.end for iv in seq]
+    for impl in {_engine._impl, fallback}:
+        assert _engine.run_single_length_trials(starts, ends, spec, 3, seed, impl=impl) == expected
 
 
 # -- the dispatchers keep inputs beyond 64 bits away from the kernel ----------
@@ -250,6 +294,46 @@ def test_weight_sums_beyond_64_bits_take_the_fallback():
     seq = ArrivalSequence(Interval(i, 2 * i, 2 * i + 1, Fraction(2**61)) for i in range(5))
     cert = opt_bruteforce(seq)
     assert cert.members == frozenset(range(5)) and cert.value == 5 * 2**61
+    # The trial kernel's held weight would pass 2**63 here.
+    stats = run_random_order(make_policy("never-replace"), seq, 3, seed=1)
+    assert stats.alg_samples == [5 * 2**61] * 3
+
+
+class _RecordingKernel:
+    """Stands in for the active kernel and counts the calls it gets."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def run_single_length_trials_raw(self, *args):
+        self.calls += 1
+        return fallback.run_single_length_trials_raw(*args)
+
+
+def test_trial_guards_on_weight_sums_and_denominators(monkeypatch):
+    top = 2**62
+    starts, ends = [0, 1, 5], [2, 3, 6]
+    cases = [  # (spec, weights, whether the kernel may take it)
+        ({"mode": "always"}, [top - 3, 1, 1], True),
+        ({"mode": "always"}, [top - 2, 1, 1], False),
+        ({"mode": "memoryless", "p": Fraction(1, top - 1)}, [], True),
+        ({"mode": "memoryless", "p": Fraction(1, top)}, [], False),
+    ]
+    active = _engine._impl
+    for spec, weights, kernel in cases:
+        p = spec.get("p", Fraction(0))
+        args = (starts, ends, _engine._MODES[spec["mode"]], [], [], 0, [], [], 0, 20, 5,
+                weights, p.numerator, p.denominator)
+        expected = fallback.run_single_length_trials_raw(*args)
+        if kernel:  # just inside the guards, the active kernel matches
+            assert active.run_single_length_trials_raw(*args) == expected
+        recorder = _RecordingKernel()
+        with monkeypatch.context() as patch:
+            patch.setattr(_engine, "_impl", recorder)
+            assert _engine.run_single_length_trials(
+                starts, ends, spec, 20, 5, weights=weights
+            ) == expected
+        assert recorder.calls == (1 if kernel else 0)
 
 
 # -- the loader ---------------------------------------------------------------
@@ -311,6 +395,24 @@ def test_unwritable_cache_falls_back(tmp_path):
     blocker.write_text("")
     assert _engine._cached_build(str(KERNEL_C), str(blocker / "cache")) is None
     assert os.listdir(tmp_path) == ["not-a-directory"]
+
+
+def test_cli_import_loads_no_pool_and_no_subprocess():
+    """With the kernel cache warm (this process loaded or built it), a fresh
+    interpreter imports revsel.cli without loading the process pool's
+    modules or subprocess, and gets the same backend."""
+    env = dict(os.environ)
+    src = str(Path(_engine.__file__).parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, revsel.cli; print(revsel.BACKEND, *sorted(m for m in "
+        "('concurrent.futures', 'multiprocessing', 'subprocess') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert out.stdout.split() == [_engine.BACKEND]
 
 
 def test_pure_python_environment_forces_fallback():

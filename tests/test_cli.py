@@ -188,11 +188,41 @@ def test_threshold_table_policy_from_file(tmp_path, capsys):
     assert summary["fraction_ratio_ge_2"]
 
 
+def test_threshold_table_with_bool_or_float_is_usage_error(tmp_path, capsys):
+    inst = str(tmp_path / "wide.jsonl")
+    run_cli(
+        capsys, "generate", "random-order-bad-wide",
+        "--alpha", "3", "--gamma", "6", "--m", "4", "--L", "10", "--out", inst,
+    )
+    table = tmp_path / "tables.json"
+    for text in ('{"left_default": true}', '{"left": {"6": 0.7}}', '{"left": {"6.5": 1}}'):
+        table.write_text(text)
+        code, out, err = run_cli(
+            capsys, "bench", f"threshold:{table}", inst, "--trials", "3", "--seed", "1"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: threshold")
+
+
+def test_non_integer_coordinates_are_usage_error(tmp_path, capsys):
+    inst = tmp_path / "floats.jsonl"
+    for record in ('{"id": 1, "start": 0.9, "end": 3}', '{"id": 1, "start": 0, "end": true}',
+                   '{"id": 1.0, "start": 0, "end": 3}'):
+        inst.write_text('{"id": 0, "start": 5, "end": 8}\n' + record + "\n")
+        for argv in (("run", "greedy-subsume", str(inst)), ("verify", str(inst)),
+                     ("bench", "never-replace", str(inst), "--trials", "3", "--seed", "1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE and out == ""
+            assert err.startswith("error: line 2: ") and "JSON integers" in err
+
+
 def test_bench_backends_command(capsys):
     code, out, _ = run_cli(capsys, "bench-backends", "--trials", "100", "--seed", "1")
     assert code == EXIT_OK
     assert "pure-python" in out
-    assert "trials always-replace" in out and "trials call-control" in out
+    for label in ("trials always-replace", "trials call-control ",
+                  "trials call-control weighted", "trials rand-memoryless:p=1/3"):
+        assert label in out
     if _engine.COMPILED:
         assert out.splitlines()[-1] == "outputs identical across backends: True"
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revsel.algorithms import ThresholdPolicyTables
 from revsel.core import (
     ArrivalSequence,
     EmptyInstanceError,
@@ -220,6 +221,48 @@ def test_jsonl_rejects_garbage():
         loads_jsonl('{"id": 0, "start": 1}\n')
     with pytest.raises(ValueError):
         loads_jsonl('{"id": 0, "start": 3, "end": 3}\n')
+
+
+@pytest.mark.parametrize("field", ["id", "start", "end"])
+@pytest.mark.parametrize("value", ["1.0", "0.9", "true", "false", '"1"', "null"])
+def test_jsonl_rejects_non_integer_ids_and_coordinates(field, value):
+    # With the integer 1 in place of `value`, the second record is valid.
+    fields = {"id": "1", "start": "1", "end": "4"}
+    fields[field] = value
+    bad = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    with pytest.raises(ValueError, match=r"^line 2: .*JSON integers"):
+        loads_jsonl('{"id": 0, "start": 5, "end": 8}\n' + bad + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    '{"left": {"3": true}}',
+    '{"left": {"3": 0.7}}',
+    '{"right": {"3": 1.0}}',
+    '{"left_default": true}',
+    '{"right_default": 0.0}',
+    '{"left": {"0.7": 1}}',
+    '{"right": {"x": 1}}',
+    '{"left": {" 3": 1}}',
+    '{"left": [1]}',
+    '[1, 0]',
+])
+def test_threshold_tables_reject_non_integer_keys_and_bits(text):
+    with pytest.raises(ValueError):
+        ThresholdPolicyTables.from_json(text)
+
+
+def test_threshold_tables_read_integer_keys_and_bits():
+    tables = ThresholdPolicyTables.from_json(
+        '{"left": {"6": 0, "-2": 1}, "left_default": 1, "right": {"3": 1}}'
+    )
+    assert tables == ThresholdPolicyTables(
+        left={6: 0, -2: 1}, right={3: 1}, left_default=1, right_default=0
+    )
+
+
+def test_jsonl_integer_fields_stay_exact():
+    (only,) = loads_jsonl('{"id": 0, "start": -9007199254740993, "end": 2}\n')
+    assert only.start == -9007199254740993 and type(only.start) is int
 
 
 def test_jsonl_reader_requires_ids_in_file_order():

@@ -28,7 +28,6 @@ from revsel.harness import (
     InfeasibleActionError,
     exact_ratio,
     format_value,
-    pool_size,
     replay_actions,
     run_adversarial,
     run_arb_expectation,
@@ -204,8 +203,8 @@ def test_parallel_jobs_match_serial():
     serial = run_random_order(policy, seq, 24, seed=8, jobs=1)
     parallel = run_random_order(policy, seq, 24, seed=8, jobs=3)
     assert serial.alg_samples == parallel.alg_samples
-    # Unit weights take the engine kernel, where jobs starts no pool; rational
-    # weights take the Python trial loop and its process pool.
+    # jobs changes nothing: unit and rational weights both take the engine
+    # kernel, in this process.
     weighted = gen_random_instance(15, 2, "rational", 3)
     serial = run_random_order(policy, weighted, 24, seed=8, jobs=1)
     parallel = run_random_order(policy, weighted, 24, seed=8, jobs=3)
@@ -235,13 +234,17 @@ def test_kernel_takes_unit_weights_of_any_length_mix(monkeypatch):
     ]
 
 
-def test_weighted_instances_take_the_python_trial_loop(monkeypatch):
+def test_weighted_instances_take_the_kernel(monkeypatch):
     calls = _spy_on_kernel(monkeypatch)
     weighted = gen_random_instance(12, 3, "rational", 4)
     assert not weighted.is_unweighted()
-    for pid in ("greedy-subsume", "call-control", "always-replace", "never-replace"):
+    pids = ("greedy-subsume", "call-control", "always-replace", "never-replace",
+            "rand-memoryless:p=2/5")
+    for pid in pids:
         run_random_order(make_policy(pid), weighted, 5, seed=1)
-    assert calls == []
+    assert [spec["mode"] for spec in calls] == [
+        "greedy-subsume", "call-control", "always", "never", "memoryless"
+    ]
 
 
 def test_threshold_policy_on_mixed_lengths_still_raises(monkeypatch):
@@ -251,16 +254,6 @@ def test_threshold_policy_on_mixed_lengths_still_raises(monkeypatch):
         with pytest.raises(PolicyDomainError):
             run_random_order(make_policy(pid), seq, 4, seed=1)
     assert calls == []
-
-
-def test_pool_size_never_exceeds_cpus_or_chunks(monkeypatch):
-    monkeypatch.setattr("revsel.harness.os.cpu_count", lambda: 4)
-    assert pool_size(5000, 150) == 4
-    assert pool_size(3, 150) == 3
-    assert pool_size(8, 2) == 2
-    assert pool_size(1, 10) == 1
-    monkeypatch.setattr("revsel.harness.os.cpu_count", lambda: None)
-    assert pool_size(5000, 150) == 1
 
 
 def test_random_order_rejects_nonpositive_jobs():

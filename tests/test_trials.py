@@ -1,7 +1,9 @@
 """The random-order trial path, diffed against the references in
 ``reference.py``: the bisecting kernel against the scanning one, the one
-splitmix64 shuffle against the old private copy, and the histogram-based
-TrialStats against the one that keeps a Fraction per trial."""
+splitmix64 shuffle against the old private copy, the histogram-based
+TrialStats against the one that keeps a Fraction per trial, and the
+classify-by-length reduction against its trials replayed one by one. The
+kernel modes are also diffed against the Python policies they stand for."""
 
 import io
 import math
@@ -10,13 +12,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ListTrialStats, permutation_raw, scanning_single_length_trials_raw
+from reference import (
+    ListTrialStats,
+    permutation_raw,
+    replay_arb_expectation,
+    scanning_single_length_trials_raw,
+)
 
+from revsel import _engine
 from revsel._engine import fallback, run_single_length_trials
 from revsel.adversary import gen_call_control_bad, gen_greedy_bad, gen_random_instance
-from revsel.algorithms import make_policy
+from revsel.algorithms import ARB_SUBROUTINES, ArbPolicy, make_policy
 from revsel.core import ArrivalSequence, Interval
-from revsel.harness import TrialStats, exact_ratio, run_random_order
+from revsel.harness import (
+    TrialStats,
+    exact_ratio,
+    kernel_weights,
+    run_arb_expectation,
+    run_random_order,
+)
 from revsel.rng import Stream, permutation
 
 SEEDS = st.one_of(
@@ -27,9 +41,9 @@ SEEDS = st.one_of(
 
 # Small coordinates make touching endpoints and exact copies common.
 @st.composite
-def kernel_inputs(draw):
+def kernel_inputs(draw, max_lengths=3):
     """(starts, ends) of one length or of several, with copies appended."""
-    lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True))
+    lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=max_lengths, unique=True))
     rows = draw(
         st.lists(st.tuples(st.integers(-4, 20), st.sampled_from(lengths)), min_size=1, max_size=14)
     )
@@ -244,3 +258,81 @@ def test_multi_length_kernel_modes_at_their_boundaries(rows):
     seq = ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(rows))
     # At seed 3, 80 trials include all six orders of three arrivals.
     _assert_paths_agree(seq, 80, seed=3)
+
+
+# -- weighted instances and the memoryless mode -----------------------------------
+
+WEIGHT_VALUES = {
+    "unit": st.just(Fraction(1)),
+    "int": st.builds(Fraction, st.integers(0, 6)),
+    "rational": st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)),
+}
+
+
+@st.composite
+def weighted_instances(draw, max_lengths=3):
+    """An instance from kernel_inputs() with unit, integer or rational
+    weights; copies may carry different weights."""
+    starts, ends = draw(kernel_inputs(max_lengths))
+    values = WEIGHT_VALUES[draw(st.sampled_from(sorted(WEIGHT_VALUES)))]
+    weights = draw(st.lists(values, min_size=len(starts), max_size=len(starts)))
+    return ArrivalSequence(
+        Interval(i, s, e, w) for i, (s, e, w) in enumerate(zip(starts, ends, weights))
+    )
+
+
+MEMORYLESS_POLICIES = tuple(f"rand-memoryless:p={p}" for p in ("0", "1", "1/2", "1/3", "5/7"))
+
+
+def _assert_kernel_matches_python_policies(seq, trials, seed):
+    """Every kernel-mode policy, through the harness and on both backends,
+    matches the policy replayed in Python; the kernel's raw sums are the
+    exact ALG times the weights' scale."""
+    starts = [iv.start for iv in seq]
+    ends = [iv.end for iv in seq]
+    weights, scale = kernel_weights(seq)
+    pids = MULTI_LENGTH_POLICIES + MEMORYLESS_POLICIES
+    if seq.is_single_length():
+        pids += ("one-dir-left", "one-dir-right")
+    for pid in pids:
+        expected = run_random_order(_python_path(pid), seq, trials, seed).alg_samples
+        assert run_random_order(make_policy(pid), seq, trials, seed).alg_samples == expected
+        spec = make_policy(pid).kernel_spec()
+        for impl in {_engine._impl, fallback}:
+            raw = run_single_length_trials(
+                starts, ends, spec, trials, seed, impl=impl, weights=weights
+            )
+            assert raw == [alg * scale for alg in expected]
+
+
+@given(weighted_instances(), st.integers(1, 10), SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_memoryless_and_weighted_kernel_trials_match_python_policies(seq, trials, seed):
+    _assert_kernel_matches_python_policies(seq, trials, seed)
+
+
+def test_weighted_kernel_trials_on_generated_instances():
+    for seed in range(4):
+        for mode in ("int", "rational"):
+            seq = gen_random_instance(25, 3, mode, seed)
+            _assert_kernel_matches_python_policies(seq, 15, seed)
+
+
+# -- the classify-by-length reduction ---------------------------------------------
+
+
+@given(
+    weighted_instances(max_lengths=5),
+    st.sampled_from(sorted(ARB_SUBROUTINES)),
+    st.integers(1, 30),
+    SEEDS,
+)
+@settings(max_examples=300, deadline=None)
+def test_arb_expectation_matches_trial_replay(seq, subroutine, trials, seed):
+    policy = ArbPolicy(subroutine)
+    arb = run_arb_expectation(policy, seq, trials, seed)
+    ref, choices, distinct = replay_arb_expectation(policy, seq, trials, seed)
+    assert arb.stats.to_csv() == ref.to_csv()
+    assert list(arb.length_choices.items()) == list(choices.items())
+    assert arb.distinct_lengths == distinct
+    assert arb.stats.mean_alg == ref.mean_alg
