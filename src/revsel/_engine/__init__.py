@@ -1,4 +1,5 @@
-"""Hot-loop engine with a compiled core and a pure-Python twin.
+"""Hot-loop engine: the compiled kernel, and a pure-Python twin of its
+subset search.
 
 The compiled kernel, ``_kernel.c``, is one CPython C-API module that
 implements the permutation-trial loop and the exhaustive subset search. The
@@ -7,22 +8,24 @@ threshold tables (which include one-directional replacement),
 always-replace, never-replace, greedy-subsume, call-control and the
 constant-probability memoryless policy; all but the first take intervals of
 any lengths. A trial returns its final held count, or with integer weights
-its held weight. The fallback implements the identical bit-level algorithms
-in pure Python, in lockstep with the C source: both find a trial's conflicts
-by bisection in a start-sorted held set and draw with :mod:`revsel.rng`'s
-splitmix64. Outputs are byte-for-byte equal, which the test suite asserts.
+its held weight. The trial loop has no Python twin: where the kernel cannot
+run, :func:`run_single_length_trials` returns None and the harness replays
+the trials through the policies themselves (``harness._trials``), which
+give the same bits more slowly. The subset search has a twin in
+:mod:`.fallback`.
 
 Selection happens once at import: the module ``setup.py`` installed, else a
 build cached in this package's ``__pycache__`` (named by a checksum of the C
 source, so an edit rebuilds it and a new build deletes the old ones), else a
 fresh build into that cache with the compiler Python was built with, else
-the fallback, silently. Only a build loads :mod:`subprocess`, so a cache hit
-imports nothing it does not need. Set ``REVSEL_PURE_PYTHON=1`` to force the
-fallback.
+no kernel, silently. Only a build loads :mod:`subprocess`, so a cache hit
+imports nothing it does not need. Set ``REVSEL_PURE_PYTHON=1`` to load no
+kernel.
 
-The dispatchers send inputs the kernel's 64-bit arithmetic cannot hold
-(coordinates or table keys at +-2**62 or beyond, weights summing to 2**62
-or more, an acceptance denominator of 2**62 or more) to the fallback.
+Inputs the kernel's 64-bit arithmetic cannot hold (coordinates or table
+keys at +-2**62 or beyond, weights summing to 2**62 or more, an acceptance
+denominator of 2**62 or more) go to the policy replay or the fallback
+subset search.
 """
 
 from __future__ import annotations
@@ -157,25 +160,26 @@ def _tables(spec: dict):
     )
 
 
-def run_single_length_trials(starts, ends, spec: dict, trials: int, seed: int, impl=None,
-                             weights=()):
+def run_single_length_trials(starts, ends, spec: dict, trials: int, seed: int, weights=()):
     """ALG per permutation trial of a kernel-mode policy: the final held
     count, or with `weights` (one integer per arrival; empty means unit
-    weights) the final held weight. Every mode but "threshold" takes any mix
-    of lengths; the name dates from when all modes were single-length."""
+    weights) the final held weight. None when no kernel is loaded or the
+    inputs fall outside the kernel's 64-bit guard; the caller then replays
+    the policy. Every mode but "threshold" takes any mix of lengths; the
+    name dates from when all modes were single-length."""
     mode = _MODES[spec["mode"]]
     flk, flv, fld, frk, frv, frd = _tables(spec)
     p = spec.get("p")  # the memoryless mode's acceptance probability
     num, den = (p.numerator, p.denominator) if p is not None else (0, 1)
     starts, ends, weights = list(starts), list(ends), list(weights)
-    if impl is None:
-        fits = (
-            _fits(starts, ends, flk, frk)
-            and den < _LIMIT
-            and sum(map(abs, weights)) < _LIMIT
-        )
-        impl = _impl if fits else fallback
-    return impl.run_single_length_trials_raw(
+    fits = (
+        _fits(starts, ends, flk, frk)
+        and den < _LIMIT
+        and sum(map(abs, weights)) < _LIMIT
+    )
+    if _impl is fallback or not fits:
+        return None
+    return _impl.run_single_length_trials_raw(
         starts, ends, mode, flk, flv, fld, frk, frv, frd, trials, seed, weights, num, den
     )
 

@@ -1,12 +1,14 @@
 /* Compiled engine: permutation-trial loop and exhaustive subset search.
  *
- * A CPython module that gcc alone builds. Every function matches its twin in
- * revsel._engine.fallback bit for bit (same splitmix64 stream, same rejection
- * sampling, same Fisher-Yates order, same bisections, same enumeration
- * order); keep the two in lockstep. Coordinates, weights and the acceptance
- * fraction are read as 64-bit integers, and an int that does not fit raises
- * OverflowError: the dispatchers in revsel._engine send such inputs to the
- * fallback.
+ * A CPython module that gcc alone builds. The trial loop matches the Python
+ * policies it stands for (revsel.algorithms, replayed by harness._trials)
+ * bit for bit: the permutation is revsel.rng's shuffle (same splitmix64
+ * stream, same rejection sampling, same Fisher-Yates order) and the
+ * memoryless draws are the policy's. The subset search matches its twin in
+ * revsel._engine.fallback (same enumeration order); keep those two in
+ * lockstep. Coordinates, weights and the acceptance fraction are read as
+ * 64-bit integers, and an int that does not fit raises OverflowError: the
+ * dispatchers in revsel._engine keep such inputs away from this module.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -457,7 +459,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Compiled twin of revsel._engine.fallback.",
+    .m_doc = "Compiled trial loop and subset search of revsel._engine.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .algorithms import Policy, PolicyState
 from .core import ArrivalSequence, Interval, validate_solution
-from .harness import RunTranscript, TranscriptEntry, apply_action, exact_ratio
+from .harness import RunTranscript, TranscriptEntry, apply_action, exact_ratio, run_policy
 from .rng import Stream
 
 
@@ -396,22 +396,15 @@ def _probe_branch(policy: Policy, history: list[Interval], lo: int, L: int, v: i
     Deterministic policies are fully predictable from their code, so the
     adversary may legitimately rehearse before committing real positions.
     """
-    probe = policy.fresh()
-    state = PolicyState()
-    retired: set[int] = set()
-    next_id = 0
-    for iv in history:
-        action = probe.decide(state, iv, None)
-        apply_action(state, iv, action, retired)
-        next_id = iv.id + 1
+    next_id = history[-1].id + 1 if history else 0
     p1 = Interval(next_id, lo, lo + L)
-    apply_action(state, p1, probe.decide(state, p1, None), retired)
-    held_p1 = p1.id in state
     p2 = Interval(next_id + 1, lo + (L - v), lo + (2 * L - v))
-    apply_action(state, p2, probe.decide(state, p2, None), retired)
+    state, _ = run_policy(policy, ArrivalSequence([*history, p1, p2]), record=False)
     if p2.id in state:
         return "right"
-    if held_p1 and p1.id in state:
+    # A rejected or displaced p1 is retired, so it is held now only if it
+    # was held when p2 arrived.
+    if p1.id in state:
         return "left"
     return "no-take"
 

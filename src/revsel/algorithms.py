@@ -116,9 +116,6 @@ class PolicyState:
         hi = bisect_left(self._starts, arrival.end, lo)
         return tuple(self._members[lo:hi])
 
-    def copy(self) -> "PolicyState":
-        return PolicyState(self._members)
-
     # Mutation is reserved for the harness and replays of its transcripts.
     def _add(self, iv: Interval) -> None:
         if iv.id in self._by_id:

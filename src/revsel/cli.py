@@ -3,7 +3,7 @@
 Subcommands: generate nemesis or random instances, run a policy over an
 instance file, duel a policy against the adaptive adversary, benchmark under
 random-order trials, verify the charge accounting of a greedy-subsume run,
-and compare the compiled engine against the pure-Python fallback.
+and compare the compiled engine against the pure-Python paths.
 
 Every command is deterministic given its flags; wherever randomness is
 consumed a --seed is mandatory. Exit codes: 0 success, 1 usage error,
@@ -222,7 +222,7 @@ def _cmd_bench(args) -> int:
             "length_choices": {str(l): c for l, c in sorted(arb.length_choices.items())},
         }
     else:
-        stats = run_random_order(policy, seq, args.trials, args.seed, jobs=args.jobs)
+        stats = run_random_order(policy, seq, args.trials, args.seed)
         summary = {
             "policy": policy.name,
             "trials": args.trials,
@@ -274,13 +274,15 @@ def _cmd_verify(args) -> int:
 
 def _build_bench_backends(sub):
     p = sub.add_parser("bench-backends",
-                       help="compare the compiled engine to the pure-Python fallback")
+                       help="time the compiled kernels against the pure-Python paths "
+                            "(policy replay and subset search) and diff their outputs")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=1)
 
 
 def _cmd_bench_backends(args) -> int:
     from ._engine import fallback
+    from .harness import _trials
 
     # Always-replace on a copy-flooded single-length instance, call-control
     # on a multi-length unit one and on a rational one, and the memoryless
@@ -293,25 +295,29 @@ def _cmd_bench_backends(args) -> int:
         ("rand-memoryless:p=1/3", multi),
     ]
 
+    # Pure-Python trials replay the policy; the compiled kernel's raw sums
+    # are compared as exact ALG values.
     rows = []
+    results = {}
+    for pid, seq in trial_cases:
+        policy = make_policy(pid)
+        weights, scale = kernel_weights(seq)
+        label = f"trials {pid}" + (" weighted" if weights else "")
+        t0 = time.perf_counter()
+        results.setdefault("pure-python", []).append(_trials(policy, seq, args.seed, args.trials))
+        rows.append(("pure-python", label, time.perf_counter() - t0, args.trials))
+        if _engine.COMPILED:
+            t0 = time.perf_counter()
+            raw = _engine.run_single_length_trials(
+                [iv.start for iv in seq], [iv.end for iv in seq], policy.kernel_spec(),
+                args.trials, args.seed, weights,
+            )
+            rows.append(("compiled", label, time.perf_counter() - t0, args.trials))
+            results.setdefault("compiled", []).append([Fraction(r, scale) for r in raw])
+
     impls = [("pure-python", fallback)]
     if _engine.COMPILED:
         impls.append(("compiled", _engine._impl))
-    results = {}
-    for policy, seq in trial_cases:
-        starts = [iv.start for iv in seq]
-        ends = [iv.end for iv in seq]
-        spec = make_policy(policy).kernel_spec()
-        weights, _ = kernel_weights(seq)
-        label = f"trials {policy}" + (" weighted" if weights else "")
-        for name, impl in impls:
-            t0 = time.perf_counter()
-            res = _engine.run_single_length_trials(
-                starts, ends, spec, args.trials, args.seed, impl=impl, weights=weights
-            )
-            dt = time.perf_counter() - t0
-            results.setdefault(name, []).append(res)
-            rows.append((name, label, dt, args.trials / dt))
 
     brute = adversary.gen_random_instance(15, 4, "int", args.seed)
     bs = [iv.start for iv in brute]
@@ -323,13 +329,12 @@ def _cmd_bench_backends(args) -> int:
         reps = 50
         for _ in range(reps):
             out = _engine.best_subset_scaled(bs, be, bw, impl=impl)
-        dt = time.perf_counter() - t0
         brute_results[name] = out
-        rows.append((name, "subset-search", dt, reps / dt))
+        rows.append((name, "subset-search", time.perf_counter() - t0, reps))
 
     print(f"{'backend':<14}{'kernel':<32}{'seconds':>10}{'ops/s':>14}")
-    for name, op, dt, rate in rows:
-        print(f"{name:<14}{op:<32}{dt:>10.4f}{rate:>14.1f}")
+    for name, op, dt, ops in rows:
+        print(f"{name:<14}{op:<32}{dt:>10.4f}{ops / dt:>14.1f}")
     if _engine.COMPILED:
         same = results["compiled"] == results["pure-python"] and (
             brute_results["compiled"] == brute_results["pure-python"]

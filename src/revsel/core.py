@@ -141,9 +141,6 @@ class ArrivalSequence(Sequence[Interval]):
         """Same intervals, re-ordered by positional indices `order`."""
         return ArrivalSequence(self._intervals[i] for i in order)
 
-    def total_weight(self) -> Fraction:
-        return sum((iv.weight for iv in self._intervals), Fraction(0))
-
 
 @dataclass(frozen=True)
 class InstanceStats:

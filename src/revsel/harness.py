@@ -8,10 +8,12 @@ infinity sentinel rather than a division error.
 
 Random-order trials draw their permutations from per-trial substreams, so
 growing the trial count never changes earlier trials. Every built-in policy
-runs its trials in the engine kernel (:mod:`revsel._engine`), and the
+runs its trials in the compiled engine kernel (:mod:`revsel._engine`) when
+one is loaded and the inputs fit its 64-bit guard, and the
 classify-by-length wrapper needs no trial replay at all (see
-:func:`run_arb_expectation`); only library policies without a kernel spec
-replay each trial through :func:`run_policy`.
+:func:`run_arb_expectation`). Everything else, including every policy when
+no kernel is loaded, replays each trial through :func:`run_policy` in
+:func:`_trials`, the one Python trial loop; both give the same bits.
 """
 
 from __future__ import annotations
@@ -296,11 +298,10 @@ class TrialStats:
 
 
 def _trials(policy: Policy, seq: ArrivalSequence, seed: int, trials: int) -> list[Fraction]:
-    """The Python trial loop, for policies with no kernel spec (library
-    ones such as FunctionMemorylessPolicy): ALG of a fresh run per trial t,
-    playing the arrivals in ``permutation(n, seed, t)`` order and drawing
-    decisions from substream 2**32 + t, clear of the permutation substreams.
-    The engine kernel plays the same draws."""
+    """The Python trial loop: ALG of a fresh run per trial t, playing the
+    arrivals in ``permutation(n, seed, t)`` order and drawing decisions from
+    substream 2**32 + t, clear of the permutation substreams. The engine
+    kernel plays the same draws and stands for this loop where it can."""
     algs = []
     for t in range(trials):
         order = seq.permuted(permutation(len(seq), seed, t))
@@ -334,33 +335,30 @@ def run_random_order(
     seq: ArrivalSequence,
     trials: int,
     seed: int,
-    jobs: int = 1,
 ) -> TrialStats:
     """Uniformly permute the arrivals per trial (seeded) and aggregate exact
     ratios. Policies with a kernel spec run through the engine kernel
-    (threshold tables on single-length instances only); the rest replay
-    each trial in Python. `jobs` must be at least 1 and changes nothing:
-    every path runs in this process."""
+    (threshold tables on single-length instances only) when it can take the
+    inputs; the rest replay each trial in Python."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     if len(seq) == 0:
         raise EmptyInstanceError("cannot benchmark an empty instance")
     opt = opt_for(seq)
     spec = _kernel_eligible(policy, seq)
-    if spec is None:
-        return TrialStats(seed, opt.value, _trials(policy, seq, seed, trials))
-    weights, scale = kernel_weights(seq)
-    algs = _engine.run_single_length_trials(
-        [iv.start for iv in seq],
-        [iv.end for iv in seq],
-        spec,
-        trials,
-        seed,
-        weights=weights,
-    )
-    return TrialStats(seed, opt.value, algs, scale)
+    if spec is not None:
+        weights, scale = kernel_weights(seq)
+        algs = _engine.run_single_length_trials(
+            [iv.start for iv in seq],
+            [iv.end for iv in seq],
+            spec,
+            trials,
+            seed,
+            weights=weights,
+        )
+        if algs is not None:
+            return TrialStats(seed, opt.value, algs, scale)
+    return TrialStats(seed, opt.value, _trials(policy, seq, seed, trials))
 
 
 # ---------------------------------------------------------------------------

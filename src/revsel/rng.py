@@ -3,9 +3,9 @@
 Everything random in this package flows through a splitmix64 generator with
 explicitly derived substreams: trial t of a run seeded with s always consumes
 the same draws, no matter how many other trials run or in which order. This
-module holds the package's only splitmix64 code; the pure-Python engine
-shuffles through :func:`_shuffle` here, and the compiled engine implements
-the identical bit-level algorithm, so results are byte-for-byte equal across
+module holds the package's only splitmix64 code; Python trials shuffle
+through :func:`permutation` here, and the compiled engine implements the
+identical bit-level algorithm, so results are byte-for-byte equal across
 backends.
 
 No floats are produced here. Bounded draws use rejection sampling, which keeps
@@ -39,7 +39,7 @@ def _shuffle(items: list, state: int) -> int:
 
     Draw for draw this is ``Stream(state).shuffle(items)``: each swap takes
     ``randbelow(i + 1)``, a rejection-sampled step of the stream. The step is
-    written out inline because the trial kernel calls this once per trial.
+    written out inline because every Python trial calls this once.
     """
     for i in range(len(items) - 1, 0, -1):
         bound = i + 1

@@ -1,6 +1,8 @@
-"""Compiled engine vs pure-Python fallback: byte-for-byte parity, draws
-aimed at the rejection branch, the dispatchers' 64-bit guards, and the
-loader that builds the C kernel."""
+"""Compiled engine vs the pure-Python paths it stands for: the trial kernel
+against the policies replayed by ``harness._trials``, the permutation
+against ``rng.permutation``, the subset search against its fallback twin.
+Also draws aimed at the rejection branch, the dispatchers' 64-bit guards,
+and the loader that builds the C kernel."""
 
 import os
 import shlex
@@ -15,16 +17,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import permutation_raw, replay_arb_expectation
-from test_trials import SEEDS, kernel_inputs, kernel_modes
+from test_trials import SEEDS, kernel_inputs, kernel_modes, mode_policy
 
 from revsel import _engine
 from revsel._engine import fallback
 from revsel.adversary import gen_random_instance, gen_random_order_bad
-from revsel.algorithms import ArbPolicy, CallControlPolicy, ThresholdPolicyTables, make_policy
-from revsel.core import ArrivalSequence, Interval
-from revsel.harness import run_arb_expectation, run_random_order
+from revsel.algorithms import (
+    AlwaysReplacePolicy,
+    ArbPolicy,
+    CallControlPolicy,
+    NeverReplacePolicy,
+    ThresholdPolicy,
+    ThresholdPolicyTables,
+    make_policy,
+)
+from revsel.cli import main
+from revsel.core import ArrivalSequence, Interval, write_jsonl
+from revsel.harness import _trials, kernel_weights, run_arb_expectation, run_random_order
 from revsel.oracle import opt_bruteforce, opt_unweighted, opt_weighted
-from revsel.rng import Stream, mix64, substream_seed
+from revsel.rng import Stream, mix64, permutation, substream_seed
 
 compiled = pytest.mark.skipif(
     not _engine.COMPILED, reason="compiled engine not built"
@@ -37,7 +48,7 @@ needs_cc = pytest.mark.skipif(shutil.which(CC[0]) is None, reason="no C compiler
 def test_fallback_permutations_match_rng_streams():
     for seed in (0, 1, 99, 2**63):
         for trial in (0, 1, 7):
-            assert fallback.permutation_raw(20, seed, trial) == permutation_raw(20, seed, trial)
+            assert permutation(20, seed, trial) == permutation_raw(20, seed, trial)
 
 
 def test_fallback_randbelow_is_uniform_enough():
@@ -54,53 +65,40 @@ def test_permutation_parity():
         for trial in (0, 5, 101):
             for n in (1, 2, 17, 64):
                 assert _engine._impl.permutation_raw(n, seed, trial) == (
-                    fallback.permutation_raw(n, seed, trial)
+                    permutation(n, seed, trial)
                 )
 
 
-def _spec_variants():
-    yield {"mode": "always"}
-    yield {"mode": "never"}
-    yield {
-        "mode": "threshold",
-        "tables": ThresholdPolicyTables(left_default=1, right_default=0),
-    }
-    yield {
-        "mode": "threshold",
-        "tables": ThresholdPolicyTables(left={3: 1, 6: 0}, right={4: 1}, left_default=0),
-    }
+def _policy_variants():
+    yield AlwaysReplacePolicy()
+    yield NeverReplacePolicy()
+    yield ThresholdPolicy(ThresholdPolicyTables(left_default=1, right_default=0))
+    yield ThresholdPolicy(ThresholdPolicyTables(left={3: 1, 6: 0}, right={4: 1}, left_default=0))
+
+
+def _kernel_trials(policy, seq, trials, seed):
+    """The dispatcher's raw ALG values for `policy` on `seq`."""
+    weights, _ = kernel_weights(seq)
+    return _engine.run_single_length_trials(
+        [iv.start for iv in seq], [iv.end for iv in seq], policy.kernel_spec(), trials, seed,
+        weights=weights,
+    )
 
 
 @compiled
 def test_trial_loop_parity_across_policies_and_seeds():
     seq = gen_random_order_bad(3, 4, 40, 10)
-    starts = [iv.start for iv in seq]
-    ends = [iv.end for iv in seq]
-    for spec in _spec_variants():
+    for policy in _policy_variants():
         for seed in (1, 77):
-            fast = _engine.run_single_length_trials(
-                starts, ends, spec, 150, seed, impl=_engine._impl
-            )
-            slow = _engine.run_single_length_trials(
-                starts, ends, spec, 150, seed, impl=fallback
-            )
-            assert fast == slow
+            assert _kernel_trials(policy, seq, 150, seed) == _trials(policy, seq, seed, 150)
 
 
 @compiled
 def test_trial_loop_parity_on_dense_single_length_instances():
     for seed in range(8):
         seq = gen_random_instance(30, 1, "unit", seed)
-        starts = [iv.start for iv in seq]
-        ends = [iv.end for iv in seq]
-        for spec in _spec_variants():
-            fast = _engine.run_single_length_trials(
-                starts, ends, spec, 100, seed, impl=_engine._impl
-            )
-            slow = _engine.run_single_length_trials(
-                starts, ends, spec, 100, seed, impl=fallback
-            )
-            assert fast == slow
+        for policy in _policy_variants():
+            assert _kernel_trials(policy, seq, 100, seed) == _trials(policy, seq, seed, 100)
 
 
 @compiled
@@ -124,17 +122,21 @@ def test_subset_search_agrees_with_oracles_regardless_of_backend():
         assert opt_bruteforce(inst).value == opt_weighted(inst).value
 
 
-# -- randomized diffs of the compiled kernel against the fallback -------------
+# -- randomized diffs of the compiled kernel against the pure-Python paths -----
 
 
 @compiled
-@given(st.one_of(kernel_inputs(), st.just(([], []))), kernel_modes(4), st.integers(0, 25), SEEDS)
+@given(st.data(), kernel_modes(4), st.integers(0, 25), SEEDS)
 @settings(max_examples=500, deadline=None)
-def test_kernel_trials_match_fallback(intervals, modes, trials, seed):
-    starts, ends = intervals
-    args = (starts, ends, *modes, trials, seed)
-    assert _engine._impl.run_single_length_trials_raw(*args) == (
-        fallback.run_single_length_trials_raw(*args)
+def test_kernel_trials_match_fallback(data, modes, trials, seed):
+    """The raw kernel in modes 0-4 against the policy replayed in Python.
+    Threshold tables (mode 0) are defined on single-length instances only."""
+    starts, ends = data.draw(
+        st.one_of(kernel_inputs(1 if modes[0] == 0 else 3), st.just(([], [])))
+    )
+    seq = ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(zip(starts, ends)))
+    assert _engine._impl.run_single_length_trials_raw(starts, ends, *modes, trials, seed) == (
+        _trials(mode_policy(*modes), seq, seed, trials)
     )
 
 
@@ -142,7 +144,7 @@ def test_kernel_trials_match_fallback(intervals, modes, trials, seed):
 @given(st.integers(0, 70), SEEDS, SEEDS)
 @settings(max_examples=300, deadline=None)
 def test_kernel_permutation_matches_fallback(n, seed, trial):
-    assert _engine._impl.permutation_raw(n, seed, trial) == fallback.permutation_raw(n, seed, trial)
+    assert _engine._impl.permutation_raw(n, seed, trial) == permutation(n, seed, trial)
 
 
 @compiled
@@ -194,14 +196,12 @@ def test_rejected_draws_are_skipped(n):
     state = substream_seed(seed, 0)
     assert Stream(state).next_u64() == 2**64 - 2**64 % n
     expected = permutation_raw(n, seed, 0)
-    assert fallback.permutation_raw(n, seed, 0) == expected
-    starts = [3 * i for i in range(n)]
-    args = (starts, [s + 4 for s in starts], 1, [], [], 0, [], [], 0, 1, seed)
+    assert permutation(n, seed, 0) == expected
+    seq = ArrivalSequence(Interval(i, 3 * i, 3 * i + 4) for i in range(n))
     if _engine.COMPILED:
         assert _engine._impl.permutation_raw(n, seed, 0) == expected
-        assert _engine._impl.run_single_length_trials_raw(*args) == (
-            fallback.run_single_length_trials_raw(*args)
-        )
+        policy = AlwaysReplacePolicy()
+        assert _kernel_trials(policy, seq, 1, seed) == _trials(policy, seq, seed, 1)
 
 
 @pytest.mark.parametrize("k", [3, 5, 6, 7])
@@ -233,14 +233,10 @@ def test_rejected_memoryless_draws_are_skipped(p):
     assert Stream.for_trial(seed, 2**32).next_u64() == 2**64 - 2**64 % den
     rows = [(0, 4), (2, 6), (5, 9), (1, 3), (8, 12), (0, 12)]
     seq = ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(rows))
-    python_only = make_policy(f"rand-memoryless:p={p}")
-    spec = python_only.kernel_spec()
-    python_only.kernel_spec = lambda: None
-    expected = run_random_order(python_only, seq, 3, seed).alg_samples
-    starts = [iv.start for iv in seq]
-    ends = [iv.end for iv in seq]
-    for impl in {_engine._impl, fallback}:
-        assert _engine.run_single_length_trials(starts, ends, spec, 3, seed, impl=impl) == expected
+    policy = make_policy(f"rand-memoryless:p={p}")
+    expected = _trials(policy, seq, seed, 3)
+    assert _kernel_trials(policy, seq, 3, seed) == (expected if _engine.COMPILED else None)
+    assert run_random_order(policy, seq, 3, seed).alg_samples == expected
 
 
 # -- the dispatchers keep inputs beyond 64 bits away from the kernel ----------
@@ -258,11 +254,12 @@ def test_coordinates_beyond_64_bits_take_the_fallback(monkeypatch):
     with pytest.raises(OverflowError):
         _engine._impl.best_subset_scaled(starts, ends, [1] * len(seq))
     compiled_cert = opt_bruteforce(seq)
-    trials = _engine.run_single_length_trials(starts, ends, {"mode": "always"}, 40, 3)
+    policy = AlwaysReplacePolicy()
+    assert _kernel_trials(policy, seq, 40, 3) is None
+    assert run_random_order(policy, seq, 40, 3).alg_samples == _trials(policy, seq, 3, 40)
     monkeypatch.setattr(_engine, "_impl", fallback)
     assert opt_bruteforce(seq) == compiled_cert
     assert compiled_cert.value == opt_weighted(seq).value
-    assert _engine.run_single_length_trials(starts, ends, {"mode": "always"}, 40, 3) == trials
 
 
 def test_call_control_near_the_64_bit_guard():
@@ -277,16 +274,10 @@ def test_call_control_near_the_64_bit_guard():
         (-top + 1, -top + 3),
     ]
     seq = ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(rows))
-    starts = [iv.start for iv in seq]
-    ends = [iv.end for iv in seq]
-    python_only = CallControlPolicy()
-    python_only.kernel_spec = lambda: None
-    expected = run_random_order(python_only, seq, 200, seed=7).alg_samples
-    for impl in {_engine._impl, fallback}:
-        assert _engine.run_single_length_trials(
-            starts, ends, {"mode": "call-control"}, 200, 7, impl=impl
-        ) == expected
-    assert run_random_order(CallControlPolicy(), seq, 200, seed=7).alg_samples == expected
+    policy = CallControlPolicy()
+    expected = _trials(policy, seq, 7, 200)
+    assert _kernel_trials(policy, seq, 200, 7) == (expected if _engine.COMPILED else None)
+    assert run_random_order(policy, seq, 200, seed=7).alg_samples == expected
 
 
 @compiled
@@ -300,40 +291,78 @@ def test_weight_sums_beyond_64_bits_take_the_fallback():
 
 
 class _RecordingKernel:
-    """Stands in for the active kernel and counts the calls it gets."""
+    """Stands in for a loaded kernel: counts the calls it gets and answers
+    each with `result`."""
 
-    def __init__(self):
+    def __init__(self, result):
         self.calls = 0
+        self.result = result
 
     def run_single_length_trials_raw(self, *args):
         self.calls += 1
-        return fallback.run_single_length_trials_raw(*args)
+        return self.result
 
 
 def test_trial_guards_on_weight_sums_and_denominators(monkeypatch):
     top = 2**62
-    starts, ends = [0, 1, 5], [2, 3, 6]
-    cases = [  # (spec, weights, whether the kernel may take it)
-        ({"mode": "always"}, [top - 3, 1, 1], True),
-        ({"mode": "always"}, [top - 2, 1, 1], False),
-        ({"mode": "memoryless", "p": Fraction(1, top - 1)}, [], True),
-        ({"mode": "memoryless", "p": Fraction(1, top)}, [], False),
+    rows = [(0, 2), (1, 3), (5, 6)]
+    cases = [  # (policy, weights, whether the kernel may take it)
+        (AlwaysReplacePolicy(), [top - 3, 1, 1], True),
+        (AlwaysReplacePolicy(), [top - 2, 1, 1], False),
+        (make_policy(f"rand-memoryless:p=1/{top - 1}"), [1, 1, 1], True),
+        (make_policy(f"rand-memoryless:p=1/{top}"), [1, 1, 1], False),
     ]
-    active = _engine._impl
-    for spec, weights, kernel in cases:
-        p = spec.get("p", Fraction(0))
-        args = (starts, ends, _engine._MODES[spec["mode"]], [], [], 0, [], [], 0, 20, 5,
-                weights, p.numerator, p.denominator)
-        expected = fallback.run_single_length_trials_raw(*args)
-        if kernel:  # just inside the guards, the active kernel matches
-            assert active.run_single_length_trials_raw(*args) == expected
-        recorder = _RecordingKernel()
+    for policy, weights, kernel in cases:
+        seq = ArrivalSequence(
+            Interval(i, s, e, Fraction(w)) for i, ((s, e), w) in enumerate(zip(rows, weights))
+        )
+        expected = _trials(policy, seq, 5, 20)
+        assert run_random_order(policy, seq, 20, 5).alg_samples == expected
+        if kernel and _engine.COMPILED:  # just inside the guards, the kernel matches
+            assert _kernel_trials(policy, seq, 20, 5) == expected
+        recorder = _RecordingKernel(expected)
         with monkeypatch.context() as patch:
             patch.setattr(_engine, "_impl", recorder)
-            assert _engine.run_single_length_trials(
-                starts, ends, spec, 20, 5, weights=weights
-            ) == expected
+            assert _kernel_trials(policy, seq, 20, 5) == (expected if kernel else None)
         assert recorder.calls == (1 if kernel else 0)
+
+
+# -- whole commands on both backends ------------------------------------------
+
+
+def _shifted(seq, offset):
+    return ArrivalSequence(
+        Interval(iv.id, iv.start + offset, iv.end + offset, iv.weight) for iv in seq
+    )
+
+
+@compiled
+def test_bench_bytes_match_across_backends(tmp_path, capsys):
+    """`revsel bench` writes the same CSV and summary bytes under
+    REVSEL_PURE_PYTHON=1, where every trial replays the policy, as in this
+    process, where the compiled kernel runs them."""
+    flood = gen_random_order_bad(3, 4, 60, 10)
+    cases = [  # (policy, instance); the last one lies beyond the kernel's guard
+        ("always-replace", flood),
+        ("call-control", gen_random_instance(40, 3, "rational", 5)),
+        ("rand-memoryless:p=1/3", gen_random_instance(40, 3, "unit", 5)),
+        ("one-dir-left", flood),
+        ("call-control", _shifted(gen_random_instance(30, 3, "int", 6), 2**63)),
+    ]
+    env = dict(os.environ, REVSEL_PURE_PYTHON="1")
+    src = str(Path(_engine.__file__).parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for i, (policy, seq) in enumerate(cases):
+        instance = tmp_path / f"case{i}.jsonl"
+        write_jsonl(seq, instance)
+        argv = ["bench", policy, str(instance), "--trials", "40", "--seed", "3"]
+        pure = subprocess.run(
+            [sys.executable, "-m", "revsel.cli", *argv, "--out", str(tmp_path / "pure.csv")],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert main([*argv, "--out", str(tmp_path / "compiled.csv")]) == 0
+        assert capsys.readouterr().err == pure.stderr
+        assert (tmp_path / "compiled.csv").read_bytes() == (tmp_path / "pure.csv").read_bytes()
 
 
 # -- the loader ---------------------------------------------------------------
@@ -344,7 +373,7 @@ def test_cache_hit_runs_no_compiler(tmp_path, monkeypatch):
     source, cache = tmp_path / "_kernel.c", tmp_path / "cache"
     shutil.copy(KERNEL_C, source)
     built = _engine._cached_build(str(source), str(cache))
-    assert built is not None and built.permutation_raw(9, 1, 2) == fallback.permutation_raw(9, 1, 2)
+    assert built is not None and built.permutation_raw(9, 1, 2) == permutation(9, 1, 2)
     assert len(os.listdir(cache)) == 1
     calls = []
     monkeypatch.setattr(_engine, "_compile", lambda *args: calls.append(args))

@@ -197,20 +197,6 @@ def test_trial_stats_quantiles_and_csv():
     assert lines[1].startswith("0,9,")
 
 
-def test_parallel_jobs_match_serial():
-    seq = gen_random_instance(15, 2, "unit", 3)
-    policy = make_policy("greedy-subsume")
-    serial = run_random_order(policy, seq, 24, seed=8, jobs=1)
-    parallel = run_random_order(policy, seq, 24, seed=8, jobs=3)
-    assert serial.alg_samples == parallel.alg_samples
-    # jobs changes nothing: unit and rational weights both take the engine
-    # kernel, in this process.
-    weighted = gen_random_instance(15, 2, "rational", 3)
-    serial = run_random_order(policy, weighted, 24, seed=8, jobs=1)
-    parallel = run_random_order(policy, weighted, 24, seed=8, jobs=3)
-    assert serial.alg_samples == parallel.alg_samples
-
-
 def _spy_on_kernel(monkeypatch):
     calls = []
     real = _engine.run_single_length_trials
@@ -228,7 +214,7 @@ def test_kernel_takes_unit_weights_of_any_length_mix(monkeypatch):
     multi = gen_random_instance(20, 3, "unit", 4)
     assert len(multi.lengths()) == 3
     for pid in ("greedy-subsume", "call-control", "always-replace", "never-replace"):
-        run_random_order(make_policy(pid), multi, 5, seed=1, jobs=2)
+        run_random_order(make_policy(pid), multi, 5, seed=1)
     assert [spec["mode"] for spec in calls] == [
         "greedy-subsume", "call-control", "always", "never"
     ]
@@ -254,13 +240,6 @@ def test_threshold_policy_on_mixed_lengths_still_raises(monkeypatch):
         with pytest.raises(PolicyDomainError):
             run_random_order(make_policy(pid), seq, 4, seed=1)
     assert calls == []
-
-
-def test_random_order_rejects_nonpositive_jobs():
-    seq = gen_random_instance(6, 2, "unit", 3)
-    for jobs in (0, -2):
-        with pytest.raises(ValueError):
-            run_random_order(make_policy("greedy-subsume"), seq, 4, seed=1, jobs=jobs)
 
 
 # -- distributional ---------------------------------------------------------------

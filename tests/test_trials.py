@@ -1,9 +1,10 @@
 """The random-order trial path, diffed against the references in
-``reference.py``: the bisecting kernel against the scanning one, the one
-splitmix64 shuffle against the old private copy, the histogram-based
-TrialStats against the one that keeps a Fraction per trial, and the
-classify-by-length reduction against its trials replayed one by one. The
-kernel modes are also diffed against the Python policies they stand for."""
+``reference.py``: the compiled bisecting kernel against the scanning one,
+the one splitmix64 shuffle against the old private copy, the
+histogram-based TrialStats against the one that keeps a Fraction per trial,
+and the classify-by-length reduction against its trials replayed one by
+one. The kernel modes are also diffed against the Python policies they
+stand for, replayed by ``harness._trials``."""
 
 import io
 import math
@@ -20,12 +21,19 @@ from reference import (
 )
 
 from revsel import _engine
-from revsel._engine import fallback, run_single_length_trials
+from revsel._engine import run_single_length_trials
 from revsel.adversary import gen_call_control_bad, gen_greedy_bad, gen_random_instance
-from revsel.algorithms import ARB_SUBROUTINES, ArbPolicy, make_policy
+from revsel.algorithms import (
+    ARB_SUBROUTINES,
+    ArbPolicy,
+    ThresholdPolicy,
+    ThresholdPolicyTables,
+    make_policy,
+)
 from revsel.core import ArrivalSequence, Interval
 from revsel.harness import (
     TrialStats,
+    _trials,
     exact_ratio,
     kernel_weights,
     run_arb_expectation,
@@ -70,16 +78,34 @@ def kernel_modes(draw, top=2):
     )
 
 
+def mode_policy(mode, fl_keys, fl_vals, fl_default, fr_keys, fr_vals, fr_default):
+    """The Python policy that kernel mode 0-4 with these tables stands for."""
+    if mode == 0:
+        return ThresholdPolicy(ThresholdPolicyTables(
+            left=dict(zip(fl_keys, fl_vals)),
+            right=dict(zip(fr_keys, fr_vals)),
+            left_default=fl_default,
+            right_default=fr_default,
+        ))
+    pid = ("always-replace", "never-replace", "greedy-subsume", "call-control")[mode - 1]
+    return make_policy(pid)
+
+
+compiled = pytest.mark.skipif(not _engine.COMPILED, reason="compiled engine not built")
+
+
+@compiled
 @given(kernel_inputs(), kernel_modes(), st.integers(1, 25), SEEDS)
 @settings(max_examples=400, deadline=None)
 def test_kernel_matches_scanning_reference(intervals, modes, trials, seed):
     starts, ends = intervals
     args = (starts, ends, *modes, trials, seed)
-    assert fallback.run_single_length_trials_raw(*args) == (
+    assert _engine._impl.run_single_length_trials_raw(*args) == (
         scanning_single_length_trials_raw(*args)
     )
 
 
+@compiled
 def test_kernel_matches_reference_on_dense_single_length_instances():
     for seed in range(6):
         seq = gen_random_instance(40, 1, "unit", seed)
@@ -87,7 +113,7 @@ def test_kernel_matches_reference_on_dense_single_length_instances():
         ends = [iv.end for iv in seq]
         for mode in range(3):
             args = (starts, ends, mode, [2, 5], [1, 0], 1, [3], [1], 0, 60, seed)
-            assert fallback.run_single_length_trials_raw(*args) == (
+            assert _engine._impl.run_single_length_trials_raw(*args) == (
                 scanning_single_length_trials_raw(*args)
             )
 
@@ -95,9 +121,7 @@ def test_kernel_matches_reference_on_dense_single_length_instances():
 @given(st.integers(1, 64), SEEDS, st.integers(0, 2**33))
 @settings(max_examples=300, deadline=None)
 def test_permutation_matches_old_private_splitmix64(n, seed, trial):
-    expected = permutation_raw(n, seed, trial)
-    assert permutation(n, seed, trial) == expected
-    assert fallback.permutation_raw(n, seed, trial) == expected
+    assert permutation(n, seed, trial) == permutation_raw(n, seed, trial)
 
 
 @given(st.integers(0, 2**64 - 1), st.lists(st.integers(), max_size=40))
@@ -215,22 +239,17 @@ def test_random_order_stats_match_reference_on_both_paths():
 MULTI_LENGTH_POLICIES = ("greedy-subsume", "call-control", "always-replace", "never-replace")
 
 
-def _python_path(pid):
-    policy = make_policy(pid)
-    policy.kernel_spec = lambda: None
-    return policy
-
-
 def _assert_paths_agree(seq, trials, seed):
-    """The active engine (through the harness) and the pure-Python kernel
-    both match the policy replayed in Python."""
+    """The harness, and the compiled kernel where one is loaded, match the
+    policy replayed in Python."""
     starts = [iv.start for iv in seq]
     ends = [iv.end for iv in seq]
     for pid in MULTI_LENGTH_POLICIES:
-        expected = run_random_order(_python_path(pid), seq, trials, seed).alg_samples
-        assert run_random_order(make_policy(pid), seq, trials, seed).alg_samples == expected
-        spec = make_policy(pid).kernel_spec()
-        assert run_single_length_trials(starts, ends, spec, trials, seed, impl=fallback) == expected
+        policy = make_policy(pid)
+        expected = _trials(policy, seq, seed, trials)
+        assert run_random_order(policy, seq, trials, seed).alg_samples == expected
+        raw = run_single_length_trials(starts, ends, policy.kernel_spec(), trials, seed)
+        assert raw == (expected if _engine.COMPILED else None)
 
 
 @given(
@@ -285,9 +304,9 @@ MEMORYLESS_POLICIES = tuple(f"rand-memoryless:p={p}" for p in ("0", "1", "1/2", 
 
 
 def _assert_kernel_matches_python_policies(seq, trials, seed):
-    """Every kernel-mode policy, through the harness and on both backends,
-    matches the policy replayed in Python; the kernel's raw sums are the
-    exact ALG times the weights' scale."""
+    """Every kernel-mode policy, through the harness and in the compiled
+    kernel where one is loaded, matches the policy replayed in Python; the
+    kernel's raw sums are the exact ALG times the weights' scale."""
     starts = [iv.start for iv in seq]
     ends = [iv.end for iv in seq]
     weights, scale = kernel_weights(seq)
@@ -295,14 +314,13 @@ def _assert_kernel_matches_python_policies(seq, trials, seed):
     if seq.is_single_length():
         pids += ("one-dir-left", "one-dir-right")
     for pid in pids:
-        expected = run_random_order(_python_path(pid), seq, trials, seed).alg_samples
-        assert run_random_order(make_policy(pid), seq, trials, seed).alg_samples == expected
-        spec = make_policy(pid).kernel_spec()
-        for impl in {_engine._impl, fallback}:
-            raw = run_single_length_trials(
-                starts, ends, spec, trials, seed, impl=impl, weights=weights
-            )
-            assert raw == [alg * scale for alg in expected]
+        policy = make_policy(pid)
+        expected = _trials(policy, seq, seed, trials)
+        assert run_random_order(policy, seq, trials, seed).alg_samples == expected
+        raw = run_single_length_trials(
+            starts, ends, policy.kernel_spec(), trials, seed, weights=weights
+        )
+        assert raw == ([alg * scale for alg in expected] if _engine.COMPILED else None)
 
 
 @given(weighted_instances(), st.integers(1, 10), SEEDS)
