@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import _engine, adversary
 from .algorithms import ArbPolicy, make_policy
@@ -52,8 +53,48 @@ class SystemExit_Usage(Exception):
     pass
 
 
+def _json_text(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, which with ``indent``
+    runs the pure-Python encoder: each container joins its children's text,
+    and leaves go through the C encoder's pieces. `nl` is the newline and
+    indent of the container that holds `obj`."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: always a JSON string."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (bool, int, float)) or key is None:
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -236,7 +277,7 @@ def _cmd_bench(args) -> int:
             stats.to_csv(fh)
     else:
         stats.to_csv(sys.stdout)
-    print(json.dumps(summary, indent=2, sort_keys=True), file=sys.stderr)
+    print(_json_text(summary), file=sys.stderr)
     return EXIT_OK
 
 

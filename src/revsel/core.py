@@ -13,6 +13,7 @@ conflict. This convention is fixed once here and used by every module.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,7 @@ class Interval:
         if not isinstance(w, Fraction):
             w = Fraction(w)
             object.__setattr__(self, "weight", w)
-        if w < 0:
+        if w.numerator < 0:  # the denominator is positive; cheaper than w < 0
             raise ValueError(f"interval {self.id}: weight must be non-negative")
 
     @property
@@ -179,7 +180,7 @@ def instance_stats(seq: ArrivalSequence) -> InstanceStats:
     d = _nesting_depth(seq)
     assert d <= k - 1, f"nesting depth {d} exceeds k-1={k - 1}"
 
-    _, n_points = normalize_to_grid(seq)
+    _, _, n_points = _grid(seq)
     return InstanceStats(distinct_lengths=k, nesting_depth=d, grid_points=n_points)
 
 
@@ -210,6 +211,17 @@ def _nesting_depth(seq: ArrivalSequence) -> int:
     return depth
 
 
+def _grid(seq: ArrivalSequence) -> tuple[int, int, int]:
+    """(lo, g, n_points) for a non-empty instance: the leftmost coordinate,
+    the gcd of every coordinate's distance from it, and the number of grid
+    points between the leftmost start and the rightmost end, inclusive.
+    Some end lies right of lo (start < end), so g >= 1."""
+    lo = min(iv.start for iv in seq)
+    hi = max(iv.end for iv in seq)
+    g = gcd(*{c - lo for iv in seq for c in (iv.start, iv.end)})
+    return lo, g, (hi - lo) // g + 1
+
+
 def normalize_to_grid(seq: ArrivalSequence) -> tuple[ArrivalSequence, int]:
     """Translate and rescale endpoints onto the minimal equally spaced grid.
 
@@ -221,18 +233,11 @@ def normalize_to_grid(seq: ArrivalSequence) -> tuple[ArrivalSequence, int]:
     """
     if len(seq) == 0:
         raise EmptyInstanceError("cannot normalize an empty instance")
-    coords = sorted({c for iv in seq for c in (iv.start, iv.end)})
-    lo = coords[0]
-    g = 0
-    for c in coords[1:]:
-        g = gcd(g, c - lo)
-    if g == 0:  # single interval of zero spread cannot happen (start < end)
-        g = 1
+    lo, g, n_points = _grid(seq)
     scaled = ArrivalSequence(
         Interval(iv.id, (iv.start - lo) // g, (iv.end - lo) // g, iv.weight)
         for iv in seq
     )
-    n_points = (coords[-1] - lo) // g + 1
     return scaled, n_points
 
 
@@ -294,10 +299,12 @@ def scale_rational_endpoints(
 # ---------------------------------------------------------------------------
 
 
-def _weight_to_json(w: Fraction):
-    if w.denominator == 1:
-        return int(w)
-    return f"{w.numerator}/{w.denominator}"
+# A string weight in ASCII digits: an integer or a fraction "p/q".
+_WEIGHT_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+# Lines that loads_jsonl hands to one json.loads call; a bound keeps the
+# joined text and the decoded rows of a large file from all being held at once.
+_CHUNK_LINES = 256
 
 
 def _weight_from_json(value) -> Fraction:
@@ -306,27 +313,98 @@ def _weight_from_json(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if not _WEIGHT_STRING.fullmatch(value):
+            raise ValueError(f"weight must be an integer or a 'p/q' string, got {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"weight {value!r} has a zero denominator") from None
     raise ValueError(f"unsupported weight value: {value!r}")
 
 
 def dumps_jsonl(seq: ArrivalSequence) -> str:
+    """One line per interval, keys sorted as ``json.dumps(sort_keys=True)``
+    writes them; the weight is left out when it is 1."""
     lines = []
     for pos, iv in enumerate(seq):
         if iv.id != pos:
             raise ValueError("writers must emit ids 0..n-1 in file order")
-        row = {"id": iv.id, "start": iv.start, "end": iv.end}
-        if iv.weight != 1:
-            row["weight"] = _weight_to_json(iv.weight)
-        lines.append(json.dumps(row, sort_keys=True))
+        start, end, w = iv.start, iv.end, iv.weight
+        if type(start) is not int or type(end) is not int:  # a bool, written as JSON writes it
+            row = {"id": pos, "start": start, "end": end}
+            if w != 1:
+                row["weight"] = w.numerator if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
+            lines.append(json.dumps(row, sort_keys=True))
+            continue
+        if w.denominator != 1:
+            tail = f', "weight": "{w.numerator}/{w.denominator}"}}'
+        elif w.numerator != 1:
+            tail = f', "weight": {w.numerator}}}'
+        else:
+            tail = "}"
+        lines.append(f'{{"end": {end}, "id": {pos}, "start": {start}{tail}')
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def loads_jsonl(text: str) -> ArrivalSequence:
     """Parse an instance file; ids must be 0..n-1 in file order (blank lines
     are skipped). A bad record raises ``ValueError`` naming its line."""
+    lines = text.splitlines()
+    intervals = _decode_chunks(lines)
+    if intervals is None:
+        intervals = _decode_lines(lines)
+    return ArrivalSequence(intervals)
+
+
+def _decode_chunks(lines: list[str]) -> list[Interval] | None:
+    """The records of `lines`, decoded by the C decoder a chunk at a time,
+    or None when a line is not a valid record; :func:`_decode_lines` then
+    names it.
+
+    A chunk is decoded as ``[[line],[line],...]``: the lines must hold no
+    bracket of their own, and the chunk must decode to one list per line,
+    each holding one object. Every bracket is then structural (none lies in
+    a string), so each line sits alone between its own pair and is one JSON
+    value, decoded as ``json.loads`` decodes that line alone. A line that
+    runs into the next, holds two values or leaves a string open ends the
+    fast path, and so does nesting deep enough to hit the recursion limit.
+    """
+    records = [line for line in lines if line and not line.isspace()]
+    intervals: list[Interval] = []
+    weights: dict = {}  # JSON weight value -> Fraction, each parsed once
+    for lo in range(0, len(records), _CHUNK_LINES):
+        chunk = records[lo:lo + _CHUNK_LINES]
+        body = "[[" + "],[".join(chunk) + "]]"
+        if body.count("[") != len(chunk) + 1 or body.count("]") != len(chunk) + 1:
+            return None
+        try:
+            rows = json.loads(body)
+            if len(rows) != len(chunk):
+                return None
+            for (row,) in rows:
+                if type(row) is not dict:
+                    return None
+                ident, start, end = row["id"], row["start"], row["end"]
+                if (type(ident) is not int or type(start) is not int
+                        or type(end) is not int or ident != len(intervals)):
+                    return None
+                w = row.get("weight", 1)
+                if type(w) is not int and type(w) is not str:
+                    return None
+                weight = weights.get(w)
+                if weight is None:
+                    weight = weights[w] = _weight_from_json(w)
+                intervals.append(Interval(ident, start, end, weight))
+        except (KeyError, ValueError, TypeError, RecursionError):
+            return None
+    return intervals
+
+
+def _decode_lines(lines: list[str]) -> list[Interval]:
+    """The records of `lines` one line at a time; the only reader that
+    raises, with the number of the first bad line."""
     intervals = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
@@ -352,7 +430,7 @@ def loads_jsonl(text: str) -> ArrivalSequence:
                 "(ids are 0..n-1 in file order)"
             )
         intervals.append(iv)
-    return ArrivalSequence(intervals)
+    return intervals
 
 
 def write_jsonl(seq: ArrivalSequence, path) -> None:

@@ -1,8 +1,13 @@
 """CLI behavior: flows, exit codes, reproducibility."""
 
 import json
+from fractions import Fraction
 
-from revsel import _engine
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from revsel import _engine, cli
 from revsel.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -270,3 +275,106 @@ def test_out_of_order_ids_are_usage_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: line 3: expected id 1, got 2")
+
+
+def test_zero_denominator_weight_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "w.jsonl"
+    inst.write_text('{"id": 0, "start": 0, "end": 4, "weight": "1/0"}\n')
+    for argv in (("run", "greedy-subsume", str(inst)), ("verify", str(inst)),
+                 ("bench", "never-replace", str(inst), "--trials", "3", "--seed", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: line 1: invalid interval record: weight '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize("weight", ["0.5", "1e3", " 3 "])
+def test_string_weight_outside_the_grammar_is_usage_error(tmp_path, capsys, weight):
+    inst = tmp_path / "w.jsonl"
+    inst.write_text(json.dumps({"id": 0, "start": 0, "end": 4, "weight": weight}) + "\n")
+    code, out, err = run_cli(capsys, "run", "greedy-subsume", str(inst))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: line 1: invalid interval record: weight must be")
+
+
+# -- the indent-2 JSON writer against json.dumps ----------------------------------
+
+
+def _reference_json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2**80, 2**80),
+    st.floats(),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x3f)),  # control characters and quotes
+)
+json_payloads = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+        st.dictionaries(st.integers(-2**70, 2**70), children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_payloads)
+@settings(max_examples=500, deadline=None)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json_text(payload) == _reference_json_text(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), [{}], {"a": []}, "é\x00 \ud800", 2**64 + 1, -0.0, float("nan"),
+    float("-inf"), 1e300, {1.5: 1, 2: 2}, {True: 1}, {None: 1}, {"a": {"b": (1, [2.5, None])}},
+])
+def test_json_writer_matches_json_dumps_on_edge_values(payload):
+    assert cli._json_text(payload) == _reference_json_text(payload)
+
+
+@pytest.mark.parametrize("payload", [Fraction(1, 2), {"a": {1, 2}}, [object()], {(1, 2): 1}])
+def test_json_writer_raises_type_error_like_json_dumps(payload):
+    with pytest.raises(TypeError):
+        _reference_json_text(payload)
+    with pytest.raises(TypeError):
+        cli._json_text(payload)
+
+
+def _outputs(capsys, tmp_path, argv, out_name):
+    """Exit code, stdout, stderr and the --out file's bytes of one command."""
+    if out_name is None:
+        return run_cli(capsys, *argv)
+    out = tmp_path / out_name
+    return (*run_cli(capsys, *argv, "--out", str(out)), out.read_bytes())
+
+
+def test_every_command_writes_the_bytes_json_dumps_writes(tmp_path, capsys, monkeypatch):
+    unit = str(tmp_path / "unit.jsonl")
+    rational = str(tmp_path / "rational.jsonl")
+    run_cli(capsys, "generate", "random", "--n", "300", "--k-target", "3", "--seed", "4",
+            "--out", unit)
+    run_cli(capsys, "generate", "random", "--n", "60", "--k-target", "3",
+            "--weight-mode", "rational", "--seed", "4", "--out", rational)
+    commands = [
+        (("run", "greedy-subsume", unit), "run.json"),
+        (("run", "call-control", rational), "run.json"),
+        (("run", "rand-memoryless:p=1/3", unit, "--seed", "2"), "run.json"),
+        (("verify", unit), "verify.json"),
+        (("duel", "greedy-subsume", "--k", "3"), "duel.json"),
+        (("duel", "rand-memoryless:p=1/2", "--k", "2", "--copies", "4", "--seed", "1"),
+         "duel.json"),
+        (("bench", "call-control", rational, "--trials", "50", "--seed", "3"), "bench.csv"),
+        (("bench", "arb:greedy-disjoint", unit, "--trials", "20", "--seed", "3"), None),
+    ]
+    for argv, out_name in commands:
+        got = _outputs(capsys, tmp_path, argv, out_name)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_json_text", _reference_json_text)
+            expected = _outputs(capsys, tmp_path, argv, out_name)
+        assert got == expected, argv
+        assert got[0] == EXIT_OK, argv

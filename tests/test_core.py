@@ -1,5 +1,6 @@
 """Geometry predicates, instance statistics, grid normalization, file IO."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from revsel.algorithms import ThresholdPolicyTables
 from revsel.core import (
     ArrivalSequence,
     EmptyInstanceError,
+    _decode_chunks,
+    _decode_lines,
     Interval,
     call_control_point_bound,
     conflicts,
@@ -276,3 +279,200 @@ def test_jsonl_reader_requires_ids_in_file_order():
     for ids, line in (((1, 0), 1), ((0, None, 2), 3), ((0, 0), 2), ((0, -1), 2)):
         with pytest.raises(ValueError, match=rf"^line {line}: expected id"):
             loads_jsonl(text(*ids))
+
+
+def test_jsonl_weight_with_zero_denominator_names_its_line():
+    text = '{"id": 0, "start": 0, "end": 2}\n{"id": 1, "start": 0, "end": 2, "weight": "1/0"}\n'
+    with pytest.raises(
+        ValueError, match=r"^line 2: invalid interval record: weight '1/0' has a zero denominator$"
+    ):
+        loads_jsonl(text)
+
+
+@pytest.mark.parametrize("weight", [
+    "0.5", "1e3", " 3 ", "3 ", "+3", "3/-2", "-3/-2", "1/2/3", "/2", "3/", "", "nan",
+    "inf", "0x10", "1_000", "\u0663", "3\n",
+])
+def test_jsonl_rejects_string_weights_outside_the_grammar(weight):
+    record = json.dumps({"id": 0, "start": 0, "end": 2, "weight": weight})
+    with pytest.raises(ValueError, match=r"^line 1: invalid interval record: weight must be"):
+        loads_jsonl(record + "\n")
+
+
+@pytest.mark.parametrize("weight, value", [
+    ("3", 3), ("007", 7), ("-0", 0), ("0/5", 0), ("10/4", Fraction(5, 2)), (4, 4),
+])
+def test_jsonl_reads_string_weights_in_the_grammar(weight, value):
+    record = json.dumps({"id": 0, "start": 0, "end": 2, "weight": weight})
+    (only,) = loads_jsonl(record + "\n")
+    assert only.weight == value
+
+
+def test_negative_string_weight_is_rejected_by_the_interval():
+    with pytest.raises(ValueError, match=r"^line 1: .*weight must be non-negative"):
+        loads_jsonl('{"id": 0, "start": 0, "end": 2, "weight": "-1/2"}\n')
+
+
+# -- the chunked reader against the per-line loop ---------------------------------
+
+
+def _per_line(text):
+    """The per-line loop alone: an ArrivalSequence or the error message."""
+    try:
+        return ArrivalSequence(_decode_lines(text.splitlines()))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _read(text):
+    try:
+        return loads_jsonl(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_readers_agree(text):
+    lines = text.splitlines()
+    expected = _per_line(text)
+    assert _read(text) == expected
+    fast = _decode_chunks(lines)
+    # The chunked path may decline a valid file; it never accepts a bad one.
+    if fast is not None:
+        assert ArrivalSequence(fast) == expected
+    return fast
+
+
+# One example of each kind of line the per-line loop rejects, or that it
+# reads while the chunked path declines it; `{i}` is the id expected there.
+ODD_LINES = [
+    "not json",
+    "[1, 2]",
+    "[]",
+    "7",
+    '"text"',
+    "null",
+    "{}",
+    '{"id": {i}, "start": 0}',
+    '{"id": {i}, "start": 0.5, "end": 3}',
+    '{"id": {i}, "start": true, "end": 3}',
+    '{"id": "{i}", "start": 0, "end": 3}',
+    '{"id": {i}, "start": 0, "end": null}',
+    '{"id": 99999, "start": 0, "end": 3}',
+    '{"id": {i}, "start": 3, "end": 3}',
+    '{"id": {i}, "start": 0, "end": 3, "weight": -1}',
+    '{"id": {i}, "start": 0, "end": 3, "weight": 1.5}',
+    '{"id": {i}, "start": 0, "end": 3, "weight": true}',
+    '{"id": {i}, "start": 0, "end": 3, "weight": null}',
+    '{"id": {i}, "start": 0, "end": 3, "weight": [1]}',
+    '{"id": {i}, "start": 0, "end": 3, "weight": "0.5"}',
+    '{"id": {i}, "start": 0, "end": 3, "weight": "1/0"}',
+    '{"id": {i}, "start": 0, "end": 3}, {"id": 0, "start": 0, "end": 3}',
+    '{"id": {i}, "start": 0, "end": 3, "x": {"a": 1',
+    '{"id": {i}, "start": 0, "end": 3, "x": "a',
+    '"b": 2}}',
+    'b"}',
+    '{"id": {i}, "start": 0, "end": 3}]',
+    '[{"id": {i}, "start": 0, "end": 3}',
+    '{"id": {i}, "start": 0, "end": 3, "x": "a],[b"}',
+    '{"id": {i}, "start": 0, "end": 3, "tags": [1, 2]}',
+    '{"id": {i}, "start": 0, "end": 3, "id": {i}}',
+    '{"id": -1, "id": {i}, "start": 0, "end": 3}',
+    '\x1f{"id": {i}, "start": 0, "end": 3}\xa0',
+    '\ufeff{"id": {i}, "start": 0, "end": 3}',
+    '{"id": {i}, "start": 0, "end": 3, "weight": NaN}',
+]
+
+
+def _record(i, style):
+    s, e = (7 * i) % 23 - 4, (7 * i) % 23 - 4 + 1 + i % 5
+    return [
+        f'{{"id": {i}, "start": {s}, "end": {e}}}',
+        f'{{"end":{e},"start":{s},"id":{i}, "weight": "{i % 4}/3"}}',
+        f'\t{{ "start" : {s} , "id" : {i} , "end" : {e} , "weight" : {i % 3} , "note": "\\u00e9" }}  ',
+    ][style]
+
+
+@given(
+    st.integers(0, 600),
+    st.lists(st.tuples(st.integers(0, 600), st.sampled_from(range(len(ODD_LINES) + 3))),
+             max_size=3),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.integers(0, 2),
+)
+@settings(max_examples=150, deadline=None)
+def test_chunked_reader_matches_the_per_line_loop(n, edits, newline, style):
+    """Valid files (a mix of key orders, spacing and weights), and the same
+    with blank lines, whitespace lines or odd records put in anywhere, also
+    past the first chunk. Both paths give the same sequence or the same
+    error."""
+    lines = [_record(i, (i * style) % 3) for i in range(n)]
+    for pos, kind in sorted(edits, reverse=True):
+        pos = min(pos, len(lines))
+        if kind < len(ODD_LINES):
+            lines[pos:pos + 1] = [ODD_LINES[kind].replace("{i}", str(pos))]
+        else:
+            lines.insert(pos, ["", "   ", "\t \x0c"][kind - len(ODD_LINES)])
+    text = newline.join(lines) + (newline if n % 2 else "")
+    fast = _assert_readers_agree(text)
+    if not edits:
+        assert fast is not None  # a plain valid file takes the chunked path
+
+
+@pytest.mark.parametrize("odd", ODD_LINES)
+@pytest.mark.parametrize("pos", [1, 290])
+def test_each_odd_line_reads_as_the_per_line_loop_reads_it(odd, pos):
+    """Each odd line after unit records, in the first chunk and in a later one."""
+    lines = [f'{{"id": {i}, "start": {i}, "end": {i + 2}}}' for i in range(300)]
+    lines[pos] = odd.replace("{i}", str(pos))
+    _assert_readers_agree("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("lines, bad_line", [
+    # Joined with commas alone, each of these decodes to three valid records.
+    (['{"id": 0, "start": 0, "end": 1}, {"id": 1, "start": 2, "end": 3}',
+      '{"id": 2, "start": 5, "end": 9, "x": {"a": 1', '"b": 2}}'], 1),
+    (['{"id": 0, "start": 0, "end": 1, "x": "a', 'b"}',
+      '{"id": 1, "start": 2, "end": 3}, {"id": 2, "start": 5, "end": 9}'], 1),
+    # Each line in its own brackets: a string swallows one separator and a
+    # line adds one, so three lines still decode to three lists of one.
+    (['{"id": 0, "start": 0, "end": 1, "x": "a', 'b"}',
+      '{"id": 1, "start": 2, "end": 3}],[{"id": 2, "start": 5, "end": 9}'], 1),
+    # A string that swallows a separator, in a later chunk.
+    ([f'{{"id": {i}, "start": 0, "end": 1}}' for i in range(300)]
+     + ['{"id": 300, "start": 0, "end": 1, "x": "a', 'b"}'], 301),
+])
+def test_chunked_reader_keeps_line_boundaries(lines, bad_line):
+    text = "\n".join(lines) + "\n"
+    assert _decode_chunks(text.splitlines()) is None
+    with pytest.raises(ValueError, match=rf"^line {bad_line}: "):
+        loads_jsonl(text)
+    _assert_readers_agree(text)
+
+
+def _reference_jsonl(seq):
+    """The writer as one json.dumps call per record."""
+    rows = []
+    for iv in seq:
+        row = {"id": iv.id, "start": iv.start, "end": iv.end}
+        if iv.weight != 1:
+            w = iv.weight
+            row["weight"] = w.numerator if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
+        rows.append(json.dumps(row, sort_keys=True) + "\n")
+    return "".join(rows)
+
+
+@given(st.lists(st.tuples(
+    st.integers(-2**70, 2**70), st.integers(1, 2**66),
+    st.one_of(st.just(Fraction(1)), st.fractions(min_value=0, max_denominator=10**20)),
+), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_jsonl_writer_matches_json_dumps_per_record(rows):
+    s = ArrivalSequence(Interval(i, a, a + ln, w) for i, (a, ln, w) in enumerate(rows))
+    text = dumps_jsonl(s)
+    assert text == _reference_jsonl(s)
+    assert loads_jsonl(text) == s
+
+
+def test_jsonl_writer_writes_bool_coordinates_as_json_dumps_does():
+    s = ArrivalSequence([Interval(0, False, True, Fraction(3, 2)), iv(1, 0, 4)])
+    assert dumps_jsonl(s) == _reference_jsonl(s)

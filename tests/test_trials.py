@@ -50,11 +50,21 @@ SEEDS = st.one_of(
 # Small coordinates make touching endpoints and exact copies common.
 @st.composite
 def kernel_inputs(draw, max_lengths=3):
-    """(starts, ends) of one length or of several, with copies appended."""
+    """(starts, ends) of one length or of several, with copies appended.
+    Several lengths often are a pair a, 2a with an a-long row that overlaps
+    a 2a-long one at one end: call-control keeps a lone conflicting member
+    of exactly twice the arrival's length."""
     lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=max_lengths, unique=True))
+    pair = max_lengths > 1 and draw(st.booleans())
+    if pair:
+        a = draw(st.integers(1, 4))
+        lengths = [a, 2 * a]
     rows = draw(
         st.lists(st.tuples(st.integers(-4, 20), st.sampled_from(lengths)), min_size=1, max_size=14)
     )
+    if pair:
+        s = draw(st.integers(-4, 20))
+        rows += [(s, 2 * a), (draw(st.sampled_from([s - a + 1, s + 2 * a - 1])), a)]
     rows += draw(st.lists(st.sampled_from(rows), max_size=4))
     rows = draw(st.permutations(rows))
     return [s for s, _ in rows], [s + length for s, length in rows]
