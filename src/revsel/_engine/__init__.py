@@ -160,13 +160,19 @@ def _tables(spec: dict):
     )
 
 
-def run_single_length_trials(starts, ends, spec: dict, trials: int, seed: int, weights=()):
+def run_single_length_trials(
+    starts, ends, spec: dict, trials: int, seed: int, weights=(), first: int = 0
+):
     """ALG per permutation trial of a kernel-mode policy: the final held
     count, or with `weights` (one integer per arrival; empty means unit
-    weights) the final held weight. None when no kernel is loaded or the
-    inputs fall outside the kernel's 64-bit guard; the caller then replays
-    the policy. Every mode but "threshold" takes any mix of lengths; the
-    name dates from when all modes were single-length."""
+    weights) the final held weight. Slot t holds trial ``first + t``, so
+    calls over consecutive ranges of trials give the bits of one call. None
+    when no kernel is loaded or the inputs fall outside the kernel's 64-bit
+    guard; the caller then replays the policy. Every mode but "threshold"
+    takes any mix of lengths; the name dates from when all modes were
+    single-length."""
+    if first < 0:
+        raise ValueError("the first trial index must be >= 0")
     mode = _MODES[spec["mode"]]
     flk, flv, fld, frk, frv, frd = _tables(spec)
     p = spec.get("p")  # the memoryless mode's acceptance probability
@@ -180,7 +186,7 @@ def run_single_length_trials(starts, ends, spec: dict, trials: int, seed: int, w
     if _impl is fallback or not fits:
         return None
     return _impl.run_single_length_trials_raw(
-        starts, ends, mode, flk, flv, fld, frk, frv, frd, trials, seed, weights, num, den
+        starts, ends, mode, flk, flv, fld, frk, frv, frd, trials, seed, weights, num, den, first
     )
 
 

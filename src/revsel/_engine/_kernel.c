@@ -272,7 +272,7 @@ play(int weighted, int memoryless, int mode, const span *order, const i64 *order
 typedef struct {
     PyObject *out;
     Py_ssize_t trials, n;
-    u64 seed, num, den;
+    u64 first, seed, num, den;
     const span *arrivals;
     const i64 *weights; /* NULL for unit weights */
     span *order;
@@ -289,7 +289,7 @@ run_trials(int weighted, int memoryless, int mode, const job *jb)
 {
     PyObject *out = jb->out;
     const Py_ssize_t trials = jb->trials, n = jb->n;
-    const u64 seed = jb->seed, num = jb->num, den = jb->den;
+    const u64 first = jb->first, seed = jb->seed, num = jb->num, den = jb->den;
     const span *arrivals = jb->arrivals;
     const i64 *weights = jb->weights;
     span *order = jb->order;
@@ -297,14 +297,16 @@ run_trials(int weighted, int memoryless, int mode, const job *jb)
     i64 *held_s = jb->held_s, *held_e = jb->held_e, *held_w = jb->held_w;
     const table *fl = jb->fl, *fr = jb->fr;
     for (Py_ssize_t t = 0; t < trials; t++) {
-        /* Shuffling the arrivals with trial t's draws plays them in
-         * permutation_raw(n, seed, t) order; decisions draw from substream
-         * 2**32 + t, clear of the permutation substreams. */
+        /* Slot t holds trial first + t. Shuffling the arrivals with that
+         * trial's draws plays them in permutation_raw(n, seed, first + t)
+         * order; decisions draw from substream 2**32 + first + t, clear of
+         * the permutation substreams. */
+        const u64 trial = first + (u64)t;
         memcpy(order, arrivals, n * sizeof(span));
         if (weighted)
             memcpy(order_w, weights, n * sizeof(i64));
-        shuffle(order, order_w, n, substream(seed, (u64)t));
-        u64 draws = memoryless ? substream(seed, ((u64)1 << 32) + (u64)t) : 0;
+        shuffle(order, order_w, n, substream(seed, trial));
+        u64 draws = memoryless ? substream(seed, ((u64)1 << 32) + trial) : 0;
         u64 alg = play(weighted, memoryless, mode, order, order_w, n, held_s, held_e, held_w,
                        draws, num, den, fl, fr);
         PyObject *v = PyLong_FromLongLong((i64)alg);
@@ -319,16 +321,20 @@ static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObjec
 {
     PyObject *starts, *ends, *flk, *flv, *frk, *frv, *seed_obj, *weights = NULL, *out = NULL;
     int mode, fld, frd;
-    Py_ssize_t trials;
+    Py_ssize_t trials, first = 0;
     long long num = 0, den = 1;
-    if (!PyArg_ParseTuple(args, "O!O!iO!O!pO!O!pnO|O!LL", &PyList_Type, &starts,
+    if (!PyArg_ParseTuple(args, "O!O!iO!O!pO!O!pnO|O!LLn", &PyList_Type, &starts,
                           &PyList_Type, &ends, &mode, &PyList_Type, &flk,
                           &PyList_Type, &flv, &fld, &PyList_Type, &frk,
                           &PyList_Type, &frv, &frd, &trials, &seed_obj,
-                          &PyList_Type, &weights, &num, &den))
+                          &PyList_Type, &weights, &num, &den, &first))
         return NULL;
     if (den < 1 || num < 0) {
         PyErr_SetString(PyExc_ValueError, "acceptance fraction needs num >= 0 and den >= 1");
+        return NULL;
+    }
+    if (first < 0) {
+        PyErr_SetString(PyExc_ValueError, "the first trial index must be >= 0");
         return NULL;
     }
     u64 seed = PyLong_AsUnsignedLongLongMask(seed_obj);
@@ -367,7 +373,7 @@ static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObjec
         trials = 0;
     if ((out = PyList_New(trials)) == NULL)
         goto done;
-    job jb = {out, trials, n, seed, (u64)num, (u64)den, arrivals, arrival_w, order,
+    job jb = {out, trials, n, (u64)first, seed, (u64)num, (u64)den, arrivals, arrival_w, order,
               order_w, held_s, held_e, held_w, &fl, &fr};
     int status;
     if (mode == MEMORYLESS)

@@ -244,6 +244,27 @@ def _build_bench(sub):
     p.add_argument("--out", help="CSV path (defaults to stdout)")
 
 
+class _OpenOnWrite:
+    """`bench`'s CSV sink: the --out file, opened at the first write, or
+    stdout without one. The harness first writes once a chunk of trials has
+    run, so a run that fails before that writes nothing. The file is written
+    in place: a temporary file renamed over the path would replace a device
+    node such as /dev/null."""
+
+    def __init__(self, path: str | None):
+        self.path = path
+        self.fh = None
+
+    def write(self, text: str) -> None:
+        if self.fh is None:
+            self.fh = open(self.path, "w", encoding="utf-8") if self.path else sys.stdout
+        self.fh.write(text)
+
+    def close(self) -> None:
+        if self.fh is not None and self.path:
+            self.fh.close()
+
+
 def _cmd_bench(args) -> int:
     if args.jobs < 1:
         raise SystemExit_Usage("--jobs must be >= 1")
@@ -251,32 +272,27 @@ def _cmd_bench(args) -> int:
     seq = read_jsonl(args.instance)
     if len(seq) == 0:
         raise SystemExit_Usage("empty instance")
-    if isinstance(policy, ArbPolicy):
-        arb = run_arb_expectation(policy, seq, args.trials, args.seed)
-        stats = arb.stats
-        summary = {
-            "policy": policy.name,
-            "trials": args.trials,
-            "seed": args.seed,
-            "mean_alg": format_value(stats.mean_alg),
-            "opt": format_value(stats.opt_value),
-            "length_choices": {str(l): c for l, c in sorted(arb.length_choices.items())},
-        }
+    sink = _OpenOnWrite(args.out)
+    try:
+        if isinstance(policy, ArbPolicy):
+            arb = run_arb_expectation(policy, seq, args.trials, args.seed, out=sink)
+            stats = arb.stats
+        else:
+            arb = None
+            stats = run_random_order(policy, seq, args.trials, args.seed, out=sink)
+    finally:
+        sink.close()
+    summary = {
+        "policy": policy.name,
+        "trials": args.trials,
+        "seed": args.seed,
+        "mean_alg": format_value(stats.mean_alg),
+        "opt": format_value(stats.opt_value),
+    }
+    if arb is not None:
+        summary["length_choices"] = {str(l): c for l, c in sorted(arb.length_choices.items())}
     else:
-        stats = run_random_order(policy, seq, args.trials, args.seed)
-        summary = {
-            "policy": policy.name,
-            "trials": args.trials,
-            "seed": args.seed,
-            "mean_alg": format_value(stats.mean_alg),
-            "opt": format_value(stats.opt_value),
-            "fraction_ratio_ge_2": str(stats.fraction_with_ratio_at_least(Fraction(2))),
-        }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            stats.to_csv(fh)
-    else:
-        stats.to_csv(sys.stdout)
+        summary["fraction_ratio_ge_2"] = str(stats.fraction_with_ratio_at_least(Fraction(2)))
     print(_json_text(summary), file=sys.stderr)
     return EXIT_OK
 

@@ -40,9 +40,13 @@ class Interval:
     weight: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if not isinstance(self.start, int) or not isinstance(self.end, int):
+        start, end = self.start, self.end
+        # bool is an int that the JSONL writer would write as true/false,
+        # which the reader rejects.
+        if (not isinstance(start, int) or not isinstance(end, int)
+                or type(start) is bool or type(end) is bool):
             raise TypeError("interval endpoints must be exact integers")
-        if self.start >= self.end:
+        if start >= end:
             raise ValueError(f"interval {self.id}: start must be < end")
         w = self.weight
         if not isinstance(w, Fraction):
@@ -422,7 +426,7 @@ def _decode_lines(lines: list[str]) -> list[Interval]:
                 end=end,
                 weight=_weight_from_json(row.get("weight", 1)),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise ValueError(f"line {lineno}: invalid interval record: {exc}") from exc
         if iv.id != len(intervals):
             raise ValueError(

@@ -14,18 +14,21 @@ classify-by-length wrapper needs no trial replay at all (see
 :func:`run_arb_expectation`). Everything else, including every policy when
 no kernel is loaded, replays each trial through :func:`run_policy` in
 :func:`_trials`, the one Python trial loop; both give the same bits.
+Every path runs its trials a chunk at a time: each chunk is folded into the
+histogram of :class:`TrialStats` and its CSV rows are written before the
+next one runs, so memory does not grow with the trial count.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Optional, Sequence, TextIO
+from itertools import accumulate, chain
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from . import _engine
 from .algorithms import Action, ArbPolicy, Policy, PolicyState
@@ -195,41 +198,90 @@ def run_adversarial(
 # ---------------------------------------------------------------------------
 
 _CSV_CHUNK_ROWS = 4096
+_CSV_HEADER = "trial,seed,alg,opt,ratio\r\n"
+
+
+@functools.cache
+def _trial_digits() -> tuple[list[str], list[str]]:
+    """The low three digits of CSV trial numbers, r = 0..999: as trials
+    0..999 write them (plain) and as every later thousand does (padded).
+    Built on first use, which keeps their cost out of import."""
+    return [str(r) for r in range(1000)], [f"{r:03d}" for r in range(1000)]
+
+
+def _csv_rows(lo: int, raws: list, tails: dict) -> str:
+    """The CSV rows of trials lo, lo + 1, ...: each trial number, then the
+    tail of its raw ALG in `raws`. Trial 1000q + r is written as str(q)
+    and r in three digits, r alone when q is 0; so each run of rows within
+    one thousand takes three slice assignments, and no Python code runs per
+    row."""
+    plain, padded = _trial_digits()
+    n = len(raws)
+    pieces = [""] * (3 * n)
+    pieces[2::3] = map(tails.__getitem__, raws)
+    i = 0
+    while i < n:
+        q, r = divmod(lo + i, 1000)
+        k = min(1000 - r, n - i)
+        if q:
+            pieces[3 * i : 3 * (i + k) : 3] = [str(q)] * k
+            pieces[3 * i + 1 : 3 * (i + k) : 3] = padded[r : r + k]
+        else:
+            pieces[3 * i + 1 : 3 * (i + k) : 3] = plain[r : r + k]
+        i += k
+    return "".join(pieces)
 
 
 class TrialStats:
-    """Exact aggregates over seeded trials, computed from a histogram of ALG.
+    """Exact aggregates over seeded trials, folded a chunk at a time into a
+    histogram of raw ALG values; nothing is kept per trial.
 
-    ``algs`` holds each trial's raw ALG in trial order as the trial loop
-    made it: an int from the engine kernel, which is the exact ALG times
-    `scale`, or a Fraction. Equal values share one histogram entry, and the
-    exact ALG ``Fraction(raw, scale)``, its ratio and its CSV cells are built
-    once per entry, so the per-trial cost is a lookup. ALG takes few
-    distinct values, so the aggregates below stay exact and cheap; the
-    per-trial sequence is kept because the CSV lists every trial.
+    A raw ALG is what the trial loop made: an int from the engine kernel,
+    which is the exact ALG times `scale`, or a Fraction. Equal values share
+    one histogram entry, and the exact ALG ``Fraction(raw, scale)``, its
+    ratio and its CSV row tail are built once per entry, the first time the
+    value appears. ALG takes few distinct values, so the aggregates below
+    stay exact and cheap.
     """
 
-    def __init__(self, seed: int, opt_value: Fraction, algs: list, scale: int = 1):
-        self.trials = len(algs)
+    def __init__(self, seed: int, opt_value: Fraction, scale: int = 1):
         self.seed = seed
         self.opt_value = opt_value
-        self._algs = algs
-        self.histogram = Counter(algs)
+        self.scale = scale
+        self.trials = 0
+        self.histogram = Counter()
         # raw ALG -> (exact ALG, exact ratio or None for infinity)
         self._exact = {}
-        for raw in self.histogram:
-            alg = Fraction(raw, scale)
-            self._exact[raw] = (alg, exact_ratio(opt_value, alg))
+        # raw ALG -> its CSV row after the trial number
+        self._tails = {}
 
-    @property
-    def alg_samples(self) -> list[Fraction]:
-        exact = self._exact
-        return [exact[raw][0] for raw in self._algs]
+    def add(self, raws: list) -> None:
+        """Fold the raw ALG values of the next trials into the histogram."""
+        histogram, exact = self.histogram, self._exact
+        histogram.update(raws)
+        self.trials += len(raws)
+        if len(histogram) > len(exact):
+            for raw in histogram:
+                if raw not in exact:
+                    alg = Fraction(raw, self.scale)
+                    exact[raw] = (alg, exact_ratio(self.opt_value, alg))
 
-    @property
-    def ratio_samples(self) -> list[Optional[Fraction]]:
-        exact = self._exact
-        return [exact[raw][1] for raw in self._algs]
+    def to_csv(self, out: TextIO, lo: int, raws: list) -> None:
+        """Write to `out` one ``trial,seed,alg,opt,ratio`` row per trial lo,
+        lo + 1, ... of `raws` (values already added), after that header when
+        lo is 0. Each row ends in ``\\r\\n`` with no cell quoted (no cell
+        holds a comma or a quote): the bytes ``csv.writer`` writes."""
+        tails = self._tails
+        if len(tails) < len(self._exact):
+            opt_cell = format_value(self.opt_value)
+            for raw, (alg, ratio) in self._exact.items():
+                if raw not in tails:
+                    tails[raw] = (
+                        f",{self.seed},{format_value(alg)},{opt_cell},{format_value(ratio)}\r\n"
+                    )
+        if lo == 0:
+            out.write(_CSV_HEADER)
+        out.write(_csv_rows(lo, raws, tails))
 
     def _ratio_counts(self) -> list[tuple[Optional[Fraction], int]]:
         return [(self._exact[raw][1], count) for raw, count in self.histogram.items()]
@@ -256,7 +308,7 @@ class TrialStats:
         return Fraction(hits, self.trials)
 
     def quantile(self, q: Fraction) -> Optional[Fraction]:
-        """Nearest-rank quantile of the ratio samples (infinities sort last)."""
+        """Nearest-rank quantile of the trials' ratios (infinities sort last)."""
         order = sorted(
             self._ratio_counts(),
             key=lambda rc: (rc[0] is None, rc[0] if rc[0] is not None else Fraction(0)),
@@ -278,32 +330,39 @@ class TrialStats:
         )
         return math.sqrt(squares / (self.trials - 1))
 
-    def to_csv(self, out: Optional[TextIO] = None) -> Optional[str]:
-        """One ``trial,seed,alg,opt,ratio`` row per trial after that header,
-        each ending in ``\\r\\n`` with no cell quoted (no cell holds a comma
-        or a quote): the bytes ``csv.writer`` writes. Rows go to `out` a
-        chunk at a time; with no `out`, the text is returned instead."""
-        target = io.StringIO() if out is None else out
-        opt_cell = format_value(self.opt_value)
-        tails = {
-            raw: f",{self.seed},{format_value(alg)},{opt_cell},{format_value(ratio)}\r\n"
-            for raw, (alg, ratio) in self._exact.items()
-        }
-        target.write("trial,seed,alg,opt,ratio\r\n")
-        algs = self._algs
-        for lo in range(0, len(algs), _CSV_CHUNK_ROWS):
-            chunk = algs[lo : lo + _CSV_CHUNK_ROWS]
-            target.write("".join([f"{t}{tails[raw]}" for t, raw in enumerate(chunk, lo)]))
-        return target.getvalue() if out is None else None
+
+def _trial_chunks(trials: int, run: Callable[[int, int], list]) -> Iterator[tuple[int, list]]:
+    """The one chunk source of every random-order path: (lo, raws) for
+    trials lo, lo + 1, ..., at most _CSV_CHUNK_ROWS at a time, where
+    ``run(lo, count)`` returns the raw ALG values of `count` trials from
+    trial lo. A chunk is folded and written before the next one runs, so
+    memory stays constant in the trial count."""
+    for lo in range(0, trials, _CSV_CHUNK_ROWS):
+        yield lo, run(lo, min(_CSV_CHUNK_ROWS, trials - lo))
 
 
-def _trials(policy: Policy, seq: ArrivalSequence, seed: int, trials: int) -> list[Fraction]:
-    """The Python trial loop: ALG of a fresh run per trial t, playing the
-    arrivals in ``permutation(n, seed, t)`` order and drawing decisions from
-    substream 2**32 + t, clear of the permutation substreams. The engine
-    kernel plays the same draws and stands for this loop where it can."""
+def _fold(
+    stats: TrialStats, chunks: Iterator[tuple[int, list]], out: Optional[TextIO]
+) -> TrialStats:
+    """Fold `chunks` into `stats`, writing each chunk's CSV rows to `out`
+    (when given) before the next chunk runs."""
+    for lo, raws in chunks:
+        stats.add(raws)
+        if out is not None:
+            stats.to_csv(out, lo, raws)
+    return stats
+
+
+def _trials(
+    policy: Policy, seq: ArrivalSequence, seed: int, count: int, lo: int = 0
+) -> list[Fraction]:
+    """The Python trial loop: ALG of a fresh run per trial t in lo .. lo +
+    count - 1, playing the arrivals in ``permutation(n, seed, t)`` order and
+    drawing decisions from substream 2**32 + t, clear of the permutation
+    substreams. The engine kernel plays the same draws and stands for this
+    loop where it can."""
     algs = []
-    for t in range(trials):
+    for t in range(lo, lo + count):
         order = seq.permuted(permutation(len(seq), seed, t))
         rng = Stream.for_trial(seed, (1 << 32) + t)
         state, _ = run_policy(policy, order, rng, record=False)
@@ -330,35 +389,50 @@ def kernel_weights(seq: ArrivalSequence) -> tuple[list[int], int]:
     return ([], 1) if seq.is_unweighted() else scaled_weights(seq)
 
 
+def _random_order_chunks(
+    policy: Policy, seq: ArrivalSequence, trials: int, seed: int
+) -> tuple[Iterator[tuple[int, list]], int]:
+    """The chunks of `policy`'s random-order trials and the scale of their
+    raw ALG values. Policies with a kernel spec run in the engine kernel
+    when its first chunk comes back (it returns None for inputs it cannot
+    take, and then for every chunk); the rest replay in the Python loop."""
+    spec = _kernel_eligible(policy, seq)
+    if spec is not None:
+        weights, scale = kernel_weights(seq)
+        starts = [iv.start for iv in seq]
+        ends = [iv.end for iv in seq]
+        chunks = _trial_chunks(
+            trials,
+            lambda lo, count: _engine.run_single_length_trials(
+                starts, ends, spec, count, seed, weights, lo
+            ),
+        )
+        first = next(chunks)
+        if first[1] is not None:
+            return chain([first], chunks), scale
+    return _trial_chunks(trials, lambda lo, count: _trials(policy, seq, seed, count, lo)), 1
+
+
 def run_random_order(
     policy: Policy,
     seq: ArrivalSequence,
     trials: int,
     seed: int,
+    out: Optional[TextIO] = None,
 ) -> TrialStats:
     """Uniformly permute the arrivals per trial (seeded) and aggregate exact
     ratios. Policies with a kernel spec run through the engine kernel
     (threshold tables on single-length instances only) when it can take the
-    inputs; the rest replay each trial in Python."""
+    inputs; the rest replay each trial in Python. With a text sink `out`,
+    the trials' CSV goes to it a chunk at a time (see
+    :meth:`TrialStats.to_csv`)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if len(seq) == 0:
         raise EmptyInstanceError("cannot benchmark an empty instance")
     opt = opt_for(seq)
-    spec = _kernel_eligible(policy, seq)
-    if spec is not None:
-        weights, scale = kernel_weights(seq)
-        algs = _engine.run_single_length_trials(
-            [iv.start for iv in seq],
-            [iv.end for iv in seq],
-            spec,
-            trials,
-            seed,
-            weights=weights,
-        )
-        if algs is not None:
-            return TrialStats(seed, opt.value, algs, scale)
-    return TrialStats(seed, opt.value, _trials(policy, seq, seed, trials))
+    chunks, scale = _random_order_chunks(policy, seq, trials, seed)
+    return _fold(TrialStats(seed, opt.value, scale), chunks, out)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +495,11 @@ class ArbTrialStats:
 
 
 def run_arb_expectation(
-    policy: ArbPolicy, seq: ArrivalSequence, trials: int, seed: int
+    policy: ArbPolicy,
+    seq: ArrivalSequence,
+    trials: int,
+    seed: int,
+    out: Optional[TextIO] = None,
 ) -> ArbTrialStats:
     """Repeated seeded runs of the classify-by-length wrapper in arrival
     order; reports mean ALG and the final-length-choice counts.
@@ -433,7 +511,8 @@ def run_arb_expectation(
     is made once per length, through :func:`run_policy`, which validates
     every action. Trial t then makes only the wrapper's length draws from
     substream t: over the lengths in first-arrival order, the i-th (i >= 2)
-    takes over when ``randbelow(i) == 0``.
+    takes over when ``randbelow(i) == 0``. With a text sink `out`, the
+    trials' CSV goes to it a chunk at a time, as in :func:`run_random_order`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -447,18 +526,19 @@ def run_arb_expectation(
         state, _ = run_policy(policy, ArrivalSequence(arrivals), Stream(0), record=False)
         alg_of[length] = sum((m.weight for m in state.members()), Fraction(0))
     lengths = list(by_length)
-    algs = []
     choices: dict[int, int] = {}
-    for t in range(trials):
-        rng = Stream.for_trial(seed, t)
-        chosen = lengths[0]
-        for i in range(2, len(lengths) + 1):
-            if rng.randbelow(i) == 0:
-                chosen = lengths[i - 1]
-        algs.append(alg_of[chosen])
-        choices[chosen] = choices.get(chosen, 0) + 1
-    return ArbTrialStats(
-        stats=TrialStats(seed, opt.value, algs),
-        length_choices=choices,
-        distinct_lengths=len(lengths),
-    )
+
+    def draws(lo: int, count: int) -> list[Fraction]:
+        algs = []
+        for t in range(lo, lo + count):
+            rng = Stream.for_trial(seed, t)
+            chosen = lengths[0]
+            for i in range(2, len(lengths) + 1):
+                if rng.randbelow(i) == 0:
+                    chosen = lengths[i - 1]
+            algs.append(alg_of[chosen])
+            choices[chosen] = choices.get(chosen, 0) + 1
+        return algs
+
+    stats = _fold(TrialStats(seed, opt.value), _trial_chunks(trials, draws), out)
+    return ArbTrialStats(stats=stats, length_choices=choices, distinct_lengths=len(lengths))

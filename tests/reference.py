@@ -5,8 +5,9 @@ set that re-sorts and scans all members on every query, the harness step
 that scans it, the pairwise nesting-depth DP, the restart-loop certificate
 normalization, the charging audit that normalizes during its replay, the
 trial kernel that scans its held set with its own splitmix64 copy, the
-trial statistics that keep one Fraction per trial, and the classify-by-length
-trials replayed one decision at a time. They are quadratic or worse, or slow
+trial statistics that keep one Fraction per trial, the CSV rows written
+with one f-string each, and the classify-by-length trials replayed one
+decision at a time. They are quadratic or worse, or slow
 per trial, and exist so that random inputs can be checked against them.
 """
 
@@ -411,6 +412,20 @@ class ListTrialStats:
                 [t, self.seed, format_value(alg), format_value(self.opt_value), format_value(ratio)]
             )
         return buf.getvalue()
+
+
+def fstring_csv_rows(lo: int, raws: list, seed: int, opt: Fraction, scale: int = 1) -> str:
+    """The CSV rows of trials lo, lo + 1, ... with raw ALG values `raws`
+    (the exact ALG times `scale`), one f-string per row after a tail per
+    distinct value, as TrialStats wrote them before its block table."""
+    tails = {}
+    for raw in set(raws):
+        alg = Fraction(raw, scale)
+        tails[raw] = (
+            f",{seed},{format_value(alg)},{format_value(opt)},"
+            f"{format_value(exact_ratio(opt, alg))}\r\n"
+        )
+    return "".join([f"{t}{tails[raw]}" for t, raw in enumerate(raws, lo)])
 
 
 def replay_arb_expectation(policy: ArbPolicy, seq: ArrivalSequence, trials: int, seed: int):

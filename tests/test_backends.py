@@ -4,6 +4,7 @@ against ``rng.permutation``, the subset search against its fallback twin.
 Also draws aimed at the rejection branch, the dispatchers' 64-bit guards,
 and the loader that builds the C kernel."""
 
+import io
 import os
 import shlex
 import shutil
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import permutation_raw, replay_arb_expectation
-from test_trials import SEEDS, kernel_inputs, kernel_modes, mode_policy
+from test_trials import SEEDS, kernel_inputs, kernel_modes, mode_policy, trial_samples
 
 from revsel import _engine
 from revsel._engine import fallback
@@ -33,7 +34,7 @@ from revsel.algorithms import (
 )
 from revsel.cli import main
 from revsel.core import ArrivalSequence, Interval, write_jsonl
-from revsel.harness import _trials, kernel_weights, run_arb_expectation, run_random_order
+from revsel.harness import _trials, kernel_weights, run_arb_expectation
 from revsel.oracle import opt_bruteforce, opt_unweighted, opt_weighted
 from revsel.rng import Stream, mix64, permutation, substream_seed
 
@@ -218,9 +219,10 @@ def test_rejected_length_draws_are_skipped(k):
     )
     for subroutine in ("greedy-disjoint", "heavier-replace"):
         policy = ArbPolicy(subroutine)
-        arb = run_arb_expectation(policy, seq, 4, seed)
+        buf = io.StringIO()
+        arb = run_arb_expectation(policy, seq, 4, seed, out=buf)
         ref, choices, _ = replay_arb_expectation(policy, seq, 4, seed)
-        assert arb.stats.to_csv() == ref.to_csv()
+        assert buf.getvalue() == ref.to_csv()
         assert arb.length_choices == choices
 
 
@@ -236,7 +238,7 @@ def test_rejected_memoryless_draws_are_skipped(p):
     policy = make_policy(f"rand-memoryless:p={p}")
     expected = _trials(policy, seq, seed, 3)
     assert _kernel_trials(policy, seq, 3, seed) == (expected if _engine.COMPILED else None)
-    assert run_random_order(policy, seq, 3, seed).alg_samples == expected
+    assert trial_samples(policy, seq, 3, seed) == expected
 
 
 # -- the dispatchers keep inputs beyond 64 bits away from the kernel ----------
@@ -256,7 +258,7 @@ def test_coordinates_beyond_64_bits_take_the_fallback(monkeypatch):
     compiled_cert = opt_bruteforce(seq)
     policy = AlwaysReplacePolicy()
     assert _kernel_trials(policy, seq, 40, 3) is None
-    assert run_random_order(policy, seq, 40, 3).alg_samples == _trials(policy, seq, 3, 40)
+    assert trial_samples(policy, seq, 40, 3) == _trials(policy, seq, 3, 40)
     monkeypatch.setattr(_engine, "_impl", fallback)
     assert opt_bruteforce(seq) == compiled_cert
     assert compiled_cert.value == opt_weighted(seq).value
@@ -277,7 +279,7 @@ def test_call_control_near_the_64_bit_guard():
     policy = CallControlPolicy()
     expected = _trials(policy, seq, 7, 200)
     assert _kernel_trials(policy, seq, 200, 7) == (expected if _engine.COMPILED else None)
-    assert run_random_order(policy, seq, 200, seed=7).alg_samples == expected
+    assert trial_samples(policy, seq, 200, seed=7) == expected
 
 
 @compiled
@@ -286,8 +288,7 @@ def test_weight_sums_beyond_64_bits_take_the_fallback():
     cert = opt_bruteforce(seq)
     assert cert.members == frozenset(range(5)) and cert.value == 5 * 2**61
     # The trial kernel's held weight would pass 2**63 here.
-    stats = run_random_order(make_policy("never-replace"), seq, 3, seed=1)
-    assert stats.alg_samples == [5 * 2**61] * 3
+    assert trial_samples(make_policy("never-replace"), seq, 3, seed=1) == [5 * 2**61] * 3
 
 
 class _RecordingKernel:
@@ -317,7 +318,7 @@ def test_trial_guards_on_weight_sums_and_denominators(monkeypatch):
             Interval(i, s, e, Fraction(w)) for i, ((s, e), w) in enumerate(zip(rows, weights))
         )
         expected = _trials(policy, seq, 5, 20)
-        assert run_random_order(policy, seq, 20, 5).alg_samples == expected
+        assert trial_samples(policy, seq, 20, 5) == expected
         if kernel and _engine.COMPILED:  # just inside the guards, the kernel matches
             assert _kernel_trials(policy, seq, 20, 5) == expected
         recorder = _RecordingKernel(expected)

@@ -141,6 +141,19 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert summary["policy"] == "never-replace"
 
 
+def test_bench_that_fails_in_its_first_chunk_writes_no_csv(tmp_path, capsys):
+    inst = tmp_path / "mixed.jsonl"
+    inst.write_text('{"id": 0, "start": 0, "end": 6}\n{"id": 1, "start": 4, "end": 14}\n')
+    out_csv = tmp_path / "trials.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "one-dir-left", str(inst), "--trials", "10", "--seed", "1",
+        "--out", str(out_csv),
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: threshold policies are defined for single-length instances")
+    assert not out_csv.exists()
+
+
 def test_bench_requires_seed_and_trials(tmp_path, capsys):
     inst = str(tmp_path / "rom.jsonl")
     run_cli(
@@ -285,6 +298,18 @@ def test_zero_denominator_weight_is_usage_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err == "error: line 1: invalid interval record: weight '1/0' has a zero denominator\n"
+
+
+def test_nesting_beyond_the_recursion_limit_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "deep.jsonl"
+    deep = '{"a": ' * 5000 + "1" + "}" * 5000
+    inst.write_text('{"id": 0, "start": 0, "end": 4, "x": ' + deep + "}\n")
+    code, out, err = run_cli(capsys, "run", "greedy-subsume", str(inst))
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        "error: line 1: invalid interval record: maximum recursion depth exceeded"
+        " while decoding a JSON object from a unicode string\n"
+    )
 
 
 @pytest.mark.parametrize("weight", ["0.5", "1e3", " 3 "])

@@ -473,6 +473,23 @@ def test_jsonl_writer_matches_json_dumps_per_record(rows):
     assert loads_jsonl(text) == s
 
 
-def test_jsonl_writer_writes_bool_coordinates_as_json_dumps_does():
-    s = ArrivalSequence([Interval(0, False, True, Fraction(3, 2)), iv(1, 0, 4)])
-    assert dumps_jsonl(s) == _reference_jsonl(s)
+@pytest.mark.parametrize("start, end", [(False, True), (0, True), (False, 1)])
+def test_bool_coordinates_are_rejected_so_every_interval_round_trips(start, end):
+    """The writer would write a bool as true/false, which the reader
+    rejects; so the interval refuses it, and the ints it stands for
+    round-trip."""
+    with pytest.raises(TypeError, match="interval endpoints must be exact integers"):
+        Interval(0, start, end, Fraction(3, 2))
+    s = ArrivalSequence([Interval(0, int(start), int(end), Fraction(3, 2)), iv(1, 0, 4)])
+    text = dumps_jsonl(s)
+    assert text == _reference_jsonl(s)
+    assert loads_jsonl(text) == s
+
+
+def test_jsonl_nesting_beyond_the_recursion_limit_names_its_line():
+    deep = '{"a": ' * 5000 + "1" + "}" * 5000
+    text = '{"id": 0, "start": 0, "end": 2}\n{"id": 1, "start": 0, "end": 2, "x": ' + deep + "}\n"
+    with pytest.raises(
+        ValueError, match=r"^line 2: invalid interval record: maximum recursion depth exceeded"
+    ):
+        loads_jsonl(text)

@@ -1,9 +1,11 @@
 """Runners: exact ratios, reproducibility, trial statistics, action safety."""
 
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from test_trials import trial_samples
 
 from revsel import _engine
 from revsel.adversary import (
@@ -130,11 +132,11 @@ def test_transcript_reproducible_bit_for_bit():
 def test_random_order_stats_reproducible_and_extendable():
     seq = gen_random_order_bad(3, 4, 30, 10)
     policy = make_policy("never-replace")
-    s1 = run_random_order(policy, seq, 50, seed=5)
-    s2 = run_random_order(policy, seq, 50, seed=5)
-    assert s1.ratio_samples == s2.ratio_samples
-    s3 = run_random_order(policy, seq, 80, seed=5)
-    assert s3.ratio_samples[:50] == s1.ratio_samples  # substreams per trial
+    s1 = trial_samples(policy, seq, 50, seed=5)
+    s2 = trial_samples(policy, seq, 50, seed=5)
+    assert s1 == s2
+    s3 = trial_samples(policy, seq, 80, seed=5)
+    assert s3[:50] == s1  # substreams per trial
 
 
 def test_random_order_kernel_and_python_paths_agree():
@@ -145,9 +147,9 @@ def test_random_order_kernel_and_python_paths_agree():
         def kernel_spec(self):
             return None
 
-    plain = run_random_order(policy, seq, 60, seed=11)
-    forced = run_random_order(NoKernel(), seq, 60, seed=11)
-    assert plain.alg_samples == forced.alg_samples
+    plain = trial_samples(policy, seq, 60, seed=11)
+    forced = trial_samples(NoKernel(), seq, 60, seed=11)
+    assert plain == forced
 
 
 def test_random_order_threshold_policy_paths_agree():
@@ -159,9 +161,9 @@ def test_random_order_threshold_policy_paths_agree():
         def kernel_spec(self):
             return None
 
-    plain = run_random_order(policy, seq, 60, seed=2)
-    forced = run_random_order(NoKernel(tables), seq, 60, seed=2)
-    assert plain.alg_samples == forced.alg_samples
+    plain = trial_samples(policy, seq, 60, seed=2)
+    forced = trial_samples(NoKernel(tables), seq, 60, seed=2)
+    assert plain == forced
 
 
 def test_random_order_whp_ratios():
@@ -187,10 +189,13 @@ def test_random_order_one_directional_beats_two_on_wide_overlap():
 
 def test_trial_stats_quantiles_and_csv():
     seq = gen_random_order_bad(3, 4, 10, 10)
-    stats = run_random_order(make_policy("never-replace"), seq, 40, seed=9)
+    buf = io.StringIO()
+    stats = run_random_order(make_policy("never-replace"), seq, 40, seed=9, out=buf)
     assert stats.quantile(Fraction(1, 2)) in (Fraction(1), Fraction(2))
-    assert stats.quantile(Fraction(1)) == max(stats.ratio_samples)
-    csv_text = stats.to_csv()
+    ratios = [exact_ratio(stats.opt_value, alg)
+              for alg in trial_samples(make_policy("never-replace"), seq, 40, seed=9)]
+    assert stats.quantile(Fraction(1)) == max(ratios)
+    csv_text = buf.getvalue()
     lines = csv_text.strip().splitlines()
     assert lines[0] == "trial,seed,alg,opt,ratio"
     assert len(lines) == 41
@@ -302,6 +307,5 @@ def test_arb_single_length_is_deterministic():
     # k = 1: the wrapper is exactly its subroutine on the arrival order
     seq = gen_random_instance(12, 1, "unit", 5)
     arb = run_arb_expectation(ArbPolicy("greedy-disjoint"), seq, 50, seed=1)
-    assert len(set(arb.stats.alg_samples)) == 1
     direct = run_adversarial(make_policy("never-replace"), seq)
-    assert arb.stats.alg_samples[0] == direct.alg_value
+    assert arb.stats.histogram == {direct.alg_value: 50}

@@ -2,12 +2,15 @@
 ``reference.py``: the compiled bisecting kernel against the scanning one,
 the one splitmix64 shuffle against the old private copy, the
 histogram-based TrialStats against the one that keeps a Fraction per trial,
-and the classify-by-length reduction against its trials replayed one by
-one. The kernel modes are also diffed against the Python policies they
-stand for, replayed by ``harness._trials``."""
+its block-table CSV rows against one f-string per row, and the
+classify-by-length reduction against its trials replayed one by one. The
+kernel modes are also diffed against the Python policies they stand for,
+replayed by ``harness._trials``, and chunked kernel calls against one."""
 
 import io
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     ListTrialStats,
+    fstring_csv_rows,
     permutation_raw,
     replay_arb_expectation,
     scanning_single_length_trials_raw,
@@ -22,7 +26,12 @@ from reference import (
 
 from revsel import _engine
 from revsel._engine import run_single_length_trials
-from revsel.adversary import gen_call_control_bad, gen_greedy_bad, gen_random_instance
+from revsel.adversary import (
+    gen_call_control_bad,
+    gen_greedy_bad,
+    gen_random_instance,
+    gen_random_order_bad,
+)
 from revsel.algorithms import (
     ARB_SUBROUTINES,
     ArbPolicy,
@@ -33,6 +42,9 @@ from revsel.algorithms import (
 from revsel.core import ArrivalSequence, Interval
 from revsel.harness import (
     TrialStats,
+    _fold,
+    _random_order_chunks,
+    _trial_chunks,
     _trials,
     exact_ratio,
     kernel_weights,
@@ -170,10 +182,24 @@ def _reference(seed, opt, algs):
     )
 
 
-def _assert_same_stats(stats, ref):
+def trial_samples(policy, seq, trials, seed):
+    """Each trial's exact ALG in trial order, collected from the chunk
+    source that run_random_order folds."""
+    chunks, scale = _random_order_chunks(policy, seq, trials, seed)
+    return [Fraction(raw, scale) for _, raws in chunks for raw in raws]
+
+
+def _fold_list(stats, algs, out=None):
+    """`algs` folded into `stats` a chunk at a time, as the harness folds
+    a trial loop's output."""
+    return _fold(stats, _trial_chunks(len(algs), lambda lo, count: algs[lo : lo + count]), out)
+
+
+def _assert_same_stats(stats, ref, csv_text):
+    """`csv_text` is the CSV the harness wrote while folding `stats`; its
+    rows carry each trial's ALG and ratio."""
     assert stats.trials == ref.trials
-    assert stats.alg_samples == ref.alg_samples
-    assert stats.ratio_samples == ref.ratio_samples
+    assert csv_text == ref.to_csv()
     assert stats.mean_alg == ref.mean_alg
     if None in ref.ratio_samples:
         with pytest.raises(ValueError):
@@ -191,20 +217,22 @@ def _assert_same_stats(stats, ref):
     for q in QUANTILES:
         assert stats.quantile(q) == ref.quantile(q)
     assert math.isclose(stats.alg_std(), ref.alg_std(), rel_tol=1e-12, abs_tol=1e-12)
-    assert stats.to_csv() == ref.to_csv()
 
 
 @given(st.one_of(ALG_INTS, ALG_FRACTIONS), st.integers(0, 6), SEEDS)
 @settings(max_examples=300, deadline=None)
 def test_trial_stats_match_list_reference(algs, opt, seed):
     # opt 0 with alg 0 gives ratio 1; alg 0 below a positive opt gives inf.
-    _assert_same_stats(TrialStats(seed, Fraction(opt), algs), _reference(seed, Fraction(opt), algs))
+    buf = io.StringIO()
+    stats = _fold_list(TrialStats(seed, Fraction(opt)), algs, buf)
+    _assert_same_stats(stats, _reference(seed, Fraction(opt), algs), buf.getvalue())
 
 
 def test_trial_stats_quantile_ties_and_infinity():
     algs = [2, 2, 0, 1, 2, 0, 1, 1]
-    stats = TrialStats(3, Fraction(2), algs)
-    _assert_same_stats(stats, _reference(3, Fraction(2), algs))
+    buf = io.StringIO()
+    stats = _fold_list(TrialStats(3, Fraction(2)), algs, buf)
+    _assert_same_stats(stats, _reference(3, Fraction(2), algs), buf.getvalue())
     # sorted ratios: 1, 1, 1, 2, 2, 2, inf, inf
     assert stats.quantile(Fraction(3, 8)) == 1  # rank 3, the last tied 1
     assert stats.quantile(Fraction(1, 2)) == 2  # rank 4, the first tied 2
@@ -214,17 +242,49 @@ def test_trial_stats_quantile_ties_and_infinity():
 
 
 def test_trial_stats_csv_to_a_file_handle(tmp_path):
-    algs = [0, 3, 3, 1] * 3000  # more rows than one write chunk
-    stats = TrialStats(-7, Fraction(3), algs)
+    algs = [0, 3, 3, 1] * 3000 + [2]  # more rows than one chunk; a value new in the last
     path = tmp_path / "trials.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        assert stats.to_csv(fh) is None
+        _fold_list(TrialStats(-7, Fraction(3)), algs, fh)
     expected = _reference(-7, Fraction(3), algs).to_csv()
     assert path.read_bytes() == expected.encode()
     assert expected.startswith("trial,seed,alg,opt,ratio\r\n0,-7,0/1,3/1,inf\r\n")
     buf = io.StringIO()
-    stats.to_csv(buf)
+    _fold_list(TrialStats(-7, Fraction(3)), algs, buf)
     assert buf.getvalue() == expected
+
+
+# Trial numbers at and around the thousands and the write chunks.
+ROW_EDGES = st.builds(
+    lambda edge, shift: max(0, edge + shift),
+    st.sampled_from([0, 999, 1000, 4095, 4096, 9999, 10**6 - 1]),
+    st.integers(-2, 2),
+)
+RAW_POOLS = st.one_of(
+    st.tuples(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.integers(1, 6)),
+    st.tuples(
+        st.lists(st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)), min_size=1,
+                 max_size=4),
+        st.just(1),
+    ),
+)
+
+
+@given(ROW_EDGES, st.integers(0, 2500), RAW_POOLS, st.integers(0, 2**32), st.integers(0, 6),
+       SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_block_table_rows_match_fstring_rows(lo, count, pool, pick, opt, seed):
+    """The block-table rows against one f-string per row, for a chunk of
+    `count` trials from trial lo, over kernel sums with a scale and over
+    Fractions; ALG 0 below a positive OPT gives the ratio inf."""
+    values, scale = pool
+    raws = random.Random(pick).choices(values, k=count)
+    stats = TrialStats(seed, Fraction(opt), scale)
+    stats.add(raws)
+    buf = io.StringIO()
+    stats.to_csv(buf, lo, raws)
+    header = "trial,seed,alg,opt,ratio\r\n" if lo == 0 else ""
+    assert buf.getvalue() == header + fstring_csv_rows(lo, raws, seed, Fraction(opt), scale)
 
 
 def test_random_order_stats_match_reference_on_both_paths():
@@ -238,10 +298,39 @@ def test_random_order_stats_match_reference_on_both_paths():
             starts, ends, mode, [], [], 1, [], [], 0, 70, 2**63
         )
         ref = _reference(2**63, Fraction(3), algs)  # OPT: [0,4), [4,8), [8,12)
-        _assert_same_stats(run_random_order(make_policy(pid), seq, 70, seed=2**63), ref)
         python_only = make_policy(pid)
         python_only.kernel_spec = lambda: None
-        _assert_same_stats(run_random_order(python_only, seq, 70, seed=2**63), ref)
+        for policy in (make_policy(pid), python_only):
+            buf = io.StringIO()
+            stats = run_random_order(policy, seq, 70, seed=2**63, out=buf)
+            _assert_same_stats(stats, ref, buf.getvalue())
+
+
+class _Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        pass
+
+
+@compiled
+def test_random_order_memory_stays_constant_in_the_trial_count():
+    """Chunks are folded and written as they come, so 20 times the trials
+    take no more memory; keeping a slot per trial took 1.5 MB more here."""
+    seq = gen_random_order_bad(3, 4, 2, 10)
+    policy = make_policy("one-dir-left")
+    run_random_order(policy, seq, 5000, seed=1, out=_Discard())  # build lazy tables
+    peaks = []
+    tracemalloc.start()
+    try:
+        for trials in (10_000, 200_000):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_random_order(policy, seq, trials, seed=1, out=_Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 256 * 1024, peaks
 
 
 # -- multi-length kernel modes against the Python policy path ---------------------
@@ -257,7 +346,7 @@ def _assert_paths_agree(seq, trials, seed):
     for pid in MULTI_LENGTH_POLICIES:
         policy = make_policy(pid)
         expected = _trials(policy, seq, seed, trials)
-        assert run_random_order(policy, seq, trials, seed).alg_samples == expected
+        assert trial_samples(policy, seq, trials, seed) == expected
         raw = run_single_length_trials(starts, ends, policy.kernel_spec(), trials, seed)
         assert raw == (expected if _engine.COMPILED else None)
 
@@ -326,11 +415,53 @@ def _assert_kernel_matches_python_policies(seq, trials, seed):
     for pid in pids:
         policy = make_policy(pid)
         expected = _trials(policy, seq, seed, trials)
-        assert run_random_order(policy, seq, trials, seed).alg_samples == expected
+        assert trial_samples(policy, seq, trials, seed) == expected
         raw = run_single_length_trials(
             starts, ends, policy.kernel_spec(), trials, seed, weights=weights
         )
         assert raw == ([alg * scale for alg in expected] if _engine.COMPILED else None)
+
+
+@compiled
+@given(weighted_instances(), st.integers(0, 12), st.lists(st.integers(0, 12), max_size=4),
+       SEEDS, st.sampled_from([0, 1, 4095, 2**40]))
+@settings(max_examples=150, deadline=None)
+def test_chunked_kernel_calls_match_one_call(seq, trials, cuts, seed, first):
+    """Kernel calls over consecutive ranges of trials, each passing its
+    first trial index, concatenate to one call over the whole range, in
+    every mode with unit and with the instance's weights; and the call
+    from trial `first` gives the Python loop's trials from there."""
+    starts = [iv.start for iv in seq]
+    ends = [iv.end for iv in seq]
+    weights, scale = kernel_weights(seq)
+    bounds = sorted({0, trials, *(min(c, trials) for c in cuts)})
+    pids = MULTI_LENGTH_POLICIES + MEMORYLESS_POLICIES
+    if seq.is_single_length():
+        pids += ("one-dir-left", "one-dir-right")
+    for pid in pids:
+        policy = make_policy(pid)
+        spec = policy.kernel_spec()
+        for w in ([], weights) if weights else ([],):
+            one = run_single_length_trials(starts, ends, spec, trials, seed, w, first)
+            chunks = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                chunks += run_single_length_trials(
+                    starts, ends, spec, hi - lo, seed, w, first + lo
+                )
+            assert chunks == one
+        expected = _trials(policy, seq, seed, trials, first)
+        assert one == [alg * scale for alg in expected]
+
+
+def test_negative_first_trial_index_is_rejected():
+    spec = make_policy("never-replace").kernel_spec()
+    with pytest.raises(ValueError, match="first trial index"):
+        run_single_length_trials([0], [1], spec, 3, 1, first=-1)
+    if _engine.COMPILED:
+        args = ([0], [1], 2, [], [], 0, [], [], 0, 3, 1, [], 0, 1)
+        assert _engine._impl.run_single_length_trials_raw(*args, 0) == [1, 1, 1]
+        with pytest.raises(ValueError, match="first trial index"):
+            _engine._impl.run_single_length_trials_raw(*args, -1)
 
 
 @given(weighted_instances(), st.integers(1, 10), SEEDS)
@@ -358,9 +489,10 @@ def test_weighted_kernel_trials_on_generated_instances():
 @settings(max_examples=300, deadline=None)
 def test_arb_expectation_matches_trial_replay(seq, subroutine, trials, seed):
     policy = ArbPolicy(subroutine)
-    arb = run_arb_expectation(policy, seq, trials, seed)
+    buf = io.StringIO()
+    arb = run_arb_expectation(policy, seq, trials, seed, out=buf)
     ref, choices, distinct = replay_arb_expectation(policy, seq, trials, seed)
-    assert arb.stats.to_csv() == ref.to_csv()
+    assert buf.getvalue() == ref.to_csv()
     assert list(arb.length_choices.items()) == list(choices.items())
     assert arb.distinct_lengths == distinct
     assert arb.stats.mean_alg == ref.mean_alg
