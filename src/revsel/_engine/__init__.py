@@ -2,7 +2,8 @@
 subset search.
 
 The compiled kernel, ``_kernel.c``, is one CPython C-API module that
-implements the permutation-trial loop and the exhaustive subset search. The
+implements the permutation-trial loop, the exhaustive subset search and the
+indent-2 JSON writer behind :func:`dumps_json`. The
 trial loop replays six policy modes on any weights: the single-length
 threshold tables (which include one-directional replacement),
 always-replace, never-replace, greedy-subsume, call-control and the
@@ -12,7 +13,8 @@ its held weight. The trial loop has no Python twin: where the kernel cannot
 run, :func:`run_single_length_trials` returns None and the harness replays
 the trials through the policies themselves (``harness._trials``), which
 give the same bits more slowly. The subset search has a twin in
-:mod:`.fallback`.
+:mod:`.fallback`. The JSON writer needs none: without the kernel,
+:func:`dumps_json` is ``json.dumps`` itself.
 
 Selection happens once at import: the module ``setup.py`` installed, else a
 build cached in this package's ``__pycache__`` (named by a checksum of the C
@@ -31,6 +33,7 @@ subset search.
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import re
 import zlib
@@ -197,3 +200,17 @@ def best_subset_scaled(starts, ends, weights, impl=None):
         fits = _fits(starts, ends) and sum(map(abs, weights)) < _LIMIT
         impl = _impl if fits else fallback
     return impl.best_subset_scaled(starts, ends, weights)
+
+
+# The C encoder's text: json.dumps runs it only when there is no indent.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def dumps_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``. With `indent`,
+    json.dumps runs the pure-Python encoder; the kernel instead re-spaces
+    the C encoder's compact text, so both give the same text and raise the
+    same errors."""
+    if COMPILED:
+        return _impl.indent_json(_COMPACT.encode(obj))
+    return json.dumps(obj, indent=2, sort_keys=True)

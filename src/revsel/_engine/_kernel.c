@@ -1,4 +1,5 @@
-/* Compiled engine: permutation-trial loop and exhaustive subset search.
+/* Compiled engine: permutation-trial loop, exhaustive subset search and the
+ * indent-2 JSON writer.
  *
  * A CPython module that gcc alone builds. The trial loop matches the Python
  * policies it stands for (revsel.algorithms, replayed by harness._trials)
@@ -9,6 +10,8 @@
  * lockstep. Coordinates, weights and the acceptance fraction are read as
  * 64-bit integers, and an int that does not fit raises OverflowError: the
  * dispatchers in revsel._engine keep such inputs away from this module.
+ * indent_json re-spaces the compact JSON text of the C encoder into
+ * json.dumps(indent=2)'s layout; its fallback is json.dumps itself.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -452,6 +455,117 @@ done:
     return out;
 }
 
+/* One pass of indent_json over the ASCII text s[0, n): with out == NULL it
+ * only counts the output's length, else it also writes it there. Returns the
+ * length, or -1 (with ValueError set) on unbalanced brackets or an open
+ * string. Both passes run this one function, so they cannot disagree. */
+static Py_ssize_t indent_pass(const char *s, Py_ssize_t n, Py_UCS1 *out)
+{
+    Py_ssize_t size = 0, depth = 0;
+    int in_string = 0;
+/* Appends a newline and the indent of the current depth. */
+#define NEWLINE()                                   \
+    do {                                            \
+        if (out != NULL) {                          \
+            out[size] = '\n';                       \
+            memset(out + size + 1, ' ', 2 * depth); \
+        }                                           \
+        size += 1 + 2 * depth;                      \
+    } while (0)
+/* Appends one byte; `ch` must have no side effects, since the size pass
+ * does not evaluate it. */
+#define PUT(ch)                   \
+    do {                          \
+        if (out != NULL)          \
+            out[size] = (ch);     \
+        size++;                   \
+    } while (0)
+    for (Py_ssize_t i = 0; i < n; i++) {
+        char c = s[i];
+        if (in_string) {
+            /* Escapes are copied verbatim; the escaped byte cannot close
+             * the string. */
+            if (c == '\\' && i + 1 < n) {
+                PUT(c);
+                c = s[++i];
+            } else if (c == '"') {
+                in_string = 0;
+            }
+            PUT(c);
+            continue;
+        }
+        switch (c) {
+        case '"':
+            in_string = 1;
+            PUT(c);
+            break;
+        case '[':
+        case '{':
+            PUT(c);
+            if (i + 1 < n && s[i + 1] == (c == '[' ? ']' : '}')) {
+                i++; /* an empty container stays on its line */
+                PUT(s[i]);
+            } else {
+                depth++;
+                NEWLINE();
+            }
+            break;
+        case ']':
+        case '}':
+            if (--depth < 0) {
+                PyErr_SetString(PyExc_ValueError, "indent_json: unbalanced brackets");
+                return -1;
+            }
+            NEWLINE();
+            PUT(c);
+            break;
+        case ',':
+            PUT(c);
+            NEWLINE();
+            break;
+        case ':':
+            PUT(c);
+            PUT(' ');
+            break;
+        default:
+            PUT(c);
+        }
+    }
+#undef NEWLINE
+#undef PUT
+    if (depth != 0 || in_string) {
+        PyErr_SetString(PyExc_ValueError, "indent_json: unbalanced brackets or quotes");
+        return -1;
+    }
+    return size;
+}
+
+/* json.dumps(obj, indent=2, sort_keys=True) from the text that
+ * json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode(obj) makes
+ * of the same obj: a size pass, then a fill pass into a new ASCII string. */
+static PyObject *indent_json(PyObject *Py_UNUSED(self), PyObject *text)
+{
+    if (!PyUnicode_Check(text)) {
+        PyErr_SetString(PyExc_TypeError, "indent_json takes a str");
+        return NULL;
+    }
+    Py_ssize_t n;
+    const char *s = PyUnicode_AsUTF8AndSize(text, &n);
+    if (s == NULL)
+        return NULL;
+    if (!PyUnicode_IS_ASCII(text)) {
+        PyErr_SetString(PyExc_ValueError, "indent_json takes ASCII text");
+        return NULL;
+    }
+    Py_ssize_t size = indent_pass(s, n, NULL);
+    if (size < 0)
+        return NULL;
+    PyObject *out = PyUnicode_New(size, 127);
+    if (out != NULL)
+        indent_pass(s, n, PyUnicode_1BYTE_DATA(out));
+    return out;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"permutation_raw", permutation_raw, METH_VARARGS,
      "Trial permutation, matching rng.permutation exactly."},
@@ -459,13 +573,15 @@ static PyMethodDef kernel_methods[] = {
      "Final solution size (or weight) of each permutation trial of a kernel-mode policy."},
     {"best_subset_scaled", best_subset_scaled, METH_VARARGS,
      "(best total weight, member bitmask) over all conflict-free subsets."},
+    {"indent_json", indent_json, METH_O,
+     "json.dumps(obj, indent=2, sort_keys=True) from obj's compact sorted encoding."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Compiled trial loop and subset search of revsel._engine.",
+    .m_doc = "Compiled trial loop, subset search and JSON indenter of revsel._engine.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

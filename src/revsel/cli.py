@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from . import _engine, adversary
 from .algorithms import ArbPolicy, make_policy
@@ -53,44 +52,10 @@ class SystemExit_Usage(Exception):
     pass
 
 
-def _json_text(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, which with ``indent``
-    runs the pure-Python encoder: each container joins its children's text,
-    and leaves go through the C encoder's pieces. `nl` is the newline and
-    indent of the container that holds `obj`."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return json.dumps(obj)
-    inner = nl + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    """A dict key as ``json.dumps`` writes it: always a JSON string."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (bool, int, float)) or key is None:
-        return encode_basestring_ascii(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, the text of every JSON
+    output; the engine's kernel writes it when one is loaded."""
+    return _engine.dumps_json(obj)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -332,7 +297,8 @@ def _cmd_verify(args) -> int:
 def _build_bench_backends(sub):
     p = sub.add_parser("bench-backends",
                        help="time the compiled kernels against the pure-Python paths "
-                            "(policy replay and subset search) and diff their outputs")
+                            "(policy replay, subset search and JSON writer) and diff "
+                            "their outputs")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=1)
 
@@ -340,6 +306,9 @@ def _build_bench_backends(sub):
 def _cmd_bench_backends(args) -> int:
     from ._engine import fallback
     from .harness import _trials
+
+    if args.trials < 1:
+        raise SystemExit_Usage("--trials must be >= 1")
 
     # Always-replace on a copy-flooded single-length instance, call-control
     # on a multi-length unit one and on a rational one, and the memoryless
@@ -389,12 +358,29 @@ def _cmd_bench_backends(args) -> int:
         brute_results[name] = out
         rows.append((name, "subset-search", time.perf_counter() - t0, reps))
 
+    # The indent-2 JSON writer on a `run greedy-subsume` payload: json.dumps
+    # against the kernel's re-spacing of the C encoder's compact text.
+    seq = adversary.gen_random_instance(2000, 3, "unit", args.seed)
+    payload = run_adversarial(make_policy("greedy-subsume"), seq).to_json_dict()
+    writers = [("pure-python", lambda: json.dumps(payload, indent=2, sort_keys=True))]
+    if _engine.COMPILED:
+        writers.append(("compiled", lambda: _engine.dumps_json(payload)))
+    texts = {}
+    for name, write in writers:
+        t0 = time.perf_counter()
+        reps = 5
+        for _ in range(reps):
+            texts[name] = write()
+        rows.append((name, "json-writer", time.perf_counter() - t0, reps))
+
     print(f"{'backend':<14}{'kernel':<32}{'seconds':>10}{'ops/s':>14}")
     for name, op, dt, ops in rows:
         print(f"{name:<14}{op:<32}{dt:>10.4f}{ops / dt:>14.1f}")
     if _engine.COMPILED:
-        same = results["compiled"] == results["pure-python"] and (
-            brute_results["compiled"] == brute_results["pure-python"]
+        same = (
+            results["compiled"] == results["pure-python"]
+            and brute_results["compiled"] == brute_results["pure-python"]
+            and texts["compiled"] == texts["pure-python"]
         )
         print(f"outputs identical across backends: {same}")
         if not same:

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 
@@ -104,6 +104,7 @@ class ArrivalSequence(Sequence[Interval]):
                 raise ValueError(f"duplicate interval id {iv.id}")
             seen.add(iv.id)
         self._by_id = {iv.id: iv for iv in self._intervals}
+        self._scaled = None  # see integer_weights
 
     def __len__(self) -> int:
         return len(self._intervals)
@@ -140,7 +141,20 @@ class ArrivalSequence(Sequence[Interval]):
         return len(self.lengths()) <= 1
 
     def is_unweighted(self) -> bool:
-        return all(iv.weight == 1 for iv in self._intervals)
+        scale, weight_of = self.integer_weights()
+        return scale == 1 and set(weight_of.values()) <= {1}
+
+    def integer_weights(self) -> tuple[int, dict[int, int]]:
+        """(scale, weight by id): every weight as an integer over one
+        scale, the lcm of their denominators, keyed by id in arrival order.
+        Built once, on first use (the intervals never change), and shared
+        by every caller, which must not mutate it."""
+        if self._scaled is None:
+            weights = [iv.weight for iv in self._intervals]
+            scale = lcm(*{w.denominator for w in weights})
+            scaled = (w.numerator * (scale // w.denominator) for w in weights)
+            self._scaled = (scale, dict(zip(self._by_id, scaled)))
+        return self._scaled
 
     def permuted(self, order: Sequence[int]) -> "ArrivalSequence":
         """Same intervals, re-ordered by positional indices `order`."""
@@ -263,17 +277,20 @@ def validate_solution(seq: ArrivalSequence, members: Iterable[int]) -> bool:
 
 
 def solution_weight(seq: ArrivalSequence, members: Iterable[int]) -> Fraction:
-    return sum((seq.by_id(i).weight for i in members), Fraction(0))
+    """The total weight of the intervals with ids `members`, exactly."""
+    scale, weight_of = seq.integer_weights()
+    try:
+        total = sum(map(weight_of.__getitem__, members))
+    except KeyError as exc:
+        raise UnknownIntervalError(exc.args[0]) from None
+    return Fraction(total, scale)
 
 
 def scaled_weights(seq: ArrivalSequence) -> tuple[list[int], int]:
     """The weights as integers over one scale, the lcm of their
     denominators: returns ([w * scale for each weight], scale)."""
-    scale = 1
-    for iv in seq:
-        d = iv.weight.denominator
-        scale = scale // gcd(scale, d) * d
-    return [int(iv.weight * scale) for iv in seq], scale
+    scale, weight_of = seq.integer_weights()
+    return list(weight_of.values()), scale
 
 
 def scale_rational_endpoints(

@@ -32,7 +32,13 @@ from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from . import _engine
 from .algorithms import Action, ArbPolicy, Policy, PolicyState
-from .core import ArrivalSequence, EmptyInstanceError, conflicts, scaled_weights
+from .core import (
+    ArrivalSequence,
+    EmptyInstanceError,
+    conflicts,
+    scaled_weights,
+    solution_weight,
+)
 from .oracle import OptCertificate, opt_unweighted, opt_weighted
 from .rng import Stream, permutation
 
@@ -180,7 +186,7 @@ def run_adversarial(
     if not policy.deterministic and rng is None:
         raise ValueError(f"policy {policy.name} needs a seed")
     state, transcript = run_policy(policy, seq, rng)
-    alg_value = sum((m.weight for m in state.members()), Fraction(0))
+    alg_value = solution_weight(seq, state.ids)
     opt = opt_for(seq)
     return RunResult(
         policy=policy.name,
@@ -366,7 +372,7 @@ def _trials(
         order = seq.permuted(permutation(len(seq), seed, t))
         rng = Stream.for_trial(seed, (1 << 32) + t)
         state, _ = run_policy(policy, order, rng, record=False)
-        algs.append(sum((m.weight for m in state.members()), Fraction(0)))
+        algs.append(solution_weight(seq, state.ids))
     return algs
 
 
@@ -465,7 +471,7 @@ def run_distributional(
     opts = []
     for seq, _ in branches:
         state, _tr = run_policy(policy, seq)
-        algs.append(sum((m.weight for m in state.members()), Fraction(0)))
+        algs.append(solution_weight(seq, state.ids))
         opts.append(opt_for(seq).value)
     expected = sum((a * p for a, p in zip(algs, probs)), Fraction(0))
     common = opts[0] if all(o == opts[0] for o in opts) else None
@@ -524,7 +530,7 @@ def run_arb_expectation(
     for length, arrivals in by_length.items():
         # A single-length run makes no length draw, so the stream is unused.
         state, _ = run_policy(policy, ArrivalSequence(arrivals), Stream(0), record=False)
-        alg_of[length] = sum((m.weight for m in state.members()), Fraction(0))
+        alg_of[length] = solution_weight(seq, state.ids)
     lengths = list(by_length)
     choices: dict[int, int] = {}
 

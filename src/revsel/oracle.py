@@ -71,7 +71,9 @@ def opt_weighted(seq: ArrivalSequence) -> OptCertificate:
     """Maximum-weight disjoint subset via end-time dynamic programming.
 
     Half-open compatibility: an interval may start exactly where the previous
-    one ends.
+    one ends. The DP adds the weights as integers over one common scale
+    (see :func:`~revsel.core.scaled_weights`), which keeps every comparison
+    of the exact weights.
     """
     if len(seq) == 0:
         raise EmptyInstanceError("opt_weighted requires a non-empty instance")
@@ -80,9 +82,10 @@ def opt_weighted(seq: ArrivalSequence) -> OptCertificate:
     n = len(order)
     # prev[j]: rightmost index i < j with order[i].end <= order[j].start
     prev = [bisect.bisect_right(ends, order[j].start) - 1 for j in range(n)]
-    best = [Fraction(0)] * (n + 1)
+    _, weight_of = seq.integer_weights()
+    best = [0] * (n + 1)
     for j in range(n):
-        take = order[j].weight + best[prev[j] + 1]
+        take = weight_of[order[j].id] + best[prev[j] + 1]
         best[j + 1] = max(best[j], take)
     members = []
     j = n

@@ -6,13 +6,15 @@ that scans it, the pairwise nesting-depth DP, the restart-loop certificate
 normalization, the charging audit that normalizes during its replay, the
 trial kernel that scans its held set with its own splitmix64 copy, the
 trial statistics that keep one Fraction per trial, the CSV rows written
-with one f-string each, and the classify-by-length trials replayed one
-decision at a time. They are quadratic or worse, or slow
+with one f-string each, the classify-by-length trials replayed one
+decision at a time, and the weight helpers and weighted DP that add
+Fractions. They are quadratic or worse, or slow
 per trial, and exist so that random inputs can be checked against them.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -21,7 +23,14 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from revsel.algorithms import Action, ArbPolicy, PolicyState
-from revsel.core import ArrivalSequence, Interval, conflicts, contains_properly, validate_solution
+from revsel.core import (
+    ArrivalSequence,
+    EmptyInstanceError,
+    Interval,
+    conflicts,
+    contains_properly,
+    validate_solution,
+)
 from revsel.harness import (
     InfeasibleActionError,
     RunTranscript,
@@ -451,3 +460,51 @@ def replay_arb_expectation(policy: ArbPolicy, seq: ArrivalSequence, trials: int,
         opt_value=opt,
     )
     return stats, choices, len(seq.lengths())
+
+
+# -- weights as Fractions ---------------------------------------------------
+
+
+def fraction_solution_weight(seq: ArrivalSequence, members: Iterable[int]) -> Fraction:
+    """The held weight as a Fraction sum; raises UnknownIntervalError via
+    ``seq.by_id`` on an unknown id."""
+    return sum((seq.by_id(i).weight for i in members), Fraction(0))
+
+
+def fraction_is_unweighted(seq: ArrivalSequence) -> bool:
+    return all(iv.weight == 1 for iv in seq)
+
+
+def fraction_scaled_weights(seq: ArrivalSequence) -> tuple[list[int], int]:
+    """The weights times the lcm of their denominators, one Fraction
+    product each."""
+    scale = 1
+    for iv in seq:
+        d = iv.weight.denominator
+        scale = scale // math.gcd(scale, d) * d
+    return [int(iv.weight * scale) for iv in seq], scale
+
+
+def fraction_opt_weighted(seq: ArrivalSequence) -> OptCertificate:
+    """The end-time DP with a Fraction per table entry."""
+    if len(seq) == 0:
+        raise EmptyInstanceError("opt_weighted requires a non-empty instance")
+    order = sorted(seq, key=lambda x: (x.end, x.start, x.id))
+    ends = [iv.end for iv in order]
+    n = len(order)
+    prev = [bisect.bisect_right(ends, order[j].start) - 1 for j in range(n)]
+    best = [Fraction(0)] * (n + 1)
+    for j in range(n):
+        take = order[j].weight + best[prev[j] + 1]
+        best[j + 1] = max(best[j], take)
+    members = []
+    j = n
+    while j > 0:
+        if best[j] == best[j - 1]:
+            j -= 1
+        else:
+            members.append(order[j - 1].id)
+            j = prev[j - 1] + 1
+    members = frozenset(members)
+    assert validate_solution(seq, members)
+    return OptCertificate(members, fraction_solution_weight(seq, members), "dp")

@@ -366,6 +366,43 @@ def test_bench_bytes_match_across_backends(tmp_path, capsys):
         assert (tmp_path / "compiled.csv").read_bytes() == (tmp_path / "pure.csv").read_bytes()
 
 
+@compiled
+def test_json_command_bytes_match_across_backends(tmp_path, capsys):
+    """`run` on a rational instance, `verify` and `duel` print and write
+    the same bytes under REVSEL_PURE_PYTHON=1, where json.dumps writes the
+    JSON and the weighted optimum is the same DP, as in this process, where
+    the kernel writes it."""
+    rational, unit = tmp_path / "rational.jsonl", tmp_path / "unit.jsonl"
+    write_jsonl(gen_random_instance(80, 3, "rational", 7), rational)
+    write_jsonl(gen_random_instance(120, 3, "unit", 7), unit)
+    commands = [
+        ["run", "call-control", str(rational)],
+        ["run", "rand-memoryless:p=1/3", str(rational), "--seed", "2"],
+        ["verify", str(unit)],
+        ["duel", "greedy-subsume", "--k", "3"],
+    ]
+    env = dict(os.environ, REVSEL_PURE_PYTHON="1")
+    src = str(Path(_engine.__file__).parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in commands:
+        pure_out, compiled_out = tmp_path / "pure.json", tmp_path / "compiled.json"
+        pure = subprocess.run(
+            [sys.executable, "-m", "revsel.cli", *argv, "--out", str(pure_out)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert main([*argv, "--out", str(compiled_out)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (pure.stdout, pure.stderr), argv
+        assert compiled_out.read_bytes() == pure_out.read_bytes(), argv
+
+
+@compiled
+@pytest.mark.parametrize("text", ['["\u00e9"]', "[1]]", "[[1]", '["open'])
+def test_indent_json_rejects_text_the_encoder_cannot_make(text):
+    with pytest.raises(ValueError):
+        _engine._impl.indent_json(text)
+
+
 # -- the loader ---------------------------------------------------------------
 
 

@@ -239,10 +239,18 @@ def test_bench_backends_command(capsys):
     assert code == EXIT_OK
     assert "pure-python" in out
     for label in ("trials always-replace", "trials call-control ",
-                  "trials call-control weighted", "trials rand-memoryless:p=1/3"):
+                  "trials call-control weighted", "trials rand-memoryless:p=1/3",
+                  "subset-search", "json-writer"):
         assert label in out
     if _engine.COMPILED:
         assert out.splitlines()[-1] == "outputs identical across backends: True"
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_bench_backends_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run_cli(capsys, "bench-backends", "--trials", trials, "--seed", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: --trials must be >= 1\n"
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -359,6 +367,35 @@ def test_json_writer_matches_json_dumps(payload):
     float("-inf"), 1e300, {1.5: 1, 2: 2}, {True: 1}, {None: 1}, {"a": {"b": (1, [2.5, None])}},
 ])
 def test_json_writer_matches_json_dumps_on_edge_values(payload):
+    assert cli._json_text(payload) == _reference_json_text(payload)
+
+
+# Text that the writer must copy verbatim: the characters it re-spaces
+# outside strings, quotes, and backslashes (escaped in the encoder's text).
+STRUCTURAL = '\\"\',:[]{} '
+structural_text = st.text(st.sampled_from(STRUCTURAL + "a\n"), max_size=8)
+structural_payloads = st.recursive(
+    st.one_of(structural_text, st.integers(-3, 3), st.none()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(structural_text, children, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@given(structural_payloads)
+@settings(max_examples=500, deadline=None)
+def test_json_writer_copies_strings_of_structural_characters(payload):
+    assert cli._json_text(payload) == _reference_json_text(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    "\\", "a\\", '"', '\\"', "[{,:}]", {"\\": "\\"}, {'\\"': ['"', "\\", ","]},
+    {"a,b": "c:d", "[": "]", "{": "}"}, ["\\", "\\\\", "x\\"], {"k\\": {"\\": []}},
+    [[], {}, [[]], {"a": {}}], {"a": [], "b": {}, "c": [{}]}, [[[[]]]], "top-level string",
+])
+def test_json_writer_on_escapes_and_empty_containers(payload):
     assert cli._json_text(payload) == _reference_json_text(payload)
 
 

@@ -3,11 +3,27 @@
 from fractions import Fraction
 
 import pytest
-from reference import verify_charging_lazy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import (
+    fraction_is_unweighted,
+    fraction_opt_weighted,
+    fraction_scaled_weights,
+    fraction_solution_weight,
+    verify_charging_lazy,
+)
 
 from revsel.adversary import gen_greedy_tight, gen_random_instance, gen_two_length
 from revsel.algorithms import make_policy
-from revsel.core import ArrivalSequence, Interval, validate_solution
+from revsel.core import (
+    ArrivalSequence,
+    Interval,
+    UnknownIntervalError,
+    loads_jsonl,
+    scaled_weights,
+    solution_weight,
+    validate_solution,
+)
 from revsel.harness import run_policy
 from revsel.oracle import (
     ChargeBoundViolation,
@@ -157,3 +173,71 @@ def test_charging_certificate_feasibility_is_preserved():
         ledger = verify_charging(s, transcript, opt, len(s.lengths()))
         assert validate_solution(s, ledger.normalized_opt)
         assert len(ledger.normalized_opt) == len(opt.members)
+
+
+# -- integer-scaled weights against the Fraction versions ----------------------
+
+# Zero, one value written two ways, small denominators, and large coprime
+# ones whose lcm runs far past 64 bits.
+weights = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(2, 4), Fraction(1, 2), Fraction(1), Fraction(3)]),
+    st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6])),
+    st.builds(
+        Fraction,
+        st.integers(0, 10**20),
+        st.sampled_from([10**9 + 7, 10**9 + 9, 998244353, 2**61 - 1]),
+    ),
+)
+# Short intervals on a short line overlap often, and few distinct weights
+# make ties in the DP common.
+weighted_rows = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(1, 6), weights), max_size=14
+)
+
+
+def weighted_seq(rows):
+    return ArrivalSequence(Interval(i, s, s + n, w) for i, (s, n, w) in enumerate(rows))
+
+
+@given(weighted_rows, st.integers(0, 2**14 - 1))
+@settings(max_examples=400, deadline=None)
+def test_scaled_weight_helpers_match_fraction_sums(rows, mask):
+    inst = weighted_seq(rows)
+    assert scaled_weights(inst) == fraction_scaled_weights(inst)
+    assert inst.is_unweighted() == fraction_is_unweighted(inst)
+    members = [iv.id for iv in inst if mask >> iv.id & 1]
+    total = solution_weight(inst, members)
+    assert type(total) is Fraction and total == fraction_solution_weight(inst, members)
+    if rows:
+        assert opt_weighted(inst) == fraction_opt_weighted(inst)
+
+
+@given(weighted_rows)
+@settings(max_examples=100, deadline=None)
+def test_solution_weight_raises_on_an_unknown_id(rows):
+    inst = weighted_seq(rows)
+    for helper in (solution_weight, fraction_solution_weight):
+        with pytest.raises(UnknownIntervalError):
+            helper(inst, [0, len(rows)])
+
+
+def test_weights_written_two_ways_scale_alike():
+    text = (
+        '{"id": 0, "start": 0, "end": 4, "weight": "2/4"}\n'
+        '{"id": 1, "start": 0, "end": 2, "weight": "1/2"}\n'
+        '{"id": 2, "start": 2, "end": 4, "weight": 0}\n'
+    )
+    inst = loads_jsonl(text)
+    assert scaled_weights(inst) == fraction_scaled_weights(inst) == ([1, 1, 0], 2)
+    assert not inst.is_unweighted()
+    assert solution_weight(inst, [0, 1, 2]) == Fraction(1)
+    # {0} and {1, 2} tie at 1/2; both DPs keep the same one.
+    assert opt_weighted(inst) == fraction_opt_weighted(inst)
+    assert opt_weighted(inst).value == Fraction(1, 2)
+
+
+def test_dp_ties_pick_the_members_of_the_fraction_dp():
+    inst = seq((0, 4, 2), (0, 2, 1), (2, 4, 1), (4, 6, Fraction(2, 4)), (4, 6, Fraction(1, 2)))
+    cert = opt_weighted(inst)
+    assert cert == fraction_opt_weighted(inst)
+    assert cert.value == Fraction(5, 2)
