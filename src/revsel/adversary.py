@@ -515,14 +515,9 @@ def adaptive_lower_bound_driver(
 def _check_replay(policy: Policy, arrivals: ArrivalSequence, transcript: RunTranscript) -> None:
     """Feed the emitted arrivals to a fresh copy; differing actions expose a
     policy that is not actually deterministic."""
-    fresh = policy.fresh()
-    state = PolicyState()
-    retired: set[int] = set()
-    for entry in transcript.entries:
-        iv = arrivals.by_id(entry.arrival_id)
-        action = fresh.decide(state, iv, None)
-        if action != entry.action:
+    _state, replay = run_policy(policy, arrivals)
+    for ours, theirs in zip(transcript.entries, replay.entries):
+        if ours != theirs:
             raise DriverError(
-                f"non-deterministic policy detected: replay diverged at arrival {iv.id}"
+                f"non-deterministic policy detected: replay diverged at arrival {ours.arrival_id}"
             )
-        apply_action(state, iv, action, retired)

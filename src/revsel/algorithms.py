@@ -116,7 +116,8 @@ class PolicyState:
         hi = bisect_left(self._starts, arrival.end, lo)
         return tuple(self._members[lo:hi])
 
-    # Mutation is reserved for the harness and replays of its transcripts.
+    # Mutation is reserved for the constructor and the harness's
+    # apply_action, which validates every action before it applies it.
     def _add(self, iv: Interval) -> None:
         if iv.id in self._by_id:
             raise ValueError(f"interval {iv.id} is already held")
@@ -230,7 +231,10 @@ class ThresholdPolicyTables:
     def from_json(text: str) -> "ThresholdPolicyTables":
         """Parse a table file. Overlap keys must be integer literals and
         bits JSON integers: a bool or a float raises ``ValueError``."""
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raise ValueError("threshold tables are nested too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError("threshold tables must be a JSON object")
 
@@ -520,6 +524,9 @@ def make_policy(identifier: str) -> Policy:
         spec = identifier.split(":", 1)[1]
         if not spec.startswith("p="):
             raise ValueError("rand-memoryless spec must look like p=1/2")
-        return RandMemorylessPolicy(Fraction(spec[2:]))
+        try:
+            return RandMemorylessPolicy(Fraction(spec[2:]))
+        except ZeroDivisionError:
+            raise ValueError(f"rand-memoryless p {spec[2:]!r} has a zero denominator") from None
     raise ValueError(f"unknown policy identifier {identifier!r}")
 

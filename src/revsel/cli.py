@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import _engine, adversary
-from .algorithms import ArbPolicy, make_policy
+from .algorithms import ArbPolicy, GreedySubsumePolicy, make_policy
 from .core import (
     EmptyInstanceError,
     instance_stats,
@@ -32,6 +32,7 @@ from .harness import (
     kernel_weights,
     run_adversarial,
     run_arb_expectation,
+    run_policy,
     run_random_order,
 )
 from .oracle import ChargeBoundViolation, opt_unweighted, verify_charging
@@ -269,17 +270,14 @@ def _build_verify(sub):
 
 
 def _cmd_verify(args) -> int:
-    from .algorithms import GreedySubsumePolicy
-    from .harness import run_policy
-
     seq = read_jsonl(args.instance)
     if len(seq) == 0:
         raise SystemExit_Usage("empty instance")
-    stats = instance_stats(seq)
+    k = len(seq.lengths())
     _state, transcript = run_policy(GreedySubsumePolicy(), seq)
     opt = opt_unweighted(seq)
     try:
-        ledger = verify_charging(seq, transcript, opt, stats.k)
+        ledger = verify_charging(seq, transcript, opt, k)
     except ChargeBoundViolation as exc:
         counterexample = (args.out or args.instance) + ".counterexample.jsonl"
         write_jsonl(seq, counterexample)
@@ -290,7 +288,7 @@ def _cmd_verify(args) -> int:
         print(f"FAIL: {exc}")
         return EXIT_BOUND
     _emit(ledger.to_json_dict(), args.out)
-    print(f"max charge {ledger.max_total} <= 2k = {2 * stats.k}: pass")
+    print(f"max charge {ledger.max_total} <= 2k = {2 * k}: pass")
     return EXIT_OK
 
 

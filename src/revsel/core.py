@@ -303,10 +303,7 @@ def scale_rational_endpoints(
     ratios are unchanged. Ids are assigned 0..n-1 in order.
     """
     rows = [(Fraction(s), Fraction(e), Fraction(w)) for s, e, w in triples]
-    denom = 1
-    for s, e, _ in rows:
-        denom = denom * s.denominator // gcd(denom, s.denominator)
-        denom = denom * e.denominator // gcd(denom, e.denominator)
+    denom = lcm(*(x.denominator for s, e, _ in rows for x in (s, e)))
     return ArrivalSequence(
         Interval(i, int(s * denom), int(e * denom), w)
         for i, (s, e, w) in enumerate(rows)

@@ -8,7 +8,9 @@ Values are exact rationals throughout.
 ``verify_charging`` replays a greedy-subsume run and rebuilds the accounting
 that maps every optimal interval onto a held interval, checking the
 per-interval bounds (at most 2 direct charges, at most 2k-2 transferred
-ones, 2k total) and that the optimum is charged exactly once each.
+ones, 2k total) and that the optimum is charged exactly once each. Each
+action of the run is applied through the harness's ``apply_action``, so a
+transcript the harness would refuse raises ``InfeasibleActionError``.
 """
 
 from __future__ import annotations
@@ -263,7 +265,8 @@ def _charge_direct(records, events, held, arrival: Interval) -> None:
     events.append(("direct", arrival.id, target.id))
 
 
-def _apply_accept(records, events, held, arrival: Interval, displaced) -> None:
+def _transfer(records, events, arrival: Interval, displaced) -> None:
+    """Hand each displaced interval's charges to the accepted arrival."""
     for gone in displaced:
         moved = records[gone].current
         if moved:
@@ -271,8 +274,6 @@ def _apply_accept(records, events, held, arrival: Interval, displaced) -> None:
             records[arrival.id].current.extend(moved)
             records[gone].current = []
             events.append(("transfer", gone, arrival.id, len(moved)))
-        held._remove(gone)
-    held._add(arrival)
 
 
 def _check_bounds(seq: ArrivalSequence, ledger: ChargeLedger) -> ChargeLedger:
@@ -316,10 +317,12 @@ def verify_charging(
     ever accepted), then the arrivals are replayed: an optimal arrival that
     the run accepted charges itself, a rejected one charges the conflicting
     held interval (the right one when there are two), and every displacement
-    hands the displaced interval's charges to its replacement. Raises
-    :class:`ChargeBoundViolation` if any bound fails.
+    hands the displaced interval's charges to its replacement. Each action is
+    applied through the harness's ``apply_action``, which raises
+    :class:`~revsel.harness.InfeasibleActionError` at the first entry it
+    refuses. Raises :class:`ChargeBoundViolation` if any bound fails.
     """
-    from .harness import replay_actions
+    from .harness import apply_action
 
     ever_accepted = [e.arrival_id for e in transcript.entries if e.action.accepted]
     opt_norm, swaps = normalize_certificate(seq, opt.members, ever_accepted)
@@ -327,9 +330,14 @@ def verify_charging(
     records = {iv.id: ChargeRecord() for iv in seq}
     events: list[tuple] = []
     held = PolicyState()
+    retired: set[int] = set()
 
     for entry in transcript.entries:
         arrival = seq.by_id(entry.arrival_id)
+        # Validate before the bookkeeping reads the entry. A reject leaves
+        # the held set as it was, so _charge_direct still sees what the
+        # arrival met; an accept's bookkeeping reads only the records.
+        apply_action(held, arrival, entry.action, retired)
         if arrival.id in opt_norm:
             if entry.action.accepted:
                 rec = records[arrival.id]
@@ -339,16 +347,14 @@ def verify_charging(
             else:
                 _charge_direct(records, events, held, arrival)
         if entry.action.accepted:
-            _apply_accept(records, events, held, arrival, entry.action.displaced)
+            _transfer(records, events, arrival, entry.action.displaced)
 
-    final_members = held.ids
-    assert final_members == replay_actions(seq, transcript), "transcript replay mismatch"
     ledger = ChargeLedger(
         k=k,
         normalized_opt=opt_norm,
         records=records,
         events=events,
-        final_members=final_members,
+        final_members=held.ids,
         coincidence_swaps=swaps,
     )
     return _check_bounds(seq, ledger)

@@ -3,13 +3,13 @@
 Each mirrors an earlier, simpler version of a fast path in revsel: a held
 set that re-sorts and scans all members on every query, the harness step
 that scans it, the pairwise nesting-depth DP, the restart-loop certificate
-normalization, the charging audit that normalizes during its replay, the
-trial kernel that scans its held set with its own splitmix64 copy, the
-trial statistics that keep one Fraction per trial, the CSV rows written
-with one f-string each, the classify-by-length trials replayed one
+normalization, the charging audit that normalizes during its own unvalidated
+replay, the trial kernel that scans its held set with its own splitmix64
+copy, the trial statistics that keep one Fraction per trial, the CSV rows
+written with one f-string each, the classify-by-length trials replayed one
 decision at a time, and the weight helpers and weighted DP that add
-Fractions. They are quadratic or worse, or slow
-per trial, and exist so that random inputs can be checked against them.
+Fractions. They are quadratic or worse, or slow per trial, and exist so
+that random inputs can be checked against them.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from revsel.oracle import (
     ChargeLedger,
     ChargeRecord,
     OptCertificate,
-    _apply_accept,
     _charge_direct,
     _check_bounds,
 )
@@ -193,6 +192,20 @@ def _swap_candidates(seq, outer, accepted, opt):
         for a in accepted
         if a not in opt and contains_properly(outer, seq.by_id(a))
     ]
+
+
+def _apply_accept(records, events, held, arrival, displaced) -> None:
+    """Transfer the displaced intervals' charges to the arrival, then swap
+    them in the held set directly, without the harness's validation."""
+    for gone in displaced:
+        moved = records[gone].current
+        if moved:
+            records[arrival.id].transferred_ids.extend(moved)
+            records[arrival.id].current.extend(moved)
+            records[gone].current = []
+            events.append(("transfer", gone, arrival.id, len(moved)))
+        held._remove(gone)
+    held._add(arrival)
 
 
 def verify_charging_lazy(

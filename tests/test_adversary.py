@@ -19,7 +19,7 @@ from revsel.adversary import (
     gen_two_length,
     level_schedule,
 )
-from revsel.algorithms import FunctionMemorylessPolicy, make_policy
+from revsel.algorithms import Action, FunctionMemorylessPolicy, GreedySubsumePolicy, make_policy
 from revsel.core import (
     conflicts,
     contains_properly,
@@ -262,6 +262,38 @@ def test_driver_flags_nondeterministic_liars():
     policy.deterministic = True  # lies about itself
     with pytest.raises((DriverError, ValueError)):
         adaptive_lower_bound_driver(2, policy)
+
+
+class _LiesOnCopy(GreedySubsumePolicy):
+    """Greedy-subsume that claims to be deterministic, but whose `lie_on`-th
+    fresh copy rejects arrival `target`; every copy shares one counter."""
+
+    def __init__(self, lie_on, target, made):
+        self.lie_on, self.target, self.made = lie_on, target, made
+        self.lying = False
+
+    def fresh(self):
+        self.made.append(None)
+        copy = _LiesOnCopy(self.lie_on, self.target, self.made)
+        copy.lying = len(self.made) == self.lie_on
+        return copy
+
+    def decide(self, state, arrival, rng=None):
+        if self.lying and arrival.id == self.target:
+            return Action.reject()
+        return super().decide(state, arrival, rng)
+
+
+def test_driver_flags_a_policy_that_diverges_on_the_final_replay():
+    # An honest run counts the fresh copies; the last is the final replay.
+    made = []
+    honest = adaptive_lower_bound_driver(3, _LiesOnCopy(0, None, made))
+    accepted = [e.arrival_id for e in honest.transcript.entries if e.action.accepted]
+    target = accepted[-1]
+    assert target > 0
+    liar = _LiesOnCopy(len(made), target, [])
+    with pytest.raises(DriverError, match=f"replay diverged at arrival {target}$"):
+        adaptive_lower_bound_driver(3, liar)
 
 
 def test_amplified_driver_against_coin_flip_policy():

@@ -440,3 +440,32 @@ def test_every_command_writes_the_bytes_json_dumps_writes(tmp_path, capsys, monk
             expected = _outputs(capsys, tmp_path, argv, out_name)
         assert got == expected, argv
         assert got[0] == EXIT_OK, argv
+
+
+def test_zero_denominator_memoryless_p_is_usage_error(tmp_path, capsys):
+    inst = str(tmp_path / "two.jsonl")
+    run_cli(capsys, "generate", "two-length", "--K", "3", "--out", inst)
+    policy = "rand-memoryless:p=1/0"
+    for argv in (("run", policy, inst, "--seed", "1"),
+                 ("duel", policy, "--k", "2", "--seed", "1"),
+                 ("bench", policy, inst, "--trials", "3", "--seed", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert err.startswith("error: ") and "zero denominator" in err, argv
+        assert "Traceback" not in err
+
+
+def test_deeply_nested_threshold_table_is_usage_error(tmp_path, capsys):
+    inst = str(tmp_path / "wide.jsonl")
+    run_cli(
+        capsys, "generate", "random-order-bad-wide",
+        "--alpha", "3", "--gamma", "6", "--m", "4", "--L", "10", "--out", inst,
+    )
+    table = tmp_path / "deep.json"
+    table.write_text("[" * 10**5)
+    for argv in (("run", f"threshold:{table}", inst),
+                 ("bench", f"threshold:{table}", inst, "--trials", "3", "--seed", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert err.startswith("error: threshold tables are nested too deeply"), argv
+        assert "Traceback" not in err

@@ -12,6 +12,7 @@ from reference import (
     pairwise_nesting_depth,
     restart_normalize_certificate,
     scanning_run_policy,
+    verify_charging_lazy,
 )
 
 from revsel.algorithms import PolicyState, make_policy
@@ -22,8 +23,8 @@ from revsel.core import (
     instance_stats,
     normalize_to_grid,
 )
-from revsel.harness import run_policy
-from revsel.oracle import normalize_certificate, opt_unweighted, opt_weighted
+from revsel.harness import replay_actions, run_policy
+from revsel.oracle import normalize_certificate, opt_unweighted, opt_weighted, verify_charging
 from revsel.rng import Stream
 
 
@@ -148,6 +149,20 @@ def test_normalize_certificate_matches_restart_loop(seq, data):
             assert normalize_certificate(seq, opt.members, accepted) == (
                 restart_normalize_certificate(seq, opt.members, accepted)
             )
+
+
+@given(instances())
+@settings(max_examples=200, deadline=None)
+def test_charging_audit_ends_where_the_harness_ends(seq):
+    # The audit applies each action through apply_action; its final set must
+    # still match a separate replay and the live run, and its ledger the
+    # reference audit's, which swaps the held set without validation.
+    unit = ArrivalSequence(Interval(x.id, x.start, x.end) for x in seq)
+    state, transcript = run_policy(make_policy("greedy-subsume"), unit)
+    opt, k = opt_unweighted(unit), len(unit.lengths())
+    ledger = verify_charging(unit, transcript, opt, k)
+    assert ledger.final_members == replay_actions(unit, transcript) == state.ids
+    assert ledger.to_json_dict() == verify_charging_lazy(unit, transcript, opt, k).to_json_dict()
 
 
 def test_policy_state_rejects_overlapping_members():

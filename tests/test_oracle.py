@@ -14,7 +14,7 @@ from reference import (
 )
 
 from revsel.adversary import gen_greedy_tight, gen_random_instance, gen_two_length
-from revsel.algorithms import make_policy
+from revsel.algorithms import Action, make_policy
 from revsel.core import (
     ArrivalSequence,
     Interval,
@@ -24,7 +24,13 @@ from revsel.core import (
     solution_weight,
     validate_solution,
 )
-from revsel.harness import run_policy
+from revsel.harness import (
+    InfeasibleActionError,
+    RunTranscript,
+    TranscriptEntry,
+    replay_actions,
+    run_policy,
+)
 from revsel.oracle import (
     ChargeBoundViolation,
     OptCertificate,
@@ -173,6 +179,34 @@ def test_charging_certificate_feasibility_is_preserved():
         ledger = verify_charging(s, transcript, opt, len(s.lengths()))
         assert validate_solution(s, ledger.normalized_opt)
         assert len(ledger.normalized_opt) == len(opt.members)
+
+
+# [0, 4) and [4, 8) touch; [2, 6) straddles both; [10, 12) stands apart.
+# Greedy-subsume accepts 0 and 1, rejects 2 and accepts 3.
+_TAMPER = ((0, 4, 1), (4, 8, 1), (2, 6, 1), (10, 12, 1))
+_ACCEPT, _REJECT = Action.accept(), Action.reject()
+
+
+@pytest.mark.parametrize("actions, message", [
+    # a displaced member that does not conflict with the arrival
+    ([(0, _ACCEPT), (1, _ACCEPT), (2, _REJECT), (3, Action.accept({0}))],
+     "displaced id 0 does not conflict with arrival 3"),
+    # an accept that overlaps a held member
+    ([(0, _ACCEPT), (1, _ACCEPT), (2, _ACCEPT)], "leaves a conflict with held 0"),
+    # an arrival seen twice, first accepted, then rejected
+    ([(0, _ACCEPT), (1, _ACCEPT), (0, _REJECT)], "interval 0 appeared twice"),
+    # a displaced id that is no interval of the instance
+    ([(0, _ACCEPT), (3, Action.accept({99}))], "displaced id 99 is not currently held"),
+])
+def test_charging_refuses_what_the_harness_refuses(actions, message):
+    s = seq(*_TAMPER)
+    transcript = RunTranscript(
+        "greedy-subsume", tuple(TranscriptEntry(i, action) for i, action in actions)
+    )
+    with pytest.raises(InfeasibleActionError, match=message):
+        replay_actions(s, transcript)
+    with pytest.raises(InfeasibleActionError, match=message):
+        verify_charging(s, transcript, opt_unweighted(s), k=1)
 
 
 # -- integer-scaled weights against the Fraction versions ----------------------
