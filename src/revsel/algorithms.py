@@ -41,7 +41,7 @@ class PolicyDomainError(ValueError):
     """A policy was fed an instance outside its model (e.g. mixed lengths)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """One online decision: accept (with displacements) or reject.
 
@@ -49,6 +49,9 @@ class Action:
     with the arrival. ``discard_rest`` marks a classify-and-restart accept:
     the policy abandons its whole solution (members need not conflict the
     arrival) and starts over from the new interval.
+
+    Actions are frozen, so :meth:`accept` with nothing displaced and
+    :meth:`reject` hand out one shared instance each.
     """
 
     accepted: bool
@@ -65,11 +68,17 @@ class Action:
 
     @staticmethod
     def accept(displaced: Iterable[int] = (), discard_rest: bool = False) -> "Action":
+        if not displaced and not discard_rest:
+            return _ACCEPT
         return Action(True, frozenset(displaced), discard_rest)
 
     @staticmethod
     def reject() -> "Action":
-        return Action(False)
+        return _REJECT
+
+
+_ACCEPT = Action(True)
+_REJECT = Action(False)
 
 
 class PolicyState:
@@ -82,7 +91,9 @@ class PolicyState:
     members are kept in start-sorted parallel lists (records, starts, ends).
     The members that conflict with an arrival then form one contiguous run
     of those lists, which :meth:`conflicting` finds with two bisections:
-    O(log n) plus the length of the run.
+    O(log n) comparisons plus the length of the run. :meth:`_add` and
+    :meth:`_remove` also bisect, but their list inserts and deletes still
+    move O(n) references each (ROADMAP item 1).
     """
 
     def __init__(self, members: Iterable[Interval] = ()):
@@ -118,6 +129,8 @@ class PolicyState:
 
     # Mutation is reserved for the constructor and the harness's
     # apply_action, which validates every action before it applies it.
+    # _add's overlap check is apply_action's feasibility check: it must
+    # raise ValueError on any overlap before it changes anything.
     def _add(self, iv: Interval) -> None:
         if iv.id in self._by_id:
             raise ValueError(f"interval {iv.id} is already held")

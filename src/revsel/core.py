@@ -30,7 +30,7 @@ class UnknownIntervalError(KeyError):
     """Raised when a solution references an id absent from the instance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A half-open segment ``[start, end)`` with an identity and a weight."""
 

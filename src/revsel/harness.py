@@ -47,7 +47,7 @@ class InfeasibleActionError(RuntimeError):
     """A policy emitted an action the harness refuses to apply."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEntry:
     arrival_id: int
     action: Action
@@ -61,15 +61,14 @@ class RunTranscript:
     entries: tuple[TranscriptEntry, ...]
 
     def to_json_list(self) -> list:
-        return [
-            {
-                "id": e.arrival_id,
-                "action": e.action.kind,
-                "displaced": sorted(e.action.displaced),
-                **({"discard_rest": True} if e.action.discard_rest else {}),
-            }
-            for e in self.entries
-        ]
+        rows = []
+        for e in self.entries:
+            action = e.action
+            row = {"id": e.arrival_id, "action": action.kind, "displaced": sorted(action.displaced)}
+            if action.discard_rest:
+                row["discard_rest"] = True
+            rows.append(row)
+        return rows
 
 
 def apply_action(state: PolicyState, arrival, action: Action, retired: set[int]) -> None:
@@ -94,12 +93,15 @@ def apply_action(state: PolicyState, arrival, action: Action, retired: set[int])
     for gone in action.displaced:
         state._remove(gone)
         retired.add(gone)
-    clash = state.conflicting(arrival)
-    if clash:
+    # The arrival is not held (checked above), so _add raises only on an
+    # overlap; its own bisection is the feasibility check.
+    try:
+        state._add(arrival)
+    except ValueError:
+        clash = state.conflicting(arrival)
         raise InfeasibleActionError(
             f"accepting {arrival.id} leaves a conflict with held {clash[0].id}"
-        )
-    state._add(arrival)
+        ) from None
 
 
 def run_policy(

@@ -136,7 +136,7 @@ class ChargeBoundViolation(AssertionError):
         self.ledger = ledger
 
 
-@dataclass
+@dataclass(slots=True)
 class ChargeRecord:
     """Lifetime charge bookkeeping for one interval the run ever held.
 

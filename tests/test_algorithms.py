@@ -1,5 +1,8 @@
 """Policy decision rules, the action contract, and policy invariants."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,7 @@ from revsel.algorithms import (
 )
 from revsel.adversary import gen_random_instance
 from revsel.core import Interval, validate_solution
-from revsel.harness import apply_action, run_policy
+from revsel.harness import TranscriptEntry, apply_action, run_policy
 from revsel.rng import Stream
 
 
@@ -256,6 +259,55 @@ def test_arb_heavier_replace_subroutine():
 def test_action_reject_cannot_displace():
     with pytest.raises(ValueError):
         Action(False, frozenset({1}))
+
+
+def test_argument_free_actions_are_shared_and_frozen():
+    for shared, fresh in (
+        (Action.accept(), Action(True)),
+        (Action.accept(()), Action(True)),
+        (Action.reject(), Action(False)),
+    ):
+        assert shared == fresh and hash(shared) == hash(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.accepted = not shared.accepted
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.displaced = frozenset({1})
+    assert Action.accept() is Action.accept(()) is Action.accept(set())
+    assert Action.reject() is Action.reject()
+    # Anything displaced or discarded still builds its own action.
+    assert Action.accept({1}) == Action(True, frozenset({1}))
+    assert Action.accept((), discard_rest=True) == Action(True, frozenset(), True)
+    assert Action.accept(iter(())) == Action(True)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Interval(3, -2, 5, Fraction(2, 3)),
+        Action.accept(),
+        Action.reject(),
+        Action.accept({4, 1}),
+        Action.accept({7}, discard_rest=True),
+        TranscriptEntry(3, Action.accept({1})),
+        TranscriptEntry(4, Action.reject()),
+    ],
+)
+def test_records_are_slotted_and_round_trip(record):
+    assert not hasattr(record, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert twin == record and hash(twin) == hash(record)
+        assert type(twin) is type(record)
+
+
+def test_interval_validation_survives_slots():
+    interval = iv(0, 2, 9, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        dataclasses.replace(interval, start=interval.end)
+    with pytest.raises(ValueError):
+        dataclasses.replace(interval, weight=Fraction(-1))
+    with pytest.raises(TypeError):
+        dataclasses.replace(interval, end=True)
+    assert dataclasses.replace(interval, weight=3).weight == Fraction(3)
 
 
 def test_make_policy_identifiers():

@@ -1,7 +1,12 @@
 """CLI behavior: flows, exit codes, reproducibility."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -469,3 +474,56 @@ def test_deeply_nested_threshold_table_is_usage_error(tmp_path, capsys):
         assert code == EXIT_USAGE and out == "", argv
         assert err.startswith("error: threshold tables are nested too deeply"), argv
         assert "Traceback" not in err
+
+
+def _floor_python():
+    """(executable, environment) that run the python3.10 on PATH, or None.
+    A pyenv shim runs only a selected version; when 3.10 is installed but
+    not selected, `pyenv whence` names it for PYENV_VERSION."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        return None
+
+    def runs(env):
+        probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"], env=env,
+                               capture_output=True, text=True, timeout=60)
+        return probe.stdout.strip() == "(3, 10)"
+
+    env = dict(os.environ)
+    if runs(env):
+        return exe, env
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        named = subprocess.run([pyenv, "whence", "python3.10"], capture_output=True, text=True,
+                               timeout=60).stdout.split()
+        if named:
+            env["PYENV_VERSION"] = named[0]
+            if runs(env):
+                return exe, env
+    return None
+
+
+def test_python_floor_writes_the_same_bytes(tmp_path):
+    """The oldest Python that requires-python admits (3.10, where slotted
+    dataclasses begin) writes the same instance, run and ledger bytes as
+    this interpreter, on the pure-Python backend so nothing is built."""
+    floor = _floor_python()
+    if floor is None:
+        pytest.skip("no python3.10 on PATH")
+    src = str(Path(cli.__file__).parents[1])
+    instance = tmp_path / "rational.jsonl"
+    commands = [
+        ["generate", "random", "--n", "60", "--k-target", "3", "--weight-mode", "rational",
+         "--seed", "4", "--out", str(instance)],
+        ["run", "call-control", str(instance)],
+        ["verify", str(instance)],
+    ]
+    for argv in commands:
+        written = []
+        for exe, env in ((sys.executable, dict(os.environ)), floor):
+            env = dict(env, REVSEL_PURE_PYTHON="1", PYTHONDONTWRITEBYTECODE="1")
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run([exe, "-m", "revsel.cli", *argv], env=env, capture_output=True,
+                                  check=True, timeout=120)
+            written.append((done.stdout, instance.read_bytes()))
+        assert written[0] == written[1], argv

@@ -21,6 +21,7 @@ from revsel.algorithms import (
     ArbPolicy,
     Policy,
     PolicyDomainError,
+    PolicyState,
     ThresholdPolicy,
     ThresholdPolicyTables,
     make_policy,
@@ -28,6 +29,7 @@ from revsel.algorithms import (
 from revsel.core import ArrivalSequence, Interval
 from revsel.harness import (
     InfeasibleActionError,
+    apply_action,
     exact_ratio,
     format_value,
     replay_actions,
@@ -105,6 +107,30 @@ def test_harness_rejects_conflicting_accept():
     seq = ArrivalSequence([Interval(0, 0, 10), Interval(1, 5, 15)])
     with pytest.raises(InfeasibleActionError):
         run_policy(_Hoarder(), seq)
+
+
+def test_feasible_accepts_search_the_held_set_once(monkeypatch):
+    """apply_action's feasibility check is PolicyState._add's own bisection:
+    a feasible accept never calls conflicting(), and only a refused one
+    does, to name the member it clashes with."""
+    calls = []
+    search = PolicyState.conflicting
+
+    def counted(self, arrival):
+        calls.append(arrival.id)
+        return search(self, arrival)
+
+    monkeypatch.setattr(PolicyState, "conflicting", counted)
+    state, retired = PolicyState([Interval(0, 0, 10), Interval(1, 20, 30)]), set()
+    apply_action(state, Interval(2, 10, 20), Action.accept(), retired)  # touches both
+    apply_action(state, Interval(3, 22, 25), Action.accept({1}), retired)
+    apply_action(state, Interval(4, 5, 7), Action.reject(), retired)
+    apply_action(state, Interval(5, 3, 40), Action.accept({0, 2, 3}), retired)
+    assert calls == []
+    assert [m.id for m in state.members()] == [5] and retired == {0, 1, 2, 3, 4}
+    with pytest.raises(InfeasibleActionError, match="^accepting 6 leaves a conflict with held 5$"):
+        apply_action(state, Interval(6, 39, 41), Action.accept(), retired)
+    assert calls == [6]
 
 
 def test_replay_matches_live_run():

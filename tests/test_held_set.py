@@ -11,11 +11,12 @@ from reference import (
     ScanningPolicyState,
     pairwise_nesting_depth,
     restart_normalize_certificate,
+    scanning_apply_action,
     scanning_run_policy,
     verify_charging_lazy,
 )
 
-from revsel.algorithms import PolicyState, make_policy
+from revsel.algorithms import Action, PolicyState, make_policy
 from revsel.core import (
     ArrivalSequence,
     InstanceStats,
@@ -23,7 +24,7 @@ from revsel.core import (
     instance_stats,
     normalize_to_grid,
 )
-from revsel.harness import replay_actions, run_policy
+from revsel.harness import apply_action, replay_actions, run_policy
 from revsel.oracle import normalize_certificate, opt_unweighted, opt_weighted, verify_charging
 from revsel.rng import Stream
 
@@ -115,6 +116,57 @@ def test_conflicting_matches_scan(seq, queries):
         reference._remove(member.id)
     assert state.members() == reference.members()
     assert state.ids == reference.ids and len(state) == len(reference)
+
+
+def _outcome(apply, state, arrival, action, retired):
+    """The error `apply` raises, as (type, message), or None."""
+    try:
+        apply(state, arrival, action, retired)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def _any_action(draw, seq, held, clash):
+    """A reject, or an accept displacing: all or part of the conflicting run
+    (part of it still clashes); held ids, conflicting or not; any ids,
+    including ones never held, already retired or outside the instance; or,
+    discarding, all or part of the held set."""
+    def some(ids):
+        return draw(st.one_of(st.just(ids), st.sets(st.sampled_from(ids)))) if ids else ()
+
+    kind = draw(st.sampled_from(["reject", "clash", "held", "any", "discard"]))
+    if kind == "reject":
+        return Action.reject()
+    if kind == "clash":
+        return Action.accept(some(clash))
+    if kind == "held":
+        return Action.accept(draw(st.sets(st.sampled_from(held), max_size=2)) if held else ())
+    if kind == "any":
+        ids = sorted(seq.ids) + [len(seq)]
+        return Action.accept(draw(st.sets(st.sampled_from(ids), max_size=3)))
+    return Action.accept(some(held), discard_rest=True)
+
+
+@given(instances(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_apply_action_matches_scanning_reference_on_any_action(seq, data):
+    # Arrivals not yet seen are drawn first, then any arrival again. After
+    # every action, refused or not, both sides hold and have retired the
+    # same ids.
+    state, retired = PolicyState(), set()
+    reference, ref_retired = ScanningPolicyState(), set()
+    order = data.draw(st.permutations(list(seq)))
+    order += data.draw(st.lists(st.sampled_from(order), max_size=4))
+    for arrival in order:
+        clash = [m.id for m in reference.conflicting(arrival)]
+        action = data.draw(_any_action(seq, sorted(reference.ids), clash))
+        assert _outcome(apply_action, state, arrival, action, retired) == _outcome(
+            scanning_apply_action, reference, arrival, action, ref_retired
+        )
+        assert state.members() == reference.members()
+        assert retired == ref_retired
 
 
 @given(instances())
