@@ -8,11 +8,12 @@ trial loop replays six policy modes on any weights: the single-length
 threshold tables (which include one-directional replacement),
 always-replace, never-replace, greedy-subsume, call-control and the
 constant-probability memoryless policy; all but the first take intervals of
-any lengths. A trial returns its final held count, or with integer weights
-its held weight. The trial loop has no Python twin: where the kernel cannot
-run, :func:`run_single_length_trials` returns None and the harness replays
-the trials through the policies themselves (``harness._trials``), which
-give the same bits more slowly. The subset search has a twin in
+any lengths. A trial returns its final held weight under integer weights;
+empty or all-1 weights count, and the count is then the held weight. The
+trial loop has no Python twin: where the kernel cannot run,
+:func:`run_single_length_trials` returns None and the harness replays the
+trials through the policies themselves (``harness._trials``), which give
+the same bits more slowly. The subset search has a twin in
 :mod:`.fallback`. The JSON writer needs none: without the kernel,
 :func:`dumps_json` is ``json.dumps`` itself.
 
@@ -167,9 +168,10 @@ def run_single_length_trials(
     starts, ends, spec: dict, trials: int, seed: int, weights=(), first: int = 0
 ):
     """ALG per permutation trial of a kernel-mode policy: the final held
-    count, or with `weights` (one integer per arrival; empty means unit
-    weights) the final held weight. Slot t holds trial ``first + t``, so
-    calls over consecutive ranges of trials give the bits of one call. None
+    weight under `weights`, one integer per arrival. Empty or all-1 weights
+    count: the kernel runs its counting loop, and a trial's count is its
+    held weight. Slot t holds trial ``first + t``, so calls over
+    consecutive ranges of trials give the bits of one call. None
     when no kernel is loaded or the inputs fall outside the kernel's 64-bit
     guard; the caller then replays the policy. Every mode but "threshold"
     takes any mix of lengths; the name dates from when all modes were
@@ -188,18 +190,18 @@ def run_single_length_trials(
     )
     if _impl is fallback or not fits:
         return None
+    if weights.count(1) == len(weights):
+        weights = []
     return _impl.run_single_length_trials_raw(
         starts, ends, mode, flk, flv, fld, frk, frv, frd, trials, seed, weights, num, den, first
     )
 
 
-def best_subset_scaled(starts, ends, weights, impl=None):
+def best_subset_scaled(starts, ends, weights):
     """(best total weight, member bitmask) over all conflict-free subsets."""
     starts, ends, weights = list(starts), list(ends), list(weights)
-    if impl is None:
-        fits = _fits(starts, ends) and sum(map(abs, weights)) < _LIMIT
-        impl = _impl if fits else fallback
-    return impl.best_subset_scaled(starts, ends, weights)
+    fits = _fits(starts, ends) and sum(map(abs, weights)) < _LIMIT
+    return (_impl if fits else fallback).best_subset_scaled(starts, ends, weights)
 
 
 # The C encoder's text: json.dumps runs it only when there is no indent.

@@ -281,8 +281,9 @@ class AdaptiveTranscript:
         }
 
 
-def level_schedule(k: int, base: int = 10) -> list[tuple[int, int]]:
-    """(length, overlap) per level: lengths shrink by 5, overlap is a tenth.
+def level_schedule(k: int) -> list[tuple[int, int]]:
+    """(length, overlap) per level: lengths shrink by 5 down to 10 at level
+    k, overlap is a tenth.
 
     The schedule satisfies both recursion constraints: the next length is at
     most (L+v)/4, and a four-interval chain (span 4L-3v) fits inside the
@@ -290,7 +291,7 @@ def level_schedule(k: int, base: int = 10) -> list[tuple[int, int]]:
     """
     out = []
     for j in range(1, k + 1):
-        L = base * 5 ** (k - j)
+        L = 10 * 5 ** (k - j)
         v = L // 10
         out.append((L, v))
     return out
@@ -414,7 +415,6 @@ def adaptive_lower_bound_driver(
     policy: Policy,
     copies: int = 1,
     seed: Optional[int] = None,
-    base: int = 10,
 ) -> AdaptiveTranscript:
     """Drive a revoking policy through k nested same-length chain games.
 
@@ -443,7 +443,7 @@ def adaptive_lower_bound_driver(
         rng = Stream.for_trial(seed, 0)
 
     session = _Session(policy.fresh(), rng, copies)
-    schedule = level_schedule(k, base)
+    schedule = level_schedule(k)
     region: Optional[tuple[int, int]] = None
     cert: list[Interval] = []
     levels: list[LevelRecord] = []

@@ -306,56 +306,35 @@ def threshold_memoryless_step(
     return Action.reject()
 
 
-def one_directional_step(direction: str, state: PolicyState, arrival: Interval) -> Action:
-    """Replace on one side only, regardless of overlap amount."""
-    tables = _ONE_DIR_TABLES[direction]
-    return threshold_memoryless_step(tables, state, arrival)
-
-
 _ONE_DIR_TABLES = {
-    "left": ThresholdPolicyTables(left_default=1, right_default=0),
-    "right": ThresholdPolicyTables(left_default=0, right_default=1),
+    "one-dir-left": ThresholdPolicyTables(left_default=1, right_default=0),
+    "one-dir-right": ThresholdPolicyTables(left_default=0, right_default=1),
 }
 
 
-class GreedySubsumePolicy(Policy):
-    name = "greedy-subsume"
+class StepPolicy(Policy):
+    """A deterministic policy that is one step function, replayed in the
+    engine kernel by `mode` (see :data:`_STEP_POLICIES`)."""
+
+    def __init__(self, name: str, step: Callable[[PolicyState, Interval], Action], mode: str):
+        self.name = name
+        self.step = step
+        self.mode = mode
 
     def decide(self, state, arrival, rng=None):
-        return greedy_subsume_step(state, arrival)
+        return self.step(state, arrival)
 
     def kernel_spec(self):
-        return {"mode": "greedy-subsume"}
+        return {"mode": self.mode}
 
 
-class CallControlPolicy(Policy):
-    name = "call-control"
-
-    def decide(self, state, arrival, rng=None):
-        return call_control_unweighted_step(state, arrival)
-
-    def kernel_spec(self):
-        return {"mode": "call-control"}
-
-
-class AlwaysReplacePolicy(Policy):
-    name = "always-replace"
-
-    def decide(self, state, arrival, rng=None):
-        return always_replace_step(state, arrival)
-
-    def kernel_spec(self):
-        return {"mode": "always"}
-
-
-class NeverReplacePolicy(Policy):
-    name = "never-replace"
-
-    def decide(self, state, arrival, rng=None):
-        return never_replace_step(state, arrival)
-
-    def kernel_spec(self):
-        return {"mode": "never"}
+# CLI identifier -> (step function, kernel mode) of each step policy.
+_STEP_POLICIES = {
+    "greedy-subsume": (greedy_subsume_step, "greedy-subsume"),
+    "call-control": (call_control_unweighted_step, "call-control"),
+    "always-replace": (always_replace_step, "always"),
+    "never-replace": (never_replace_step, "never"),
+}
 
 
 class ThresholdPolicy(Policy):
@@ -368,13 +347,6 @@ class ThresholdPolicy(Policy):
 
     def kernel_spec(self):
         return {"mode": "threshold", "tables": self.tables}
-
-
-class OneDirectionalPolicy(ThresholdPolicy):
-    def __init__(self, direction: str):
-        if direction not in ("left", "right"):
-            raise ValueError("direction must be 'left' or 'right'")
-        super().__init__(_ONE_DIR_TABLES[direction], name=f"one-dir-{direction}")
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +487,10 @@ class ArbPolicy(Policy):
 
 def make_policy(identifier: str) -> Policy:
     """Build a policy from its CLI identifier."""
-    if identifier == "greedy-subsume":
-        return GreedySubsumePolicy()
-    if identifier == "call-control":
-        return CallControlPolicy()
-    if identifier == "always-replace":
-        return AlwaysReplacePolicy()
-    if identifier == "never-replace":
-        return NeverReplacePolicy()
-    if identifier == "one-dir-left":
-        return OneDirectionalPolicy("left")
-    if identifier == "one-dir-right":
-        return OneDirectionalPolicy("right")
+    if identifier in _STEP_POLICIES:
+        return StepPolicy(identifier, *_STEP_POLICIES[identifier])
+    if identifier in _ONE_DIR_TABLES:
+        return ThresholdPolicy(_ONE_DIR_TABLES[identifier], name=identifier)
     if identifier.startswith("threshold:"):
         path = identifier.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:

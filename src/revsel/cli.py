@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import _engine, adversary
-from .algorithms import ArbPolicy, GreedySubsumePolicy, make_policy
+from .algorithms import ArbPolicy, make_policy
 from .core import (
     EmptyInstanceError,
     instance_stats,
@@ -29,7 +29,6 @@ from .core import (
 from .harness import (
     InfeasibleActionError,
     format_value,
-    kernel_weights,
     run_adversarial,
     run_arb_expectation,
     run_policy,
@@ -274,7 +273,7 @@ def _cmd_verify(args) -> int:
     if len(seq) == 0:
         raise SystemExit_Usage("empty instance")
     k = len(seq.lengths())
-    _state, transcript = run_policy(GreedySubsumePolicy(), seq)
+    _state, transcript = run_policy(make_policy("greedy-subsume"), seq)
     opt = opt_unweighted(seq)
     try:
         ledger = verify_charging(seq, transcript, opt, k)
@@ -325,8 +324,8 @@ def _cmd_bench_backends(args) -> int:
     results = {}
     for pid, seq in trial_cases:
         policy = make_policy(pid)
-        weights, scale = kernel_weights(seq)
-        label = f"trials {pid}" + (" weighted" if weights else "")
+        scale, weight_of = seq.integer_weights()
+        label = f"trials {pid}" + ("" if seq.is_unweighted() else " weighted")
         t0 = time.perf_counter()
         results.setdefault("pure-python", []).append(_trials(policy, seq, args.seed, args.trials))
         rows.append(("pure-python", label, time.perf_counter() - t0, args.trials))
@@ -334,7 +333,7 @@ def _cmd_bench_backends(args) -> int:
             t0 = time.perf_counter()
             raw = _engine.run_single_length_trials(
                 [iv.start for iv in seq], [iv.end for iv in seq], policy.kernel_spec(),
-                args.trials, args.seed, weights,
+                args.trials, args.seed, list(weight_of.values()),
             )
             rows.append(("compiled", label, time.perf_counter() - t0, args.trials))
             results.setdefault("compiled", []).append([Fraction(r, scale) for r in raw])
@@ -352,7 +351,7 @@ def _cmd_bench_backends(args) -> int:
         t0 = time.perf_counter()
         reps = 50
         for _ in range(reps):
-            out = _engine.best_subset_scaled(bs, be, bw, impl=impl)
+            out = impl.best_subset_scaled(bs, be, bw)
         brute_results[name] = out
         rows.append((name, "subset-search", time.perf_counter() - t0, reps))
 

@@ -286,13 +286,6 @@ def solution_weight(seq: ArrivalSequence, members: Iterable[int]) -> Fraction:
     return Fraction(total, scale)
 
 
-def scaled_weights(seq: ArrivalSequence) -> tuple[list[int], int]:
-    """The weights as integers over one scale, the lcm of their
-    denominators: returns ([w * scale for each weight], scale)."""
-    scale, weight_of = seq.integer_weights()
-    return list(weight_of.values()), scale
-
-
 def scale_rational_endpoints(
     triples: Iterable[tuple[Fraction | int, Fraction | int, Fraction | int]],
 ) -> ArrivalSequence:

@@ -36,7 +36,6 @@ from .core import (
     ArrivalSequence,
     EmptyInstanceError,
     conflicts,
-    scaled_weights,
     solution_weight,
 )
 from .oracle import OptCertificate, opt_unweighted, opt_weighted
@@ -378,25 +377,6 @@ def _trials(
     return algs
 
 
-def _kernel_eligible(policy: Policy, seq: ArrivalSequence) -> Optional[dict]:
-    """The policy's kernel spec if the engine can run it on `seq`: threshold
-    tables need a single length (on mixed lengths the Python path raises
-    PolicyDomainError); every other mode takes any instance."""
-    spec = policy.kernel_spec()
-    if spec is None:
-        return None
-    if spec["mode"] == "threshold" and not seq.is_single_length():
-        return None
-    return spec
-
-
-def kernel_weights(seq: ArrivalSequence) -> tuple[list[int], int]:
-    """The engine's weights argument and the scale of its sums: no weights
-    (a trial's ALG is its held count) on unit weights, else the weights as
-    integers over the lcm of their denominators."""
-    return ([], 1) if seq.is_unweighted() else scaled_weights(seq)
-
-
 def _random_order_chunks(
     policy: Policy, seq: ArrivalSequence, trials: int, seed: int
 ) -> tuple[Iterator[tuple[int, list]], int]:
@@ -404,9 +384,12 @@ def _random_order_chunks(
     raw ALG values. Policies with a kernel spec run in the engine kernel
     when its first chunk comes back (it returns None for inputs it cannot
     take, and then for every chunk); the rest replay in the Python loop."""
-    spec = _kernel_eligible(policy, seq)
-    if spec is not None:
-        weights, scale = kernel_weights(seq)
+    spec = policy.kernel_spec()
+    # Threshold tables need a single length: on mixed lengths the Python
+    # path raises PolicyDomainError. Every other mode takes any instance.
+    if spec is not None and (spec["mode"] != "threshold" or seq.is_single_length()):
+        scale, weight_of = seq.integer_weights()
+        weights = list(weight_of.values())
         starts = [iv.start for iv in seq]
         ends = [iv.end for iv in seq]
         chunks = _trial_chunks(

@@ -27,7 +27,6 @@ from .core import (
     EmptyInstanceError,
     Interval,
     contains_properly,
-    scaled_weights,
     solution_weight,
     validate_solution,
 )
@@ -74,8 +73,8 @@ def opt_weighted(seq: ArrivalSequence) -> OptCertificate:
 
     Half-open compatibility: an interval may start exactly where the previous
     one ends. The DP adds the weights as integers over one common scale
-    (see :func:`~revsel.core.scaled_weights`), which keeps every comparison
-    of the exact weights.
+    (see :meth:`~revsel.core.ArrivalSequence.integer_weights`), which keeps
+    every comparison of the exact weights.
     """
     if len(seq) == 0:
         raise EmptyInstanceError("opt_weighted requires a non-empty instance")
@@ -115,10 +114,10 @@ def opt_bruteforce(seq: ArrivalSequence) -> OptCertificate:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_LIMIT} intervals, got {n}")
     if n == 0:
         return OptCertificate(frozenset(), Fraction(0), "brute")
-    scaled, _ = scaled_weights(seq)
+    _, weight_of = seq.integer_weights()
     starts = [iv.start for iv in seq]
     ends = [iv.end for iv in seq]
-    _, mask = _engine.best_subset_scaled(starts, ends, scaled)
+    _, mask = _engine.best_subset_scaled(starts, ends, list(weight_of.values()))
     members = [seq[i].id for i in range(n) if mask >> i & 1]
     return _certify(seq, members, "brute")
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revsel import _engine
 from revsel.algorithms import (
     Action,
     ArbPolicy,
@@ -21,7 +22,6 @@ from revsel.algorithms import (
     make_policy,
     memoryless_randomized_step,
     never_replace_step,
-    one_directional_step,
     threshold_memoryless_step,
 )
 from revsel.adversary import gen_random_instance
@@ -139,10 +139,11 @@ def test_threshold_rejects_containment_conflicts_silently():
 
 
 def test_one_directional():
-    act = one_directional_step("left", state_of(iv(0, 4, 10)), iv(1, 0, 6))
+    left, right = make_policy("one-dir-left"), make_policy("one-dir-right")
+    act = left.decide(state_of(iv(0, 4, 10)), iv(1, 0, 6))
     assert act.accepted
-    assert not one_directional_step("left", state_of(iv(0, 0, 6)), iv(1, 4, 10)).accepted
-    assert one_directional_step("right", state_of(iv(0, 0, 6)), iv(1, 4, 10)).accepted
+    assert not left.decide(state_of(iv(0, 0, 6)), iv(1, 4, 10)).accepted
+    assert right.decide(state_of(iv(0, 0, 6)), iv(1, 4, 10)).accepted
 
 
 def test_threshold_depends_only_on_state_and_arrival():
@@ -311,22 +312,28 @@ def test_interval_validation_survives_slots():
 
 
 def test_make_policy_identifiers():
-    for pid in (
-        "greedy-subsume",
-        "call-control",
-        "one-dir-left",
-        "one-dir-right",
-        "always-replace",
-        "never-replace",
-        "rand-memoryless:p=1/2",
-        "arb:greedy-disjoint",
-        "arb:heavier-replace",
-    ):
-        assert make_policy(pid).name == pid
-    with pytest.raises(ValueError):
-        make_policy("nope")
-    with pytest.raises(ValueError):
-        make_policy("rand-memoryless:q=1")
+    # identifier -> (deterministic, kernel mode or None)
+    table = {
+        "greedy-subsume": (True, "greedy-subsume"),
+        "call-control": (True, "call-control"),
+        "one-dir-left": (True, "threshold"),
+        "one-dir-right": (True, "threshold"),
+        "always-replace": (True, "always"),
+        "never-replace": (True, "never"),
+        "rand-memoryless:p=1/2": (False, "memoryless"),
+        "arb:greedy-disjoint": (False, None),
+        "arb:heavier-replace": (False, None),
+    }
+    for pid, (deterministic, mode) in table.items():
+        policy = make_policy(pid)
+        assert policy.name == pid
+        assert policy.deterministic is deterministic
+        spec = policy.kernel_spec()
+        assert (None if spec is None else spec["mode"]) == mode
+        assert spec is None or spec["mode"] in _engine._MODES
+    for pid in ("nope", "rand-memoryless:q=1", "one-dir-up", "greedy"):
+        with pytest.raises(ValueError):
+            make_policy(pid)
 
 
 # -- feasibility invariant across policies ---------------------------------------

@@ -24,17 +24,14 @@ from revsel import _engine
 from revsel._engine import fallback
 from revsel.adversary import gen_random_instance, gen_random_order_bad
 from revsel.algorithms import (
-    AlwaysReplacePolicy,
     ArbPolicy,
-    CallControlPolicy,
-    NeverReplacePolicy,
     ThresholdPolicy,
     ThresholdPolicyTables,
     make_policy,
 )
 from revsel.cli import main
 from revsel.core import ArrivalSequence, Interval, write_jsonl
-from revsel.harness import _trials, kernel_weights, run_arb_expectation
+from revsel.harness import _trials, run_arb_expectation, run_random_order
 from revsel.oracle import opt_bruteforce, opt_unweighted, opt_weighted
 from revsel.rng import Stream, mix64, permutation, substream_seed
 
@@ -71,18 +68,18 @@ def test_permutation_parity():
 
 
 def _policy_variants():
-    yield AlwaysReplacePolicy()
-    yield NeverReplacePolicy()
+    yield make_policy("always-replace")
+    yield make_policy("never-replace")
     yield ThresholdPolicy(ThresholdPolicyTables(left_default=1, right_default=0))
     yield ThresholdPolicy(ThresholdPolicyTables(left={3: 1, 6: 0}, right={4: 1}, left_default=0))
 
 
 def _kernel_trials(policy, seq, trials, seed):
     """The dispatcher's raw ALG values for `policy` on `seq`."""
-    weights, _ = kernel_weights(seq)
+    _, weight_of = seq.integer_weights()
     return _engine.run_single_length_trials(
         [iv.start for iv in seq], [iv.end for iv in seq], policy.kernel_spec(), trials, seed,
-        weights=weights,
+        weights=list(weight_of.values()),
     )
 
 
@@ -109,9 +106,9 @@ def test_subset_search_parity():
         starts = [iv.start for iv in seq]
         ends = [iv.end for iv in seq]
         weights = [int(iv.weight) for iv in seq]
-        assert _engine.best_subset_scaled(
-            starts, ends, weights, impl=_engine._impl
-        ) == _engine.best_subset_scaled(starts, ends, weights, impl=fallback)
+        assert _engine._impl.best_subset_scaled(
+            starts, ends, weights
+        ) == fallback.best_subset_scaled(starts, ends, weights)
 
 
 def test_subset_search_agrees_with_oracles_regardless_of_backend():
@@ -201,7 +198,7 @@ def test_rejected_draws_are_skipped(n):
     seq = ArrivalSequence(Interval(i, 3 * i, 3 * i + 4) for i in range(n))
     if _engine.COMPILED:
         assert _engine._impl.permutation_raw(n, seed, 0) == expected
-        policy = AlwaysReplacePolicy()
+        policy = make_policy("always-replace")
         assert _kernel_trials(policy, seq, 1, seed) == _trials(policy, seq, seed, 1)
 
 
@@ -256,7 +253,7 @@ def test_coordinates_beyond_64_bits_take_the_fallback(monkeypatch):
     with pytest.raises(OverflowError):
         _engine._impl.best_subset_scaled(starts, ends, [1] * len(seq))
     compiled_cert = opt_bruteforce(seq)
-    policy = AlwaysReplacePolicy()
+    policy = make_policy("always-replace")
     assert _kernel_trials(policy, seq, 40, 3) is None
     assert trial_samples(policy, seq, 40, 3) == _trials(policy, seq, 3, 40)
     monkeypatch.setattr(_engine, "_impl", fallback)
@@ -276,7 +273,7 @@ def test_call_control_near_the_64_bit_guard():
         (-top + 1, -top + 3),
     ]
     seq = ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(rows))
-    policy = CallControlPolicy()
+    policy = make_policy("call-control")
     expected = _trials(policy, seq, 7, 200)
     assert _kernel_trials(policy, seq, 200, 7) == (expected if _engine.COMPILED else None)
     assert trial_samples(policy, seq, 200, seed=7) == expected
@@ -292,15 +289,15 @@ def test_weight_sums_beyond_64_bits_take_the_fallback():
 
 
 class _RecordingKernel:
-    """Stands in for a loaded kernel: counts the calls it gets and answers
-    each with `result`."""
+    """Stands in for a loaded kernel: records the arguments of each call it
+    gets and answers each with `result`."""
 
     def __init__(self, result):
-        self.calls = 0
+        self.calls = []
         self.result = result
 
     def run_single_length_trials_raw(self, *args):
-        self.calls += 1
+        self.calls.append(args)
         return self.result
 
 
@@ -308,8 +305,8 @@ def test_trial_guards_on_weight_sums_and_denominators(monkeypatch):
     top = 2**62
     rows = [(0, 2), (1, 3), (5, 6)]
     cases = [  # (policy, weights, whether the kernel may take it)
-        (AlwaysReplacePolicy(), [top - 3, 1, 1], True),
-        (AlwaysReplacePolicy(), [top - 2, 1, 1], False),
+        (make_policy("always-replace"), [top - 3, 1, 1], True),
+        (make_policy("always-replace"), [top - 2, 1, 1], False),
         (make_policy(f"rand-memoryless:p=1/{top - 1}"), [1, 1, 1], True),
         (make_policy(f"rand-memoryless:p=1/{top}"), [1, 1, 1], False),
     ]
@@ -325,7 +322,26 @@ def test_trial_guards_on_weight_sums_and_denominators(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(_engine, "_impl", recorder)
             assert _kernel_trials(policy, seq, 20, 5) == (expected if kernel else None)
-        assert recorder.calls == (1 if kernel else 0)
+        assert len(recorder.calls) == (1 if kernel else 0)
+
+
+def test_unit_instances_reach_the_kernel_with_no_weights(monkeypatch):
+    """The harness hands the engine every instance's integer weights; the
+    engine turns all-1 weights into the empty list of the kernel's counting
+    loop and passes any other weights on as they are."""
+    unit = gen_random_instance(12, 3, "unit", 4)
+    weighted = gen_random_instance(12, 3, "rational", 4)
+    assert unit.is_unweighted() and not weighted.is_unweighted()
+    for pid in ("greedy-subsume", "always-replace", "rand-memoryless:p=1/3"):
+        policy = make_policy(pid)
+        for seq in (unit, weighted):
+            recorder = _RecordingKernel([0] * 5)
+            with monkeypatch.context() as patch:
+                patch.setattr(_engine, "_impl", recorder)
+                run_random_order(policy, seq, 5, seed=1)
+            _, weight_of = seq.integer_weights()
+            expected = [] if seq is unit else list(weight_of.values())
+            assert [args[11] for args in recorder.calls] == [expected]  # the weights
 
 
 # -- whole commands on both backends ------------------------------------------

@@ -174,7 +174,7 @@ def test_random_order_kernel_and_python_paths_agree():
             return None
 
     plain = trial_samples(policy, seq, 60, seed=11)
-    forced = trial_samples(NoKernel(), seq, 60, seed=11)
+    forced = trial_samples(NoKernel(policy.name, policy.step, policy.mode), seq, 60, seed=11)
     assert plain == forced
 
 

@@ -20,7 +20,6 @@ from revsel.core import (
     Interval,
     UnknownIntervalError,
     loads_jsonl,
-    scaled_weights,
     solution_weight,
     validate_solution,
 )
@@ -114,14 +113,16 @@ def test_charging_tight_instance_hits_bound_exactly():
 
 
 def test_charging_two_length_every_unit_self_charges():
-    s = gen_two_length(5)
-    _, transcript = run_greedy(s)
-    ledger = verify_charging(s, transcript, opt_unweighted(s), k=2)
-    for member in ledger.final_members:
-        rec = ledger.records[member]
-        assert rec.direct_ids == [member]
-        assert rec.transfer_count in (0, 1) or True
-    assert ledger.charges_on_final() == 5
+    for K in (2, 3, 5, 9):
+        s = gen_two_length(K)
+        _, transcript = run_greedy(s)
+        ledger = verify_charging(s, transcript, opt_unweighted(s), k=2)
+        assert ledger.final_members == frozenset(range(1, K + 1))  # the K units
+        for member in ledger.final_members:
+            rec = ledger.records[member]
+            assert rec.direct_ids == [member]
+            assert rec.transferred_ids == []
+        assert ledger.charges_on_final() == K
 
 
 def test_charging_lazy_agrees_on_greedy_certificates():
@@ -237,7 +238,8 @@ def weighted_seq(rows):
 @settings(max_examples=400, deadline=None)
 def test_scaled_weight_helpers_match_fraction_sums(rows, mask):
     inst = weighted_seq(rows)
-    assert scaled_weights(inst) == fraction_scaled_weights(inst)
+    scale, weight_of = inst.integer_weights()
+    assert (list(weight_of.values()), scale) == fraction_scaled_weights(inst)
     assert inst.is_unweighted() == fraction_is_unweighted(inst)
     members = [iv.id for iv in inst if mask >> iv.id & 1]
     total = solution_weight(inst, members)
@@ -262,7 +264,8 @@ def test_weights_written_two_ways_scale_alike():
         '{"id": 2, "start": 2, "end": 4, "weight": 0}\n'
     )
     inst = loads_jsonl(text)
-    assert scaled_weights(inst) == fraction_scaled_weights(inst) == ([1, 1, 0], 2)
+    scale, weight_of = inst.integer_weights()
+    assert (list(weight_of.values()), scale) == fraction_scaled_weights(inst) == ([1, 1, 0], 2)
     assert not inst.is_unweighted()
     assert solution_weight(inst, [0, 1, 2]) == Fraction(1)
     # {0} and {1, 2} tie at 1/2; both DPs keep the same one.

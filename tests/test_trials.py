@@ -47,7 +47,6 @@ from revsel.harness import (
     _trial_chunks,
     _trials,
     exact_ratio,
-    kernel_weights,
     run_arb_expectation,
     run_random_order,
 )
@@ -408,7 +407,8 @@ def _assert_kernel_matches_python_policies(seq, trials, seed):
     kernel's raw sums are the exact ALG times the weights' scale."""
     starts = [iv.start for iv in seq]
     ends = [iv.end for iv in seq]
-    weights, scale = kernel_weights(seq)
+    scale, weight_of = seq.integer_weights()
+    weights = list(weight_of.values())
     pids = MULTI_LENGTH_POLICIES + MEMORYLESS_POLICIES
     if seq.is_single_length():
         pids += ("one-dir-left", "one-dir-right")
@@ -429,11 +429,13 @@ def _assert_kernel_matches_python_policies(seq, trials, seed):
 def test_chunked_kernel_calls_match_one_call(seq, trials, cuts, seed, first):
     """Kernel calls over consecutive ranges of trials, each passing its
     first trial index, concatenate to one call over the whole range, in
-    every mode with unit and with the instance's weights; and the call
-    from trial `first` gives the Python loop's trials from there."""
+    every mode with no weights, all-1 weights and the instance's weights;
+    all-1 weights count as no weights do; and the call from trial `first`
+    gives the Python loop's trials from there."""
     starts = [iv.start for iv in seq]
     ends = [iv.end for iv in seq]
-    weights, scale = kernel_weights(seq)
+    scale, weight_of = seq.integer_weights()
+    weights = list(weight_of.values())
     bounds = sorted({0, trials, *(min(c, trials) for c in cuts)})
     pids = MULTI_LENGTH_POLICIES + MEMORYLESS_POLICIES
     if seq.is_single_length():
@@ -441,7 +443,8 @@ def test_chunked_kernel_calls_match_one_call(seq, trials, cuts, seed, first):
     for pid in pids:
         policy = make_policy(pid)
         spec = policy.kernel_spec()
-        for w in ([], weights) if weights else ([],):
+        counts = []
+        for w in ([], [1] * len(seq), weights):
             one = run_single_length_trials(starts, ends, spec, trials, seed, w, first)
             chunks = []
             for lo, hi in zip(bounds, bounds[1:]):
@@ -449,6 +452,8 @@ def test_chunked_kernel_calls_match_one_call(seq, trials, cuts, seed, first):
                     starts, ends, spec, hi - lo, seed, w, first + lo
                 )
             assert chunks == one
+            counts.append(one)
+        assert counts[0] == counts[1]
         expected = _trials(policy, seq, seed, trials, first)
         assert one == [alg * scale for alg in expected]
 
