@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revsel import _engine, cli
-from revsel.cli import EXIT_OK, EXIT_USAGE, main
+from revsel import _engine, adversary, cli
+from revsel.algorithms import Action, Policy
+from revsel.cli import EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from revsel.oracle import ChargeBoundViolation
 
 
 def run_cli(capsys, *argv):
@@ -39,21 +41,41 @@ def test_generate_run_verify_flow(tmp_path, capsys):
     assert "pass" in out.splitlines()[-1]
 
 
+# Every generator with a valid value for each flag it requires, in the
+# order its missing-flag messages name them.
+GENERATOR_FLAGS = [
+    ("two-length", ["--K", "5"]),
+    ("chain", ["--count", "5", "--L", "6", "--v", "2"]),
+    ("greedy-tight", []),
+    ("call-control-bad", ["--k", "3"]),
+    ("greedy-bad", ["--k", "2"]),
+    ("random-order-bad", ["--alpha", "3", "--beta", "4", "--m", "20", "--L", "10"]),
+    ("random-order-bad-wide", ["--alpha", "3", "--gamma", "6", "--m", "20", "--L", "10"]),
+    ("fork-pair", []),
+    ("random", ["--n", "12", "--k-target", "3", "--seed", "5"]),
+]
+
+
 def test_generate_all_generators(tmp_path, capsys):
-    cases = [
-        ("two-length", ["--K", "5"]),
-        ("chain", ["--count", "5", "--L", "6", "--v", "2"]),
-        ("call-control-bad", ["--k", "3"]),
-        ("greedy-bad", ["--k", "2"]),
-        ("random-order-bad", ["--alpha", "3", "--beta", "4", "--m", "20", "--L", "10"]),
-        ("random-order-bad-wide", ["--alpha", "3", "--gamma", "6", "--m", "20", "--L", "10"]),
-        ("random", ["--n", "12", "--k-target", "3", "--seed", "5"]),
-    ]
-    for name, flags in cases:
+    for name, flags in GENERATOR_FLAGS:
         out_path = str(tmp_path / f"{name}.jsonl")
-        code, out, _ = run_cli(capsys, "generate", name, "--out", out_path, *flags)
-        assert code == EXIT_OK, name
-        assert out_path in out
+        code, out, err = run_cli(capsys, "generate", name, "--out", out_path, *flags)
+        assert code == EXIT_OK and err == "", name
+        paths = ([str(tmp_path / f"{name}.{s}.jsonl") for s in ("s1", "s2")]
+                 if name == "fork-pair" else [out_path])
+        assert [line.split(":")[0] for line in out.splitlines()] == paths, name
+        assert all(Path(path).exists() for path in paths), name
+
+
+@pytest.mark.parametrize("name, flags, dropped", [
+    (name, flags, i) for name, flags in GENERATOR_FLAGS for i in range(0, len(flags), 2)
+])
+def test_generate_without_a_required_flag_is_usage_error(tmp_path, capsys, name, flags, dropped):
+    kept = flags[:dropped] + flags[dropped + 2:]
+    code, out, err = run_cli(capsys, "generate", name, "--out", str(tmp_path / "x.jsonl"), *kept)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: generator requires {flags[dropped]}\n"
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_generate_two_length_line_count(tmp_path, capsys):
@@ -256,6 +278,75 @@ def test_bench_backends_rejects_nonpositive_trials(capsys, trials):
     code, out, err = run_cli(capsys, "bench-backends", "--trials", trials, "--seed", "1")
     assert code == EXIT_USAGE and out == ""
     assert err == "error: --trials must be >= 1\n"
+
+
+# -- exit codes 2 and 3, reached through monkeypatched collaborators -----------
+
+
+class _Hoarder(Policy):
+    """Accepts every arrival and displaces nothing."""
+
+    name = "hoarder"
+
+    def decide(self, state, arrival, rng=None):
+        return Action.accept()
+
+
+class _Crasher(Policy):
+    name = "crasher"
+
+    def decide(self, state, arrival, rng=None):
+        raise RuntimeError("boom")
+
+
+def test_run_with_an_infeasible_action_exits_2(tmp_path, capsys, monkeypatch):
+    inst = str(tmp_path / "two.jsonl")
+    run_cli(capsys, "generate", "two-length", "--K", "3", "--out", inst)
+    monkeypatch.setattr(cli, "make_policy", lambda identifier: _Hoarder())
+    code, out, err = run_cli(capsys, "run", "greedy-subsume", inst)
+    assert code == EXIT_INFEASIBLE and out == ""
+    assert err.startswith("infeasible action: ") and err.count("\n") == 1
+
+
+def test_duel_with_a_failing_policy_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "make_policy", lambda identifier: _Crasher())
+    code, out, err = run_cli(capsys, "duel", "greedy-subsume", "--k", "2")
+    assert code == EXIT_INFEASIBLE and out == ""
+    assert err == "driver error: policy failed on arrival 0: boom\n"
+
+
+def test_duel_whose_bound_is_not_met_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(adversary.AdaptiveTranscript, "ratio_at_least", lambda self, bound: False)
+    out_path = tmp_path / "duel.json"
+    code, out, err = run_cli(capsys, "duel", "greedy-subsume", "--k", "2", "--out", str(out_path))
+    assert code == EXIT_BOUND and err == ""
+    text, verdict = out.rstrip("\n").rsplit("\n", 1)
+    assert verdict.startswith("ratio ") and verdict.endswith(" vs bound 4: NOT met")
+    assert json.loads(text)["bound_met"] is False
+    assert out_path.read_text() == text + "\n"
+
+
+def test_verify_charge_violation_exits_3_with_a_counterexample(tmp_path, capsys, monkeypatch):
+    inst = str(tmp_path / "tight.jsonl")
+    run_cli(capsys, "generate", "greedy-tight", "--out", inst)
+    audit = cli.verify_charging
+
+    def violated(seq, transcript, opt, k):
+        raise ChargeBoundViolation("interval 3 holds 5 charges (> 2k)", audit(seq, transcript, opt, k))
+
+    monkeypatch.setattr(cli, "verify_charging", violated)
+    ledger = str(tmp_path / "ledger.json")
+    for flags, stem in (([], inst), (["--out", ledger], ledger)):
+        code, out, err = run_cli(capsys, "verify", inst, *flags)
+        assert code == EXIT_BOUND and err == "", flags
+        text, verdict = out.rstrip("\n").rsplit("\n", 1)
+        assert verdict == "FAIL: interval 3 holds 5 charges (> 2k)"
+        payload = json.loads(text)
+        assert payload["violation"] == "interval 3 holds 5 charges (> 2k)"
+        assert payload["counterexample"] == stem + ".counterexample.jsonl"
+        assert Path(payload["counterexample"]).read_text() == Path(inst).read_text()
+        if flags:
+            assert Path(ledger).read_text() == text + "\n"
 
 
 def test_missing_file_is_usage_error(capsys):
