@@ -21,7 +21,6 @@ from fractions import Fraction
 from . import _engine, adversary
 from .algorithms import ArbPolicy, make_policy
 from .core import (
-    EmptyInstanceError,
     instance_stats,
     read_jsonl,
     write_jsonl,
@@ -71,11 +70,25 @@ def _emit(payload: dict, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Generator name -> (adversary function, the flags it requires in argument
+# order). `random`'s weight_mode always has a value (its default is "unit").
+_GENERATORS = {
+    "two-length": (adversary.gen_two_length, ["K"]),
+    "chain": (adversary.gen_chain, ["count", "L", "v"]),
+    "greedy-tight": (adversary.gen_greedy_tight, []),
+    "call-control-bad": (adversary.gen_call_control_bad, ["k"]),
+    "greedy-bad": (adversary.gen_greedy_bad, ["k"]),
+    "random-order-bad": (adversary.gen_random_order_bad, ["alpha", "beta", "m", "L"]),
+    "random-order-bad-wide": (adversary.gen_random_order_bad_wide, ["alpha", "gamma", "m", "L"]),
+    "fork-pair": (adversary.gen_fork_pair, []),
+    "random": (adversary.gen_random_instance, ["n", "k_target", "weight_mode", "seed"]),
+}
+
+
 def _build_generate(sub):
     p = sub.add_parser("generate", help="write a nemesis or random instance as JSONL")
-    p.add_argument("generator", help="two-length | chain | greedy-tight | call-control-bad | "
-                                     "greedy-bad | random-order-bad | random-order-bad-wide | "
-                                     "fork-pair | random")
+    p.set_defaults(handler=_cmd_generate)
+    p.add_argument("generator", help=" | ".join(_GENERATORS))
     p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument("--K", type=int, help="two-length: number of unit intervals")
     p.add_argument("--count", type=int, help="chain: number of intervals")
@@ -103,45 +116,19 @@ def _require(args, names: list[str]) -> list:
 
 
 def _cmd_generate(args) -> int:
-    gen = args.generator
-    if gen == "two-length":
-        (K,) = _require(args, ["K"])
-        seq = adversary.gen_two_length(K)
-    elif gen == "chain":
-        count, L, v = _require(args, ["count", "L", "v"])
-        seq = adversary.gen_chain(count, L, v)
-    elif gen == "greedy-tight":
-        seq = adversary.gen_greedy_tight()
-    elif gen == "call-control-bad":
-        (k,) = _require(args, ["k"])
-        seq = adversary.gen_call_control_bad(k)
-    elif gen == "greedy-bad":
-        (k,) = _require(args, ["k"])
-        seq = adversary.gen_greedy_bad(k)
-    elif gen == "random-order-bad":
-        alpha, beta, m, L = _require(args, ["alpha", "beta", "m", "L"])
-        seq = adversary.gen_random_order_bad(alpha, beta, m, L)
-    elif gen == "random-order-bad-wide":
-        alpha, gamma, m, L = _require(args, ["alpha", "gamma", "m", "L"])
-        seq = adversary.gen_random_order_bad_wide(alpha, gamma, m, L)
-    elif gen == "fork-pair":
-        s1, s2, _probs = adversary.gen_fork_pair()
-        base = args.out
-        stem = base[:-6] if base.endswith(".jsonl") else base
-        for name, seq_i in (("s1", s1), ("s2", s2)):
-            path = f"{stem}.{name}.jsonl"
-            write_jsonl(seq_i, path)
-            stats = instance_stats(seq_i)
-            print(f"{path}: n={len(seq_i)} k={stats.k} d={stats.d} n_points={stats.grid_points}")
-        return EXIT_OK
-    elif gen == "random":
-        n, k_target, seed = _require(args, ["n", "k_target", "seed"])
-        seq = adversary.gen_random_instance(n, k_target, args.weight_mode, seed)
+    if args.generator not in _GENERATORS:
+        raise SystemExit_Usage(f"unknown generator {args.generator!r}")
+    generate, flags = _GENERATORS[args.generator]
+    made = generate(*_require(args, flags))
+    if args.generator == "fork-pair":  # two sequences (and their lottery)
+        stem = args.out[:-6] if args.out.endswith(".jsonl") else args.out
+        outputs = [(f"{stem}.s1.jsonl", made[0]), (f"{stem}.s2.jsonl", made[1])]
     else:
-        raise SystemExit_Usage(f"unknown generator {gen!r}")
-    write_jsonl(seq, args.out)
-    stats = instance_stats(seq)
-    print(f"{args.out}: n={len(seq)} k={stats.k} d={stats.d} n_points={stats.grid_points}")
+        outputs = [(args.out, made)]
+    for path, seq in outputs:
+        write_jsonl(seq, path)
+        stats = instance_stats(seq)
+        print(f"{path}: n={len(seq)} k={stats.k} d={stats.d} n_points={stats.grid_points}")
     return EXIT_OK
 
 
@@ -150,8 +137,16 @@ def _cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_instance(path: str):
+    seq = read_jsonl(path)
+    if len(seq) == 0:
+        raise SystemExit_Usage("empty instance")
+    return seq
+
+
 def _build_run(sub):
     p = sub.add_parser("run", help="run a policy over an instance in file order")
+    p.set_defaults(handler=_cmd_run)
     p.add_argument("policy")
     p.add_argument("instance")
     p.add_argument("--seed", type=int, help="mandatory for randomized policies")
@@ -162,9 +157,7 @@ def _cmd_run(args) -> int:
     policy = make_policy(args.policy)
     if not policy.deterministic and args.seed is None:
         raise SystemExit_Usage(f"policy {policy.name} consumes randomness: --seed is required")
-    seq = read_jsonl(args.instance)
-    if len(seq) == 0:
-        raise SystemExit_Usage("empty instance")
+    seq = _read_instance(args.instance)
     result = run_adversarial(policy, seq, seed=args.seed)
     _emit(result.to_json_dict(), args.out)
     return EXIT_OK
@@ -172,6 +165,7 @@ def _cmd_run(args) -> int:
 
 def _build_duel(sub):
     p = sub.add_parser("duel", help="play the adaptive adversary against a policy")
+    p.set_defaults(handler=_cmd_duel)
     p.add_argument("policy")
     p.add_argument("--k", type=int, required=True, help="number of length levels")
     p.add_argument("--copies", type=int, default=1,
@@ -199,6 +193,7 @@ def _cmd_duel(args) -> int:
 
 def _build_bench(sub):
     p = sub.add_parser("bench", help="seeded random-order or classify trials, CSV out")
+    p.set_defaults(handler=_cmd_bench)
     p.add_argument("policy")
     p.add_argument("instance")
     p.add_argument("--trials", type=int, required=True)
@@ -234,9 +229,7 @@ def _cmd_bench(args) -> int:
     if args.jobs < 1:
         raise SystemExit_Usage("--jobs must be >= 1")
     policy = make_policy(args.policy)
-    seq = read_jsonl(args.instance)
-    if len(seq) == 0:
-        raise SystemExit_Usage("empty instance")
+    seq = _read_instance(args.instance)
     sink = _OpenOnWrite(args.out)
     try:
         if isinstance(policy, ArbPolicy):
@@ -264,14 +257,13 @@ def _cmd_bench(args) -> int:
 
 def _build_verify(sub):
     p = sub.add_parser("verify", help="replay greedy-subsume and audit the charge mapping")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("instance")
     p.add_argument("--out", help="write the ledger JSON here as well")
 
 
 def _cmd_verify(args) -> int:
-    seq = read_jsonl(args.instance)
-    if len(seq) == 0:
-        raise SystemExit_Usage("empty instance")
+    seq = _read_instance(args.instance)
     k = len(seq.lengths())
     _state, transcript = run_policy(make_policy("greedy-subsume"), seq)
     opt = opt_unweighted(seq)
@@ -296,6 +288,7 @@ def _build_bench_backends(sub):
                        help="time the compiled kernels against the pure-Python paths "
                             "(policy replay, subset search and JSON writer) and diff "
                             "their outputs")
+    p.set_defaults(handler=_cmd_bench_backends)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=1)
 
@@ -307,84 +300,63 @@ def _cmd_bench_backends(args) -> int:
     if args.trials < 1:
         raise SystemExit_Usage("--trials must be >= 1")
 
+    def trial_case(pid, seq):
+        # Pure-Python trials replay the policy; the compiled kernel's raw
+        # sums are the exact ALG values times the weights' scale.
+        policy = make_policy(pid)
+        scale, weight_of = seq.integer_weights()
+        label = f"trials {pid}" + ("" if seq.is_unweighted() else " weighted")
+        return (
+            label, args.trials, 1,
+            lambda: [alg * scale for alg in _trials(policy, seq, args.seed, args.trials)],
+            lambda: _engine.run_single_length_trials(
+                [iv.start for iv in seq], [iv.end for iv in seq], policy.kernel_spec(),
+                args.trials, args.seed, list(weight_of.values()),
+            ),
+        )
+
     # Always-replace on a copy-flooded single-length instance, call-control
     # on a multi-length unit one and on a rational one, and the memoryless
     # policy's draws on a multi-length unit one.
     multi = adversary.gen_random_instance(100, 3, "unit", args.seed)
-    trial_cases = [
-        ("always-replace", adversary.gen_random_order_bad(3, 4, 100, 10)),
-        ("call-control", multi),
-        ("call-control", adversary.gen_random_instance(100, 3, "rational", args.seed)),
-        ("rand-memoryless:p=1/3", multi),
-    ]
-
-    # Pure-Python trials replay the policy; the compiled kernel's raw sums
-    # are compared as exact ALG values.
-    rows = []
-    results = {}
-    for pid, seq in trial_cases:
-        policy = make_policy(pid)
-        scale, weight_of = seq.integer_weights()
-        label = f"trials {pid}" + ("" if seq.is_unweighted() else " weighted")
-        t0 = time.perf_counter()
-        results.setdefault("pure-python", []).append(_trials(policy, seq, args.seed, args.trials))
-        rows.append(("pure-python", label, time.perf_counter() - t0, args.trials))
-        if _engine.COMPILED:
-            t0 = time.perf_counter()
-            raw = _engine.run_single_length_trials(
-                [iv.start for iv in seq], [iv.end for iv in seq], policy.kernel_spec(),
-                args.trials, args.seed, list(weight_of.values()),
-            )
-            rows.append(("compiled", label, time.perf_counter() - t0, args.trials))
-            results.setdefault("compiled", []).append([Fraction(r, scale) for r in raw])
-
-    impls = [("pure-python", fallback)]
-    if _engine.COMPILED:
-        impls.append(("compiled", _engine._impl))
-
     brute = adversary.gen_random_instance(15, 4, "int", args.seed)
-    bs = [iv.start for iv in brute]
-    be = [iv.end for iv in brute]
-    bw = [int(iv.weight) for iv in brute]
-    brute_results = {}
-    for name, impl in impls:
-        t0 = time.perf_counter()
-        reps = 50
-        for _ in range(reps):
-            out = impl.best_subset_scaled(bs, be, bw)
-        brute_results[name] = out
-        rows.append((name, "subset-search", time.perf_counter() - t0, reps))
-
+    columns = ([iv.start for iv in brute], [iv.end for iv in brute],
+               [int(iv.weight) for iv in brute])
     # The indent-2 JSON writer on a `run greedy-subsume` payload: json.dumps
     # against the kernel's re-spacing of the C encoder's compact text.
     seq = adversary.gen_random_instance(2000, 3, "unit", args.seed)
     payload = run_adversarial(make_policy("greedy-subsume"), seq).to_json_dict()
-    writers = [("pure-python", lambda: json.dumps(payload, indent=2, sort_keys=True))]
-    if _engine.COMPILED:
-        writers.append(("compiled", lambda: _engine.dumps_json(payload)))
-    texts = {}
-    for name, write in writers:
-        t0 = time.perf_counter()
-        reps = 5
-        for _ in range(reps):
-            texts[name] = write()
-        rows.append((name, "json-writer", time.perf_counter() - t0, reps))
+    # (label, ops, repeats, pure-python call, compiled call); each backend's
+    # output of its last repeat is diffed.
+    cases = [
+        trial_case("always-replace", adversary.gen_random_order_bad(3, 4, 100, 10)),
+        trial_case("call-control", multi),
+        trial_case("call-control", adversary.gen_random_instance(100, 3, "rational", args.seed)),
+        trial_case("rand-memoryless:p=1/3", multi),
+        ("subset-search", 50, 50, lambda: fallback.best_subset_scaled(*columns),
+         lambda: _engine._impl.best_subset_scaled(*columns)),
+        ("json-writer", 5, 5, lambda: json.dumps(payload, indent=2, sort_keys=True),
+         lambda: _engine.dumps_json(payload)),
+    ]
 
+    backends = ["pure-python", "compiled"] if _engine.COMPILED else ["pure-python"]
     print(f"{'backend':<14}{'kernel':<32}{'seconds':>10}{'ops/s':>14}")
-    for name, op, dt, ops in rows:
-        print(f"{name:<14}{op:<32}{dt:>10.4f}{ops / dt:>14.1f}")
-    if _engine.COMPILED:
-        same = (
-            results["compiled"] == results["pure-python"]
-            and brute_results["compiled"] == brute_results["pure-python"]
-            and texts["compiled"] == texts["pure-python"]
-        )
-        print(f"outputs identical across backends: {same}")
-        if not same:
-            return EXIT_BOUND
-    else:
+    same = True
+    for label, ops, repeats, *calls in cases:
+        outputs = []
+        for name, call in zip(backends, calls):
+            t0 = time.perf_counter()
+            for _ in range(repeats):
+                out = call()
+            dt = time.perf_counter() - t0
+            print(f"{name:<14}{label:<32}{dt:>10.4f}{ops / dt:>14.1f}")
+            outputs.append(out)
+        same = same and outputs[0] == outputs[-1]
+    if not _engine.COMPILED:
         print("compiled engine not available; ran pure-python only")
-    return EXIT_OK
+        return EXIT_OK
+    print(f"outputs identical across backends: {same}")
+    return EXIT_OK if same else EXIT_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +374,10 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "generate": _cmd_generate,
-            "run": _cmd_run,
-            "duel": _cmd_duel,
-            "bench": _cmd_bench,
-            "verify": _cmd_verify,
-            "bench-backends": _cmd_bench_backends,
-        }[args.command]
-        return handler(args)
-    except SystemExit_Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (adversary.GeneratorParameterError, EmptyInstanceError, ValueError) as exc:
+        return args.handler(args)
+    except (SystemExit_Usage, ValueError, OSError) as exc:
+        # GeneratorParameterError, EmptyInstanceError and PolicyDomainError
+        # are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleActionError as exc:
@@ -423,9 +386,6 @@ def main(argv=None) -> int:
     except adversary.DriverError as exc:
         print(f"driver error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

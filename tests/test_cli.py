@@ -273,6 +273,21 @@ def test_bench_backends_command(capsys):
         assert out.splitlines()[-1] == "outputs identical across backends: True"
 
 
+def test_bench_backends_exits_3_when_the_backends_differ(capsys, monkeypatch):
+    from revsel._engine import fallback
+
+    search = fallback.best_subset_scaled
+    monkeypatch.setattr(fallback, "best_subset_scaled", lambda *columns: (search(*columns), 1))
+    code, out, err = run_cli(capsys, "bench-backends", "--trials", "20", "--seed", "1")
+    assert err == ""
+    if _engine.COMPILED:
+        assert code == EXIT_BOUND
+        assert out.splitlines()[-1] == "outputs identical across backends: False"
+    else:
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "compiled engine not available; ran pure-python only"
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_bench_backends_rejects_nonpositive_trials(capsys, trials):
     code, out, err = run_cli(capsys, "bench-backends", "--trials", trials, "--seed", "1")
