@@ -339,14 +339,16 @@ class _Session:
 
 
 def _play_level(
-    session: _Session, L: int, v: int, s0: int, left_slots: int, right_slots: int, strict: bool
+    session: _Session, L: int, v: int, s0: int, room_left: bool, room_right: bool, strict: bool
 ) -> _LevelOutcome:
     """Play one same-length level of the chain game.
 
-    Chain position i sits at s0 + i*(L-v). Growth follows the policy's
-    replacements until it declines or four intervals are on the board; the
-    returned flanks are disjoint, conflict the pivot's neighborhood only
-    outside its free core, and avoid the policy's held interval.
+    Chain position i sits at s0 + i*(L-v); a side with room may take two
+    more positions (-1 and -2 on the left, 2 and 3 on the right). Growth
+    follows the policy's replacements until it declines or four intervals
+    are on the board; the returned flanks are disjoint, conflict the pivot's
+    neighborhood only outside its free core, and avoid the policy's held
+    interval.
     """
     step = L - v
     ivs: dict[int, Interval] = {}
@@ -359,7 +361,7 @@ def _play_level(
     emit(0)
     took_right = emit(1)
     if took_right:
-        if right_slots < 2:
+        if not room_right:
             raise DriverError("no room to grow the chain rightward")
         if not emit(2):
             return _LevelOutcome(ivs[1], (ivs[0], ivs[2]), "right", "declined")
@@ -367,21 +369,17 @@ def _play_level(
             return _LevelOutcome(ivs[2], (ivs[1], ivs[3]), "right", "declined")
         return _LevelOutcome(ivs[3], (ivs[0], ivs[2]), "right", "cap")
     if session.holds(ivs[0]):
-        if left_slots < 1:
+        if not room_left:
             if strict:
                 raise DriverError("no room to grow the chain leftward")
             return _LevelOutcome(ivs[0], (ivs[1],), "left", "unfit")
         if not emit(-1):
             return _LevelOutcome(ivs[0], (ivs[-1], ivs[1]), "left", "declined")
-        if left_slots < 2:
-            if strict:
-                raise DriverError("no room to grow the chain leftward")
-            return _LevelOutcome(ivs[-1], (ivs[0],), "left", "unfit")
         if not emit(-2):
             return _LevelOutcome(ivs[-1], (ivs[-2], ivs[0]), "left", "declined")
         return _LevelOutcome(ivs[-2], (ivs[-1], ivs[1]), "left", "cap")
     # Nothing taken yet: one more chance on the right.
-    if right_slots < 2:
+    if not room_right:
         raise DriverError("no room to probe the chain rightward")
     if emit(2):
         if not emit(3):
@@ -453,7 +451,7 @@ def adaptive_lower_bound_driver(
             L_prev, v_prev = schedule[j - 2]
             assert 4 * L <= L_prev + v_prev, "level length recursion violated"
         if region is None:
-            s0, left_slots, right_slots = 0, 2, 2
+            s0, room_left, room_right = 0, True, True
         else:
             lo, hi = region
             assert hi - lo >= 4 * L - 3 * v, "free core cannot host the next level"
@@ -462,12 +460,12 @@ def adaptive_lower_bound_driver(
             else:
                 branch_hint = "right"
             if branch_hint == "left":
-                s0, left_slots, right_slots = hi - (2 * L - v), 2, 0
+                s0, room_left, room_right = hi - (2 * L - v), True, False
             else:
-                s0, left_slots, right_slots = lo, 0, 2
+                s0, room_left, room_right = lo, False, True
 
         first_emitted = len(session.arrivals)
-        outcome = _play_level(session, L, v, s0, left_slots, right_slots, strict=deterministic)
+        outcome = _play_level(session, L, v, s0, room_left, room_right, strict=deterministic)
         emitted = session.arrivals[first_emitted:]
         span = max(iv.end for iv in emitted) - min(iv.start for iv in emitted)
         assert span <= 4 * L - 3 * v, "level occupies more than its chain budget"

@@ -25,7 +25,6 @@ Built-in policies:
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 from bisect import bisect_left, bisect_right
@@ -158,8 +157,10 @@ class Policy:
         raise NotImplementedError
 
     def fresh(self) -> "Policy":
-        """A new policy instance with pristine internal state."""
-        return copy.deepcopy(self)
+        """The policy with pristine per-run state: itself, since a policy
+        keeps none. A subclass that keeps per-run state must override this
+        to return a new instance."""
+        return self
 
     def kernel_spec(self) -> Optional[dict]:
         """Descriptor for the engine's trial loop (see :mod:`revsel._engine`),
@@ -477,6 +478,8 @@ class ArbPolicy(Policy):
         return step(state, arrival)
 
     def fresh(self):
+        """A new wrapper: the length choice is per-run state, which no
+        other built-in policy keeps."""
         return ArbPolicy(self.subroutine)
 
 

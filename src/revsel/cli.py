@@ -27,6 +27,7 @@ from .core import (
 )
 from .harness import (
     InfeasibleActionError,
+    _trials,
     format_value,
     run_adversarial,
     run_arb_expectation,
@@ -70,18 +71,20 @@ def _emit(payload: dict, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Generator name -> (adversary function, the flags it requires in argument
-# order). `random`'s weight_mode always has a value (its default is "unit").
+# Generator name -> (adversary function's name, the flags it requires in
+# argument order). `random`'s weight_mode always has a value (its default is
+# "unit"). Functions are named, not bound, so that a wrapper installed on the
+# adversary module (perfbench's --trace 1) sees every call.
 _GENERATORS = {
-    "two-length": (adversary.gen_two_length, ["K"]),
-    "chain": (adversary.gen_chain, ["count", "L", "v"]),
-    "greedy-tight": (adversary.gen_greedy_tight, []),
-    "call-control-bad": (adversary.gen_call_control_bad, ["k"]),
-    "greedy-bad": (adversary.gen_greedy_bad, ["k"]),
-    "random-order-bad": (adversary.gen_random_order_bad, ["alpha", "beta", "m", "L"]),
-    "random-order-bad-wide": (adversary.gen_random_order_bad_wide, ["alpha", "gamma", "m", "L"]),
-    "fork-pair": (adversary.gen_fork_pair, []),
-    "random": (adversary.gen_random_instance, ["n", "k_target", "weight_mode", "seed"]),
+    "two-length": ("gen_two_length", ["K"]),
+    "chain": ("gen_chain", ["count", "L", "v"]),
+    "greedy-tight": ("gen_greedy_tight", []),
+    "call-control-bad": ("gen_call_control_bad", ["k"]),
+    "greedy-bad": ("gen_greedy_bad", ["k"]),
+    "random-order-bad": ("gen_random_order_bad", ["alpha", "beta", "m", "L"]),
+    "random-order-bad-wide": ("gen_random_order_bad_wide", ["alpha", "gamma", "m", "L"]),
+    "fork-pair": ("gen_fork_pair", []),
+    "random": ("gen_random_instance", ["n", "k_target", "weight_mode", "seed"]),
 }
 
 
@@ -118,8 +121,8 @@ def _require(args, names: list[str]) -> list:
 def _cmd_generate(args) -> int:
     if args.generator not in _GENERATORS:
         raise SystemExit_Usage(f"unknown generator {args.generator!r}")
-    generate, flags = _GENERATORS[args.generator]
-    made = generate(*_require(args, flags))
+    function, flags = _GENERATORS[args.generator]
+    made = getattr(adversary, function)(*_require(args, flags))
     if args.generator == "fork-pair":  # two sequences (and their lottery)
         stem = args.out[:-6] if args.out.endswith(".jsonl") else args.out
         outputs = [(f"{stem}.s1.jsonl", made[0]), (f"{stem}.s2.jsonl", made[1])]
@@ -294,9 +297,6 @@ def _build_bench_backends(sub):
 
 
 def _cmd_bench_backends(args) -> int:
-    from ._engine import fallback
-    from .harness import _trials
-
     if args.trials < 1:
         raise SystemExit_Usage("--trials must be >= 1")
 
@@ -333,7 +333,7 @@ def _cmd_bench_backends(args) -> int:
         trial_case("call-control", multi),
         trial_case("call-control", adversary.gen_random_instance(100, 3, "rational", args.seed)),
         trial_case("rand-memoryless:p=1/3", multi),
-        ("subset-search", 50, 50, lambda: fallback.best_subset_scaled(*columns),
+        ("subset-search", 50, 50, lambda: _engine.fallback.best_subset_scaled(*columns),
          lambda: _engine._impl.best_subset_scaled(*columns)),
         ("json-writer", 5, 5, lambda: json.dumps(payload, indent=2, sort_keys=True),
          lambda: _engine.dumps_json(payload)),

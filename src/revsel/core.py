@@ -341,12 +341,10 @@ def dumps_jsonl(seq: ArrivalSequence) -> str:
         if iv.id != pos:
             raise ValueError("writers must emit ids 0..n-1 in file order")
         start, end, w = iv.start, iv.end, iv.weight
-        if type(start) is not int or type(end) is not int:  # a bool, written as JSON writes it
-            row = {"id": pos, "start": start, "end": end}
-            if w != 1:
-                row["weight"] = w.numerator if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-            lines.append(json.dumps(row, sort_keys=True))
-            continue
+        if type(start) is not int or type(end) is not int:
+            # An int subclass may format itself otherwise; json.dumps
+            # writes its int value.
+            start, end = int(start), int(end)
         if w.denominator != 1:
             tail = f', "weight": "{w.numerator}/{w.denominator}"}}'
         elif w.numerator != 1:

@@ -331,3 +331,14 @@ def test_amplified_driver_reject_on_conflict_policy():
         assert len(t.opt_certificate) >= 2 * k
         assert len(t.final_solution) <= 1
         assert t.ratio_at_least(Fraction(2 * k))
+
+
+def test_amplified_driver_stops_unfit_when_the_left_has_no_room():
+    # A randomized policy is played rightward from the free core's left
+    # edge; a level whose first interval is still held after the second has
+    # no room to grow leftward, and it keeps that interval's one flank.
+    t = adaptive_lower_bound_driver(3, make_policy("rand-memoryless:p=1/4"), copies=1, seed=5)
+    assert [level.stop_reason for level in t.levels] == ["declined", "no-take", "unfit"]
+    unfit = t.levels[2]
+    assert unfit.branch == "left" and len(unfit.flank_ids) == 1
+    assert validate_solution(t.arrivals, t.opt_certificate)

@@ -24,7 +24,7 @@ from revsel.algorithms import (
     never_replace_step,
     threshold_memoryless_step,
 )
-from revsel.adversary import gen_random_instance
+from revsel.adversary import gen_random_instance, gen_two_length
 from revsel.core import Interval, validate_solution
 from revsel.harness import TranscriptEntry, apply_action, run_policy
 from revsel.rng import Stream
@@ -252,6 +252,25 @@ def test_arb_heavier_replace_subroutine():
     heavy = iv(1, 4, 10, 3)
     act = arb.decide(state, heavy, rng)
     assert act.accepted and act.displaced == {0}
+
+
+def test_fresh_shares_stateless_policies_and_renews_arb(tmp_path):
+    table = tmp_path / "tables.json"
+    table.write_text('{"left_default": 1}')
+    for pid in ("greedy-subsume", "call-control", "always-replace", "never-replace",
+                "one-dir-left", "one-dir-right", f"threshold:{table}", "rand-memoryless:p=1/2"):
+        policy = make_policy(pid)
+        assert policy.fresh() is policy, pid
+    # A run drives the wrapper's own length choice; fresh() starts a new one.
+    arb = make_policy("arb:heavier-replace")
+    state, retired, rng = state_of(), set(), Stream.for_trial(3, 0)
+    for arrival in gen_two_length(4):
+        apply_action(state, arrival, arb.decide(state, arrival, rng), retired)
+    assert arb.chosen_length is not None and arb.lengths_seen == [4, 1]
+    renewed = arb.fresh()
+    assert renewed is not arb and isinstance(renewed, ArbPolicy)
+    assert renewed.name == "arb:heavier-replace"
+    assert renewed.chosen_length is None and renewed.lengths_seen == []
 
 
 # -- action contract ------------------------------------------------------------

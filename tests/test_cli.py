@@ -346,8 +346,8 @@ def test_verify_charge_violation_exits_3_with_a_counterexample(tmp_path, capsys,
     run_cli(capsys, "generate", "greedy-tight", "--out", inst)
     audit = cli.verify_charging
 
-    def violated(seq, transcript, opt, k):
-        raise ChargeBoundViolation("interval 3 holds 5 charges (> 2k)", audit(seq, transcript, opt, k))
+    def violated(*args):
+        raise ChargeBoundViolation("interval 3 holds 5 charges (> 2k)", audit(*args))
 
     monkeypatch.setattr(cli, "verify_charging", violated)
     ledger = str(tmp_path / "ledger.json")

@@ -214,6 +214,33 @@ def test_jsonl_round_trip():
     assert text == dumps_jsonl(loads_jsonl(text))
 
 
+class _Loud(int):
+    """An int that formats and prints itself unlike its value."""
+
+    def __format__(self, spec):
+        return f"loud {int(self)}"
+
+    def __str__(self):
+        return "loud"
+
+
+def test_jsonl_writer_writes_int_subclasses_as_json_dumps_does():
+    s = ArrivalSequence([
+        iv(0, _Loud(-3), _Loud(4)), iv(1, 5, _Loud(9), Fraction(3, 2)), iv(2, _Loud(10), 12, 7),
+    ])
+    records = []
+    for i in s:
+        row = {"id": i.id, "start": i.start, "end": i.end}
+        if i.weight != 1:
+            w = i.weight
+            row["weight"] = w.numerator if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
+        records.append(json.dumps(row, sort_keys=True))
+    text = dumps_jsonl(s)
+    assert text.splitlines() == records
+    assert loads_jsonl(text) == s
+    assert dumps_jsonl(loads_jsonl(text)) == text
+
+
 def test_jsonl_writer_requires_sequential_ids():
     with pytest.raises(ValueError):
         dumps_jsonl(ArrivalSequence([iv(1, 0, 5)]))
