@@ -301,14 +301,14 @@ def _cmd_bench_backends(args) -> int:
         raise SystemExit_Usage("--trials must be >= 1")
 
     def trial_case(pid, seq):
-        # Pure-Python trials replay the policy; the compiled kernel's raw
-        # sums are the exact ALG values times the weights' scale.
+        # Pure-Python trials replay the policy; both backends give each
+        # trial's ALG as an integer over the weights' scale.
         policy = make_policy(pid)
-        scale, weight_of = seq.integer_weights()
+        _, weight_of = seq.integer_weights()
         label = f"trials {pid}" + ("" if seq.is_unweighted() else " weighted")
         return (
             label, args.trials, 1,
-            lambda: [alg * scale for alg in _trials(policy, seq, args.seed, args.trials)],
+            lambda: _trials(policy, seq, args.seed, args.trials),
             lambda: _engine.run_single_length_trials(
                 [iv.start for iv in seq], [iv.end for iv in seq], policy.kernel_spec(),
                 args.trials, args.seed, list(weight_of.values()),

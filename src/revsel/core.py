@@ -156,32 +156,20 @@ class ArrivalSequence(Sequence[Interval]):
             self._scaled = (scale, dict(zip(self._by_id, scaled)))
         return self._scaled
 
-    def permuted(self, order: Sequence[int]) -> "ArrivalSequence":
-        """Same intervals, re-ordered by positional indices `order`."""
-        return ArrivalSequence(self._intervals[i] for i in order)
-
 
 @dataclass(frozen=True)
 class InstanceStats:
     """Shape statistics of an instance.
 
-    distinct_lengths: number of different interval lengths (k).
-    nesting_depth: longest proper-containment chain minus one (d).
+    k: the number of distinct interval lengths.
+    d: the nesting depth, the longest proper-containment chain minus one.
     grid_points: points on the minimal equally spaced grid covering all
         endpoints, used by the call-control correspondence.
     """
 
-    distinct_lengths: int
-    nesting_depth: int
+    k: int
+    d: int
     grid_points: int
-
-    @property
-    def k(self) -> int:
-        return self.distinct_lengths
-
-    @property
-    def d(self) -> int:
-        return self.nesting_depth
 
 
 def instance_stats(seq: ArrivalSequence) -> InstanceStats:
@@ -199,7 +187,7 @@ def instance_stats(seq: ArrivalSequence) -> InstanceStats:
     assert d <= k - 1, f"nesting depth {d} exceeds k-1={k - 1}"
 
     _, _, n_points = _grid(seq)
-    return InstanceStats(distinct_lengths=k, nesting_depth=d, grid_points=n_points)
+    return InstanceStats(k=k, d=d, grid_points=n_points)
 
 
 def _nesting_depth(seq: ArrivalSequence) -> int:
@@ -276,14 +264,20 @@ def validate_solution(seq: ArrivalSequence, members: Iterable[int]) -> bool:
     return True
 
 
-def solution_weight(seq: ArrivalSequence, members: Iterable[int]) -> Fraction:
-    """The total weight of the intervals with ids `members`, exactly."""
-    scale, weight_of = seq.integer_weights()
+def scaled_weight(seq: ArrivalSequence, members: Iterable[int]) -> int:
+    """The total weight of the intervals with ids `members` as an integer
+    over the scale of ``seq.integer_weights()``."""
+    _, weight_of = seq.integer_weights()
     try:
-        total = sum(map(weight_of.__getitem__, members))
+        return sum(map(weight_of.__getitem__, members))
     except KeyError as exc:
         raise UnknownIntervalError(exc.args[0]) from None
-    return Fraction(total, scale)
+
+
+def solution_weight(seq: ArrivalSequence, members: Iterable[int]) -> Fraction:
+    """The total weight of the intervals with ids `members`, exactly."""
+    scale, _ = seq.integer_weights()
+    return Fraction(scaled_weight(seq, members), scale)
 
 
 def scale_rational_endpoints(

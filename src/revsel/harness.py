@@ -13,10 +13,10 @@ one is loaded and the inputs fit its 64-bit guard, and the
 classify-by-length wrapper needs no trial replay at all (see
 :func:`run_arb_expectation`). Everything else, including every policy when
 no kernel is loaded, replays each trial through :func:`run_policy` in
-:func:`_trials`, the one Python trial loop; both give the same bits.
-Every path runs its trials a chunk at a time: each chunk is folded into the
-histogram of :class:`TrialStats` and its CSV rows are written before the
-next one runs, so memory does not grow with the trial count.
+:func:`_trials`, the one Python trial loop. Every path gives each trial's
+ALG as the same integer over the instance's weight scale, and folds its
+trials into :class:`TrialStats` a chunk at a time, writing a chunk's CSV
+rows before the next one runs, so memory does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -27,15 +27,17 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from itertools import accumulate
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from . import _engine
 from .algorithms import Action, ArbPolicy, Policy, PolicyState
 from .core import (
     ArrivalSequence,
     EmptyInstanceError,
+    Interval,
     conflicts,
+    scaled_weight,
     solution_weight,
 )
 from .oracle import OptCertificate, opt_unweighted, opt_weighted
@@ -105,7 +107,7 @@ def apply_action(state: PolicyState, arrival, action: Action, retired: set[int])
 
 def run_policy(
     policy: Policy,
-    seq: ArrivalSequence,
+    seq: Iterable[Interval],
     rng: Optional[Stream] = None,
     record: bool = True,
 ) -> tuple[PolicyState, RunTranscript]:
@@ -243,12 +245,12 @@ class TrialStats:
     """Exact aggregates over seeded trials, folded a chunk at a time into a
     histogram of raw ALG values; nothing is kept per trial.
 
-    A raw ALG is what the trial loop made: an int from the engine kernel,
-    which is the exact ALG times `scale`, or a Fraction. Equal values share
-    one histogram entry, and the exact ALG ``Fraction(raw, scale)``, its
-    ratio and its CSV row tail are built once per entry, the first time the
-    value appears. ALG takes few distinct values, so the aggregates below
-    stay exact and cheap.
+    A raw ALG is the exact ALG times `scale`, the scale of the instance's
+    integer weights: an int on every trial path. Equal values share one
+    histogram entry, and the exact ALG ``Fraction(raw, scale)``, its ratio
+    and its CSV row tail are built once per entry, the first time the value
+    appears. ALG takes few distinct values, so the aggregates below stay
+    exact and cheap.
     """
 
     def __init__(self, seed: int, opt_value: Fraction, scale: int = 1):
@@ -268,27 +270,24 @@ class TrialStats:
         histogram.update(raws)
         self.trials += len(raws)
         if len(histogram) > len(exact):
+            opt_cell = format_value(self.opt_value)
             for raw in histogram:
                 if raw not in exact:
                     alg = Fraction(raw, self.scale)
-                    exact[raw] = (alg, exact_ratio(self.opt_value, alg))
+                    ratio = exact_ratio(self.opt_value, alg)
+                    exact[raw] = (alg, ratio)
+                    self._tails[raw] = (
+                        f",{self.seed},{format_value(alg)},{opt_cell},{format_value(ratio)}\r\n"
+                    )
 
     def to_csv(self, out: TextIO, lo: int, raws: list) -> None:
         """Write to `out` one ``trial,seed,alg,opt,ratio`` row per trial lo,
         lo + 1, ... of `raws` (values already added), after that header when
         lo is 0. Each row ends in ``\\r\\n`` with no cell quoted (no cell
         holds a comma or a quote): the bytes ``csv.writer`` writes."""
-        tails = self._tails
-        if len(tails) < len(self._exact):
-            opt_cell = format_value(self.opt_value)
-            for raw, (alg, ratio) in self._exact.items():
-                if raw not in tails:
-                    tails[raw] = (
-                        f",{self.seed},{format_value(alg)},{opt_cell},{format_value(ratio)}\r\n"
-                    )
         if lo == 0:
             out.write(_CSV_HEADER)
-        out.write(_csv_rows(lo, raws, tails))
+        out.write(_csv_rows(lo, raws, self._tails))
 
     def _ratio_counts(self) -> list[tuple[Optional[Fraction], int]]:
         return [(self._exact[raw][1], count) for raw, count in self.histogram.items()]
@@ -338,22 +337,17 @@ class TrialStats:
         return math.sqrt(squares / (self.trials - 1))
 
 
-def _trial_chunks(trials: int, run: Callable[[int, int], list]) -> Iterator[tuple[int, list]]:
-    """The one chunk source of every random-order path: (lo, raws) for
-    trials lo, lo + 1, ..., at most _CSV_CHUNK_ROWS at a time, where
-    ``run(lo, count)`` returns the raw ALG values of `count` trials from
-    trial lo. A chunk is folded and written before the next one runs, so
-    memory stays constant in the trial count."""
-    for lo in range(0, trials, _CSV_CHUNK_ROWS):
-        yield lo, run(lo, min(_CSV_CHUNK_ROWS, trials - lo))
-
-
 def _fold(
-    stats: TrialStats, chunks: Iterator[tuple[int, list]], out: Optional[TextIO]
+    stats: TrialStats, trials: int, run: Callable[[int, int], list[int]], out: Optional[TextIO]
 ) -> TrialStats:
-    """Fold `chunks` into `stats`, writing each chunk's CSV rows to `out`
-    (when given) before the next chunk runs."""
-    for lo, raws in chunks:
+    """The one chunk loop of every random-order path: fold trials 0 ..
+    trials - 1 into `stats`, at most _CSV_CHUNK_ROWS at a time, where
+    ``run(lo, count)`` returns the raw ALG values of `count` trials from
+    trial lo. Each chunk is folded and its CSV rows written to `out` (when
+    given) before the next one runs, so memory stays constant in the trial
+    count."""
+    for lo in range(0, trials, _CSV_CHUNK_ROWS):
+        raws = run(lo, min(_CSV_CHUNK_ROWS, trials - lo))
         stats.add(raws)
         if out is not None:
             stats.to_csv(out, lo, raws)
@@ -362,46 +356,44 @@ def _fold(
 
 def _trials(
     policy: Policy, seq: ArrivalSequence, seed: int, count: int, lo: int = 0
-) -> list[Fraction]:
-    """The Python trial loop: ALG of a fresh run per trial t in lo .. lo +
-    count - 1, playing the arrivals in ``permutation(n, seed, t)`` order and
-    drawing decisions from substream 2**32 + t, clear of the permutation
-    substreams. The engine kernel plays the same draws and stands for this
-    loop where it can."""
+) -> list[int]:
+    """The Python trial loop: the raw ALG (see :func:`scaled_weight`) of a
+    fresh run per trial t in lo .. lo + count - 1, playing the arrivals in
+    ``permutation(n, seed, t)`` order and drawing decisions from substream
+    2**32 + t, clear of the permutation substreams. The engine kernel plays
+    the same draws and stands for this loop where it can."""
     algs = []
     for t in range(lo, lo + count):
-        order = seq.permuted(permutation(len(seq), seed, t))
+        order = map(seq.__getitem__, permutation(len(seq), seed, t))
         rng = Stream.for_trial(seed, (1 << 32) + t)
         state, _ = run_policy(policy, order, rng, record=False)
-        algs.append(solution_weight(seq, state.ids))
+        algs.append(scaled_weight(seq, state.ids))
     return algs
 
 
-def _random_order_chunks(
-    policy: Policy, seq: ArrivalSequence, trials: int, seed: int
-) -> tuple[Iterator[tuple[int, list]], int]:
-    """The chunks of `policy`'s random-order trials and the scale of their
-    raw ALG values. Policies with a kernel spec run in the engine kernel
-    when its first chunk comes back (it returns None for inputs it cannot
-    take, and then for every chunk); the rest replay in the Python loop."""
+def _trial_runner(
+    policy: Policy, seq: ArrivalSequence, seed: int
+) -> Callable[[int, int], list[int]]:
+    """``run(lo, count)``: the raw ALG values of `policy`'s random-order
+    trials lo .. lo + count - 1. A policy with a kernel spec asks the engine
+    kernel first and replays in the Python loop when the kernel answers
+    None; the kernel's answer depends only on the instance, the spec and
+    whether a kernel is loaded, so every chunk of a run takes one path."""
     spec = policy.kernel_spec()
     # Threshold tables need a single length: on mixed lengths the Python
     # path raises PolicyDomainError. Every other mode takes any instance.
-    if spec is not None and (spec["mode"] != "threshold" or seq.is_single_length()):
-        scale, weight_of = seq.integer_weights()
-        weights = list(weight_of.values())
-        starts = [iv.start for iv in seq]
-        ends = [iv.end for iv in seq]
-        chunks = _trial_chunks(
-            trials,
-            lambda lo, count: _engine.run_single_length_trials(
-                starts, ends, spec, count, seed, weights, lo
-            ),
-        )
-        first = next(chunks)
-        if first[1] is not None:
-            return chain([first], chunks), scale
-    return _trial_chunks(trials, lambda lo, count: _trials(policy, seq, seed, count, lo)), 1
+    if spec is None or (spec["mode"] == "threshold" and not seq.is_single_length()):
+        return lambda lo, count: _trials(policy, seq, seed, count, lo)
+    _, weight_of = seq.integer_weights()
+    weights = list(weight_of.values())
+    starts = [iv.start for iv in seq]
+    ends = [iv.end for iv in seq]
+
+    def run(lo: int, count: int) -> list[int]:
+        raws = _engine.run_single_length_trials(starts, ends, spec, count, seed, weights, lo)
+        return _trials(policy, seq, seed, count, lo) if raws is None else raws
+
+    return run
 
 
 def run_random_order(
@@ -422,8 +414,8 @@ def run_random_order(
     if len(seq) == 0:
         raise EmptyInstanceError("cannot benchmark an empty instance")
     opt = opt_for(seq)
-    chunks, scale = _random_order_chunks(policy, seq, trials, seed)
-    return _fold(TrialStats(seed, opt.value, scale), chunks, out)
+    scale, _ = seq.integer_weights()
+    return _fold(TrialStats(seed, opt.value, scale), trials, _trial_runner(policy, seq, seed), out)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +506,12 @@ def run_arb_expectation(
     alg_of = {}
     for length, arrivals in by_length.items():
         # A single-length run makes no length draw, so the stream is unused.
-        state, _ = run_policy(policy, ArrivalSequence(arrivals), Stream(0), record=False)
-        alg_of[length] = solution_weight(seq, state.ids)
+        state, _ = run_policy(policy, arrivals, Stream(0), record=False)
+        alg_of[length] = scaled_weight(seq, state.ids)
     lengths = list(by_length)
     choices: dict[int, int] = {}
 
-    def draws(lo: int, count: int) -> list[Fraction]:
+    def draws(lo: int, count: int) -> list[int]:
         algs = []
         for t in range(lo, lo + count):
             rng = Stream.for_trial(seed, t)
@@ -531,5 +523,6 @@ def run_arb_expectation(
             choices[chosen] = choices.get(chosen, 0) + 1
         return algs
 
-    stats = _fold(TrialStats(seed, opt.value), _trial_chunks(trials, draws), out)
+    scale, _ = seq.integer_weights()
+    stats = _fold(TrialStats(seed, opt.value, scale), trials, draws, out)
     return ArbTrialStats(stats=stats, length_choices=choices, distinct_lengths=len(lengths))

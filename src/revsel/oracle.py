@@ -148,22 +148,14 @@ class ChargeRecord:
     transferred_ids: list[int] = field(default_factory=list)
     current: list[int] = field(default_factory=list)
 
-    @property
-    def direct_count(self) -> int:
-        return len(self.direct_ids)
-
-    @property
-    def transfer_count(self) -> int:
-        return len(self.transferred_ids)
-
-    @property
-    def total(self) -> int:
-        return self.direct_count + self.transfer_count
-
 
 @dataclass
 class ChargeLedger:
-    """Outcome of replaying the charge mapping for one greedy-subsume run."""
+    """Outcome of replaying the charge mapping for one greedy-subsume run.
+
+    ``records`` holds the intervals the run accepted: every charge lands on
+    one of them, so an interval without a record was never charged.
+    """
 
     k: int
     normalized_opt: frozenset[int]
@@ -174,8 +166,8 @@ class ChargeLedger:
 
     @property
     def max_total(self) -> int:
-        finals = [self.records[i].total for i in self.final_members]
-        return max(finals) if finals else 0
+        finals = [self.records[i] for i in self.final_members]
+        return max((len(r.direct_ids) + len(r.transferred_ids) for r in finals), default=0)
 
     def charges_on_final(self) -> int:
         return sum(len(self.records[i].current) for i in self.final_members)
@@ -194,7 +186,7 @@ class ChargeLedger:
                     "transferred": sorted(rec.transferred_ids),
                 }
                 for i, rec in sorted(self.records.items())
-                if rec.total
+                if rec.direct_ids or rec.transferred_ids
             },
             "events": [list(e) for e in self.events],
         }
@@ -287,20 +279,21 @@ def _check_bounds(seq: ArrivalSequence, ledger: ChargeLedger) -> ChargeLedger:
             ledger,
         )
     for iv in seq:
-        rec = ledger.records[iv.id]
-        if rec.direct_count > 2:
+        rec = ledger.records.get(iv.id)
+        if rec is not None and len(rec.direct_ids) > 2:
             raise ChargeBoundViolation(
-                f"interval {iv.id} took {rec.direct_count} direct charges (> 2)", ledger
+                f"interval {iv.id} took {len(rec.direct_ids)} direct charges (> 2)", ledger
             )
     for m in ledger.final_members:
         rec = ledger.records[m]
-        if rec.transfer_count > 2 * k - 2:
+        if len(rec.transferred_ids) > 2 * k - 2:
             raise ChargeBoundViolation(
-                f"interval {m} received {rec.transfer_count} transferred charges (> 2k-2)",
+                f"interval {m} received {len(rec.transferred_ids)} transferred charges (> 2k-2)",
                 ledger,
             )
-        if rec.total > 2 * k:
-            raise ChargeBoundViolation(f"interval {m} holds {rec.total} charges (> 2k)", ledger)
+        total = len(rec.direct_ids) + len(rec.transferred_ids)
+        if total > 2 * k:
+            raise ChargeBoundViolation(f"interval {m} holds {total} charges (> 2k)", ledger)
     return ledger
 
 
@@ -326,7 +319,7 @@ def verify_charging(
     ever_accepted = [e.arrival_id for e in transcript.entries if e.action.accepted]
     opt_norm, swaps = normalize_certificate(seq, opt.members, ever_accepted)
 
-    records = {iv.id: ChargeRecord() for iv in seq}
+    records: dict[int, ChargeRecord] = {}
     events: list[tuple] = []
     held = PolicyState()
     retired: set[int] = set()
@@ -337,16 +330,15 @@ def verify_charging(
         # the held set as it was, so _charge_direct still sees what the
         # arrival met; an accept's bookkeeping reads only the records.
         apply_action(held, arrival, entry.action, retired)
-        if arrival.id in opt_norm:
-            if entry.action.accepted:
-                rec = records[arrival.id]
+        if entry.action.accepted:
+            rec = records[arrival.id] = ChargeRecord()
+            if arrival.id in opt_norm:
                 rec.direct_ids.append(arrival.id)
                 rec.current.append(arrival.id)
                 events.append(("direct-self", arrival.id, arrival.id))
-            else:
-                _charge_direct(records, events, held, arrival)
-        if entry.action.accepted:
             _transfer(records, events, arrival, entry.action.displaced)
+        elif arrival.id in opt_norm:
+            _charge_direct(records, events, held, arrival)
 
     ledger = ChargeLedger(
         k=k,

@@ -264,6 +264,25 @@ def test_weighted_instances_take_the_kernel(monkeypatch):
     ]
 
 
+def test_both_trial_paths_give_one_raw_form_on_weighted_instances():
+    """The kernel and the Python loop hand TrialStats the same integers over
+    the instance's weight scale, and so does the classify-by-length
+    reduction."""
+    weighted = gen_random_instance(12, 3, "rational", 4)
+    scale, _ = weighted.integer_weights()
+    assert scale > 1
+    for pid in ("greedy-subsume", "rand-memoryless:p=2/5"):
+        python_only = make_policy(pid)
+        python_only.kernel_spec = lambda: None
+        kernel = run_random_order(make_policy(pid), weighted, 60, seed=1)
+        python = run_random_order(python_only, weighted, 60, seed=1)
+        assert kernel.scale == python.scale == scale
+        assert kernel.histogram == python.histogram
+        assert all(type(raw) is int for raw in python.histogram)
+    arb = run_arb_expectation(ArbPolicy("greedy-disjoint"), weighted, 60, seed=1)
+    assert arb.stats.scale == scale
+
+
 def test_threshold_policy_on_mixed_lengths_still_raises(monkeypatch):
     calls = _spy_on_kernel(monkeypatch)
     seq = ArrivalSequence([Interval(0, 0, 6), Interval(1, 4, 14)])

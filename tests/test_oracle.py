@@ -32,7 +32,10 @@ from revsel.harness import (
 )
 from revsel.oracle import (
     ChargeBoundViolation,
+    ChargeLedger,
+    ChargeRecord,
     OptCertificate,
+    _check_bounds,
     normalize_certificate,
     opt_bruteforce,
     opt_unweighted,
@@ -170,6 +173,56 @@ def test_charging_detects_fabricated_violation():
     _, transcript = run_greedy(s)
     with pytest.raises(ChargeBoundViolation):
         verify_charging(s, transcript, opt_unweighted(s), k=1)  # wrong k: bound 2
+
+
+# Four disjoint units and one interval over all of them; k = 2, so the
+# bounds are 2 direct, 2 transferred and 4 charges in all.
+_BOUNDS = seq((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1))
+
+
+def _record(direct=(), transferred=(), current=()):
+    return ChargeRecord(list(direct), list(transferred), list(current))
+
+
+@pytest.mark.parametrize("records, final, opt, message", [
+    # 1 holds no charge, so the optimum {0, 1} is charged once short
+    ({0: _record([0], [], [0]), 1: _record()}, {0, 1}, {0, 1},
+     "normalized optimum is not charged exactly once onto the final solution"),
+    # 3, no longer held, took three direct charges
+    ({0: _record([], [1, 2, 3], [1, 2, 3]), 3: _record([1, 2, 3], [], [])}, {0}, {1, 2, 3},
+     "interval 3 took 3 direct charges (> 2)"),
+    ({0: _record([0], [1, 2, 3], [0, 1, 2, 3])}, {0}, {0, 1, 2, 3},
+     "interval 0 received 3 transferred charges (> 2k-2)"),
+])
+@pytest.mark.parametrize("dense", [True, False])
+def test_charge_bound_messages(records, final, opt, message, dense):
+    """Each bound's message, on ledgers built by hand; interval 4 was never
+    accepted, and a sparse ledger holds no record for it."""
+    if dense:
+        records = {iv.id: records.get(iv.id, _record()) for iv in _BOUNDS}
+    ledger = ChargeLedger(
+        k=2, normalized_opt=frozenset(opt), records=records, events=[],
+        final_members=frozenset(final), coincidence_swaps=[],
+    )
+    with pytest.raises(ChargeBoundViolation) as info:
+        _check_bounds(_BOUNDS, ledger)
+    assert str(info.value) == message
+    assert info.value.ledger is ledger
+
+
+def test_charge_bound_message_on_the_total():
+    """At most 2 direct and 2k - 2 transferred charges make at most 2k, so
+    only a final member outside the instance checked can reach the total's
+    message: here interval 4, with 3 direct and 2 transferred charges."""
+    records = {iv.id: _record() for iv in _BOUNDS}
+    records[4] = _record([0, 1, 4], [2, 3], [0, 1, 2, 3, 4])
+    ledger = ChargeLedger(
+        k=2, normalized_opt=frozenset(range(5)), records=records, events=[],
+        final_members=frozenset({4}), coincidence_swaps=[],
+    )
+    with pytest.raises(ChargeBoundViolation) as info:
+        _check_bounds(ArrivalSequence(_BOUNDS[:4]), ledger)
+    assert str(info.value) == "interval 4 holds 5 charges (> 2k)"
 
 
 def test_charging_certificate_feasibility_is_preserved():

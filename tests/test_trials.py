@@ -43,8 +43,7 @@ from revsel.core import ArrivalSequence, Interval
 from revsel.harness import (
     TrialStats,
     _fold,
-    _random_order_chunks,
-    _trial_chunks,
+    _trial_runner,
     _trials,
     exact_ratio,
     run_arb_expectation,
@@ -182,16 +181,15 @@ def _reference(seed, opt, algs):
 
 
 def trial_samples(policy, seq, trials, seed):
-    """Each trial's exact ALG in trial order, collected from the chunk
-    source that run_random_order folds."""
-    chunks, scale = _random_order_chunks(policy, seq, trials, seed)
-    return [Fraction(raw, scale) for _, raws in chunks for raw in raws]
+    """Each trial's raw ALG in trial order, from the runner that
+    run_random_order folds."""
+    return _trial_runner(policy, seq, seed)(0, trials)
 
 
 def _fold_list(stats, algs, out=None):
     """`algs` folded into `stats` a chunk at a time, as the harness folds
     a trial loop's output."""
-    return _fold(stats, _trial_chunks(len(algs), lambda lo, count: algs[lo : lo + count]), out)
+    return _fold(stats, len(algs), lambda lo, count: algs[lo : lo + count], out)
 
 
 def _assert_same_stats(stats, ref, csv_text):
@@ -403,11 +401,11 @@ MEMORYLESS_POLICIES = tuple(f"rand-memoryless:p={p}" for p in ("0", "1", "1/2", 
 
 def _assert_kernel_matches_python_policies(seq, trials, seed):
     """Every kernel-mode policy, through the harness and in the compiled
-    kernel where one is loaded, matches the policy replayed in Python; the
-    kernel's raw sums are the exact ALG times the weights' scale."""
+    kernel where one is loaded, matches the policy replayed in Python; each
+    gives the exact ALG times the weights' scale."""
     starts = [iv.start for iv in seq]
     ends = [iv.end for iv in seq]
-    scale, weight_of = seq.integer_weights()
+    _, weight_of = seq.integer_weights()
     weights = list(weight_of.values())
     pids = MULTI_LENGTH_POLICIES + MEMORYLESS_POLICIES
     if seq.is_single_length():
@@ -419,7 +417,7 @@ def _assert_kernel_matches_python_policies(seq, trials, seed):
         raw = run_single_length_trials(
             starts, ends, policy.kernel_spec(), trials, seed, weights=weights
         )
-        assert raw == ([alg * scale for alg in expected] if _engine.COMPILED else None)
+        assert raw == (expected if _engine.COMPILED else None)
 
 
 @compiled
@@ -434,7 +432,7 @@ def test_chunked_kernel_calls_match_one_call(seq, trials, cuts, seed, first):
     gives the Python loop's trials from there."""
     starts = [iv.start for iv in seq]
     ends = [iv.end for iv in seq]
-    scale, weight_of = seq.integer_weights()
+    _, weight_of = seq.integer_weights()
     weights = list(weight_of.values())
     bounds = sorted({0, trials, *(min(c, trials) for c in cuts)})
     pids = MULTI_LENGTH_POLICIES + MEMORYLESS_POLICIES
@@ -454,8 +452,7 @@ def test_chunked_kernel_calls_match_one_call(seq, trials, cuts, seed, first):
             assert chunks == one
             counts.append(one)
         assert counts[0] == counts[1]
-        expected = _trials(policy, seq, seed, trials, first)
-        assert one == [alg * scale for alg in expected]
+        assert one == _trials(policy, seq, seed, trials, first)
 
 
 def test_negative_first_trial_index_is_rejected():
