@@ -3,14 +3,14 @@ subset search.
 
 The compiled kernel, ``_kernel.c``, is one CPython C-API module that
 implements the permutation-trial loop, the exhaustive subset search and the
-indent-2 JSON writer behind :func:`dumps_json`. The
-trial loop replays six policy modes on any weights: the single-length
-threshold tables (which include one-directional replacement),
-always-replace, never-replace, greedy-subsume, call-control and the
-constant-probability memoryless policy; all but the first take intervals of
-any lengths. A trial returns its final held weight under integer weights;
-empty or all-1 weights count, and the count is then the held weight. The
-trial loop has no Python twin: where the kernel cannot run,
+indent-2 JSON writer behind :func:`dumps_json`. The trial loop replays six
+policy modes on any weights: the single-length threshold tables (which
+include one-directional replacement), always-replace, never-replace,
+greedy-subsume, call-control and the constant-probability memoryless
+policy; all but the first take intervals of any lengths. A trial returns
+its final held weight under integer weights (an instance's
+``columns.weights``, beside its ``starts`` and ``ends``); empty or all-1
+weights count, and the count is then the held weight. The trial loop has no Python twin: where the kernel cannot run,
 :func:`run_single_length_trials` returns None and the harness replays the
 trials through the policies themselves (``harness._trials``), which give
 the same bits more slowly. The subset search has a twin in

@@ -304,14 +304,13 @@ def _cmd_bench_backends(args) -> int:
         # Pure-Python trials replay the policy; both backends give each
         # trial's ALG as an integer over the weights' scale.
         policy = make_policy(pid)
-        _, weight_of = seq.integer_weights()
+        cols = seq.columns
         label = f"trials {pid}" + ("" if seq.is_unweighted() else " weighted")
         return (
             label, args.trials, 1,
             lambda: _trials(policy, seq, args.seed, args.trials),
             lambda: _engine.run_single_length_trials(
-                [iv.start for iv in seq], [iv.end for iv in seq], policy.kernel_spec(),
-                args.trials, args.seed, list(weight_of.values()),
+                cols.starts, cols.ends, policy.kernel_spec(), args.trials, args.seed, cols.weights,
             ),
         )
 
@@ -319,9 +318,8 @@ def _cmd_bench_backends(args) -> int:
     # on a multi-length unit one and on a rational one, and the memoryless
     # policy's draws on a multi-length unit one.
     multi = adversary.gen_random_instance(100, 3, "unit", args.seed)
-    brute = adversary.gen_random_instance(15, 4, "int", args.seed)
-    columns = ([iv.start for iv in brute], [iv.end for iv in brute],
-               [int(iv.weight) for iv in brute])
+    brute = adversary.gen_random_instance(15, 4, "int", args.seed).columns
+    columns = [list(brute.starts), list(brute.ends), list(brute.weights)]
     # The indent-2 JSON writer on a `run greedy-subsume` payload: json.dumps
     # against the kernel's re-spacing of the C encoder's compact text.
     seq = adversary.gen_random_instance(2000, 3, "unit", args.seed)

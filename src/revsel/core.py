@@ -17,9 +17,11 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from operator import sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class EmptyInstanceError(ValueError):
@@ -83,14 +85,16 @@ def overlap_amount(a: Interval, b: Interval) -> int:
     return max(0, min(a.end, b.end) - max(a.start, b.start))
 
 
-def partial_conflict(a: Interval, b: Interval) -> bool:
-    """Overlap with neither side containing the other (coincidence excluded)."""
-    return (
-        conflicts(a, b)
-        and not contains_properly(a, b)
-        and not contains_properly(b, a)
-        and (a.start, a.end) != (b.start, b.end)
-    )
+class Columns(NamedTuple):
+    """An instance's one integer form, in arrival order: the ids, the
+    endpoints, and each weight times `scale`, the lcm of the weights'
+    denominators, so that a weight total is ``Fraction(total, scale)``."""
+
+    ids: tuple[int, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+    weights: tuple[int, ...]
+    scale: int
 
 
 class ArrivalSequence(Sequence[Interval]):
@@ -98,13 +102,13 @@ class ArrivalSequence(Sequence[Interval]):
 
     def __init__(self, intervals: Iterable[Interval]):
         self._intervals = tuple(intervals)
-        seen = set()
-        for iv in self._intervals:
-            if iv.id in seen:
-                raise ValueError(f"duplicate interval id {iv.id}")
-            seen.add(iv.id)
-        self._by_id = {iv.id: iv for iv in self._intervals}
-        self._scaled = None  # see integer_weights
+        self._pos = {iv.id: p for p, iv in enumerate(self._intervals)}
+        if len(self._pos) != len(self._intervals):
+            seen = set()
+            for iv in self._intervals:
+                if iv.id in seen:
+                    raise ValueError(f"duplicate interval id {iv.id}")
+                seen.add(iv.id)
 
     def __len__(self) -> int:
         return len(self._intervals)
@@ -124,37 +128,35 @@ class ArrivalSequence(Sequence[Interval]):
     def __hash__(self):
         return hash(self._intervals)
 
-    def by_id(self, interval_id: int) -> Interval:
+    def position(self, interval_id: int) -> int:
+        """The arrival position of the interval with this id."""
         try:
-            return self._by_id[interval_id]
+            return self._pos[interval_id]
         except KeyError:
             raise UnknownIntervalError(interval_id) from None
 
-    @property
-    def ids(self) -> frozenset[int]:
-        return frozenset(self._by_id)
+    def by_id(self, interval_id: int) -> Interval:
+        return self._intervals[self.position(interval_id)]
 
     def lengths(self) -> frozenset[int]:
-        return frozenset(iv.length for iv in self._intervals)
-
-    def is_single_length(self) -> bool:
-        return len(self.lengths()) <= 1
+        return frozenset(map(sub, self.columns.ends, self.columns.starts))
 
     def is_unweighted(self) -> bool:
-        scale, weight_of = self.integer_weights()
-        return scale == 1 and set(weight_of.values()) <= {1}
+        return self.columns.scale == 1 and set(self.columns.weights) <= {1}
 
-    def integer_weights(self) -> tuple[int, dict[int, int]]:
-        """(scale, weight by id): every weight as an integer over one
-        scale, the lcm of their denominators, keyed by id in arrival order.
-        Built once, on first use (the intervals never change), and shared
-        by every caller, which must not mutate it."""
-        if self._scaled is None:
-            weights = [iv.weight for iv in self._intervals]
-            scale = lcm(*{w.denominator for w in weights})
-            scaled = (w.numerator * (scale // w.denominator) for w in weights)
-            self._scaled = (scale, dict(zip(self._by_id, scaled)))
-        return self._scaled
+    @cached_property
+    def columns(self) -> Columns:
+        """The instance's :class:`Columns`, built on first use and shared."""
+        ivs = self._intervals
+        weights = [iv.weight for iv in ivs]
+        scale = lcm(*{w.denominator for w in weights})
+        return Columns(
+            tuple(self._pos),
+            tuple(iv.start for iv in ivs),
+            tuple(iv.end for iv in ivs),
+            tuple(w.numerator * (scale // w.denominator) for w in weights),
+            scale,
+        )
 
 
 @dataclass(frozen=True)
@@ -201,18 +203,19 @@ def _nesting_depth(seq: ArrivalSequence) -> int:
     one before, and proper containment strictly shortens, so there are at
     most k levels: O(k n log n) in all.
     """
-    level = sorted(seq, key=lambda iv: iv.start)
+    _, starts, ends, _, _ = seq.columns
+    level = sorted(range(len(seq)), key=starts.__getitem__)
     depth = -1
     while level:
         depth += 1
-        starts = [iv.start for iv in level]
-        reach = list(accumulate((iv.end for iv in level), max))
+        level_starts = list(map(starts.__getitem__, level))
+        reach = list(accumulate(map(ends.__getitem__, level), max))
         inner = []
-        for iv in level:
-            before = bisect_left(starts, iv.start)
-            upto = bisect_right(starts, iv.start, before)
-            if (before and reach[before - 1] >= iv.end) or reach[upto - 1] > iv.end:
-                inner.append(iv)
+        for p in level:
+            before = bisect_left(level_starts, starts[p])
+            upto = bisect_right(level_starts, starts[p], before)
+            if (before and reach[before - 1] >= ends[p]) or reach[upto - 1] > ends[p]:
+                inner.append(p)
         level = inner
     return depth
 
@@ -222,9 +225,9 @@ def _grid(seq: ArrivalSequence) -> tuple[int, int, int]:
     the gcd of every coordinate's distance from it, and the number of grid
     points between the leftmost start and the rightmost end, inclusive.
     Some end lies right of lo (start < end), so g >= 1."""
-    lo = min(iv.start for iv in seq)
-    hi = max(iv.end for iv in seq)
-    g = gcd(*{c - lo for iv in seq for c in (iv.start, iv.end)})
+    _, starts, ends, _, _ = seq.columns
+    lo, hi = min(starts), max(ends)
+    g = gcd(*{c - lo for column in (starts, ends) for c in column})
     return lo, g, (hi - lo) // g + 1
 
 
@@ -256,28 +259,21 @@ def call_control_point_bound(k: int) -> int:
 
 def validate_solution(seq: ArrivalSequence, members: Iterable[int]) -> bool:
     """True iff the referenced intervals are pairwise non-conflicting."""
-    chosen = [seq.by_id(i) for i in members]
-    chosen.sort(key=lambda iv: iv.start)
-    for a, b in zip(chosen, chosen[1:]):
-        if conflicts(a, b):
-            return False
-    return True
+    _, starts, ends, _, _ = seq.columns
+    chosen = sorted(map(seq.position, members), key=starts.__getitem__)
+    # In start order, half-open intervals are disjoint iff each ends by the next's start.
+    return all(ends[a] <= starts[b] for a, b in zip(chosen, chosen[1:]))
 
 
 def scaled_weight(seq: ArrivalSequence, members: Iterable[int]) -> int:
-    """The total weight of the intervals with ids `members` as an integer
-    over the scale of ``seq.integer_weights()``."""
-    _, weight_of = seq.integer_weights()
-    try:
-        return sum(map(weight_of.__getitem__, members))
-    except KeyError as exc:
-        raise UnknownIntervalError(exc.args[0]) from None
+    """The total weight of the intervals with ids `members`, times ``seq.columns.scale``."""
+    weights = seq.columns.weights
+    return sum(weights[seq.position(i)] for i in members)
 
 
 def solution_weight(seq: ArrivalSequence, members: Iterable[int]) -> Fraction:
     """The total weight of the intervals with ids `members`, exactly."""
-    scale, _ = seq.integer_weights()
-    return Fraction(scaled_weight(seq, members), scale)
+    return Fraction(scaled_weight(seq, members), seq.columns.scale)
 
 
 def scale_rational_endpoints(

@@ -245,8 +245,8 @@ class TrialStats:
     """Exact aggregates over seeded trials, folded a chunk at a time into a
     histogram of raw ALG values; nothing is kept per trial.
 
-    A raw ALG is the exact ALG times `scale`, the scale of the instance's
-    integer weights: an int on every trial path. Equal values share one
+    A raw ALG is the exact ALG times `scale`, the instance's
+    ``columns.scale``: an int on every trial path. Equal values share one
     histogram entry, and the exact ALG ``Fraction(raw, scale)``, its ratio
     and its CSV row tail are built once per entry, the first time the value
     appears. ALG takes few distinct values, so the aggregates below stay
@@ -382,12 +382,9 @@ def _trial_runner(
     spec = policy.kernel_spec()
     # Threshold tables need a single length: on mixed lengths the Python
     # path raises PolicyDomainError. Every other mode takes any instance.
-    if spec is None or (spec["mode"] == "threshold" and not seq.is_single_length()):
+    if spec is None or (spec["mode"] == "threshold" and len(seq.lengths()) > 1):
         return lambda lo, count: _trials(policy, seq, seed, count, lo)
-    _, weight_of = seq.integer_weights()
-    weights = list(weight_of.values())
-    starts = [iv.start for iv in seq]
-    ends = [iv.end for iv in seq]
+    _, starts, ends, weights, _ = seq.columns
 
     def run(lo: int, count: int) -> list[int]:
         raws = _engine.run_single_length_trials(starts, ends, spec, count, seed, weights, lo)
@@ -414,8 +411,8 @@ def run_random_order(
     if len(seq) == 0:
         raise EmptyInstanceError("cannot benchmark an empty instance")
     opt = opt_for(seq)
-    scale, _ = seq.integer_weights()
-    return _fold(TrialStats(seed, opt.value, scale), trials, _trial_runner(policy, seq, seed), out)
+    stats = TrialStats(seed, opt.value, seq.columns.scale)
+    return _fold(stats, trials, _trial_runner(policy, seq, seed), out)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +520,5 @@ def run_arb_expectation(
             choices[chosen] = choices.get(chosen, 0) + 1
         return algs
 
-    scale, _ = seq.integer_weights()
-    stats = _fold(TrialStats(seed, opt.value, scale), trials, draws, out)
+    stats = _fold(TrialStats(seed, opt.value, seq.columns.scale), trials, draws, out)
     return ArbTrialStats(stats=stats, length_choices=choices, distinct_lengths=len(lengths))

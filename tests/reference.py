@@ -7,9 +7,11 @@ normalization, the charging audit that normalizes during its own unvalidated
 replay, the trial kernel that scans its held set with its own splitmix64
 copy, the trial statistics that keep one Fraction per trial, the CSV rows
 written with one f-string each, the classify-by-length trials replayed one
-decision at a time, and the weight helpers and weighted DP that add
-Fractions. They are quadratic or worse, or slow per trial, and exist so
-that random inputs can be checked against them.
+decision at a time, the weight helpers and weighted DP that add
+Fractions, and the oracles, certificate normalization and feasibility check
+that sorted Interval objects by tuple keys. They are quadratic or worse, or
+slow per trial or per key, and exist so that random inputs can be checked
+against them.
 """
 
 from __future__ import annotations
@@ -287,7 +289,7 @@ def verify_charging_lazy(
         final_members=final_members,
         coincidence_swaps=swaps,
     )
-    return _check_bounds(seq, ledger)
+    return _check_bounds(ledger)
 
 
 # -- the random-order trial path, before the bisecting kernel -----------------
@@ -521,3 +523,131 @@ def fraction_opt_weighted(seq: ArrivalSequence) -> OptCertificate:
     members = frozenset(members)
     assert validate_solution(seq, members)
     return OptCertificate(members, fraction_solution_weight(seq, members), "dp")
+
+
+# -- the oracles over Interval objects, before the integer columns -------------
+#
+# Copies of the oracles, the certificate normalization and the feasibility
+# check as they read Interval objects and sorted them by tuple keys, before
+# ArrivalSequence.columns. The only edits: the names, integer_weights as a
+# function of the sequence, and a certificate whose checks are these copies'
+# and whose value is the Fraction sum.
+
+
+def integer_weights(seq: ArrivalSequence) -> tuple[int, dict[int, int]]:
+    """(scale, weight by id): every weight as an integer over one scale, the
+    lcm of their denominators, keyed by id in arrival order."""
+    weights = [iv.weight for iv in seq]
+    scale = math.lcm(*{w.denominator for w in weights})
+    scaled = (w.numerator * (scale // w.denominator) for w in weights)
+    return scale, dict(zip((iv.id for iv in seq), scaled))
+
+
+def object_validate_solution(seq: ArrivalSequence, members: Iterable[int]) -> bool:
+    """True iff the referenced intervals are pairwise non-conflicting."""
+    chosen = [seq.by_id(i) for i in members]
+    chosen.sort(key=lambda iv: iv.start)
+    for a, b in zip(chosen, chosen[1:]):
+        if conflicts(a, b):
+            return False
+    return True
+
+
+def object_certify(seq: ArrivalSequence, members: Iterable[int], method: str) -> OptCertificate:
+    members = frozenset(members)
+    assert object_validate_solution(seq, members), "oracle produced an infeasible set"
+    value = fraction_solution_weight(seq, members)
+    return OptCertificate(members=members, value=value, method=method)
+
+
+def object_opt_unweighted(seq: ArrivalSequence) -> OptCertificate:
+    """Maximum-cardinality disjoint subset via earliest-finish-time greedy.
+
+    Ties on end time are broken toward the longer interval last, so a chosen
+    set never includes an interval that strictly contains another instance
+    interval (its content would have been chosen first).
+    """
+    if len(seq) == 0:
+        raise EmptyInstanceError("opt_unweighted requires a non-empty instance")
+    chosen = []
+    frontier = None
+    for iv in sorted(seq, key=lambda x: (x.end, -x.start, x.id)):
+        if frontier is None or iv.start >= frontier:
+            chosen.append(iv.id)
+            frontier = iv.end
+    return object_certify(seq, chosen, "greedy")
+
+
+def object_opt_weighted(seq: ArrivalSequence) -> OptCertificate:
+    """Maximum-weight disjoint subset via end-time dynamic programming.
+
+    Half-open compatibility: an interval may start exactly where the previous
+    one ends. The DP adds the weights as integers over one common scale
+    (see :func:`integer_weights`), which keeps every comparison of the exact
+    weights.
+    """
+    if len(seq) == 0:
+        raise EmptyInstanceError("opt_weighted requires a non-empty instance")
+    order = sorted(seq, key=lambda x: (x.end, x.start, x.id))
+    ends = [iv.end for iv in order]
+    n = len(order)
+    # prev[j]: rightmost index i < j with order[i].end <= order[j].start
+    prev = [bisect.bisect_right(ends, order[j].start) - 1 for j in range(n)]
+    _, weight_of = integer_weights(seq)
+    best = [0] * (n + 1)
+    for j in range(n):
+        take = weight_of[order[j].id] + best[prev[j] + 1]
+        best[j + 1] = max(best[j], take)
+    members = []
+    j = n
+    while j > 0:
+        if best[j] == best[j - 1]:
+            j -= 1
+        else:
+            members.append(order[j - 1].id)
+            j = prev[j - 1] + 1
+    return object_certify(seq, members, "dp")
+
+
+def object_normalize_certificate(
+    seq: ArrivalSequence, opt_members: frozenset[int], ever_accepted: Iterable[int]
+) -> tuple[frozenset[int], list[tuple[int, int]]]:
+    """Rewrite an optimal set so no member strictly contains anything the run
+    ever accepted; exact coincidences are resolved toward the accepted copy.
+
+    Each swap keeps cardinality and feasibility (the replacement sits inside
+    the member it replaces, so it conflicts nothing else in the set). The
+    members are disjoint, so no swap changes what another member may swap
+    to, and the swapped-in interval has nothing left to swap: one pass over
+    the members in ascending id order makes every swap. A member's
+    candidates are the accepted intervals starting inside it; these windows
+    are disjoint, so each accepted interval is looked at once at most.
+    Returns the rewritten set and the list of coincidence id swaps.
+    """
+    accepted = set(ever_accepted)
+    pool = sorted((seq.by_id(a) for a in accepted), key=lambda iv: iv.start)
+    starts = [iv.start for iv in pool]
+    opt = set(opt_members)
+    swaps: list[tuple[int, int]] = []
+    for opt_id in sorted(opt_members):
+        outer = seq.by_id(opt_id)
+        lo = bisect.bisect_left(starts, outer.start)
+        hi = bisect.bisect_left(starts, outer.end, lo)
+        window = [iv for iv in pool[lo:hi] if iv.id not in opt]
+        candidates = [iv for iv in window if contains_properly(outer, iv)]
+        if candidates:
+            inner = min(candidates, key=lambda iv: (iv.length, iv.start, iv.id))
+            opt.remove(opt_id)
+            opt.add(inner.id)
+            continue
+        if opt_id in accepted:
+            continue
+        twins = [iv.id for iv in window if (iv.start, iv.end) == (outer.start, outer.end)]
+        if twins:
+            twin = min(twins)
+            opt.remove(opt_id)
+            opt.add(twin)
+            swaps.append((opt_id, twin))
+    assert len(opt) == len(opt_members), "normalization changed |OPT|"
+    assert object_validate_solution(seq, opt), "normalization broke feasibility"
+    return frozenset(opt), swaps

@@ -31,7 +31,7 @@ from revsel.core import (
     contains_properly,
     dumps_jsonl,
     instance_stats,
-    partial_conflict,
+    overlap_amount,
     validate_solution,
 )
 from revsel.harness import run_adversarial
@@ -79,7 +79,9 @@ def test_chain_structure():
         neighbors = [o for o in five if o.id != member.id and conflicts(member, o)]
         expected = 1 if member.id in (0, 4) else 2
         assert len(neighbors) == expected
-        assert all(partial_conflict(member, o) for o in neighbors)
+        # One length, so no neighbour contains another: each overlap is partial.
+        assert all(overlap_amount(member, o) == 2 for o in neighbors)
+    assert five.lengths() == {6}
     assert opt_bruteforce(five).value == 3
 
 

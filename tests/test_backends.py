@@ -76,10 +76,9 @@ def _policy_variants():
 
 def _kernel_trials(policy, seq, trials, seed):
     """The dispatcher's raw ALG values for `policy` on `seq`."""
-    _, weight_of = seq.integer_weights()
+    cols = seq.columns
     return _engine.run_single_length_trials(
-        [iv.start for iv in seq], [iv.end for iv in seq], policy.kernel_spec(), trials, seed,
-        weights=list(weight_of.values()),
+        cols.starts, cols.ends, policy.kernel_spec(), trials, seed, weights=cols.weights
     )
 
 
@@ -339,8 +338,7 @@ def test_unit_instances_reach_the_kernel_with_no_weights(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(_engine, "_impl", recorder)
                 run_random_order(policy, seq, 5, seed=1)
-            _, weight_of = seq.integer_weights()
-            expected = [] if seq is unit else list(weight_of.values())
+            expected = [] if seq is unit else list(seq.columns.weights)
             assert [args[11] for args in recorder.calls] == [expected]  # the weights
 
 

@@ -54,6 +54,16 @@ def test_sequence_rejects_duplicate_ids():
         ArrivalSequence([iv(0, 0, 1), iv(0, 2, 3)])
 
 
+def test_duplicate_id_message_names_the_first_repeat():
+    # 5 arrives first, but 7 is the first id to arrive a second time.
+    with pytest.raises(ValueError) as info:
+        ArrivalSequence([iv(5, 0, 1), iv(7, 1, 2), iv(7, 2, 3), iv(5, 3, 4)])
+    assert str(info.value) == "duplicate interval id 7"
+    with pytest.raises(ValueError) as info:
+        ArrivalSequence([iv(3, 0, 1), iv(3, 0, 1)])
+    assert str(info.value) == "duplicate interval id 3"
+
+
 # -- conflicts / containment / overlap ---------------------------------------
 
 

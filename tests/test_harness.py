@@ -269,7 +269,7 @@ def test_both_trial_paths_give_one_raw_form_on_weighted_instances():
     the instance's weight scale, and so does the classify-by-length
     reduction."""
     weighted = gen_random_instance(12, 3, "rational", 4)
-    scale, _ = weighted.integer_weights()
+    scale = weighted.columns.scale
     assert scale > 1
     for pid in ("greedy-subsume", "rand-memoryless:p=2/5"):
         python_only = make_policy(pid)

@@ -144,7 +144,7 @@ def _any_action(draw, seq, held, clash):
     if kind == "held":
         return Action.accept(draw(st.sets(st.sampled_from(held), max_size=2)) if held else ())
     if kind == "any":
-        ids = sorted(seq.ids) + [len(seq)]
+        ids = sorted(seq.columns.ids) + [len(seq)]
         return Action.accept(draw(st.sets(st.sampled_from(ids), max_size=3)))
     return Action.accept(some(held), discard_rest=True)
 
@@ -194,7 +194,7 @@ def _accepted_of(transcript):
 def test_normalize_certificate_matches_restart_loop(seq, data):
     accepted_sets = [
         _accepted_of(run_policy(make_policy("greedy-subsume"), seq)[1]),
-        data.draw(st.lists(st.sampled_from(sorted(seq.ids)), unique=True)),
+        data.draw(st.lists(st.sampled_from(sorted(seq.columns.ids)), unique=True)),
     ]
     for opt in (opt_unweighted(seq), opt_weighted(seq)):
         for accepted in accepted_sets:

@@ -1,6 +1,7 @@
 """Offline optima cross-checks and the charging audit."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,14 @@ from reference import (
     fraction_opt_weighted,
     fraction_scaled_weights,
     fraction_solution_weight,
+    object_normalize_certificate,
+    object_opt_unweighted,
+    object_opt_weighted,
+    object_validate_solution,
     verify_charging_lazy,
 )
 
+from revsel import _engine, oracle
 from revsel.adversary import gen_greedy_tight, gen_random_instance, gen_two_length
 from revsel.algorithms import Action, make_policy
 from revsel.core import (
@@ -205,15 +211,16 @@ def test_charge_bound_messages(records, final, opt, message, dense):
         final_members=frozenset(final), coincidence_swaps=[],
     )
     with pytest.raises(ChargeBoundViolation) as info:
-        _check_bounds(_BOUNDS, ledger)
+        _check_bounds(ledger)
     assert str(info.value) == message
     assert info.value.ledger is ledger
 
 
 def test_charge_bound_message_on_the_total():
-    """At most 2 direct and 2k - 2 transferred charges make at most 2k, so
-    only a final member outside the instance checked can reach the total's
-    message: here interval 4, with 3 direct and 2 transferred charges."""
+    """At most 2 direct and 2k - 2 transferred charges make at most 2k, and
+    the direct charges are checked on every record, so a final member over
+    2k in all is caught by the direct-charge bound: here interval 4, with 3
+    direct and 2 transferred charges."""
     records = {iv.id: _record() for iv in _BOUNDS}
     records[4] = _record([0, 1, 4], [2, 3], [0, 1, 2, 3, 4])
     ledger = ChargeLedger(
@@ -221,8 +228,8 @@ def test_charge_bound_message_on_the_total():
         final_members=frozenset({4}), coincidence_swaps=[],
     )
     with pytest.raises(ChargeBoundViolation) as info:
-        _check_bounds(ArrivalSequence(_BOUNDS[:4]), ledger)
-    assert str(info.value) == "interval 4 holds 5 charges (> 2k)"
+        _check_bounds(ledger)
+    assert str(info.value) == "interval 4 took 3 direct charges (> 2)"
 
 
 def test_charging_certificate_feasibility_is_preserved():
@@ -291,8 +298,8 @@ def weighted_seq(rows):
 @settings(max_examples=400, deadline=None)
 def test_scaled_weight_helpers_match_fraction_sums(rows, mask):
     inst = weighted_seq(rows)
-    scale, weight_of = inst.integer_weights()
-    assert (list(weight_of.values()), scale) == fraction_scaled_weights(inst)
+    cols = inst.columns
+    assert (list(cols.weights), cols.scale) == fraction_scaled_weights(inst)
     assert inst.is_unweighted() == fraction_is_unweighted(inst)
     members = [iv.id for iv in inst if mask >> iv.id & 1]
     total = solution_weight(inst, members)
@@ -317,8 +324,8 @@ def test_weights_written_two_ways_scale_alike():
         '{"id": 2, "start": 2, "end": 4, "weight": 0}\n'
     )
     inst = loads_jsonl(text)
-    scale, weight_of = inst.integer_weights()
-    assert (list(weight_of.values()), scale) == fraction_scaled_weights(inst) == ([1, 1, 0], 2)
+    cols = inst.columns
+    assert (list(cols.weights), cols.scale) == fraction_scaled_weights(inst) == ([1, 1, 0], 2)
     assert not inst.is_unweighted()
     assert solution_weight(inst, [0, 1, 2]) == Fraction(1)
     # {0} and {1, 2} tie at 1/2; both DPs keep the same one.
@@ -331,3 +338,89 @@ def test_dp_ties_pick_the_members_of_the_fraction_dp():
     cert = opt_weighted(inst)
     assert cert == fraction_opt_weighted(inst)
     assert cert.value == Fraction(5, 2)
+
+
+# -- the column readers against their Interval-object versions ----------------
+
+# Few distinct weights make DP ties common; 2/4 is 1/2 written another way.
+tie_weights = st.sampled_from(
+    [Fraction(0), Fraction(1, 2), Fraction(2, 4), Fraction(1), Fraction(3, 2), Fraction(2)]
+)
+
+
+@st.composite
+def column_instances(draw, max_size=14, weights=tie_weights):
+    """Short intervals on a short line, so touching endpoints are common,
+    plus up to three exact copies; the ids are distinct but drawn in any
+    order from -3 .. 3n, so they are rarely 0..n-1 in arrival order."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 10), st.integers(1, 4), weights),
+                         min_size=1, max_size=max_size))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    ids = draw(st.lists(st.integers(-3, 3 * len(rows)), min_size=len(rows),
+                        max_size=len(rows), unique=True))
+    return ArrivalSequence(Interval(i, s, s + n, w) for i, (s, n, w) in zip(ids, rows))
+
+
+def _accepted_by_greedy_subsume(inst):
+    _, transcript = run_greedy(inst)
+    return [e.arrival_id for e in transcript.entries if e.action.accepted]
+
+
+@given(column_instances())
+@settings(max_examples=400, deadline=None)
+def test_oracles_match_their_interval_versions(inst):
+    assert opt_unweighted(inst) == object_opt_unweighted(inst)
+    assert opt_weighted(inst) == object_opt_weighted(inst)
+
+
+@given(column_instances(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_validate_solution_matches_its_interval_version(inst, data):
+    # Repeated ids and, now and then, an id of no interval.
+    ids = sorted(inst.columns.ids) + [max(inst.columns.ids) + 1]
+    members = data.draw(st.lists(st.sampled_from(ids), max_size=6))
+    try:
+        expected = object_validate_solution(inst, members)
+    except UnknownIntervalError:
+        with pytest.raises(UnknownIntervalError):
+            validate_solution(inst, members)
+    else:
+        assert validate_solution(inst, members) == expected
+
+
+@given(column_instances(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_normalize_certificate_matches_its_interval_version(inst, data):
+    accepted_sets = [
+        _accepted_by_greedy_subsume(inst),
+        data.draw(st.lists(st.sampled_from(sorted(inst.columns.ids)), unique=True)),
+    ]
+    for opt in (opt_unweighted(inst), opt_weighted(inst)):
+        for accepted in accepted_sets:
+            assert normalize_certificate(inst, opt.members, accepted) == (
+                object_normalize_certificate(inst, opt.members, accepted)
+            )
+
+
+def _ledger_bytes(inst, transcript, opt, k):
+    """The bytes `verify` prints for a ledger: a passing one's, or the
+    violation's message with its ledger's."""
+    try:
+        ledger = verify_charging(inst, transcript, opt, k)
+    except ChargeBoundViolation as exc:
+        return str(exc), _engine.dumps_json(exc.ledger.to_json_dict())
+    return None, _engine.dumps_json(ledger.to_json_dict())
+
+
+@given(column_instances(max_size=37, weights=st.just(Fraction(1))))
+@settings(max_examples=300, deadline=None)
+def test_verify_ledger_bytes_match_the_interval_versions(inst):
+    """The ledger `verify` writes, on its own k and on k = 1 (which most
+    runs violate), is the same byte for byte when the optimum and its
+    normalization come from the Interval-object versions."""
+    _, transcript = run_greedy(inst)
+    for k in (len(inst.lengths()), 1):
+        ours = _ledger_bytes(inst, transcript, opt_unweighted(inst), k)
+        with mock.patch.object(oracle, "normalize_certificate", object_normalize_certificate):
+            theirs = _ledger_bytes(inst, transcript, object_opt_unweighted(inst), k)
+        assert ours == theirs

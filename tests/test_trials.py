@@ -403,12 +403,9 @@ def _assert_kernel_matches_python_policies(seq, trials, seed):
     """Every kernel-mode policy, through the harness and in the compiled
     kernel where one is loaded, matches the policy replayed in Python; each
     gives the exact ALG times the weights' scale."""
-    starts = [iv.start for iv in seq]
-    ends = [iv.end for iv in seq]
-    _, weight_of = seq.integer_weights()
-    weights = list(weight_of.values())
+    _, starts, ends, weights, _ = seq.columns
     pids = MULTI_LENGTH_POLICIES + MEMORYLESS_POLICIES
-    if seq.is_single_length():
+    if len(seq.lengths()) == 1:
         pids += ("one-dir-left", "one-dir-right")
     for pid in pids:
         policy = make_policy(pid)
@@ -430,13 +427,10 @@ def test_chunked_kernel_calls_match_one_call(seq, trials, cuts, seed, first):
     every mode with no weights, all-1 weights and the instance's weights;
     all-1 weights count as no weights do; and the call from trial `first`
     gives the Python loop's trials from there."""
-    starts = [iv.start for iv in seq]
-    ends = [iv.end for iv in seq]
-    _, weight_of = seq.integer_weights()
-    weights = list(weight_of.values())
+    _, starts, ends, weights, _ = seq.columns
     bounds = sorted({0, trials, *(min(c, trials) for c in cuts)})
     pids = MULTI_LENGTH_POLICIES + MEMORYLESS_POLICIES
-    if seq.is_single_length():
+    if len(seq.lengths()) == 1:
         pids += ("one-dir-left", "one-dir-right")
     for pid in pids:
         policy = make_policy(pid)
