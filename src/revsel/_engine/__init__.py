@@ -2,20 +2,25 @@
 subset search.
 
 The compiled kernel, ``_kernel.c``, is one CPython C-API module that
-implements the permutation-trial loop, the exhaustive subset search and the
-indent-2 JSON writer behind :func:`dumps_json`. The trial loop replays six
-policy modes on any weights: the single-length threshold tables (which
-include one-directional replacement), always-replace, never-replace,
+implements one policy loop, the exhaustive subset search and the indent-2
+JSON writer behind :func:`dumps_json`. The policy loop replays six policy
+modes on any weights: the single-length threshold tables (which include
+one-directional replacement), always-replace, never-replace,
 greedy-subsume, call-control and the constant-probability memoryless
-policy; all but the first take intervals of any lengths. A trial returns
-its final held weight under integer weights (an instance's
+policy; all but the first take intervals of any lengths. It has two
+entries. :func:`run_single_length_trials` plays permutation trials, each
+returning its final held weight under integer weights (an instance's
 ``columns.weights``, beside its ``starts`` and ``ends``); empty or all-1
-weights count, and the count is then the held weight. The trial loop has no Python twin: where the kernel cannot run,
-:func:`run_single_length_trials` returns None and the harness replays the
-trials through the policies themselves (``harness._trials``), which give
-the same bits more slowly. The subset search has a twin in
-:mod:`.fallback`. The JSON writer needs none: without the kernel,
-:func:`dumps_json` is ``json.dumps`` itself.
+weights count, and the count is then the held weight. The trial loop has
+no Python twin: where the kernel cannot run, it returns None and the
+harness replays the trials through the policies themselves
+(``harness._trials``), which give the same bits more slowly.
+:func:`run_file_order` plays one run in file order and reports every
+arrival's action; its twin is ``harness.run_policy``, which
+``harness.run_file_order`` falls back to when it returns None. Both entries
+share one guard and one preparation of their arguments. The subset search
+has a twin in :mod:`.fallback`. The JSON writer needs none: without the
+kernel, :func:`dumps_json` is ``json.dumps`` itself.
 
 Selection happens once at import: the module ``setup.py`` installed, else a
 build cached in this package's ``__pycache__`` (named by a checksum of the C
@@ -164,6 +169,27 @@ def _tables(spec: dict):
     )
 
 
+def _kernel_args(starts, ends, spec: dict, weights=()):
+    """The arguments both trial-loop entries take, ``(starts, ends, mode,
+    six table arguments, weights, num, den)``, with the columns as lists;
+    None when no kernel is loaded or the inputs fall outside the kernel's
+    64-bit guard."""
+    if _impl is fallback:
+        return None
+    tables = _tables(spec)
+    p = spec.get("p")  # the memoryless mode's acceptance probability
+    num, den = (p.numerator, p.denominator) if p is not None else (0, 1)
+    starts, ends, weights = list(starts), list(ends), list(weights)
+    fits = (
+        _fits(starts, ends, tables[0], tables[3])
+        and den < _LIMIT
+        and sum(map(abs, weights)) < _LIMIT
+    )
+    if not fits:
+        return None
+    return (starts, ends, _MODES[spec["mode"]], *tables, weights, num, den)
+
+
 def run_single_length_trials(
     starts, ends, spec: dict, trials: int, seed: int, weights=(), first: int = 0
 ):
@@ -178,23 +204,28 @@ def run_single_length_trials(
     single-length."""
     if first < 0:
         raise ValueError("the first trial index must be >= 0")
-    mode = _MODES[spec["mode"]]
-    flk, flv, fld, frk, frv, frd = _tables(spec)
-    p = spec.get("p")  # the memoryless mode's acceptance probability
-    num, den = (p.numerator, p.denominator) if p is not None else (0, 1)
-    starts, ends, weights = list(starts), list(ends), list(weights)
-    fits = (
-        _fits(starts, ends, flk, frk)
-        and den < _LIMIT
-        and sum(map(abs, weights)) < _LIMIT
-    )
-    if _impl is fallback or not fits:
+    args = _kernel_args(starts, ends, spec, weights)
+    if args is None:
         return None
+    *inputs, weights, num, den = args
     if weights.count(1) == len(weights):
         weights = []
-    return _impl.run_single_length_trials_raw(
-        starts, ends, mode, flk, flv, fld, frk, frv, frd, trials, seed, weights, num, den, first
-    )
+    return _impl.run_single_length_trials_raw(*inputs, trials, seed, weights, num, den, first)
+
+
+def run_file_order(starts, ends, spec: dict, seed: int):
+    """One run of a kernel-mode policy over the arrivals in list order, the
+    twin of ``harness.run_policy``; a memoryless policy draws from
+    ``Stream.for_trial(seed, 0)``. Returns (accepted, offsets, displaced,
+    final): one accept flag per arrival, as bytes; the positions that
+    arrival p displaced, ``displaced[offsets[p]:offsets[p + 1]]``; and the
+    final members' positions in start order. None when no kernel is
+    loaded or the coordinates fall outside the kernel's 64-bit guard."""
+    args = _kernel_args(starts, ends, spec)
+    if args is None:
+        return None
+    *inputs, _, num, den = args
+    return _impl.run_file_order_raw(*inputs, seed, num, den)
 
 
 def best_subset_scaled(starts, ends, weights):

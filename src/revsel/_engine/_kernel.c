@@ -1,17 +1,23 @@
-/* Compiled engine: permutation-trial loop, exhaustive subset search and the
- * indent-2 JSON writer.
+/* Compiled engine: the policy loop behind permutation trials and file-order
+ * runs, exhaustive subset search and the indent-2 JSON writer.
  *
- * A CPython module that gcc alone builds. The trial loop matches the Python
- * policies it stands for (revsel.algorithms, replayed by harness._trials)
- * bit for bit: the permutation is revsel.rng's shuffle (same splitmix64
- * stream, same rejection sampling, same Fisher-Yates order) and the
- * memoryless draws are the policy's. The subset search matches its twin in
- * revsel._engine.fallback (same enumeration order); keep those two in
- * lockstep. Coordinates, weights and the acceptance fraction are read as
- * 64-bit integers, and an int that does not fit raises OverflowError: the
- * dispatchers in revsel._engine keep such inputs away from this module.
- * indent_json re-spaces the compact JSON text of the C encoder into
- * json.dumps(indent=2)'s layout; its fallback is json.dumps itself.
+ * A CPython module that gcc alone builds. One inlined loop, play, replays a
+ * kernel-mode policy over one arrival order; its compile-time flags pick the
+ * trial loop's weighted and memoryless copies, and `record` the file-order
+ * run, which also reports each arrival's action. The trial loop matches the
+ * Python policies it stands for (revsel.algorithms, replayed by
+ * harness._trials) bit for bit: the permutation is revsel.rng's shuffle
+ * (same splitmix64 stream, same rejection sampling, same Fisher-Yates
+ * order) and the memoryless draws are the policy's. The file-order run
+ * matches harness.run_policy action for action. Neither checks
+ * feasibility: the tests diff both against the harness. The subset search
+ * matches its twin in revsel._engine.fallback (same enumeration order);
+ * keep those two in lockstep. Coordinates, weights and the acceptance
+ * fraction are read as 64-bit integers, and an int that does not fit
+ * raises OverflowError: the dispatchers in revsel._engine keep such inputs
+ * away from this module. indent_json re-spaces the compact JSON text of
+ * the C encoder into json.dumps(indent=2)'s layout; its fallback is
+ * json.dumps itself.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -194,23 +200,38 @@ static inline int bernoulli(u64 *state, u64 num, u64 den)
     return den == 1 ? num == 1 : randbelow(state, den) < num;
 }
 
+/* What a file-order run records beside its held set: each member's arrival
+ * position, kept in lockstep with held_s and held_e, and per arrival p an
+ * accept flag and the positions it displaced, displaced[offsets[p],
+ * offsets[p + 1]). Every array holds n items, offsets n + 1. */
+typedef struct {
+    i64 *held_p, *displaced, *offsets;
+    char *accepted;
+} recording;
+
 /* Plays one trial's arrivals, in order, against an empty held set and
  * returns ALG: the final held count, or with `weighted` the final held
  * weight (order_w holds the arrivals' weights, held_w the members').
  * `memoryless` is mode == MEMORYLESS, and `draws` that mode's decision
- * stream.
+ * stream. With `record`, `order` is the arrivals in file order and every
+ * decision goes into `rec`; the trial loop passes 0 and NULL, so its
+ * inlined copies carry no recording code.
  *
  * The held set is disjoint and sorted by start, so the members that
  * conflict with [s, e) are [bisect_right(held_e, s), bisect_left(held_s, e,
  * lo)). Both searches probe as bisect does. */
 static inline __attribute__((always_inline)) u64
-play(int weighted, int memoryless, int mode, const span *order, const i64 *order_w,
+play(int weighted, int memoryless, int record, int mode, const span *order, const i64 *order_w,
      Py_ssize_t n, i64 *held_s, i64 *held_e, i64 *held_w, u64 draws, u64 num, u64 den,
-     const table *fl, const table *fr)
+     const table *fl, const table *fr, const recording *rec)
 {
-    Py_ssize_t h = 0;
+    Py_ssize_t h = 0, nd = 0;
     for (Py_ssize_t p = 0; p < n; p++) {
         i64 s = order[p].s, e = order[p].e;
+        if (record) {
+            rec->offsets[p] = nd;
+            rec->accepted[p] = 0;
+        }
         /* A memoryless policy draws for every arrival, conflict-free ones
          * included, and a miss rejects it. */
         if (memoryless && !bernoulli(&draws, num, den))
@@ -242,6 +263,11 @@ play(int weighted, int memoryless, int mode, const span *order, const i64 *order
                 memmove(held_w + first + 1, held_w + first, (h - first) * sizeof(i64));
                 held_w[first] = order_w[p];
             }
+            if (record) {
+                memmove(rec->held_p + first + 1, rec->held_p + first, (h - first) * sizeof(i64));
+                rec->held_p[first] = p;
+                rec->accepted[p] = 1;
+            }
             h++;
             continue;
         }
@@ -253,14 +279,24 @@ play(int weighted, int memoryless, int mode, const span *order, const i64 *order
         held_e[first] = e;
         if (weighted)
             held_w[first] = order_w[p];
+        if (record) {
+            for (Py_ssize_t i = first; i < last; i++)
+                rec->displaced[nd++] = rec->held_p[i];
+            rec->held_p[first] = p;
+            rec->accepted[p] = 1;
+        }
         if (take > 1) {
             memmove(held_s + first + 1, held_s + last, (h - last) * sizeof(i64));
             memmove(held_e + first + 1, held_e + last, (h - last) * sizeof(i64));
             if (weighted)
                 memmove(held_w + first + 1, held_w + last, (h - last) * sizeof(i64));
+            if (record)
+                memmove(rec->held_p + first + 1, rec->held_p + last, (h - last) * sizeof(i64));
             h -= take - 1;
         }
     }
+    if (record)
+        rec->offsets[n] = nd;
     if (!weighted)
         return (u64)h;
     /* The dispatchers keep weight sums below 2**62; unsigned addition keeps
@@ -310,8 +346,8 @@ run_trials(int weighted, int memoryless, int mode, const job *jb)
             memcpy(order_w, weights, n * sizeof(i64));
         shuffle(order, order_w, n, substream(seed, trial));
         u64 draws = memoryless ? substream(seed, ((u64)1 << 32) + trial) : 0;
-        u64 alg = play(weighted, memoryless, mode, order, order_w, n, held_s, held_e, held_w,
-                       draws, num, den, fl, fr);
+        u64 alg = play(weighted, memoryless, 0, mode, order, order_w, n, held_s, held_e, held_w,
+                       draws, num, den, fl, fr, NULL);
         PyObject *v = PyLong_FromLongLong((i64)alg);
         if (v == NULL)
             return -1;
@@ -393,6 +429,94 @@ done:
     PyMem_Free(arrival_w);
     PyMem_Free(order_w);
     PyMem_Free(held_w);
+    PyMem_Free(fl.keys);
+    PyMem_Free(fl.bits);
+    PyMem_Free(fr.keys);
+    PyMem_Free(fr.bits);
+    return out;
+}
+
+/* A new list of v[0, n); NULL on error. */
+static PyObject *list_of(const i64 *v, Py_ssize_t n)
+{
+    PyObject *out = PyList_New(n);
+    for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
+        PyObject *item = PyLong_FromLongLong(v[i]);
+        if (item == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, item);
+    }
+    return out;
+}
+
+/* One run of a kernel-mode policy over the arrivals in list order, the
+ * twin of harness.run_policy: memoryless draws come from substream(seed,
+ * 0), which is rng.Stream.for_trial(seed, 0). Returns (accepted, offsets,
+ * displaced, final): a bytes object of one accept flag per arrival, the
+ * n + 1 offsets into displaced, the positions each arrival displaced, in
+ * arrival order, and the final members' positions in start order. */
+static PyObject *run_file_order_raw(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *starts, *ends, *flk, *flv, *frk, *frv, *seed_obj, *out = NULL;
+    int mode, fld, frd;
+    long long num = 0, den = 1;
+    if (!PyArg_ParseTuple(args, "O!O!iO!O!pO!O!pO|LL", &PyList_Type, &starts, &PyList_Type,
+                          &ends, &mode, &PyList_Type, &flk, &PyList_Type, &flv, &fld,
+                          &PyList_Type, &frk, &PyList_Type, &frv, &frd, &seed_obj, &num, &den))
+        return NULL;
+    if (den < 1 || num < 0) {
+        PyErr_SetString(PyExc_ValueError, "acceptance fraction needs num >= 0 and den >= 1");
+        return NULL;
+    }
+    u64 seed = PyLong_AsUnsignedLongLongMask(seed_obj);
+    if (seed == (u64)-1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t n = Py_MIN(PyList_GET_SIZE(starts), PyList_GET_SIZE(ends));
+    span *arrivals = PyMem_New(span, n + 1);
+    i64 *held_s = PyMem_New(i64, n + 1), *held_e = PyMem_New(i64, n + 1);
+    i64 *held_p = PyMem_New(i64, n + 1), *displaced = PyMem_New(i64, n + 1);
+    i64 *offsets = PyMem_New(i64, n + 1);
+    PyObject *accepted = PyBytes_FromStringAndSize(NULL, n);
+    table fl = {0}, fr = {0};
+    if (accepted == NULL)
+        goto done;
+    if (arrivals == NULL || held_s == NULL || held_e == NULL || held_p == NULL ||
+        displaced == NULL || offsets == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_table(flk, flv, fld, &fl) < 0 || read_table(frk, frv, frd, &fr) < 0)
+        goto done;
+    if (read_i64s(starts, n, held_s) < 0 || read_i64s(ends, n, held_e) < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++)
+        arrivals[i] = (span){held_s[i], held_e[i]};
+    recording rec = {held_p, displaced, offsets, PyBytes_AS_STRING(accepted)};
+    u64 draws = substream(seed, 0);
+    Py_ssize_t h;
+    if (mode == MEMORYLESS)
+        h = (Py_ssize_t)play(0, 1, 1, mode, arrivals, NULL, n, held_s, held_e, NULL, draws,
+                             (u64)num, (u64)den, &fl, &fr, &rec);
+    else
+        h = (Py_ssize_t)play(0, 0, 1, mode, arrivals, NULL, n, held_s, held_e, NULL, 0, 0, 1,
+                             &fl, &fr, &rec);
+    PyObject *off = list_of(offsets, n + 1);
+    PyObject *gone = off == NULL ? NULL : list_of(displaced, offsets[n]);
+    PyObject *final = gone == NULL ? NULL : list_of(held_p, h);
+    if (final != NULL)
+        out = PyTuple_Pack(4, accepted, off, gone, final);
+    Py_XDECREF(off);
+    Py_XDECREF(gone);
+    Py_XDECREF(final);
+done:
+    Py_XDECREF(accepted);
+    PyMem_Free(arrivals);
+    PyMem_Free(held_s);
+    PyMem_Free(held_e);
+    PyMem_Free(held_p);
+    PyMem_Free(displaced);
+    PyMem_Free(offsets);
     PyMem_Free(fl.keys);
     PyMem_Free(fl.bits);
     PyMem_Free(fr.keys);
@@ -571,6 +695,8 @@ static PyMethodDef kernel_methods[] = {
      "Trial permutation, matching rng.permutation exactly."},
     {"run_single_length_trials_raw", run_single_length_trials_raw, METH_VARARGS,
      "Final solution size (or weight) of each permutation trial of a kernel-mode policy."},
+    {"run_file_order_raw", run_file_order_raw, METH_VARARGS,
+     "(accept flags, offsets, displaced positions, final positions) of one file-order run."},
     {"best_subset_scaled", best_subset_scaled, METH_VARARGS,
      "(best total weight, member bitmask) over all conflict-free subsets."},
     {"indent_json", indent_json, METH_O,
@@ -581,7 +707,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Compiled trial loop, subset search and JSON indenter of revsel._engine.",
+    .m_doc = "Compiled policy loop, subset search and JSON indenter of revsel._engine.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -31,6 +31,7 @@ from .harness import (
     format_value,
     run_adversarial,
     run_arb_expectation,
+    run_file_order,
     run_policy,
     run_random_order,
 )
@@ -268,7 +269,7 @@ def _build_verify(sub):
 def _cmd_verify(args) -> int:
     seq = _read_instance(args.instance)
     k = len(seq.lengths())
-    _state, transcript = run_policy(make_policy("greedy-subsume"), seq)
+    _, transcript = run_file_order(make_policy("greedy-subsume"), seq)
     opt = opt_unweighted(seq)
     try:
         ledger = verify_charging(seq, transcript, opt, k)
@@ -314,14 +315,25 @@ def _cmd_bench_backends(args) -> int:
             ),
         )
 
+    def file_order_case(pid, seq):
+        # One run in file order: run_policy against the kernel's run, which
+        # run_file_order asks for first. Equal transcripts give equal rows.
+        policy = make_policy(pid)
+        return (
+            f"file-order {pid}", 10, 10,
+            lambda: run_policy(policy, seq)[1],
+            lambda: run_file_order(policy, seq)[1],
+        )
+
     # Always-replace on a copy-flooded single-length instance, call-control
     # on a multi-length unit one and on a rational one, and the memoryless
     # policy's draws on a multi-length unit one.
     multi = adversary.gen_random_instance(100, 3, "unit", args.seed)
     brute = adversary.gen_random_instance(15, 4, "int", args.seed).columns
     columns = [list(brute.starts), list(brute.ends), list(brute.weights)]
-    # The indent-2 JSON writer on a `run greedy-subsume` payload: json.dumps
-    # against the kernel's re-spacing of the C encoder's compact text.
+    # File-order runs, and the indent-2 JSON writer on a `run greedy-subsume`
+    # payload: json.dumps against the kernel's re-spacing of the C encoder's
+    # compact text.
     seq = adversary.gen_random_instance(2000, 3, "unit", args.seed)
     payload = run_adversarial(make_policy("greedy-subsume"), seq).to_json_dict()
     # (label, ops, repeats, pure-python call, compiled call); each backend's
@@ -331,6 +343,8 @@ def _cmd_bench_backends(args) -> int:
         trial_case("call-control", multi),
         trial_case("call-control", adversary.gen_random_instance(100, 3, "rational", args.seed)),
         trial_case("rand-memoryless:p=1/3", multi),
+        file_order_case("greedy-subsume", seq),
+        file_order_case("always-replace", seq),
         ("subset-search", 50, 50, lambda: _engine.fallback.best_subset_scaled(*columns),
          lambda: _engine._impl.best_subset_scaled(*columns)),
         ("json-writer", 5, 5, lambda: json.dumps(payload, indent=2, sort_keys=True),

@@ -6,17 +6,27 @@ must stay feasible, discarded ids never return). Ratios are exact rationals;
 an empty algorithm solution against a non-empty optimum is reported with an
 infinity sentinel rather than a division error.
 
+A run over the arrivals in file order (``run``, and the greedy-subsume run
+that ``verify`` audits) goes through :func:`run_file_order`. A policy with a
+kernel spec asks the compiled engine kernel (:mod:`revsel._engine`) for the
+run first and builds the transcript from the actions the kernel reports;
+everything else, and every policy when no kernel is loaded or the
+coordinates leave its 64-bit guard, runs through :func:`run_policy`, which
+validates each action as it applies it. The tests diff the kernel's runs
+against :func:`run_policy`, and the charging audit replays every
+transcript through :func:`apply_action` whichever path made it.
+
 Random-order trials draw their permutations from per-trial substreams, so
 growing the trial count never changes earlier trials. Every built-in policy
-runs its trials in the compiled engine kernel (:mod:`revsel._engine`) when
-one is loaded and the inputs fit its 64-bit guard, and the
-classify-by-length wrapper needs no trial replay at all (see
-:func:`run_arb_expectation`). Everything else, including every policy when
-no kernel is loaded, replays each trial through :func:`run_policy` in
-:func:`_trials`, the one Python trial loop. Every path gives each trial's
-ALG as the same integer over the instance's weight scale, and folds its
-trials into :class:`TrialStats` a chunk at a time, writing a chunk's CSV
-rows before the next one runs, so memory does not grow with the trial count.
+runs its trials in the kernel when one is loaded and the inputs fit its
+64-bit guard, and the classify-by-length wrapper needs no trial replay at
+all (see :func:`run_arb_expectation`). Everything else, including every
+policy when no kernel is loaded, replays each trial through
+:func:`run_policy` in :func:`_trials`, the one Python trial loop. Every path
+gives each trial's ALG as the same integer over the instance's weight
+scale, and folds its trials into :class:`TrialStats` a chunk at a time,
+writing a chunk's CSV rows before the next one runs, so memory does not
+grow with the trial count.
 """
 
 from __future__ import annotations
@@ -62,10 +72,17 @@ class RunTranscript:
     entries: tuple[TranscriptEntry, ...]
 
     def to_json_list(self) -> list:
+        """One row per entry. Most displaced sets are empty, and only a
+        non-empty one is sorted."""
         rows = []
         for e in self.entries:
             action = e.action
-            row = {"id": e.arrival_id, "action": action.kind, "displaced": sorted(action.displaced)}
+            displaced = action.displaced
+            row = {
+                "id": e.arrival_id,
+                "action": action.kind,
+                "displaced": sorted(displaced) if displaced else [],
+            }
             if action.discard_rest:
                 row["discard_rest"] = True
             rows.append(row)
@@ -179,21 +196,61 @@ class RunResult:
         }
 
 
+def _kernel_spec(policy: Policy, seq: ArrivalSequence) -> Optional[dict]:
+    """The policy's kernel spec when its runs on `seq` may go to the engine
+    kernel, else None. Threshold tables need a single length: on mixed
+    lengths the Python path raises PolicyDomainError. Every other mode takes
+    any instance."""
+    spec = policy.kernel_spec()
+    if spec is None or (spec["mode"] == "threshold" and len(seq.lengths()) > 1):
+        return None
+    return spec
+
+
+def run_file_order(
+    policy: Policy, seq: ArrivalSequence, seed: Optional[int] = None
+) -> tuple[frozenset[int], RunTranscript]:
+    """The final ids and the transcript of the policy's run over the
+    arrivals in file order, drawing from ``Stream.for_trial(seed, 0)`` when
+    a seed is given. A policy with a kernel spec asks the engine kernel
+    first, as :func:`_trial_runner` does, and runs through
+    :func:`run_policy` when the kernel answers None; both give the same
+    transcript. The kernel's feasibility is diffed against the harness in
+    the tests, not enforced here: the charging audit replays a transcript
+    through :func:`apply_action` itself."""
+    spec = _kernel_spec(policy, seq)
+    if spec is not None and (seed is not None or policy.deterministic):
+        ids, starts, ends, _, _ = seq.columns
+        raw = _engine.run_file_order(starts, ends, spec, 0 if seed is None else seed)
+        if raw is not None:
+            accepted, offsets, displaced, final = raw
+            id_at = ids.__getitem__
+            accept, reject = Action.accept(), Action.reject()
+            actions = [accept if flag else reject for flag in accepted]
+            for p, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+                if lo < hi:
+                    actions[p] = Action(True, frozenset(map(id_at, displaced[lo:hi])))
+            entries = tuple(map(TranscriptEntry, ids, actions))
+            return frozenset(map(id_at, final)), RunTranscript(policy.name, entries)
+    rng = Stream.for_trial(seed, 0) if seed is not None else None
+    state, transcript = run_policy(policy, seq, rng)
+    return state.ids, transcript
+
+
 def run_adversarial(
     policy: Policy, seq: ArrivalSequence, seed: Optional[int] = None
 ) -> RunResult:
     """Run the policy on the arrivals in file order; exact ratio vs optimum."""
     if len(seq) == 0:
         raise EmptyInstanceError("cannot run a policy on an empty instance")
-    rng = Stream.for_trial(seed, 0) if seed is not None else None
-    if not policy.deterministic and rng is None:
+    if not policy.deterministic and seed is None:
         raise ValueError(f"policy {policy.name} needs a seed")
-    state, transcript = run_policy(policy, seq, rng)
-    alg_value = solution_weight(seq, state.ids)
+    final, transcript = run_file_order(policy, seq, seed)
+    alg_value = solution_weight(seq, final)
     opt = opt_for(seq)
     return RunResult(
         policy=policy.name,
-        final_solution=state.ids,
+        final_solution=final,
         alg_value=alg_value,
         opt_value=opt.value,
         ratio=exact_ratio(opt.value, alg_value),
@@ -379,10 +436,8 @@ def _trial_runner(
     kernel first and replays in the Python loop when the kernel answers
     None; the kernel's answer depends only on the instance, the spec and
     whether a kernel is loaded, so every chunk of a run takes one path."""
-    spec = policy.kernel_spec()
-    # Threshold tables need a single length: on mixed lengths the Python
-    # path raises PolicyDomainError. Every other mode takes any instance.
-    if spec is None or (spec["mode"] == "threshold" and len(seq.lengths()) > 1):
+    spec = _kernel_spec(policy, seq)
+    if spec is None:
         return lambda lo, count: _trials(policy, seq, seed, count, lo)
     _, starts, ends, weights, _ = seq.columns
 

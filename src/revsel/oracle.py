@@ -156,6 +156,13 @@ class ChargeRecord:
     current: list[int] = field(default_factory=list)
 
 
+def _sorted_ids(ids: list[int]) -> list[int]:
+    """`ids` in ascending order. Most charge lists hold one id or none: such
+    a list is sorted already and is returned itself, since a copy costs
+    what the sort would."""
+    return ids if len(ids) < 2 else sorted(ids)
+
+
 @dataclass
 class ChargeLedger:
     """Outcome of replaying the charge mapping for one greedy-subsume run.
@@ -180,6 +187,8 @@ class ChargeLedger:
         return sum(len(self.records[i].current) for i in self.final_members)
 
     def to_json_dict(self) -> dict:
+        """The ledger as JSON data, for encoding: a charge list of fewer
+        than two ids is the record's own list."""
         return {
             "k": self.k,
             "bound": 2 * self.k,
@@ -189,8 +198,8 @@ class ChargeLedger:
             "coincidence_swaps": [list(p) for p in self.coincidence_swaps],
             "per_interval": {
                 str(i): {
-                    "direct": sorted(rec.direct_ids),
-                    "transferred": sorted(rec.transferred_ids),
+                    "direct": _sorted_ids(rec.direct_ids),
+                    "transferred": _sorted_ids(rec.transferred_ids),
                 }
                 for i, rec in sorted(self.records.items())
                 if rec.direct_ids or rec.transferred_ids

@@ -267,6 +267,7 @@ def test_bench_backends_command(capsys):
     assert "pure-python" in out
     for label in ("trials always-replace", "trials call-control ",
                   "trials call-control weighted", "trials rand-memoryless:p=1/3",
+                  "file-order greedy-subsume", "file-order always-replace",
                   "subset-search", "json-writer"):
         assert label in out
     if _engine.COMPILED:

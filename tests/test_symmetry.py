@@ -1,8 +1,11 @@
-"""Mirror and translation invariance.
+"""Mirror, translation and scaling invariance.
 
 Policies, oracles and the charging audit compare coordinates only with one
 another, so shifting an instance by an integer changes no result, exact
-copies included. Reflecting it onto ``[c - end, c - start)`` turns every
+copies included. Multiplying every coordinate by a positive integer keeps
+every comparison too, and so changes no result of a policy that does no
+arithmetic on lengths beyond comparing them: every built-in policy but
+``threshold:<file>``, whose tables key on the overlap amount. Reflecting it onto ``[c - end, c - start)`` turns every
 left into a right: a policy and its mirror then give the same transcript.
 ``one-dir-left`` and ``one-dir-right`` are each other's mirror, a threshold
 table's mirror swaps its sides, and every other built-in policy is its own.
@@ -24,7 +27,7 @@ from revsel.algorithms import (
     make_policy,
 )
 from revsel.core import ArrivalSequence, Interval, instance_stats
-from revsel.harness import opt_for, run_policy, run_random_order
+from revsel.harness import opt_for, run_adversarial, run_file_order, run_policy, run_random_order
 from revsel.oracle import (
     ChargeBoundViolation,
     opt_bruteforce,
@@ -60,6 +63,10 @@ def shifted(seq, d):
     return ArrivalSequence(Interval(iv.id, iv.start + d, iv.end + d, iv.weight) for iv in seq)
 
 
+def scaled(seq, m):
+    return ArrivalSequence(Interval(iv.id, iv.start * m, iv.end * m, iv.weight) for iv in seq)
+
+
 def transcript_rows(policy, seq):
     """The rows of the policy's run in file order, drawing from one fixed
     stream; or the message of the domain error a threshold table raises on
@@ -72,14 +79,25 @@ def transcript_rows(policy, seq):
 
 
 def audit(seq, k):
-    """The ledger bytes of a greedy-subsume run's audit at bound 2k, or the
-    violation's message."""
-    _, transcript = run_policy(make_policy("greedy-subsume"), seq)
+    """`verify`'s verdict: the ledger bytes of the audit at bound 2k of the
+    file-order greedy-subsume run, or the violation's message."""
+    _, transcript = run_file_order(make_policy("greedy-subsume"), seq)
     try:
         ledger = verify_charging(seq, transcript, opt_unweighted(seq), k)
     except ChargeBoundViolation as exc:
         return str(exc)
     return _engine.dumps_json(ledger.to_json_dict())
+
+
+def adversarial_bytes(policy, seq):
+    """The output of `run` in file order with seed 7, through
+    run_adversarial: from the kernel when one is loaded and the coordinates
+    fit its guard, else from run_policy. A threshold table's domain error
+    names the lengths it saw, so only its type is kept."""
+    try:
+        return _engine.dumps_json(run_adversarial(policy, seq, 7).to_json_dict())
+    except PolicyDomainError:
+        return PolicyDomainError
 
 
 @st.composite
@@ -200,3 +218,21 @@ def test_coincident_copies_break_the_one_dir_mirror():
         {"id": 1, "action": "accept", "displaced": [0]},
         {"id": 2, "action": "accept", "displaced": [1]},
     ]
+
+
+@given(instances(copies=True),
+       st.one_of(st.integers(1, 10**6), st.just(2**58)))
+@settings(max_examples=100, deadline=None)
+def test_scaling_changes_no_transcript_or_verdict(seq, m):
+    """Every built-in policy but threshold:<file> gives the same run after
+    the coordinates are multiplied by m, exact copies included; the factor
+    2**58 moves most coordinates past the kernel's 64-bit guard, so that
+    side runs through run_policy."""
+    bigger = scaled(seq, m)
+    for pid in POLICIES:
+        assert adversarial_bytes(make_policy(pid), seq) == (
+            adversarial_bytes(make_policy(pid), bigger)
+        ), pid
+    k = len(seq.lengths())
+    for bound in (k, 1):
+        assert audit(seq, bound) == audit(bigger, bound)
