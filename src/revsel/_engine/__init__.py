@@ -18,7 +18,8 @@ harness replays the trials through the policies themselves
 :func:`run_file_order` plays one run in file order and reports every
 arrival's action; its twin is ``harness.run_policy``, which
 ``harness.run_file_order`` falls back to when it returns None. Both entries
-share one guard and one preparation of their arguments. The subset search
+share one guard and one preparation of their arguments, which builds the
+policy once as the one tuple both raw kernel entries take. The subset search
 has a twin in :mod:`.fallback`. The JSON writer needs none: without the
 kernel, :func:`dumps_json` is ``json.dumps`` itself.
 
@@ -151,43 +152,31 @@ def _fits(*columns) -> bool:
     return all(-_LIMIT < min(c) and max(c) < _LIMIT for c in columns if c)
 
 
-def _tables(spec: dict):
-    """The threshold tables as kernel arguments: keys, bits and default for
-    the left side, then for the right; empty for every other mode."""
-    if spec["mode"] != "threshold":
-        return [], [], 0, [], [], 0
-    tables = spec["tables"]
-    fl = sorted(tables.left.items())
-    fr = sorted(tables.right.items())
-    return (
-        [k for k, _ in fl],
-        [v for _, v in fl],
-        tables.left_default,
-        [k for k, _ in fr],
-        [v for _, v in fr],
-        tables.right_default,
-    )
-
-
 def _kernel_args(starts, ends, spec: dict, weights=()):
-    """The arguments both trial-loop entries take, ``(starts, ends, mode,
-    six table arguments, weights, num, den)``, with the columns as lists;
-    None when no kernel is loaded or the inputs fall outside the kernel's
-    64-bit guard."""
+    """``(starts, ends, policy, weights)`` as both policy-loop entries take
+    them: the columns as lists, and `policy` one tuple of the mode; the left
+    threshold table's keys, bits and default; the right table's (empty
+    tables but for the "threshold" mode); and the acceptance numerator and
+    denominator (0 and 1 but for "memoryless"). None when no kernel is
+    loaded or the inputs fall outside the kernel's 64-bit guard."""
     if _impl is fallback:
         return None
-    tables = _tables(spec)
-    p = spec.get("p")  # the memoryless mode's acceptance probability
-    num, den = (p.numerator, p.denominator) if p is not None else (0, 1)
+    sides = [[], [], 0, [], [], 0]
+    if spec["mode"] == "threshold":
+        t = spec["tables"]
+        sides = []
+        for table, default in ((t.left, t.left_default), (t.right, t.right_default)):
+            keys = sorted(table)
+            sides += [keys, [table[k] for k in keys], default]
+    p = spec.get("p", 0)  # the memoryless mode's acceptance probability
+    policy = (_MODES[spec["mode"]], *sides, p.numerator, p.denominator)
     starts, ends, weights = list(starts), list(ends), list(weights)
     fits = (
-        _fits(starts, ends, tables[0], tables[3])
-        and den < _LIMIT
+        _fits(starts, ends, sides[0], sides[3])
+        and p.denominator < _LIMIT
         and sum(map(abs, weights)) < _LIMIT
     )
-    if not fits:
-        return None
-    return (starts, ends, _MODES[spec["mode"]], *tables, weights, num, den)
+    return (starts, ends, policy, weights) if fits else None
 
 
 def run_single_length_trials(
@@ -207,10 +196,10 @@ def run_single_length_trials(
     args = _kernel_args(starts, ends, spec, weights)
     if args is None:
         return None
-    *inputs, weights, num, den = args
+    starts, ends, policy, weights = args
     if weights.count(1) == len(weights):
         weights = []
-    return _impl.run_single_length_trials_raw(*inputs, trials, seed, weights, num, den, first)
+    return _impl.run_single_length_trials_raw(starts, ends, policy, trials, seed, weights, first)
 
 
 def run_file_order(starts, ends, spec: dict, seed: int):
@@ -224,8 +213,8 @@ def run_file_order(starts, ends, spec: dict, seed: int):
     args = _kernel_args(starts, ends, spec)
     if args is None:
         return None
-    *inputs, _, num, den = args
-    return _impl.run_file_order_raw(*inputs, seed, num, den)
+    starts, ends, policy, _ = args
+    return _impl.run_file_order_raw(starts, ends, policy, seed)
 
 
 def best_subset_scaled(starts, ends, weights):

@@ -2,9 +2,11 @@
  * runs, exhaustive subset search and the indent-2 JSON writer.
  *
  * A CPython module that gcc alone builds. One inlined loop, play, replays a
- * kernel-mode policy over one arrival order; its compile-time flags pick the
- * trial loop's weighted and memoryless copies, and `record` the file-order
- * run, which also reports each arrival's action. The trial loop matches the
+ * kernel-mode policy over one arrival order and writes the held-set update
+ * of every mode once; its compile-time flags pick the trial loop's weighted
+ * and memoryless copies, and `record` the file-order run, which also
+ * reports each arrival's action. Both entries take the policy as one tuple
+ * and read their shared inputs through one reader. The trial loop matches the
  * Python policies it stands for (revsel.algorithms, replayed by
  * harness._trials) bit for bit: the permutation is revsel.rng's shuffle
  * (same splitmix64 stream, same rejection sampling, same Fisher-Yates
@@ -160,7 +162,7 @@ enum { THRESHOLD, ALWAYS, NEVER, SUBSUME, CALL_CONTROL, MEMORYLESS };
 
 /* Whether the arrival [s, e) takes the place of the conflicting run
  * held[first, last), which is never empty, in mode THRESHOLD, SUBSUME or
- * CALL_CONTROL (the trial loop decides the other modes itself). Inlined
+ * CALL_CONTROL (play decides the other modes itself). Inlined
  * into each trial loop: a call per conflict costs several percent on short
  * trials. */
 static inline __attribute__((always_inline)) int replaces(int mode, i64 s, i64 e, const i64 *held_s, const i64 *held_e,
@@ -209,22 +211,94 @@ typedef struct {
     char *accepted;
 } recording;
 
-/* Plays one trial's arrivals, in order, against an empty held set and
+/* What both policy-loop entries read: n arrivals in list order, the held
+ * columns (room for n members), the kernel mode and its threshold tables,
+ * the acceptance fraction num/den and the seed. */
+typedef struct {
+    Py_ssize_t n;
+    int mode;
+    span *arrivals;
+    i64 *held_s, *held_e;
+    table fl, fr;
+    u64 num, den, seed;
+} inputs;
+
+/* Frees what read_inputs allocated, however far it got. */
+static void release(inputs *in)
+{
+    PyMem_Free(in->arrivals);
+    PyMem_Free(in->held_s);
+    PyMem_Free(in->held_e);
+    PyMem_Free(in->fl.keys);
+    PyMem_Free(in->fl.bits);
+    PyMem_Free(in->fr.keys);
+    PyMem_Free(in->fr.bits);
+}
+
+/* Reads into `in` the arguments both policy-loop entries take: the columns
+ * (at most `limit` arrivals), the policy tuple (the mode; the left table's
+ * keys, bits and default; the right table's; the acceptance numerator and
+ * denominator) and the seed. -1 on error; either way release(in) frees
+ * what `in` holds. */
+static int read_inputs(PyObject *starts, PyObject *ends, PyObject *policy, PyObject *seed,
+                       Py_ssize_t limit, inputs *in)
+{
+    PyObject *flk, *flv, *frk, *frv;
+    int fld, frd;
+    long long num, den;
+    *in = (inputs){0};
+    if (!PyArg_ParseTuple(policy, "iO!O!pO!O!pLL", &in->mode, &PyList_Type, &flk, &PyList_Type,
+                          &flv, &fld, &PyList_Type, &frk, &PyList_Type, &frv, &frd, &num, &den))
+        return -1;
+    if (den < 1 || num < 0) {
+        PyErr_SetString(PyExc_ValueError, "acceptance fraction needs num >= 0 and den >= 1");
+        return -1;
+    }
+    in->num = (u64)num;
+    in->den = (u64)den;
+    in->seed = PyLong_AsUnsignedLongLongMask(seed);
+    if (in->seed == (u64)-1 && PyErr_Occurred())
+        return -1;
+    Py_ssize_t n = Py_MIN(Py_MIN(PyList_GET_SIZE(starts), PyList_GET_SIZE(ends)), limit);
+    in->n = n;
+    in->arrivals = PyMem_New(span, n + 1);
+    in->held_s = PyMem_New(i64, n + 1);
+    in->held_e = PyMem_New(i64, n + 1);
+    if (in->arrivals == NULL || in->held_s == NULL || in->held_e == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (read_table(flk, flv, fld, &in->fl) < 0 || read_table(frk, frv, frd, &in->fr) < 0)
+        return -1;
+    /* The held columns are free until the first arrival: read through them. */
+    if (read_i64s(starts, n, in->held_s) < 0 || read_i64s(ends, n, in->held_e) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < n; i++)
+        in->arrivals[i] = (span){in->held_s[i], in->held_e[i]};
+    return 0;
+}
+
+/* Plays `order`'s n arrivals, in order, against an empty held set and
  * returns ALG: the final held count, or with `weighted` the final held
  * weight (order_w holds the arrivals' weights, held_w the members').
  * `memoryless` is mode == MEMORYLESS, and `draws` that mode's decision
- * stream. With `record`, `order` is the arrivals in file order and every
- * decision goes into `rec`; the trial loop passes 0 and NULL, so its
- * inlined copies carry no recording code.
+ * stream. With `record`, every decision goes into `rec`; the trial loop
+ * passes 0 and NULL, so its inlined copies carry no recording code.
  *
  * The held set is disjoint and sorted by start, so the members that
  * conflict with [s, e) are [bisect_right(held_e, s), bisect_left(held_s, e,
- * lo)). Both searches probe as bisect does. */
+ * lo)). Both searches probe as bisect does. An accepted arrival, in every
+ * mode, takes slot `first` in place of that run, which is empty when
+ * nothing conflicts: the held set stays feasible at every step. */
 static inline __attribute__((always_inline)) u64
-play(int weighted, int memoryless, int record, int mode, const span *order, const i64 *order_w,
-     Py_ssize_t n, i64 *held_s, i64 *held_e, i64 *held_w, u64 draws, u64 num, u64 den,
-     const table *fl, const table *fr, const recording *rec)
+play(int weighted, int memoryless, int record, const inputs *in, const span *order,
+     const i64 *order_w, i64 *held_w, u64 draws, const recording *rec)
 {
+    /* Locals, which the held-column stores cannot alias. */
+    const int mode = in->mode;
+    const Py_ssize_t n = in->n;
+    i64 *const held_s = in->held_s, *const held_e = in->held_e;
+    const u64 num = in->num, den = in->den;
     Py_ssize_t h = 0, nd = 0;
     for (Py_ssize_t p = 0; p < n; p++) {
         i64 s = order[p].s, e = order[p].e;
@@ -254,46 +328,34 @@ play(int weighted, int memoryless, int record, int mode, const span *order, cons
                 hi = mid;
         }
         Py_ssize_t last = lo, take = last - first;
-        if (take == 0) {
-            memmove(held_s + first + 1, held_s + first, (h - first) * sizeof(i64));
-            memmove(held_e + first + 1, held_e + first, (h - first) * sizeof(i64));
-            held_s[first] = s;
-            held_e[first] = e;
-            if (weighted) {
-                memmove(held_w + first + 1, held_w + first, (h - first) * sizeof(i64));
-                held_w[first] = order_w[p];
-            }
-            if (record) {
-                memmove(rec->held_p + first + 1, rec->held_p + first, (h - first) * sizeof(i64));
-                rec->held_p[first] = p;
-                rec->accepted[p] = 1;
-            }
-            h++;
+        if (take > 0 && (mode == NEVER || (mode != ALWAYS && !memoryless &&
+                                           !replaces(mode, s, e, held_s, held_e, first, last,
+                                                     &in->fl, &in->fr))))
             continue;
+        if (record) {
+            /* Before the shift below overwrites the run. */
+            for (Py_ssize_t i = first; i < last; i++)
+                rec->displaced[nd++] = rec->held_p[i];
+            rec->accepted[p] = 1;
         }
-        if (mode == NEVER || (mode != ALWAYS && !memoryless &&
-                              !replaces(mode, s, e, held_s, held_e, first, last, fl, fr)))
-            continue;
-        /* The arrival replaces the whole conflicting run. */
+        /* One memmove per column opens the slot (an empty run) or closes up
+         * the run's surplus (two or more members). */
+        if (take != 1) {
+            size_t tail = (size_t)(h - last) * sizeof(i64);
+            memmove(held_s + first + 1, held_s + last, tail);
+            memmove(held_e + first + 1, held_e + last, tail);
+            if (weighted)
+                memmove(held_w + first + 1, held_w + last, tail);
+            if (record)
+                memmove(rec->held_p + first + 1, rec->held_p + last, tail);
+            h += 1 - take;
+        }
         held_s[first] = s;
         held_e[first] = e;
         if (weighted)
             held_w[first] = order_w[p];
-        if (record) {
-            for (Py_ssize_t i = first; i < last; i++)
-                rec->displaced[nd++] = rec->held_p[i];
+        if (record)
             rec->held_p[first] = p;
-            rec->accepted[p] = 1;
-        }
-        if (take > 1) {
-            memmove(held_s + first + 1, held_s + last, (h - last) * sizeof(i64));
-            memmove(held_e + first + 1, held_e + last, (h - last) * sizeof(i64));
-            if (weighted)
-                memmove(held_w + first + 1, held_w + last, (h - last) * sizeof(i64));
-            if (record)
-                memmove(rec->held_p + first + 1, rec->held_p + last, (h - last) * sizeof(i64));
-            h -= take - 1;
-        }
     }
     if (record)
         rec->offsets[n] = nd;
@@ -307,47 +369,30 @@ play(int weighted, int memoryless, int record, int mode, const span *order, cons
     return total;
 }
 
-/* The inputs and scratch arrays of one run_single_length_trials_raw call. */
-typedef struct {
-    PyObject *out;
-    Py_ssize_t trials, n;
-    u64 first, seed, num, den;
-    const span *arrivals;
-    const i64 *weights; /* NULL for unit weights */
-    span *order;
-    i64 *order_w, *held_s, *held_e, *held_w;
-    const table *fl, *fr;
-} job;
-
-/* Runs every trial of `jb` into jb->out; -1 on error. Every call site passes
- * `weighted` and `memoryless` as constants, so that the inlined unit-weight
- * loop of the other modes carries no weight or draw code. The job's fields
- * are copied into locals, which the held-array stores cannot alias. */
+/* Runs one trial per slot of `out`, from trial `first` on; -1 on error.
+ * `weights` holds the arrivals' weights, and order, order_w and held_w are
+ * scratch of n items. Every call site passes `weighted` and `memoryless` as
+ * constants, so that the inlined unit-weight loop of the other modes
+ * carries no weight or draw code. */
 static inline __attribute__((always_inline)) int
-run_trials(int weighted, int memoryless, int mode, const job *jb)
+run_trials(int weighted, int memoryless, const inputs *in, const i64 *weights, u64 first,
+           span *order, i64 *order_w, i64 *held_w, PyObject *out)
 {
-    PyObject *out = jb->out;
-    const Py_ssize_t trials = jb->trials, n = jb->n;
-    const u64 first = jb->first, seed = jb->seed, num = jb->num, den = jb->den;
-    const span *arrivals = jb->arrivals;
-    const i64 *weights = jb->weights;
-    span *order = jb->order;
-    i64 *order_w = weighted ? jb->order_w : NULL;
-    i64 *held_s = jb->held_s, *held_e = jb->held_e, *held_w = jb->held_w;
-    const table *fl = jb->fl, *fr = jb->fr;
-    for (Py_ssize_t t = 0; t < trials; t++) {
+    const Py_ssize_t n = in->n;
+    if (!weighted)
+        order_w = NULL;
+    for (Py_ssize_t t = 0; t < PyList_GET_SIZE(out); t++) {
         /* Slot t holds trial first + t. Shuffling the arrivals with that
          * trial's draws plays them in permutation_raw(n, seed, first + t)
          * order; decisions draw from substream 2**32 + first + t, clear of
          * the permutation substreams. */
         const u64 trial = first + (u64)t;
-        memcpy(order, arrivals, n * sizeof(span));
+        memcpy(order, in->arrivals, n * sizeof(span));
         if (weighted)
             memcpy(order_w, weights, n * sizeof(i64));
-        shuffle(order, order_w, n, substream(seed, trial));
-        u64 draws = memoryless ? substream(seed, ((u64)1 << 32) + trial) : 0;
-        u64 alg = play(weighted, memoryless, 0, mode, order, order_w, n, held_s, held_e, held_w,
-                       draws, num, den, fl, fr, NULL);
+        shuffle(order, order_w, n, substream(in->seed, trial));
+        u64 draws = memoryless ? substream(in->seed, ((u64)1 << 32) + trial) : 0;
+        u64 alg = play(weighted, memoryless, 0, in, order, order_w, held_w, draws, NULL);
         PyObject *v = PyLong_FromLongLong((i64)alg);
         if (v == NULL)
             return -1;
@@ -358,81 +403,53 @@ run_trials(int weighted, int memoryless, int mode, const job *jb)
 
 static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *starts, *ends, *flk, *flv, *frk, *frv, *seed_obj, *weights = NULL, *out = NULL;
-    int mode, fld, frd;
-    Py_ssize_t trials, first = 0;
-    long long num = 0, den = 1;
-    if (!PyArg_ParseTuple(args, "O!O!iO!O!pO!O!pnO|O!LLn", &PyList_Type, &starts,
-                          &PyList_Type, &ends, &mode, &PyList_Type, &flk,
-                          &PyList_Type, &flv, &fld, &PyList_Type, &frk,
-                          &PyList_Type, &frv, &frd, &trials, &seed_obj,
-                          &PyList_Type, &weights, &num, &den, &first))
+    PyObject *starts, *ends, *policy, *seed, *weights, *out = NULL;
+    Py_ssize_t trials, first;
+    if (!PyArg_ParseTuple(args, "O!O!O!nOO!n", &PyList_Type, &starts, &PyList_Type, &ends,
+                          &PyTuple_Type, &policy, &trials, &seed, &PyList_Type, &weights, &first))
         return NULL;
-    if (den < 1 || num < 0) {
-        PyErr_SetString(PyExc_ValueError, "acceptance fraction needs num >= 0 and den >= 1");
-        return NULL;
-    }
     if (first < 0) {
         PyErr_SetString(PyExc_ValueError, "the first trial index must be >= 0");
         return NULL;
     }
-    u64 seed = PyLong_AsUnsignedLongLongMask(seed_obj);
-    if (seed == (u64)-1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t n = Py_MIN(PyList_GET_SIZE(starts), PyList_GET_SIZE(ends));
     /* An empty weights list means unit weights: a trial's ALG is then its
      * held count, and no weight is kept. */
-    int weighted = weights != NULL && PyList_GET_SIZE(weights) > 0;
-    if (weighted)
-        n = Py_MIN(n, PyList_GET_SIZE(weights));
-    span *arrivals = PyMem_New(span, n + 1), *order = PyMem_New(span, n + 1);
-    i64 *held_s = PyMem_New(i64, n + 1), *held_e = PyMem_New(i64, n + 1);
+    Py_ssize_t nw = PyList_GET_SIZE(weights);
+    int weighted = nw > 0;
+    inputs in;
+    span *order = NULL;
     i64 *arrival_w = NULL, *order_w = NULL, *held_w = NULL;
+    if (read_inputs(starts, ends, policy, seed, weighted ? nw : PY_SSIZE_T_MAX, &in) < 0)
+        goto done;
+    order = PyMem_New(span, in.n + 1);
     if (weighted) {
-        arrival_w = PyMem_New(i64, n + 1);
-        order_w = PyMem_New(i64, n + 1);
-        held_w = PyMem_New(i64, n + 1);
+        arrival_w = PyMem_New(i64, in.n + 1);
+        order_w = PyMem_New(i64, in.n + 1);
+        held_w = PyMem_New(i64, in.n + 1);
     }
-    table fl = {0}, fr = {0};
-    if (arrivals == NULL || order == NULL || held_s == NULL || held_e == NULL ||
-        (weighted && (arrival_w == NULL || order_w == NULL || held_w == NULL))) {
+    if (order == NULL || (weighted && (arrival_w == NULL || order_w == NULL || held_w == NULL))) {
         PyErr_NoMemory();
         goto done;
     }
-    if (read_table(flk, flv, fld, &fl) < 0 || read_table(frk, frv, frd, &fr) < 0)
+    if (weighted && read_i64s(weights, in.n, arrival_w) < 0)
         goto done;
-    /* The held arrays are free until the first trial: read through them. */
-    if (read_i64s(starts, n, held_s) < 0 || read_i64s(ends, n, held_e) < 0)
+    if ((out = PyList_New(Py_MAX(trials, 0))) == NULL)
         goto done;
-    for (Py_ssize_t i = 0; i < n; i++)
-        arrivals[i] = (span){held_s[i], held_e[i]};
-    if (weighted && read_i64s(weights, n, arrival_w) < 0)
-        goto done;
-    if (trials < 0)
-        trials = 0;
-    if ((out = PyList_New(trials)) == NULL)
-        goto done;
-    job jb = {out, trials, n, (u64)first, seed, (u64)num, (u64)den, arrivals, arrival_w, order,
-              order_w, held_s, held_e, held_w, &fl, &fr};
     int status;
-    if (mode == MEMORYLESS)
-        status = weighted ? run_trials(1, 1, mode, &jb) : run_trials(0, 1, mode, &jb);
+    if (in.mode == MEMORYLESS)
+        status = weighted ? run_trials(1, 1, &in, arrival_w, first, order, order_w, held_w, out)
+                          : run_trials(0, 1, &in, arrival_w, first, order, order_w, held_w, out);
     else
-        status = weighted ? run_trials(1, 0, mode, &jb) : run_trials(0, 0, mode, &jb);
+        status = weighted ? run_trials(1, 0, &in, arrival_w, first, order, order_w, held_w, out)
+                          : run_trials(0, 0, &in, arrival_w, first, order, order_w, held_w, out);
     if (status < 0)
         Py_CLEAR(out);
 done:
-    PyMem_Free(arrivals);
+    release(&in);
     PyMem_Free(order);
-    PyMem_Free(held_s);
-    PyMem_Free(held_e);
     PyMem_Free(arrival_w);
     PyMem_Free(order_w);
     PyMem_Free(held_w);
-    PyMem_Free(fl.keys);
-    PyMem_Free(fl.bits);
-    PyMem_Free(fr.keys);
-    PyMem_Free(fr.bits);
     return out;
 }
 
@@ -458,52 +475,33 @@ static PyObject *list_of(const i64 *v, Py_ssize_t n)
  * arrival order, and the final members' positions in start order. */
 static PyObject *run_file_order_raw(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *starts, *ends, *flk, *flv, *frk, *frv, *seed_obj, *out = NULL;
-    int mode, fld, frd;
-    long long num = 0, den = 1;
-    if (!PyArg_ParseTuple(args, "O!O!iO!O!pO!O!pO|LL", &PyList_Type, &starts, &PyList_Type,
-                          &ends, &mode, &PyList_Type, &flk, &PyList_Type, &flv, &fld,
-                          &PyList_Type, &frk, &PyList_Type, &frv, &frd, &seed_obj, &num, &den))
+    PyObject *starts, *ends, *policy, *seed, *accepted = NULL, *out = NULL;
+    if (!PyArg_ParseTuple(args, "O!O!O!O", &PyList_Type, &starts, &PyList_Type, &ends,
+                          &PyTuple_Type, &policy, &seed))
         return NULL;
-    if (den < 1 || num < 0) {
-        PyErr_SetString(PyExc_ValueError, "acceptance fraction needs num >= 0 and den >= 1");
-        return NULL;
-    }
-    u64 seed = PyLong_AsUnsignedLongLongMask(seed_obj);
-    if (seed == (u64)-1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t n = Py_MIN(PyList_GET_SIZE(starts), PyList_GET_SIZE(ends));
-    span *arrivals = PyMem_New(span, n + 1);
-    i64 *held_s = PyMem_New(i64, n + 1), *held_e = PyMem_New(i64, n + 1);
-    i64 *held_p = PyMem_New(i64, n + 1), *displaced = PyMem_New(i64, n + 1);
-    i64 *offsets = PyMem_New(i64, n + 1);
-    PyObject *accepted = PyBytes_FromStringAndSize(NULL, n);
-    table fl = {0}, fr = {0};
-    if (accepted == NULL)
+    inputs in;
+    recording rec = {0};
+    if (read_inputs(starts, ends, policy, seed, PY_SSIZE_T_MAX, &in) < 0)
         goto done;
-    if (arrivals == NULL || held_s == NULL || held_e == NULL || held_p == NULL ||
-        displaced == NULL || offsets == NULL) {
+    Py_ssize_t n = in.n;
+    rec.held_p = PyMem_New(i64, n + 1);
+    rec.displaced = PyMem_New(i64, n + 1);
+    rec.offsets = PyMem_New(i64, n + 1);
+    if (rec.held_p == NULL || rec.displaced == NULL || rec.offsets == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (read_table(flk, flv, fld, &fl) < 0 || read_table(frk, frv, frd, &fr) < 0)
+    if ((accepted = PyBytes_FromStringAndSize(NULL, n)) == NULL)
         goto done;
-    if (read_i64s(starts, n, held_s) < 0 || read_i64s(ends, n, held_e) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < n; i++)
-        arrivals[i] = (span){held_s[i], held_e[i]};
-    recording rec = {held_p, displaced, offsets, PyBytes_AS_STRING(accepted)};
-    u64 draws = substream(seed, 0);
+    rec.accepted = PyBytes_AS_STRING(accepted);
     Py_ssize_t h;
-    if (mode == MEMORYLESS)
-        h = (Py_ssize_t)play(0, 1, 1, mode, arrivals, NULL, n, held_s, held_e, NULL, draws,
-                             (u64)num, (u64)den, &fl, &fr, &rec);
+    if (in.mode == MEMORYLESS)
+        h = (Py_ssize_t)play(0, 1, 1, &in, in.arrivals, NULL, NULL, substream(in.seed, 0), &rec);
     else
-        h = (Py_ssize_t)play(0, 0, 1, mode, arrivals, NULL, n, held_s, held_e, NULL, 0, 0, 1,
-                             &fl, &fr, &rec);
-    PyObject *off = list_of(offsets, n + 1);
-    PyObject *gone = off == NULL ? NULL : list_of(displaced, offsets[n]);
-    PyObject *final = gone == NULL ? NULL : list_of(held_p, h);
+        h = (Py_ssize_t)play(0, 0, 1, &in, in.arrivals, NULL, NULL, 0, &rec);
+    PyObject *off = list_of(rec.offsets, n + 1);
+    PyObject *gone = off == NULL ? NULL : list_of(rec.displaced, rec.offsets[n]);
+    PyObject *final = gone == NULL ? NULL : list_of(rec.held_p, h);
     if (final != NULL)
         out = PyTuple_Pack(4, accepted, off, gone, final);
     Py_XDECREF(off);
@@ -511,16 +509,10 @@ static PyObject *run_file_order_raw(PyObject *Py_UNUSED(self), PyObject *args)
     Py_XDECREF(final);
 done:
     Py_XDECREF(accepted);
-    PyMem_Free(arrivals);
-    PyMem_Free(held_s);
-    PyMem_Free(held_e);
-    PyMem_Free(held_p);
-    PyMem_Free(displaced);
-    PyMem_Free(offsets);
-    PyMem_Free(fl.keys);
-    PyMem_Free(fl.bits);
-    PyMem_Free(fr.keys);
-    PyMem_Free(fr.bits);
+    release(&in);
+    PyMem_Free(rec.held_p);
+    PyMem_Free(rec.displaced);
+    PyMem_Free(rec.offsets);
     return out;
 }
 

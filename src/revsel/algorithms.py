@@ -380,6 +380,8 @@ class RandMemorylessPolicy(Policy):
         p = Fraction(p)
         if p < 0 or p > 1:
             raise ValueError("p must lie in [0, 1]")
+        if p.denominator > 1 << 64:  # Stream.bernoulli draws below it
+            raise ValueError(f"p={p} has a denominator above 2**64")
         self.p = p
         self.name = f"rand-memoryless:p={p}"
 

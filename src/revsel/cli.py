@@ -392,6 +392,9 @@ def main(argv=None) -> int:
         # are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
     except InfeasibleActionError as exc:
         print(f"infeasible action: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

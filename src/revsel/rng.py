@@ -73,9 +73,11 @@ class Stream:
         return mix64(self.state)
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) via rejection sampling (exact)."""
-        if n <= 0:
-            raise ValueError("randbelow requires n >= 1")
+        """Uniform integer in [0, n) via rejection sampling (exact). One
+        64-bit draw covers at most 2**64 values, so larger n are refused:
+        their rejection limit would be 0 and no draw would ever pass."""
+        if not 0 < n <= 1 << 64:
+            raise ValueError("randbelow requires 1 <= n <= 2**64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             z = self.next_u64()

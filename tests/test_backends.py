@@ -2,9 +2,11 @@
 against the policies replayed by ``harness._trials``, the permutation
 against ``rng.permutation``, the subset search against its fallback twin.
 Also draws aimed at the rejection branch, the dispatchers' 64-bit guards,
-and the loader that builds the C kernel."""
+the loader that builds the C kernel, and a build of it under AddressSanitizer
+and UBSan."""
 
 import io
+import json
 import os
 import shlex
 import shutil
@@ -17,8 +19,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_cases import call_cases
 from reference import permutation_raw, replay_arb_expectation
-from test_trials import SEEDS, kernel_inputs, kernel_modes, mode_policy, trial_samples
+from test_trials import SEEDS, kernel_inputs, kernel_modes, mode_policy, raw_trials, trial_samples
 
 from revsel import _engine
 from revsel._engine import fallback
@@ -132,7 +135,7 @@ def test_kernel_trials_match_fallback(data, modes, trials, seed):
         st.one_of(kernel_inputs(1 if modes[0] == 0 else 3), st.just(([], [])))
     )
     seq = ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(zip(starts, ends)))
-    assert _engine._impl.run_single_length_trials_raw(starts, ends, *modes, trials, seed) == (
+    assert raw_trials(starts, ends, modes, trials, seed) == (
         _trials(mode_policy(*modes), seq, seed, trials)
     )
 
@@ -339,7 +342,7 @@ def test_unit_instances_reach_the_kernel_with_no_weights(monkeypatch):
                 patch.setattr(_engine, "_impl", recorder)
                 run_random_order(policy, seq, 5, seed=1)
             expected = [] if seq is unit else list(seq.columns.weights)
-            assert [args[11] for args in recorder.calls] == [expected]  # the weights
+            assert [args[5] for args in recorder.calls] == [expected]  # the weights
 
 
 # -- whole commands on both backends ------------------------------------------
@@ -516,3 +519,90 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert build.returncode == 0, build.stderr
+
+
+# -- the kernel under AddressSanitizer and UBSan ------------------------------
+
+
+def _sanitizer_cases():
+    """Every kernel entry on about 200 instances: generated ones of one to
+    four lengths and all three weight modes, and held sets that a run of
+    two or more members leaves at its left end, in its middle, at its right
+    end and whole, some at the 64-bit guard's edge. Each goes through all
+    six modes in file order and as trials, weighted and not, with the
+    policy tuple the dispatcher builds. A few cases fail part way through
+    reading their inputs."""
+    edge = 2**62 - 9
+    rows = [
+        [(0, 1), (2, 3), (4, 5), (0, 5)],
+        [(0, 1), (2, 3), (10, 11), (0, 4)],
+        [(0, 1), (3, 4), (5, 6), (9, 10), (2, 7)],
+        [(0, 1), (3, 4), (5, 6), (2, 9)],
+        [(-edge, 3 - edge), (edge - 3, edge), (0, 1), (-edge, edge)],
+    ]
+    seqs = [ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(r)) for r in rows]
+    seqs += [gen_random_instance(1 + i % 40, 1 + i % 4, ("unit", "int", "rational")[i % 3], i)
+             for i in range(195)]
+    policies = [make_policy(pid) for pid in (
+        "one-dir-left", "always-replace", "never-replace", "greedy-subsume", "call-control",
+        "rand-memoryless:p=2/3",
+    )]
+    policies.append(ThresholdPolicy(ThresholdPolicyTables({1: 1, 2: 0}, {1: 0, 3: 1}, 1, 0)))
+    cases = []
+    for i, seq in enumerate(seqs):
+        cols = seq.columns
+        seed = (i * 0x9E3779B97F4A7C15) % 2**64
+        for policy in policies:
+            starts, ends, packed, weights = _engine._kernel_args(
+                cols.starts, cols.ends, policy.kernel_spec(), cols.weights
+            )
+            cases.append(("run_file_order_raw", (starts, ends, packed, seed)))
+            cases.append(("run_single_length_trials_raw",
+                          (starts, ends, packed, 3, seed, weights if i % 2 else [], i)))
+        cases.append(("permutation_raw", (len(seq), seed, i)))
+        cases.append(("best_subset_scaled", [list(c[:12]) for c in cols[1:4]]))
+        payload = {"rows": rows[i % len(rows)], "w": [str(iv.weight) for iv in seq], "none": {}}
+        cases.append(("indent_json", (_engine._COMPACT.encode(payload),)))
+    never = (2, [], [], 0, [], [], 0, 0, 1)
+    cases += [
+        ("run_file_order_raw", ([0, 2, 4], [1, 3, 2**70], never, 1)),
+        ("run_single_length_trials_raw", ([0, 2], [1, 3], never, 2, 1, [1, 2**70], 0)),
+        ("run_single_length_trials_raw", ([0], [1], (0, [1, 2**70], [1, 0], 0, [], [], 0, 0, 1),
+                                          2, 1, [], 0)),
+        ("run_file_order_raw", ([0], [1], (5, [], [], 0, [], [], 0, 1, 0), 1)),
+        ("run_single_length_trials_raw", ([0], [1], never, 2, 1, [], -1)),
+    ]
+    return cases
+
+
+@needs_cc
+@compiled
+def test_kernel_entries_match_under_address_and_undefined_sanitizers(tmp_path):
+    """A build with AddressSanitizer and UBSan, every check fatal, gives the
+    normal build's results on every case. Python's allocator is switched to
+    malloc in the child, so that the sanitizer sees each array the kernel
+    allocates, and the held columns' memmoves are bounds-checked."""
+    libasan = subprocess.run(
+        [*CC, "-print-file-name=libasan.so"], capture_output=True, text=True, timeout=60
+    ).stdout.strip()
+    if not os.path.isabs(libasan) or not os.path.exists(libasan):
+        pytest.skip("no libasan")
+    include = sysconfig.get_paths()["include"]
+    build = tmp_path / "kernel_sanitized.so"
+    subprocess.run(
+        [*CC, "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-shared", "-fPIC", f"-I{include}", str(KERNEL_C), "-o", str(build)],
+        check=True, capture_output=True, timeout=120,
+    )
+    cases = _sanitizer_cases()
+    (tmp_path / "cases.json").write_text(json.dumps(cases))
+    env = dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONMALLOC="malloc")
+    child = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("kernel_cases.py")), str(build),
+         str(tmp_path / "cases.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-3000:]
+    expected = json.loads(json.dumps(call_cases(_engine._impl, json.loads(json.dumps(cases)))))
+    assert json.loads(child.stdout) == expected

@@ -554,17 +554,51 @@ def test_every_command_writes_the_bytes_json_dumps_writes(tmp_path, capsys, monk
         assert got[0] == EXIT_OK, argv
 
 
-def test_zero_denominator_memoryless_p_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("p, message", [
+    ("1/0", "zero denominator"),
+    # One 64-bit draw cannot fall below a larger denominator: these used to
+    # reject draws forever.
+    (f"1/{2**64 + 1}", "above 2**64"),
+    ("1e-30", "above 2**64"),
+])
+def test_memoryless_p_without_exact_draws_is_usage_error(tmp_path, capsys, p, message):
     inst = str(tmp_path / "two.jsonl")
     run_cli(capsys, "generate", "two-length", "--K", "3", "--out", inst)
-    policy = "rand-memoryless:p=1/0"
+    policy = f"rand-memoryless:p={p}"
     for argv in (("run", policy, inst, "--seed", "1"),
                  ("duel", policy, "--k", "2", "--seed", "1"),
                  ("bench", policy, inst, "--trials", "3", "--seed", "1")):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == "", argv
-        assert err.startswith("error: ") and "zero denominator" in err, argv
+        assert err.startswith("error: ") and message in err, argv
         assert "Traceback" not in err
+
+
+def test_memoryless_p_over_exactly_two_to_the_64_still_runs(tmp_path, capsys):
+    inst = str(tmp_path / "unit.jsonl")
+    run_cli(capsys, "generate", "random", "--n", "6", "--k-target", "2", "--seed", "1",
+            "--out", inst)
+    for p in (f"1/{2**64}", f"{2**64 - 1}/{2**64}"):
+        policy = f"rand-memoryless:p={p}"
+        code, out, _ = run_cli(capsys, "run", policy, inst, "--seed", "1")
+        assert code == EXIT_OK and json.loads(out)["policy"] == policy
+        code, _, _ = run_cli(capsys, "bench", policy, inst, "--trials", "3", "--seed", "1")
+        assert code == EXIT_OK
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A generator that runs out of memory (as `--k-target 1000000000000`
+    does under a small address-space limit) ends in one error line."""
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(adversary, "gen_random_instance", exhausted)
+    code, out, err = run_cli(
+        capsys, "generate", "random", "--n", "5", "--k-target", str(10**12), "--seed", "1",
+        "--out", str(tmp_path / "k.jsonl"),
+    )
+    assert (code, out, err) == (EXIT_USAGE, "", "error: out of memory\n")
 
 
 def test_deeply_nested_threshold_table_is_usage_error(tmp_path, capsys):

@@ -35,6 +35,7 @@ from revsel.adversary import (
 from revsel.algorithms import (
     ARB_SUBROUTINES,
     ArbPolicy,
+    FunctionMemorylessPolicy,
     ThresholdPolicy,
     ThresholdPolicyTables,
     make_policy,
@@ -47,6 +48,7 @@ from revsel.harness import (
     _trials,
     exact_ratio,
     run_arb_expectation,
+    run_policy,
     run_random_order,
 )
 from revsel.rng import Stream, permutation
@@ -114,14 +116,21 @@ def mode_policy(mode, fl_keys, fl_vals, fl_default, fr_keys, fr_vals, fr_default
 compiled = pytest.mark.skipif(not _engine.COMPILED, reason="compiled engine not built")
 
 
+def raw_trials(starts, ends, modes, trials, seed):
+    """The raw trial kernel on unit weights from trial 0, with `modes`
+    (kernel_modes' mode and tables) packed into its policy tuple."""
+    return _engine._impl.run_single_length_trials_raw(
+        starts, ends, (*modes, 0, 1), trials, seed, [], 0
+    )
+
+
 @compiled
 @given(kernel_inputs(), kernel_modes(), st.integers(1, 25), SEEDS)
 @settings(max_examples=400, deadline=None)
 def test_kernel_matches_scanning_reference(intervals, modes, trials, seed):
     starts, ends = intervals
-    args = (starts, ends, *modes, trials, seed)
-    assert _engine._impl.run_single_length_trials_raw(*args) == (
-        scanning_single_length_trials_raw(*args)
+    assert raw_trials(starts, ends, modes, trials, seed) == (
+        scanning_single_length_trials_raw(starts, ends, *modes, trials, seed)
     )
 
 
@@ -132,9 +141,9 @@ def test_kernel_matches_reference_on_dense_single_length_instances():
         starts = [iv.start for iv in seq]
         ends = [iv.end for iv in seq]
         for mode in range(3):
-            args = (starts, ends, mode, [2, 5], [1, 0], 1, [3], [1], 0, 60, seed)
-            assert _engine._impl.run_single_length_trials_raw(*args) == (
-                scanning_single_length_trials_raw(*args)
+            modes = (mode, [2, 5], [1, 0], 1, [3], [1], 0)
+            assert raw_trials(starts, ends, modes, 60, seed) == (
+                scanning_single_length_trials_raw(starts, ends, *modes, 60, seed)
             )
 
 
@@ -157,6 +166,20 @@ def test_stream_shuffle_draws_like_randbelow(state, items):
         expected[i], expected[j] = expected[j], expected[i]
     assert shuffled == expected
     assert stream.next_u64() == ref.next_u64()
+
+
+def test_randbelow_refuses_bounds_past_one_draw():
+    """randbelow(2**64) is one draw as it stands; a larger bound, which no
+    64-bit draw could pass, raises instead of rejecting draws forever, also
+    through a memoryless policy's acceptance function."""
+    assert Stream(7).randbelow(2**64) == Stream(7).next_u64()
+    for n in (0, 2**64 + 1, 10**30):
+        with pytest.raises(ValueError, match="randbelow"):
+            Stream(7).randbelow(n)
+    seq = ArrivalSequence([Interval(0, 0, 1)])
+    policy = FunctionMemorylessPolicy(lambda *_: Fraction(1, 2**64 + 1))
+    with pytest.raises(ValueError, match="randbelow"):
+        run_policy(policy, seq, Stream.for_trial(1, 0))
 
 
 # -- TrialStats ------------------------------------------------------------------
@@ -454,7 +477,7 @@ def test_negative_first_trial_index_is_rejected():
     with pytest.raises(ValueError, match="first trial index"):
         run_single_length_trials([0], [1], spec, 3, 1, first=-1)
     if _engine.COMPILED:
-        args = ([0], [1], 2, [], [], 0, [], [], 0, 3, 1, [], 0, 1)
+        args = ([0], [1], (2, [], [], 0, [], [], 0, 0, 1), 3, 1, [])
         assert _engine._impl.run_single_length_trials_raw(*args, 0) == [1, 1, 1]
         with pytest.raises(ValueError, match="first trial index"):
             _engine._impl.run_single_length_trials_raw(*args, -1)
