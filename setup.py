@@ -1,8 +1,9 @@
 """Build script: compiles the optional C kernel.
 
-The package is fully functional without it: revsel._engine otherwise builds
-the kernel into its __pycache__ on first import, or falls back to the
-pure-Python implementation.
+The package is fully functional without it: revsel._engine first builds the
+kernel from the C source beside it into its __pycache__ on first import, and
+loads this installed build only when that fails; without either it runs in
+pure Python.
 """
 
 from setuptools import Extension, setup

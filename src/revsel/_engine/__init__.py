@@ -17,24 +17,23 @@ harness replays the trials through the policies themselves
 (``harness._trials``), which give the same bits more slowly.
 :func:`run_file_order` plays one run in file order and reports every
 arrival's action; its twin is ``harness.run_policy``, which
-``harness.run_file_order`` falls back to when it returns None. Both entries
-share one guard and one preparation of their arguments, which builds the
-policy once as the one tuple both raw kernel entries take. The subset search
-has a twin in :mod:`.fallback`. The JSON writer needs none: without the
-kernel, :func:`dumps_json` is ``json.dumps`` itself.
+``harness.run_file_order`` falls back to when it returns None. The subset
+search has a twin in :mod:`.fallback`. The JSON writer needs none: without
+the kernel, :func:`dumps_json` is ``json.dumps`` itself.
 
-Selection happens once at import: the module ``setup.py`` installed, else a
-build cached in this package's ``__pycache__`` (named by a checksum of the C
-source, so an edit rebuilds it and a new build deletes the old ones), else a
-fresh build into that cache with the compiler Python was built with, else
-no kernel, silently. Only a build loads :mod:`subprocess`, so a cache hit
-imports nothing it does not need. Set ``REVSEL_PURE_PYTHON=1`` to load no
-kernel.
+This module alone decides whether the kernel stands in for a policy: the
+harness hands both entries every policy's ``kernel_spec()``, and
+:func:`_kernel_args`, which builds the one policy tuple both raw kernel
+entries take, is the one check. The subset search keeps its 64-bit guard.
 
-Inputs the kernel's 64-bit arithmetic cannot hold (coordinates or table
-keys at +-2**62 or beyond, weights summing to 2**62 or more, an acceptance
-denominator of 2**62 or more) go to the policy replay or the fallback
-subset search.
+Selection happens once at import: a build of the ``_kernel.c`` beside this
+file, cached in this package's ``__pycache__`` under a checksum of the
+source (so an edit rebuilds it and a new build deletes the old ones) and
+compiled on a miss with the compiler Python was built with; else, only when
+that source cannot be read, built or loaded, the module ``setup.py``
+installed; else no kernel, silently, and ``_impl`` is None. Only a build
+loads :mod:`subprocess`, so a cache hit imports nothing it does not need.
+Set ``REVSEL_PURE_PYTHON=1`` to load no kernel.
 """
 
 from __future__ import annotations
@@ -45,6 +44,8 @@ import os
 import re
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
+from operator import sub
+from typing import Optional
 
 from . import fallback
 
@@ -89,30 +90,23 @@ def _prune(cache: str, keep: str) -> None:
         pass
 
 
-def _build(source: str, target: str) -> bool:
-    """Compile `source` into `target` on a cache miss and prune the builds
-    it supersedes; False if the build fails. Only this path imports
-    subprocess."""
-    import subprocess
-
-    try:
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        _compile(source, target)
-    except (OSError, subprocess.SubprocessError):
-        return False
-    _prune(os.path.dirname(target), os.path.basename(target))
-    return True
-
-
 def _cached_build(source: str, cache: str):
-    """The kernel built from `source` and cached in `cache`, compiling it on
-    a miss; None if reading, building or loading it fails."""
+    """The kernel built from `source` and cached in `cache`, compiling it and
+    pruning the builds it supersedes on a miss; None if reading, building or
+    loading it fails. Only a miss imports subprocess."""
     try:
         with open(source, "rb") as f:
             key = zlib.crc32(f.read())
         path = os.path.join(cache, f"_kernel.{key:08x}{EXTENSION_SUFFIXES[0]}")
-        if not os.path.exists(path) and not _build(source, path):
-            return None
+        if not os.path.exists(path):
+            import subprocess
+
+            try:
+                os.makedirs(cache, exist_ok=True)
+                _compile(source, path)
+            except subprocess.SubprocessError:
+                return None
+            _prune(cache, os.path.basename(path))
         spec = importlib.util.spec_from_file_location(__name__ + "._kernel", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -123,13 +117,13 @@ def _cached_build(source: str, cache: str):
 
 _impl = None
 if not os.environ.get("REVSEL_PURE_PYTHON"):
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _cached_build(os.path.join(_HERE, "_kernel.c"), os.path.join(_HERE, "__pycache__"))
+    _impl = _cached_build(os.path.join(_HERE, "_kernel.c"), os.path.join(_HERE, "__pycache__"))
+    if _impl is None:
+        try:
+            from . import _kernel as _impl  # type: ignore[attr-defined]
+        except ImportError:
+            pass
 COMPILED = _impl is not None
-if _impl is None:
-    _impl = fallback
 
 BACKEND = "compiled" if COMPILED else "pure-python"
 
@@ -152,17 +146,23 @@ def _fits(*columns) -> bool:
     return all(-_LIMIT < min(c) and max(c) < _LIMIT for c in columns if c)
 
 
-def _kernel_args(starts, ends, spec: dict, weights=()):
+def _kernel_args(starts, ends, spec: Optional[dict], weights=()):
     """``(starts, ends, policy, weights)`` as both policy-loop entries take
     them: the columns as lists, and `policy` one tuple of the mode; the left
     threshold table's keys, bits and default; the right table's (empty
     tables but for the "threshold" mode); and the acceptance numerator and
-    denominator (0 and 1 but for "memoryless"). None when no kernel is
-    loaded or the inputs fall outside the kernel's 64-bit guard."""
-    if _impl is fallback:
+    denominator (0 and 1 but for "memoryless"). None wherever the kernel
+    cannot stand in for the policy: no kernel is loaded; there is no spec;
+    a "threshold" spec meets more than one length, where the policy raises
+    PolicyDomainError; or the inputs leave the 64-bit guard (coordinates or
+    table keys at +-2**62 or beyond, weights summing to 2**62 or more, an
+    acceptance denominator of 2**62 or more)."""
+    if _impl is None or spec is None:
         return None
     sides = [[], [], 0, [], [], 0]
     if spec["mode"] == "threshold":
+        if len(set(map(sub, ends, starts))) > 1:
+            return None
         t = spec["tables"]
         sides = []
         for table, default in ((t.left, t.left_default), (t.right, t.right_default)):
@@ -180,17 +180,16 @@ def _kernel_args(starts, ends, spec: dict, weights=()):
 
 
 def run_single_length_trials(
-    starts, ends, spec: dict, trials: int, seed: int, weights=(), first: int = 0
+    starts, ends, spec: Optional[dict], trials: int, seed: int, weights=(), first: int = 0
 ):
-    """ALG per permutation trial of a kernel-mode policy: the final held
-    weight under `weights`, one integer per arrival. Empty or all-1 weights
-    count: the kernel runs its counting loop, and a trial's count is its
-    held weight. Slot t holds trial ``first + t``, so calls over
-    consecutive ranges of trials give the bits of one call. None
-    when no kernel is loaded or the inputs fall outside the kernel's 64-bit
-    guard; the caller then replays the policy. Every mode but "threshold"
-    takes any mix of lengths; the name dates from when all modes were
-    single-length."""
+    """ALG per permutation trial of the policy with kernel spec `spec`: the
+    final held weight under `weights`, one integer per arrival. Empty or
+    all-1 weights count: the kernel runs its counting loop, and a trial's
+    count is its held weight. Slot t holds trial ``first + t``, so calls
+    over consecutive ranges of trials give the bits of one call. None where
+    :func:`_kernel_args` is; the caller then replays the policy. Every mode
+    but "threshold" takes any mix of lengths; the name dates from when all
+    modes were single-length."""
     if first < 0:
         raise ValueError("the first trial index must be >= 0")
     args = _kernel_args(starts, ends, spec, weights)
@@ -202,25 +201,26 @@ def run_single_length_trials(
     return _impl.run_single_length_trials_raw(starts, ends, policy, trials, seed, weights, first)
 
 
-def run_file_order(starts, ends, spec: dict, seed: int):
-    """One run of a kernel-mode policy over the arrivals in list order, the
-    twin of ``harness.run_policy``; a memoryless policy draws from
-    ``Stream.for_trial(seed, 0)``. Returns (accepted, offsets, displaced,
-    final): one accept flag per arrival, as bytes; the positions that
-    arrival p displaced, ``displaced[offsets[p]:offsets[p + 1]]``; and the
-    final members' positions in start order. None when no kernel is
-    loaded or the coordinates fall outside the kernel's 64-bit guard."""
+def run_file_order(starts, ends, spec: Optional[dict], seed: Optional[int] = None):
+    """One run of the policy with kernel spec `spec` over the arrivals in
+    list order, the twin of ``harness.run_policy``; a memoryless policy
+    draws from ``Stream.for_trial(seed, 0)``, and the other modes ignore
+    the seed. Returns (accepted, offsets, displaced, final): one accept flag
+    per arrival, as bytes; the positions that arrival p displaced,
+    ``displaced[offsets[p]:offsets[p + 1]]``; and the final members'
+    positions in start order. None where :func:`_kernel_args` is, and for a
+    memoryless policy without a seed, which ``run_policy`` refuses."""
     args = _kernel_args(starts, ends, spec)
-    if args is None:
+    if args is None or (seed is None and spec["mode"] == "memoryless"):
         return None
     starts, ends, policy, _ = args
-    return _impl.run_file_order_raw(starts, ends, policy, seed)
+    return _impl.run_file_order_raw(starts, ends, policy, 0 if seed is None else seed)
 
 
 def best_subset_scaled(starts, ends, weights):
     """(best total weight, member bitmask) over all conflict-free subsets."""
     starts, ends, weights = list(starts), list(ends), list(weights)
-    fits = _fits(starts, ends) and sum(map(abs, weights)) < _LIMIT
+    fits = _impl is not None and _fits(starts, ends) and sum(map(abs, weights)) < _LIMIT
     return (_impl if fits else fallback).best_subset_scaled(starts, ends, weights)
 
 
@@ -233,6 +233,6 @@ def dumps_json(obj) -> str:
     json.dumps runs the pure-Python encoder; the kernel instead re-spaces
     the C encoder's compact text, so both give the same text and raise the
     same errors."""
-    if COMPILED:
+    if _impl is not None:
         return _impl.indent_json(_COMPACT.encode(obj))
     return json.dumps(obj, indent=2, sort_keys=True)

@@ -10,6 +10,7 @@ identical copies of an interval until the policy takes it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -189,6 +190,8 @@ def gen_random_instance(
         raise GeneratorParameterError("n must be >= 1")
     if k_target < 1:
         raise GeneratorParameterError("k_target must be >= 1")
+    if 3 * k_target > sys.maxsize:  # the length pool is a list of 3 * k_target
+        raise GeneratorParameterError(f"k_target must be <= {sys.maxsize // 3}")
     if weight_mode not in WEIGHT_MODES:
         raise GeneratorParameterError(f"weight_mode must be one of {WEIGHT_MODES}")
     stream = Stream.for_trial(seed, 0)

@@ -163,8 +163,10 @@ class Policy:
         return self
 
     def kernel_spec(self) -> Optional[dict]:
-        """Descriptor for the engine's trial loop (see :mod:`revsel._engine`),
-        or None if not supported."""
+        """The policy's mode, and its tables or acceptance probability, for
+        the engine kernel's policy loop; None if no kernel mode plays it.
+        The engine (:mod:`revsel._engine`) decides from it, the inputs and
+        the loaded kernel whether the kernel stands in for :meth:`decide`."""
         return None
 
 

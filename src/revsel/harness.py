@@ -7,26 +7,22 @@ an empty algorithm solution against a non-empty optimum is reported with an
 infinity sentinel rather than a division error.
 
 A run over the arrivals in file order (``run``, and the greedy-subsume run
-that ``verify`` audits) goes through :func:`run_file_order`. A policy with a
-kernel spec asks the compiled engine kernel (:mod:`revsel._engine`) for the
-run first and builds the transcript from the actions the kernel reports;
-everything else, and every policy when no kernel is loaded or the
-coordinates leave its 64-bit guard, runs through :func:`run_policy`, which
-validates each action as it applies it. The tests diff the kernel's runs
-against :func:`run_policy`, and the charging audit replays every
-transcript through :func:`apply_action` whichever path made it.
+that ``verify`` audits) goes through :func:`run_file_order`, and
+random-order trials through :func:`run_random_order`. Each hands the
+policy's kernel spec to the engine kernel (:mod:`revsel._engine`), which
+alone decides whether it stands in, and falls back when it answers None to
+:func:`run_policy`, which validates each action as it applies it, or to
+:func:`_trials`, the one Python trial loop. The tests diff the kernel's runs
+against :func:`run_policy`, and the charging audit replays every transcript
+through :func:`apply_action` whichever path made it.
 
 Random-order trials draw their permutations from per-trial substreams, so
-growing the trial count never changes earlier trials. Every built-in policy
-runs its trials in the kernel when one is loaded and the inputs fit its
-64-bit guard, and the classify-by-length wrapper needs no trial replay at
-all (see :func:`run_arb_expectation`). Everything else, including every
-policy when no kernel is loaded, replays each trial through
-:func:`run_policy` in :func:`_trials`, the one Python trial loop. Every path
-gives each trial's ALG as the same integer over the instance's weight
-scale, and folds its trials into :class:`TrialStats` a chunk at a time,
-writing a chunk's CSV rows before the next one runs, so memory does not
-grow with the trial count.
+growing the trial count never changes earlier trials, and the
+classify-by-length wrapper needs no trial replay at all (see
+:func:`run_arb_expectation`). Every path gives each trial's ALG as the same
+integer over the instance's weight scale, and folds its trials into
+:class:`TrialStats` a chunk at a time, writing a chunk's CSV rows before the
+next one runs, so memory does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -196,42 +192,28 @@ class RunResult:
         }
 
 
-def _kernel_spec(policy: Policy, seq: ArrivalSequence) -> Optional[dict]:
-    """The policy's kernel spec when its runs on `seq` may go to the engine
-    kernel, else None. Threshold tables need a single length: on mixed
-    lengths the Python path raises PolicyDomainError. Every other mode takes
-    any instance."""
-    spec = policy.kernel_spec()
-    if spec is None or (spec["mode"] == "threshold" and len(seq.lengths()) > 1):
-        return None
-    return spec
-
-
 def run_file_order(
     policy: Policy, seq: ArrivalSequence, seed: Optional[int] = None
 ) -> tuple[frozenset[int], RunTranscript]:
     """The final ids and the transcript of the policy's run over the
     arrivals in file order, drawing from ``Stream.for_trial(seed, 0)`` when
-    a seed is given. A policy with a kernel spec asks the engine kernel
-    first, as :func:`_trial_runner` does, and runs through
-    :func:`run_policy` when the kernel answers None; both give the same
-    transcript. The kernel's feasibility is diffed against the harness in
-    the tests, not enforced here: the charging audit replays a transcript
-    through :func:`apply_action` itself."""
-    spec = _kernel_spec(policy, seq)
-    if spec is not None and (seed is not None or policy.deterministic):
-        ids, starts, ends, _, _ = seq.columns
-        raw = _engine.run_file_order(starts, ends, spec, 0 if seed is None else seed)
-        if raw is not None:
-            accepted, offsets, displaced, final = raw
-            id_at = ids.__getitem__
-            accept, reject = Action.accept(), Action.reject()
-            actions = [accept if flag else reject for flag in accepted]
-            for p, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-                if lo < hi:
-                    actions[p] = Action(True, frozenset(map(id_at, displaced[lo:hi])))
-            entries = tuple(map(TranscriptEntry, ids, actions))
-            return frozenset(map(id_at, final)), RunTranscript(policy.name, entries)
+    a seed is given. The engine kernel plays the run, or answers None and
+    :func:`run_policy` plays it; both give the same transcript. The
+    kernel's feasibility is diffed against the harness in the tests, not
+    enforced here: the charging audit replays a transcript through
+    :func:`apply_action` itself."""
+    ids, starts, ends, _, _ = seq.columns
+    raw = _engine.run_file_order(starts, ends, policy.kernel_spec(), seed)
+    if raw is not None:
+        accepted, offsets, displaced, final = raw
+        id_at = ids.__getitem__
+        accept, reject = Action.accept(), Action.reject()
+        actions = [accept if flag else reject for flag in accepted]
+        for p, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            if lo < hi:
+                actions[p] = Action(True, frozenset(map(id_at, displaced[lo:hi])))
+        entries = tuple(map(TranscriptEntry, ids, actions))
+        return frozenset(map(id_at, final)), RunTranscript(policy.name, entries)
     rng = Stream.for_trial(seed, 0) if seed is not None else None
     state, transcript = run_policy(policy, seq, rng)
     return state.ids, transcript
@@ -432,13 +414,11 @@ def _trial_runner(
     policy: Policy, seq: ArrivalSequence, seed: int
 ) -> Callable[[int, int], list[int]]:
     """``run(lo, count)``: the raw ALG values of `policy`'s random-order
-    trials lo .. lo + count - 1. A policy with a kernel spec asks the engine
-    kernel first and replays in the Python loop when the kernel answers
-    None; the kernel's answer depends only on the instance, the spec and
-    whether a kernel is loaded, so every chunk of a run takes one path."""
-    spec = _kernel_spec(policy, seq)
-    if spec is None:
-        return lambda lo, count: _trials(policy, seq, seed, count, lo)
+    trials lo .. lo + count - 1. Each chunk asks the engine kernel first and
+    replays in the Python loop when the kernel answers None; the kernel's
+    answer depends only on the instance, the spec and whether a kernel is
+    loaded, so every chunk of a run takes one path."""
+    spec = policy.kernel_spec()
     _, starts, ends, weights, _ = seq.columns
 
     def run(lo: int, count: int) -> list[int]:
@@ -456,9 +436,8 @@ def run_random_order(
     out: Optional[TextIO] = None,
 ) -> TrialStats:
     """Uniformly permute the arrivals per trial (seeded) and aggregate exact
-    ratios. Policies with a kernel spec run through the engine kernel
-    (threshold tables on single-length instances only) when it can take the
-    inputs; the rest replay each trial in Python. With a text sink `out`,
+    ratios. The trials run in the engine kernel where it can stand in for
+    the policy, and replay in Python otherwise. With a text sink `out`,
     the trials' CSV goes to it a chunk at a time (see
     :meth:`TrialStats.to_csv`)."""
     if trials < 1:

@@ -13,7 +13,9 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import zlib
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
@@ -240,6 +242,38 @@ def test_rejected_memoryless_draws_are_skipped(p):
     assert trial_samples(policy, seq, 3, seed) == expected
 
 
+# -- the engine alone decides when the kernel stands in -----------------------
+
+
+def _answers(starts, ends, spec, seed=1):
+    """The trial entry's and the file-order entry's answers for `spec`."""
+    return (
+        _engine.run_single_length_trials(starts, ends, spec, 3, 1),
+        _engine.run_file_order(starts, ends, spec, seed),
+    )
+
+
+def test_both_entries_answer_none_where_the_kernel_cannot_stand_in(monkeypatch):
+    one_length = ([0, 1, 4, 3], [2, 3, 6, 5])
+    two_lengths = ([0, 1, 4, 3], [2, 4, 6, 5])
+    table = make_policy("one-dir-left")
+    memoryless = make_policy("rand-memoryless:p=1/2").kernel_spec()
+    assert _answers(*one_length, None) == (None, None)
+    assert _answers(*two_lengths, table.kernel_spec()) == (None, None)
+    assert _engine.run_file_order(*one_length, memoryless, None) is None
+    assert _engine.run_file_order(*one_length, memoryless) is None
+    trials, run = _answers(*one_length, table.kernel_spec())
+    if _engine.COMPILED:
+        seq = ArrivalSequence(map(Interval, range(4), *one_length))
+        assert trials == _trials(table, seq, 1, 3)
+        assert run is not None and _engine.run_file_order(*one_length, memoryless, 1) is not None
+    else:
+        assert (trials, run) == (None, None)
+    monkeypatch.setattr(_engine, "_impl", None)
+    for spec in (table.kernel_spec(), memoryless, make_policy("never-replace").kernel_spec()):
+        assert _answers(*one_length, spec) == (None, None)
+
+
 # -- the dispatchers keep inputs beyond 64 bits away from the kernel ----------
 
 
@@ -258,7 +292,7 @@ def test_coordinates_beyond_64_bits_take_the_fallback(monkeypatch):
     policy = make_policy("always-replace")
     assert _kernel_trials(policy, seq, 40, 3) is None
     assert trial_samples(policy, seq, 40, 3) == _trials(policy, seq, 3, 40)
-    monkeypatch.setattr(_engine, "_impl", fallback)
+    monkeypatch.setattr(_engine, "_impl", None)
     assert opt_bruteforce(seq) == compiled_cert
     assert compiled_cert.value == opt_weighted(seq).value
 
@@ -481,6 +515,35 @@ def test_unwritable_cache_falls_back(tmp_path):
     assert os.listdir(tmp_path) == ["not-a-directory"]
 
 
+@needs_cc
+def test_loader_runs_the_kernel_source_it_ships(tmp_path):
+    """An installed ``_kernel`` beside the C source stands in only when the
+    source cannot be built: with ``_kernel.c`` present the loaded kernel is
+    the checksum build of that source, and with it removed the installed
+    module, here a stub with a marker."""
+    package = tmp_path / "revsel"
+    shutil.copytree(Path(_engine.__file__).parents[1], package,
+                    ignore=shutil.ignore_patterns("*.pyc"))
+    engine = package / "_engine"
+    (engine / "_kernel.py").write_text('MARKER = "installed"\n')
+    env = {k: v for k, v in os.environ.items() if k != "REVSEL_PURE_PYTHON"}
+    env["PYTHONPATH"] = str(tmp_path)
+    code = "from revsel._engine import _impl; print(_impl.__file__, getattr(_impl, 'MARKER', '-'))"
+
+    def loaded():
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+            timeout=120,
+        )
+        path, marker = out.stdout.split()
+        return Path(path), marker
+
+    build = f"_kernel.{zlib.crc32(KERNEL_C.read_bytes()):08x}{EXTENSION_SUFFIXES[0]}"
+    assert loaded() == (engine / "__pycache__" / build, "-")
+    (engine / "_kernel.c").unlink()
+    assert loaded() == (engine / "_kernel.py", "installed")
+
+
 def test_cli_import_loads_no_pool_and_no_subprocess():
     """With the kernel cache warm (this process loaded or built it), a fresh
     interpreter imports revsel.cli without loading the process pool's
@@ -500,14 +563,32 @@ def test_cli_import_loads_no_pool_and_no_subprocess():
 
 
 def test_pure_python_environment_forces_fallback():
+    """Without a kernel, no entry reaches one: both policy-loop entries
+    answer None, and the subset search and the JSON writer take their
+    twins, which give this process's answers."""
     env = dict(os.environ, REVSEL_PURE_PYTHON="1")
     src = str(Path(_engine.__file__).parents[2])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    columns = ([0, 1, 3, 4], [2, 4, 5, 6], [3, 1, 2, 5])
+    payload = {"b": [1, "\u00e9"], "a": {}}
+    code = f"""
+import json, revsel
+from revsel import _engine as e
+starts, ends, weights = {columns!r}
+spec = {{"mode": "greedy-subsume"}}
+print(json.dumps([
+    revsel.BACKEND, revsel.COMPILED, e._impl is None,
+    e.run_single_length_trials(starts, ends, spec, 3, 1), e.run_file_order(starts, ends, spec, 1),
+    e.best_subset_scaled(starts, ends, weights), e.dumps_json({payload!r}),
+]))
+"""
     out = subprocess.run(
-        [sys.executable, "-c", "import revsel; print(revsel.BACKEND, revsel.COMPILED)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
     )
-    assert out.stdout.split() == ["pure-python", "False"]
+    expected = ["pure-python", False, True, None, None,
+                list(_engine.best_subset_scaled(*columns)), _engine.dumps_json(payload)]
+    assert json.loads(out.stdout) == expected
 
 
 @needs_cc
@@ -529,9 +610,10 @@ def _sanitizer_cases():
     four lengths and all three weight modes, and held sets that a run of
     two or more members leaves at its left end, in its middle, at its right
     end and whole, some at the 64-bit guard's edge. Each goes through all
-    six modes in file order and as trials, weighted and not, with the
-    policy tuple the dispatcher builds. A few cases fail part way through
-    reading their inputs."""
+    six modes in file order and as trials, weighted and not, with policy
+    tuples packed as ``raw_trials`` packs them, so that the threshold modes
+    meet mixed lengths too, which the dispatcher never hands the kernel. A
+    few cases fail part way through reading their inputs."""
     edge = 2**62 - 9
     rows = [
         [(0, 1), (2, 3), (4, 5), (0, 5)],
@@ -543,19 +625,15 @@ def _sanitizer_cases():
     seqs = [ArrivalSequence(Interval(i, s, e) for i, (s, e) in enumerate(r)) for r in rows]
     seqs += [gen_random_instance(1 + i % 40, 1 + i % 4, ("unit", "int", "rational")[i % 3], i)
              for i in range(195)]
-    policies = [make_policy(pid) for pid in (
-        "one-dir-left", "always-replace", "never-replace", "greedy-subsume", "call-control",
-        "rand-memoryless:p=2/3",
-    )]
-    policies.append(ThresholdPolicy(ThresholdPolicyTables({1: 1, 2: 0}, {1: 0, 3: 1}, 1, 0)))
+    # one-dir-left, the four step modes, p = 2/3, and tables on both sides.
+    policies = [(mode, [], [], int(mode == 0), [], [], 0, 0, 1) for mode in range(5)]
+    policies += [(5, [], [], 0, [], [], 0, 2, 3), (0, [1, 2], [1, 0], 1, [1, 3], [0, 1], 0, 0, 1)]
     cases = []
     for i, seq in enumerate(seqs):
         cols = seq.columns
+        starts, ends, weights = map(list, cols[1:4])
         seed = (i * 0x9E3779B97F4A7C15) % 2**64
-        for policy in policies:
-            starts, ends, packed, weights = _engine._kernel_args(
-                cols.starts, cols.ends, policy.kernel_spec(), cols.weights
-            )
+        for packed in policies:
             cases.append(("run_file_order_raw", (starts, ends, packed, seed)))
             cases.append(("run_single_length_trials_raw",
                           (starts, ends, packed, 3, seed, weights if i % 2 else [], i)))

@@ -601,6 +601,21 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (EXIT_USAGE, "", "error: out of memory\n")
 
 
+def test_k_target_past_the_length_pool_is_one_error_line(tmp_path, capsys):
+    """A k_target whose pool of 3 * k_target lengths no list can hold is
+    refused before anything is drawn, where it used to end in an
+    OverflowError traceback."""
+    out_path = tmp_path / "k.jsonl"
+    for k in (10**30, sys.maxsize // 3 + 1):
+        code, out, err = run_cli(
+            capsys, "generate", "random", "--n", "5", "--k-target", str(k), "--seed", "1",
+            "--out", str(out_path),
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: k_target must be <= {sys.maxsize // 3}\n"
+        assert not out_path.exists()
+
+
 def test_deeply_nested_threshold_table_is_usage_error(tmp_path, capsys):
     inst = str(tmp_path / "wide.jsonl")
     run_cli(

@@ -149,12 +149,18 @@ def test_coordinates_at_the_guard_fall_back_to_run_policy(monkeypatch, edge):
 
 
 def test_threshold_file_on_mixed_lengths_keeps_the_python_error(tmp_path, capsys, monkeypatch):
-    """threshold:<file> on a mixed-length instance never asks the kernel,
-    so a partial conflict between two lengths raises PolicyDomainError, and
-    `run` exits with the usage code, as it did before the kernel ran
-    file-order runs."""
-    asked = []
-    monkeypatch.setattr(_engine, "run_file_order", lambda *args: asked.append(args))
+    """threshold:<file> on a mixed-length instance asks the kernel, which
+    answers None, so the run goes through run_policy: a partial conflict
+    between two lengths raises PolicyDomainError, and `run` exits with the
+    usage code, as it did before the kernel ran file-order runs."""
+    answers = []
+    real = _engine.run_file_order
+
+    def spy(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(_engine, "run_file_order", spy)
     table = tmp_path / "table.json"
     table.write_text('{"left": {"2": 1}, "left_default": 1, "right_default": 1}')
     inst = tmp_path / "mixed.jsonl"
@@ -166,7 +172,7 @@ def test_threshold_file_on_mixed_lengths_keeps_the_python_error(tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: threshold policies are defined for single-length instances")
-    assert asked == []
+    assert answers == [None, None]
 
 
 def test_cli_run_and_verify_give_the_python_paths_bytes(tmp_path, capsys, monkeypatch):

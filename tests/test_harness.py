@@ -229,12 +229,14 @@ def test_trial_stats_quantiles_and_csv():
 
 
 def _spy_on_kernel(monkeypatch):
+    """The (spec, answer) of every call to the engine's trial entry."""
     calls = []
     real = _engine.run_single_length_trials
 
     def spy(*args, **kwargs):
-        calls.append(args[2])
-        return real(*args, **kwargs)
+        answer = real(*args, **kwargs)
+        calls.append((args[2], answer))
+        return answer
 
     monkeypatch.setattr(_engine, "run_single_length_trials", spy)
     return calls
@@ -246,7 +248,7 @@ def test_kernel_takes_unit_weights_of_any_length_mix(monkeypatch):
     assert len(multi.lengths()) == 3
     for pid in ("greedy-subsume", "call-control", "always-replace", "never-replace"):
         run_random_order(make_policy(pid), multi, 5, seed=1)
-    assert [spec["mode"] for spec in calls] == [
+    assert [spec["mode"] for spec, _ in calls] == [
         "greedy-subsume", "call-control", "always", "never"
     ]
 
@@ -259,7 +261,7 @@ def test_weighted_instances_take_the_kernel(monkeypatch):
             "rand-memoryless:p=2/5")
     for pid in pids:
         run_random_order(make_policy(pid), weighted, 5, seed=1)
-    assert [spec["mode"] for spec in calls] == [
+    assert [spec["mode"] for spec, _ in calls] == [
         "greedy-subsume", "call-control", "always", "never", "memoryless"
     ]
 
@@ -284,12 +286,15 @@ def test_both_trial_paths_give_one_raw_form_on_weighted_instances():
 
 
 def test_threshold_policy_on_mixed_lengths_still_raises(monkeypatch):
+    """The engine is asked about a threshold table on two lengths and
+    answers None, so the trials replay the policy, which raises on the
+    partial conflict between the two lengths."""
     calls = _spy_on_kernel(monkeypatch)
     seq = ArrivalSequence([Interval(0, 0, 6), Interval(1, 4, 14)])
     for pid in ("one-dir-left", "one-dir-right"):
-        with pytest.raises(PolicyDomainError):
+        with pytest.raises(PolicyDomainError, match="single-length instances"):
             run_random_order(make_policy(pid), seq, 4, seed=1)
-    assert calls == []
+    assert [(spec["mode"], answer) for spec, answer in calls] == [("threshold", None)] * 2
 
 
 # -- distributional ---------------------------------------------------------------
