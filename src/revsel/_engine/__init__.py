@@ -11,7 +11,11 @@ policy; all but the first take intervals of any lengths. It has two
 entries. :func:`run_single_length_trials` plays permutation trials, each
 returning its final held weight under integer weights (an instance's
 ``columns.weights``, beside its ``starts`` and ``ends``); empty or all-1
-weights count, and the count is then the held weight. The trial loop has
+weights count, and the count is then the held weight. Every arrival in
+the kernel carries its list position, and the held set is its starts and
+ends plus, in a weighted trial or a file-order run, its members'
+positions: a weighted trial sums its final members' weights by position,
+and a file-order run reports positions. The trial loop has
 no Python twin: where the kernel cannot run, it returns None and the
 harness replays the trials through the policies themselves
 (``harness._trials``), which give the same bits more slowly.

@@ -5,8 +5,10 @@
  * kernel-mode policy over one arrival order and writes the held-set update
  * of every mode once; its compile-time flags pick the trial loop's weighted
  * and memoryless copies, and `record` the file-order run, which also
- * reports each arrival's action. Both entries take the policy as one tuple
- * and read their shared inputs through one reader. The trial loop matches the
+ * reports each arrival's action. Every arrival carries its list position,
+ * which a weighted or recording play (`located`) keeps beside each held
+ * member's start and end. Both entries take the policy as one tuple and
+ * read their shared inputs through one reader. The trial loop matches the
  * Python policies it stands for (revsel.algorithms, replayed by
  * harness._trials) bit for bit: the permutation is revsel.rng's shuffle
  * (same splitmix64 stream, same rejection sampling, same Fisher-Yates
@@ -57,24 +59,19 @@ static inline u64 randbelow(u64 *state, u64 n)
     return z % n;
 }
 
+/* An arrival [s, e) and its position p in the input list. */
 typedef struct {
-    i64 s, e;
-} span;
+    i64 s, e, p;
+} arrival;
 
-/* rng._shuffle: Fisher-Yates over items, drawing from the stream at state.
- * A non-NULL `w` is permuted in lockstep with the items. */
-static void shuffle(span *items, i64 *w, Py_ssize_t n, u64 state)
+/* rng._shuffle: Fisher-Yates over items, drawing from the stream at state. */
+static void shuffle(arrival *items, Py_ssize_t n, u64 state)
 {
     for (Py_ssize_t i = n - 1; i > 0; i--) {
         Py_ssize_t j = (Py_ssize_t)randbelow(&state, (u64)i + 1);
-        span tmp = items[i];
+        arrival tmp = items[i];
         items[i] = items[j];
         items[j] = tmp;
-        if (w != NULL) {
-            i64 tmp_w = w[i];
-            w[i] = w[j];
-            w[j] = tmp_w;
-        }
     }
 }
 
@@ -92,15 +89,15 @@ static PyObject *permutation_raw(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     if (n < 0)
         n = 0;
-    span *idx = PyMem_New(span, n + 1);
+    arrival *idx = PyMem_New(arrival, n + 1);
     if (idx == NULL)
         return PyErr_NoMemory();
     for (Py_ssize_t i = 0; i < n; i++)
-        idx[i] = (span){i, i};
-    shuffle(idx, NULL, n, state);
+        idx[i] = (arrival){0, 0, i};
+    shuffle(idx, n, state);
     PyObject *out = PyList_New(n);
     for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
-        PyObject *v = PyLong_FromLongLong(idx[i].s);
+        PyObject *v = PyLong_FromLongLong(idx[i].p);
         if (v == NULL)
             Py_CLEAR(out);
         else
@@ -202,23 +199,23 @@ static inline int bernoulli(u64 *state, u64 num, u64 den)
     return den == 1 ? num == 1 : randbelow(state, den) < num;
 }
 
-/* What a file-order run records beside its held set: each member's arrival
- * position, kept in lockstep with held_s and held_e, and per arrival p an
- * accept flag and the positions it displaced, displaced[offsets[p],
- * offsets[p + 1]). Every array holds n items, offsets n + 1. */
+/* What a file-order run records: per arrival p an accept flag and the
+ * positions it displaced, displaced[offsets[p], offsets[p + 1]). Every
+ * array holds n items, offsets n + 1. */
 typedef struct {
-    i64 *held_p, *displaced, *offsets;
+    i64 *displaced, *offsets;
     char *accepted;
 } recording;
 
 /* What both policy-loop entries read: n arrivals in list order, the held
- * columns (room for n members), the kernel mode and its threshold tables,
- * the acceptance fraction num/den and the seed. */
+ * columns (room for n members; only a located play keeps held_p), the
+ * kernel mode and its threshold tables, the acceptance fraction num/den
+ * and the seed. */
 typedef struct {
     Py_ssize_t n;
     int mode;
-    span *arrivals;
-    i64 *held_s, *held_e;
+    arrival *arrivals;
+    i64 *held_s, *held_e, *held_p;
     table fl, fr;
     u64 num, den, seed;
 } inputs;
@@ -229,6 +226,7 @@ static void release(inputs *in)
     PyMem_Free(in->arrivals);
     PyMem_Free(in->held_s);
     PyMem_Free(in->held_e);
+    PyMem_Free(in->held_p);
     PyMem_Free(in->fl.keys);
     PyMem_Free(in->fl.bits);
     PyMem_Free(in->fr.keys);
@@ -261,10 +259,11 @@ static int read_inputs(PyObject *starts, PyObject *ends, PyObject *policy, PyObj
         return -1;
     Py_ssize_t n = Py_MIN(Py_MIN(PyList_GET_SIZE(starts), PyList_GET_SIZE(ends)), limit);
     in->n = n;
-    in->arrivals = PyMem_New(span, n + 1);
+    in->arrivals = PyMem_New(arrival, n + 1);
     in->held_s = PyMem_New(i64, n + 1);
     in->held_e = PyMem_New(i64, n + 1);
-    if (in->arrivals == NULL || in->held_s == NULL || in->held_e == NULL) {
+    in->held_p = PyMem_New(i64, n + 1);
+    if (in->arrivals == NULL || in->held_s == NULL || in->held_e == NULL || in->held_p == NULL) {
         PyErr_NoMemory();
         return -1;
     }
@@ -274,30 +273,31 @@ static int read_inputs(PyObject *starts, PyObject *ends, PyObject *policy, PyObj
     if (read_i64s(starts, n, in->held_s) < 0 || read_i64s(ends, n, in->held_e) < 0)
         return -1;
     for (Py_ssize_t i = 0; i < n; i++)
-        in->arrivals[i] = (span){in->held_s[i], in->held_e[i]};
+        in->arrivals[i] = (arrival){in->held_s[i], in->held_e[i], i};
     return 0;
 }
 
 /* Plays `order`'s n arrivals, in order, against an empty held set and
- * returns ALG: the final held count, or with `weighted` the final held
- * weight (order_w holds the arrivals' weights, held_w the members').
- * `memoryless` is mode == MEMORYLESS, and `draws` that mode's decision
- * stream. With `record`, every decision goes into `rec`; the trial loop
- * passes 0 and NULL, so its inlined copies carry no recording code.
+ * returns the final held count h. With `located`, in->held_p[0, h) then
+ * holds the final members' positions, in start order. `memoryless` is
+ * mode == MEMORYLESS, and `draws` that mode's decision stream. With
+ * `record`, which requires `located`, every decision goes into `rec`; the
+ * trial loop passes 0 and NULL, so its inlined copies carry no recording
+ * code, and its unit-weight copies move no position column either.
  *
  * The held set is disjoint and sorted by start, so the members that
  * conflict with [s, e) are [bisect_right(held_e, s), bisect_left(held_s, e,
  * lo)). Both searches probe as bisect does. An accepted arrival, in every
  * mode, takes slot `first` in place of that run, which is empty when
  * nothing conflicts: the held set stays feasible at every step. */
-static inline __attribute__((always_inline)) u64
-play(int weighted, int memoryless, int record, const inputs *in, const span *order,
-     const i64 *order_w, i64 *held_w, u64 draws, const recording *rec)
+static inline __attribute__((always_inline)) Py_ssize_t
+play(int located, int memoryless, int record, const inputs *in, const arrival *order,
+     u64 draws, const recording *rec)
 {
     /* Locals, which the held-column stores cannot alias. */
     const int mode = in->mode;
     const Py_ssize_t n = in->n;
-    i64 *const held_s = in->held_s, *const held_e = in->held_e;
+    i64 *const held_s = in->held_s, *const held_e = in->held_e, *const held_p = in->held_p;
     const u64 num = in->num, den = in->den;
     Py_ssize_t h = 0, nd = 0;
     for (Py_ssize_t p = 0; p < n; p++) {
@@ -335,7 +335,7 @@ play(int weighted, int memoryless, int record, const inputs *in, const span *ord
         if (record) {
             /* Before the shift below overwrites the run. */
             for (Py_ssize_t i = first; i < last; i++)
-                rec->displaced[nd++] = rec->held_p[i];
+                rec->displaced[nd++] = held_p[i];
             rec->accepted[p] = 1;
         }
         /* One memmove per column opens the slot (an empty run) or closes up
@@ -344,55 +344,49 @@ play(int weighted, int memoryless, int record, const inputs *in, const span *ord
             size_t tail = (size_t)(h - last) * sizeof(i64);
             memmove(held_s + first + 1, held_s + last, tail);
             memmove(held_e + first + 1, held_e + last, tail);
-            if (weighted)
-                memmove(held_w + first + 1, held_w + last, tail);
-            if (record)
-                memmove(rec->held_p + first + 1, rec->held_p + last, tail);
+            if (located)
+                memmove(held_p + first + 1, held_p + last, tail);
             h += 1 - take;
         }
         held_s[first] = s;
         held_e[first] = e;
-        if (weighted)
-            held_w[first] = order_w[p];
-        if (record)
-            rec->held_p[first] = p;
+        if (located)
+            held_p[first] = order[p].p;
     }
     if (record)
         rec->offsets[n] = nd;
-    if (!weighted)
-        return (u64)h;
-    /* The dispatchers keep weight sums below 2**62; unsigned addition keeps
-     * any other sum defined. */
-    u64 total = 0;
-    for (Py_ssize_t i = 0; i < h; i++)
-        total += (u64)held_w[i];
-    return total;
+    return h;
 }
 
-/* Runs one trial per slot of `out`, from trial `first` on; -1 on error.
- * `weights` holds the arrivals' weights, and order, order_w and held_w are
- * scratch of n items. Every call site passes `weighted` and `memoryless` as
- * constants, so that the inlined unit-weight loop of the other modes
- * carries no weight or draw code. */
+/* Runs one trial per slot of `out`, from trial `first` on; -1 on error. A
+ * trial's ALG is its final held count, or with `weighted` the final
+ * members' total of `weights`, the arrivals' weights by position. `order`
+ * is scratch of n arrivals. Every call site passes `weighted` and
+ * `memoryless` as constants, so that the inlined unit-weight loop of the
+ * other modes carries no position, weight or draw code. */
 static inline __attribute__((always_inline)) int
 run_trials(int weighted, int memoryless, const inputs *in, const i64 *weights, u64 first,
-           span *order, i64 *order_w, i64 *held_w, PyObject *out)
+           arrival *order, PyObject *out)
 {
     const Py_ssize_t n = in->n;
-    if (!weighted)
-        order_w = NULL;
     for (Py_ssize_t t = 0; t < PyList_GET_SIZE(out); t++) {
         /* Slot t holds trial first + t. Shuffling the arrivals with that
          * trial's draws plays them in permutation_raw(n, seed, first + t)
          * order; decisions draw from substream 2**32 + first + t, clear of
          * the permutation substreams. */
         const u64 trial = first + (u64)t;
-        memcpy(order, in->arrivals, n * sizeof(span));
-        if (weighted)
-            memcpy(order_w, weights, n * sizeof(i64));
-        shuffle(order, order_w, n, substream(in->seed, trial));
+        memcpy(order, in->arrivals, n * sizeof(arrival));
+        shuffle(order, n, substream(in->seed, trial));
         u64 draws = memoryless ? substream(in->seed, ((u64)1 << 32) + trial) : 0;
-        u64 alg = play(weighted, memoryless, 0, in, order, order_w, held_w, draws, NULL);
+        Py_ssize_t h = play(weighted, memoryless, 0, in, order, draws, NULL);
+        u64 alg = (u64)h;
+        if (weighted) {
+            /* The dispatchers keep weight sums below 2**62; unsigned
+             * addition keeps any other sum defined. */
+            alg = 0;
+            for (Py_ssize_t i = 0; i < h; i++)
+                alg += (u64)weights[in->held_p[i]];
+        }
         PyObject *v = PyLong_FromLongLong((i64)alg);
         if (v == NULL)
             return -1;
@@ -417,17 +411,14 @@ static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObjec
     Py_ssize_t nw = PyList_GET_SIZE(weights);
     int weighted = nw > 0;
     inputs in;
-    span *order = NULL;
-    i64 *arrival_w = NULL, *order_w = NULL, *held_w = NULL;
+    arrival *order = NULL;
+    i64 *arrival_w = NULL;
     if (read_inputs(starts, ends, policy, seed, weighted ? nw : PY_SSIZE_T_MAX, &in) < 0)
         goto done;
-    order = PyMem_New(span, in.n + 1);
-    if (weighted) {
+    order = PyMem_New(arrival, in.n + 1);
+    if (weighted)
         arrival_w = PyMem_New(i64, in.n + 1);
-        order_w = PyMem_New(i64, in.n + 1);
-        held_w = PyMem_New(i64, in.n + 1);
-    }
-    if (order == NULL || (weighted && (arrival_w == NULL || order_w == NULL || held_w == NULL))) {
+    if (order == NULL || (weighted && arrival_w == NULL)) {
         PyErr_NoMemory();
         goto done;
     }
@@ -437,19 +428,17 @@ static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObjec
         goto done;
     int status;
     if (in.mode == MEMORYLESS)
-        status = weighted ? run_trials(1, 1, &in, arrival_w, first, order, order_w, held_w, out)
-                          : run_trials(0, 1, &in, arrival_w, first, order, order_w, held_w, out);
+        status = weighted ? run_trials(1, 1, &in, arrival_w, first, order, out)
+                          : run_trials(0, 1, &in, arrival_w, first, order, out);
     else
-        status = weighted ? run_trials(1, 0, &in, arrival_w, first, order, order_w, held_w, out)
-                          : run_trials(0, 0, &in, arrival_w, first, order, order_w, held_w, out);
+        status = weighted ? run_trials(1, 0, &in, arrival_w, first, order, out)
+                          : run_trials(0, 0, &in, arrival_w, first, order, out);
     if (status < 0)
         Py_CLEAR(out);
 done:
     release(&in);
     PyMem_Free(order);
     PyMem_Free(arrival_w);
-    PyMem_Free(order_w);
-    PyMem_Free(held_w);
     return out;
 }
 
@@ -484,10 +473,9 @@ static PyObject *run_file_order_raw(PyObject *Py_UNUSED(self), PyObject *args)
     if (read_inputs(starts, ends, policy, seed, PY_SSIZE_T_MAX, &in) < 0)
         goto done;
     Py_ssize_t n = in.n;
-    rec.held_p = PyMem_New(i64, n + 1);
     rec.displaced = PyMem_New(i64, n + 1);
     rec.offsets = PyMem_New(i64, n + 1);
-    if (rec.held_p == NULL || rec.displaced == NULL || rec.offsets == NULL) {
+    if (rec.displaced == NULL || rec.offsets == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -496,12 +484,12 @@ static PyObject *run_file_order_raw(PyObject *Py_UNUSED(self), PyObject *args)
     rec.accepted = PyBytes_AS_STRING(accepted);
     Py_ssize_t h;
     if (in.mode == MEMORYLESS)
-        h = (Py_ssize_t)play(0, 1, 1, &in, in.arrivals, NULL, NULL, substream(in.seed, 0), &rec);
+        h = play(1, 1, 1, &in, in.arrivals, substream(in.seed, 0), &rec);
     else
-        h = (Py_ssize_t)play(0, 0, 1, &in, in.arrivals, NULL, NULL, 0, &rec);
+        h = play(1, 0, 1, &in, in.arrivals, 0, &rec);
     PyObject *off = list_of(rec.offsets, n + 1);
     PyObject *gone = off == NULL ? NULL : list_of(rec.displaced, rec.offsets[n]);
-    PyObject *final = gone == NULL ? NULL : list_of(rec.held_p, h);
+    PyObject *final = gone == NULL ? NULL : list_of(in.held_p, h);
     if (final != NULL)
         out = PyTuple_Pack(4, accepted, off, gone, final);
     Py_XDECREF(off);
@@ -510,7 +498,6 @@ static PyObject *run_file_order_raw(PyObject *Py_UNUSED(self), PyObject *args)
 done:
     Py_XDECREF(accepted);
     release(&in);
-    PyMem_Free(rec.held_p);
     PyMem_Free(rec.displaced);
     PyMem_Free(rec.offsets);
     return out;

@@ -424,7 +424,8 @@ def adaptive_lower_bound_driver(
     strictly inside the pivot's free core. Deterministic policies are probed
     (rehearsed on a fresh copy) to decide which side of the chain has room;
     randomized memoryless ones are pushed with up to `copies` identical
-    re-emissions per chain step.
+    re-emissions per chain step. `copies` must be at least 1 for either
+    kind; a deterministic policy always plays one copy.
 
     Raises :class:`DriverError` on infeasible actions, divergence between
     rehearsal and play (a non-deterministic or position-sensitive policy),
@@ -432,6 +433,8 @@ def adaptive_lower_bound_driver(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
     deterministic = policy.deterministic
     if deterministic:
         copies = 1
@@ -439,8 +442,6 @@ def adaptive_lower_bound_driver(
     else:
         if seed is None:
             raise ValueError("randomized policies need a seed")
-        if copies < 1:
-            raise ValueError("copies must be >= 1")
         rng = Stream.for_trial(seed, 0)
 
     session = _Session(policy.fresh(), rng, copies)

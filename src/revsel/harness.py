@@ -473,6 +473,8 @@ def run_distributional(
     if not policy.deterministic:
         raise ValueError("run_distributional needs a deterministic policy")
     probs = [Fraction(p) for _, p in branches]
+    if not all(0 <= p <= 1 for p in probs):
+        raise ValueError("branch probabilities must lie in [0, 1]")
     if sum(probs) != 1:
         raise ValueError("branch probabilities must sum to 1")
     algs = []

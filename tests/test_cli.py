@@ -148,6 +148,19 @@ def test_duel_randomized_with_copies(capsys):
     assert code == EXIT_OK
 
 
+def test_duel_refuses_copies_below_one_for_every_policy(capsys):
+    """`--copies` is checked before the deterministic branch, which plays
+    one copy, so a deterministic policy refuses it as a randomized one
+    does."""
+    for argv in (("greedy-subsume", "--copies", "-5"), ("greedy-subsume", "--copies", "0"),
+                 ("rand-memoryless:p=1/2", "--copies", "0", "--seed", "7")):
+        code, out, err = run_cli(capsys, "duel", *argv[:1], "--k", "2", *argv[1:])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: copies must be >= 1\n"
+    code, out, _ = run_cli(capsys, "duel", "greedy-subsume", "--k", "2", "--copies", "3")
+    assert code == EXIT_OK and '"copies": 1' in out
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     inst = str(tmp_path / "rom.jsonl")
     run_cli(

@@ -338,6 +338,12 @@ def test_distributional_validates_probabilities():
         run_distributional(
             make_policy("rand-memoryless:p=1/2"), [(s1, Fraction(1, 2)), (s2, Fraction(1, 2))]
         )
+    # The probabilities sum to 1, but a negative one would put the expected
+    # ALG (5/2) above both branch ALGs (2 and 1).
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        run_distributional(
+            make_policy("greedy-subsume"), [(s1, Fraction(3, 2)), (s2, Fraction(-1, 2))]
+        )
 
 
 # -- classify wrapper ---------------------------------------------------------------

@@ -448,8 +448,10 @@ def test_chunked_kernel_calls_match_one_call(seq, trials, cuts, seed, first):
     """Kernel calls over consecutive ranges of trials, each passing its
     first trial index, concatenate to one call over the whole range, in
     every mode with no weights, all-1 weights and the instance's weights;
-    all-1 weights count as no weights do; and the call from trial `first`
-    gives the Python loop's trials from there."""
+    all-1 weights count as no weights do, also in the raw kernel, where
+    explicit all-1 weights take the weighted loop, which sums the final
+    members' weights by position, and no weights the counting loop; and the
+    call from trial `first` gives the Python loop's trials from there."""
     _, starts, ends, weights, _ = seq.columns
     bounds = sorted({0, trials, *(min(c, trials) for c in cuts)})
     pids = MULTI_LENGTH_POLICIES + MEMORYLESS_POLICIES
@@ -469,6 +471,14 @@ def test_chunked_kernel_calls_match_one_call(seq, trials, cuts, seed, first):
             assert chunks == one
             counts.append(one)
         assert counts[0] == counts[1]
+        # The wrapper turns all-1 weights into [] before the kernel sees them.
+        args = _engine._kernel_args(starts, ends, spec)
+        if args is not None:
+            raw = [
+                _engine._impl.run_single_length_trials_raw(*args[:3], trials, seed, w, first)
+                for w in ([1] * len(seq), [])
+            ]
+            assert raw[0] == raw[1] == counts[0]
         assert one == _trials(policy, seq, seed, trials, first)
 
 
