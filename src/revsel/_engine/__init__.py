@@ -209,8 +209,9 @@ def run_file_order(starts, ends, spec: Optional[dict], seed: Optional[int] = Non
     """One run of the policy with kernel spec `spec` over the arrivals in
     list order, the twin of ``harness.run_policy``; a memoryless policy
     draws from ``Stream.for_trial(seed, 0)``, and the other modes ignore
-    the seed. Returns (accepted, offsets, displaced, final): one accept flag
-    per arrival, as bytes; the positions that arrival p displaced,
+    the seed. Returns (accepted, offsets, displaced, final), the record that
+    ``harness.run_file_order`` keeps as a transcript: one accept flag per
+    arrival, as bytes; the positions arrival p displaced,
     ``displaced[offsets[p]:offsets[p + 1]]``; and the final members'
     positions in start order. None where :func:`_kernel_args` is, and for a
     memoryless policy without a seed, which ``run_policy`` refuses."""

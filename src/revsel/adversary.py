@@ -17,7 +17,7 @@ from typing import Optional
 
 from .algorithms import Policy, PolicyState
 from .core import ArrivalSequence, Interval, validate_solution
-from .harness import RunTranscript, TranscriptEntry, apply_action, exact_ratio, run_policy
+from .harness import RunTranscript, apply_action, exact_ratio, run_policy
 from .rng import Stream
 
 
@@ -250,7 +250,6 @@ class AdaptiveTranscript:
     policy's actions, the adversary's disjoint certificate, and the
     per-level records."""
 
-    policy: str
     arrivals: ArrivalSequence
     transcript: RunTranscript
     opt_certificate: frozenset[int]
@@ -271,7 +270,7 @@ class AdaptiveTranscript:
 
     def to_json_dict(self) -> dict:
         return {
-            "policy": self.policy,
+            "policy": self.transcript.policy,
             "copies": self.copies,
             "seed": self.seed,
             "arrivals": [
@@ -318,7 +317,7 @@ class _Session:
         self.state = PolicyState()
         self.retired: set[int] = set()
         self.arrivals: list[Interval] = []
-        self.entries: list[TranscriptEntry] = []
+        self.transcript = RunTranscript(policy.name)
 
     def emit(self, start: int, length: int) -> tuple[Interval, bool]:
         """Emit the interval (up to `copies` identical tries for randomized
@@ -332,7 +331,7 @@ class _Session:
                 apply_action(self.state, iv, action, self.retired)
             except Exception as exc:
                 raise DriverError(f"policy failed on arrival {iv.id}: {exc}") from exc
-            self.entries.append(TranscriptEntry(iv.id, action))
+            self.transcript.append(iv.id, action)
             if iv.id in self.state:
                 return iv, True
         return iv, False
@@ -499,13 +498,11 @@ def adaptive_lower_bound_driver(
     if len(cert_ids) != len(cert) or not validate_solution(arrivals, cert_ids):
         raise DriverError("certificate is not a feasible disjoint set")
 
-    transcript = RunTranscript(policy=session.policy.name, entries=tuple(session.entries))
     if deterministic:
-        _check_replay(policy, arrivals, transcript)
+        _check_replay(policy, arrivals, session.transcript)
     return AdaptiveTranscript(
-        policy=session.policy.name,
         arrivals=arrivals,
-        transcript=transcript,
+        transcript=session.transcript,
         opt_certificate=cert_ids,
         levels=tuple(levels),
         final_solution=session.state.ids,
@@ -518,8 +515,8 @@ def _check_replay(policy: Policy, arrivals: ArrivalSequence, transcript: RunTran
     """Feed the emitted arrivals to a fresh copy; differing actions expose a
     policy that is not actually deterministic."""
     _state, replay = run_policy(policy, arrivals)
-    for ours, theirs in zip(transcript.entries, replay.entries):
+    for (arrival_id, ours), (_, theirs) in zip(transcript.actions(), replay.actions()):
         if ours != theirs:
             raise DriverError(
-                f"non-deterministic policy detected: replay diverged at arrival {ours.arrival_id}"
+                f"non-deterministic policy detected: replay diverged at arrival {arrival_id}"
             )

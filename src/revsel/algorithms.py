@@ -61,10 +61,6 @@ class Action:
         if not self.accepted and (self.displaced or self.discard_rest):
             raise ValueError("a reject cannot displace or discard")
 
-    @property
-    def kind(self) -> str:
-        return "accept" if self.accepted else "reject"
-
     @staticmethod
     def accept(displaced: Iterable[int] = (), discard_rest: bool = False) -> "Action":
         if not displaced and not discard_rest:

@@ -12,9 +12,9 @@ random-order trials through :func:`run_random_order`. Each hands the
 policy's kernel spec to the engine kernel (:mod:`revsel._engine`), which
 alone decides whether it stands in, and falls back when it answers None to
 :func:`run_policy`, which validates each action as it applies it, or to
-:func:`_trials`, the one Python trial loop. The tests diff the kernel's runs
-against :func:`run_policy`, and the charging audit replays every transcript
-through :func:`apply_action` whichever path made it.
+:func:`_trials`, the one Python trial loop. A run's one record is its
+:class:`RunTranscript`: the kernel's record becomes its columns, and the
+charging audit replays it through :func:`apply_action` whichever path made it.
 
 Random-order trials draw their permutations from per-trial substreams, so
 growing the trial count never changes earlier trials, and the
@@ -31,10 +31,10 @@ import functools
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import _engine
 from .algorithms import Action, ArbPolicy, Policy, PolicyState
@@ -54,32 +54,45 @@ class InfeasibleActionError(RuntimeError):
     """A policy emitted an action the harness refuses to apply."""
 
 
-@dataclass(frozen=True, slots=True)
-class TranscriptEntry:
-    arrival_id: int
-    action: Action
+REJECT, ACCEPT, DISCARD = 0, 1, 2  # an arrival's kind in a transcript
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RunTranscript:
-    """The full replayable history of one run."""
+    """The one record of a run, as columns: the arrival ids in play order,
+    one kind per arrival (DISCARD accepts and discards the rest), and the
+    ids arrival p displaced, ``displaced[offsets[p]:offsets[p + 1]]``,
+    ascending so that equal runs compare equal."""
 
     policy: str
-    entries: tuple[TranscriptEntry, ...]
+    ids: list[int] = field(default_factory=list)
+    kinds: bytearray = field(default_factory=bytearray)
+    offsets: list[int] = field(default_factory=lambda: [0])
+    displaced: list[int] = field(default_factory=list)
+
+    def append(self, arrival_id: int, action: Action) -> None:
+        """The one writer: record the arrival's action."""
+        self.ids.append(arrival_id)
+        self.kinds.append(DISCARD if action.discard_rest else action.accepted)
+        self.displaced.extend(sorted(action.displaced))
+        self.offsets.append(len(self.displaced))
+
+    def actions(self) -> Iterator[tuple[int, Action]]:
+        """The one reader: (arrival id, action) per arrival, in play order."""
+        accept, reject, d = Action.accept(), Action.reject(), self.displaced
+        for i, kind, lo, hi in zip(self.ids, self.kinds, self.offsets, self.offsets[1:]):
+            if lo < hi or kind == DISCARD:
+                yield i, Action(kind != REJECT, frozenset(d[lo:hi]), kind == DISCARD)
+            else:
+                yield i, accept if kind else reject
 
     def to_json_list(self) -> list:
-        """One row per entry. Most displaced sets are empty, and only a
-        non-empty one is sorted."""
-        rows = []
-        for e in self.entries:
-            action = e.action
-            displaced = action.displaced
-            row = {
-                "id": e.arrival_id,
-                "action": action.kind,
-                "displaced": sorted(displaced) if displaced else [],
-            }
-            if action.discard_rest:
+        """One row per arrival, written straight from the columns."""
+        rows, d = [], self.displaced
+        for i, kind, lo, hi in zip(self.ids, self.kinds, self.offsets, self.offsets[1:]):
+            gone = d[lo:hi] if lo < hi else []
+            row = {"id": i, "action": "accept" if kind else "reject", "displaced": gone}
+            if kind == DISCARD:
                 row["discard_rest"] = True
             rows.append(row)
         return rows
@@ -125,26 +138,26 @@ def run_policy(
     record: bool = True,
 ) -> tuple[PolicyState, RunTranscript]:
     """Feed the arrivals to a fresh copy of the policy and return (final
-    state, transcript). With ``record=False`` the transcript has no entries,
+    state, transcript). With ``record=False`` the transcript stays empty,
     which saves its cost in trials that need only the final state."""
     live = policy.fresh()
     state = PolicyState()
     retired: set[int] = set()
-    entries = []
+    transcript = RunTranscript(live.name)
     for arrival in seq:
         action = live.decide(state, arrival, rng)
         apply_action(state, arrival, action, retired)
         if record:
-            entries.append(TranscriptEntry(arrival.id, action))
-    return state, RunTranscript(policy=live.name, entries=tuple(entries))
+            transcript.append(arrival.id, action)
+    return state, transcript
 
 
 def replay_actions(seq: ArrivalSequence, transcript: RunTranscript) -> frozenset[int]:
     """Apply a recorded transcript to a fresh solution; returns final ids."""
     state = PolicyState()
     retired: set[int] = set()
-    for entry in transcript.entries:
-        apply_action(state, seq.by_id(entry.arrival_id), entry.action, retired)
+    for arrival_id, action in transcript.actions():
+        apply_action(state, seq.by_id(arrival_id), action, retired)
     return state.ids
 
 
@@ -172,7 +185,6 @@ def format_value(value: Optional[Fraction]) -> str:
 class RunResult:
     """One adversarial-order run, fully reproducible from (policy, instance)."""
 
-    policy: str
     final_solution: frozenset[int]
     alg_value: Fraction
     opt_value: Fraction
@@ -182,7 +194,7 @@ class RunResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "policy": self.policy,
+            "policy": self.transcript.policy,
             "final_solution": sorted(self.final_solution),
             "alg_value": format_value(self.alg_value),
             "opt_value": format_value(self.opt_value),
@@ -198,22 +210,19 @@ def run_file_order(
     """The final ids and the transcript of the policy's run over the
     arrivals in file order, drawing from ``Stream.for_trial(seed, 0)`` when
     a seed is given. The engine kernel plays the run, or answers None and
-    :func:`run_policy` plays it; both give the same transcript. The
-    kernel's feasibility is diffed against the harness in the tests, not
-    enforced here: the charging audit replays a transcript through
-    :func:`apply_action` itself."""
+    :func:`run_policy` plays it. The kernel's record is the transcript once
+    positions become ids; no kernel policy discards, so its accept flags are
+    the kinds. The tests, not this function, check the kernel's feasibility."""
     ids, starts, ends, _, _ = seq.columns
     raw = _engine.run_file_order(starts, ends, policy.kernel_spec(), seed)
     if raw is not None:
-        accepted, offsets, displaced, final = raw
-        id_at = ids.__getitem__
-        accept, reject = Action.accept(), Action.reject()
-        actions = [accept if flag else reject for flag in accepted]
-        for p, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            if lo < hi:
-                actions[p] = Action(True, frozenset(map(id_at, displaced[lo:hi])))
-        entries = tuple(map(TranscriptEntry, ids, actions))
-        return frozenset(map(id_at, final)), RunTranscript(policy.name, entries)
+        accepted, offsets, positions, final = raw
+        displaced = list(map(ids.__getitem__, positions))
+        for lo, hi in zip(offsets, offsets[1:]):
+            if hi - lo > 1:
+                displaced[lo:hi] = sorted(displaced[lo:hi])
+        transcript = RunTranscript(policy.name, list(ids), bytearray(accepted), offsets, displaced)
+        return frozenset(map(ids.__getitem__, final)), transcript
     rng = Stream.for_trial(seed, 0) if seed is not None else None
     state, transcript = run_policy(policy, seq, rng)
     return state.ids, transcript
@@ -231,7 +240,6 @@ def run_adversarial(
     alg_value = solution_weight(seq, final)
     opt = opt_for(seq)
     return RunResult(
-        policy=policy.name,
         final_solution=final,
         alg_value=alg_value,
         opt_value=opt.value,
@@ -480,7 +488,7 @@ def run_distributional(
     algs = []
     opts = []
     for seq, _ in branches:
-        state, _tr = run_policy(policy, seq)
+        state, _ = run_policy(policy, seq, record=False)
         algs.append(solution_weight(seq, state.ids))
         opts.append(opt_for(seq).value)
     expected = sum((a * p for a, p in zip(algs, probs)), Fraction(0))

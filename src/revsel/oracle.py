@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable
 
 from . import _engine
@@ -274,17 +275,6 @@ def _charge_direct(records, events, held, arrival: Interval) -> None:
     events.append(("direct", arrival.id, target.id))
 
 
-def _transfer(records, events, arrival: Interval, displaced) -> None:
-    """Hand each displaced interval's charges to the accepted arrival."""
-    for gone in displaced:
-        moved = records[gone].current
-        if moved:
-            records[arrival.id].transferred_ids.extend(moved)
-            records[arrival.id].current.extend(moved)
-            records[gone].current = []
-            events.append(("transfer", gone, arrival.id, len(moved)))
-
-
 def _check_bounds(ledger: ChargeLedger) -> ChargeLedger:
     """Every charge lands on a record, so at most 2 direct charges per record
     and 2k - 2 transferred ones per final member leave no final member more
@@ -326,14 +316,13 @@ def verify_charging(
     ever accepted), then the arrivals are replayed: an optimal arrival that
     the run accepted charges itself, a rejected one charges the conflicting
     held interval (the right one when there are two), and every displacement
-    hands the displaced interval's charges to its replacement. Each action is
-    applied through the harness's ``apply_action``, which raises
-    :class:`~revsel.harness.InfeasibleActionError` at the first entry it
-    refuses. Raises :class:`ChargeBoundViolation` if any bound fails.
+    hands the displaced interval's charges to its replacement. Raises
+    ``InfeasibleActionError`` at the first action ``apply_action`` refuses,
+    and :class:`ChargeBoundViolation` if any bound fails.
     """
     from .harness import apply_action
 
-    ever_accepted = [e.arrival_id for e in transcript.entries if e.action.accepted]
+    ever_accepted = compress(transcript.ids, transcript.kinds)
     opt_norm, swaps = normalize_certificate(seq, opt.members, ever_accepted)
 
     records: dict[int, ChargeRecord] = {}
@@ -341,19 +330,25 @@ def verify_charging(
     held = PolicyState()
     retired: set[int] = set()
 
-    for entry in transcript.entries:
-        arrival = seq.by_id(entry.arrival_id)
-        # Validate before the bookkeeping reads the entry. A reject leaves
+    for arrival_id, action in transcript.actions():
+        arrival = seq.by_id(arrival_id)
+        # Validate before the bookkeeping reads the action. A reject leaves
         # the held set as it was, so _charge_direct still sees what the
         # arrival met; an accept's bookkeeping reads only the records.
-        apply_action(held, arrival, entry.action, retired)
-        if entry.action.accepted:
+        apply_action(held, arrival, action, retired)
+        if action.accepted:
             rec = records[arrival.id] = ChargeRecord()
             if arrival.id in opt_norm:
                 rec.direct_ids.append(arrival.id)
                 rec.current.append(arrival.id)
                 events.append(("direct-self", arrival.id, arrival.id))
-            _transfer(records, events, arrival, entry.action.displaced)
+            for gone in action.displaced:  # its charges move to the arrival
+                moved = records[gone].current
+                if moved:
+                    rec.transferred_ids.extend(moved)
+                    rec.current.extend(moved)
+                    records[gone].current = []
+                    events.append(("transfer", gone, arrival.id, len(moved)))
         elif arrival.id in opt_norm:
             _charge_direct(records, events, held, arrival)
 

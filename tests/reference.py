@@ -8,7 +8,8 @@ replay, the trial kernel that scans its held set with its own splitmix64
 copy, the trial statistics that keep one Fraction per trial, the CSV rows
 written with one f-string each, the classify-by-length trials replayed one
 decision at a time, the weight helpers and weighted DP that add
-Fractions, and the oracles, certificate normalization and feasibility check
+Fractions, the transcript kept as one Action and one entry object per
+arrival, and the oracles, certificate normalization and feasibility check
 that sorted Interval objects by tuple keys. They are quadratic or worse, or
 slow per trial or per key, and exist so that random inputs can be checked
 against them.
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from revsel import _engine
 from revsel.algorithms import Action, ArbPolicy, PolicyState
 from revsel.core import (
     ArrivalSequence,
@@ -36,7 +38,6 @@ from revsel.core import (
 from revsel.harness import (
     InfeasibleActionError,
     RunTranscript,
-    TranscriptEntry,
     apply_action,
     exact_ratio,
     format_value,
@@ -119,12 +120,75 @@ def scanning_run_policy(policy, seq: ArrivalSequence, rng=None):
     live = policy.fresh()
     state = ScanningPolicyState()
     retired: set[int] = set()
-    entries = []
+    transcript = RunTranscript(live.name)
     for arrival in seq:
         action = live.decide(state, arrival, rng)
         scanning_apply_action(state, arrival, action, retired)
+        transcript.append(arrival.id, action)
+    return state, transcript
+
+
+@dataclass(frozen=True, slots=True)
+class TranscriptEntry:
+    arrival_id: int
+    action: Action
+
+
+@dataclass(frozen=True)
+class EntryTranscript:
+    """A run's transcript as one entry object per arrival, the form
+    ``harness.RunTranscript`` had before it became columns."""
+
+    policy: str
+    entries: tuple[TranscriptEntry, ...]
+
+    def to_json_list(self) -> list:
+        rows = []
+        for e in self.entries:
+            action = e.action
+            displaced = action.displaced
+            row = {
+                "id": e.arrival_id,
+                "action": "accept" if action.accepted else "reject",
+                "displaced": sorted(displaced) if displaced else [],
+            }
+            if action.discard_rest:
+                row["discard_rest"] = True
+            rows.append(row)
+        return rows
+
+
+def entry_run_policy(policy, seq: Iterable[Interval], rng=None):
+    """``harness.run_policy`` writing one entry per arrival."""
+    live = policy.fresh()
+    state = PolicyState()
+    retired: set[int] = set()
+    entries = []
+    for arrival in seq:
+        action = live.decide(state, arrival, rng)
+        apply_action(state, arrival, action, retired)
         entries.append(TranscriptEntry(arrival.id, action))
-    return state, RunTranscript(policy=live.name, entries=tuple(entries))
+    return state, EntryTranscript(policy=live.name, entries=tuple(entries))
+
+
+def entry_file_order(policy, seq: ArrivalSequence, seed: Optional[int] = None):
+    """``harness.run_file_order`` building one Action and one entry per
+    arrival from the kernel's record, or replaying through
+    :func:`entry_run_policy` where the kernel answers None."""
+    ids, starts, ends, _, _ = seq.columns
+    raw = _engine.run_file_order(starts, ends, policy.kernel_spec(), seed)
+    if raw is not None:
+        accepted, offsets, displaced, final = raw
+        id_at = ids.__getitem__
+        actions = [Action.accept() if flag else Action.reject() for flag in accepted]
+        for p, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            if lo < hi:
+                actions[p] = Action(True, frozenset(map(id_at, displaced[lo:hi])))
+        entries = tuple(map(TranscriptEntry, ids, actions))
+        return frozenset(map(id_at, final)), EntryTranscript(policy.name, entries)
+    rng = Stream.for_trial(seed, 0) if seed is not None else None
+    state, transcript = entry_run_policy(policy, seq, rng)
+    return state.ids, transcript
 
 
 def pairwise_nesting_depth(seq: ArrivalSequence) -> int:
@@ -232,7 +296,8 @@ def verify_charging_lazy(
     held = PolicyState()
 
     # Coincidences have no arrival-time trigger; resolve them up front.
-    all_accepted = {e.arrival_id for e in transcript.entries if e.action.accepted}
+    actions = list(transcript.actions())
+    all_accepted = {i for i, action in actions if action.accepted}
     for opt_id in sorted(opt_current):
         outer = seq.by_id(opt_id)
         if opt_id in all_accepted:
@@ -249,8 +314,8 @@ def verify_charging_lazy(
             opt_current.add(twin)
             swaps.append((opt_id, twin))
 
-    for entry in transcript.entries:
-        arrival = seq.by_id(entry.arrival_id)
+    for arrival_id, action in actions:
+        arrival = seq.by_id(arrival_id)
         if arrival.id in opt_current:
             current = arrival
             swapped = False
@@ -268,16 +333,16 @@ def verify_charging_lazy(
                 rec.direct_ids.append(current.id)
                 rec.current.append(current.id)
                 events.append(("direct-self-retro", current.id, current.id))
-            elif entry.action.accepted:
+            elif action.accepted:
                 rec = records[arrival.id]
                 rec.direct_ids.append(arrival.id)
                 rec.current.append(arrival.id)
                 events.append(("direct-self", arrival.id, arrival.id))
             else:
                 _charge_direct(records, events, held, arrival)
-        if entry.action.accepted:
+        if action.accepted:
             accepted_so_far.add(arrival.id)
-            _apply_accept(records, events, held, arrival, entry.action.displaced)
+            _apply_accept(records, events, held, arrival, action.displaced)
 
     final_members = held.ids
     assert final_members == replay_actions(seq, transcript)

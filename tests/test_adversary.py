@@ -298,7 +298,7 @@ def test_driver_flags_a_policy_that_diverges_on_the_final_replay():
     # An honest run counts the fresh copies; the last is the final replay.
     made = []
     honest = adaptive_lower_bound_driver(3, _LiesOnCopy(0, None, made))
-    accepted = [e.arrival_id for e in honest.transcript.entries if e.action.accepted]
+    accepted = [i for i, action in honest.transcript.actions() if action.accepted]
     target = accepted[-1]
     assert target > 0
     liar = _LiesOnCopy(len(made), target, [])

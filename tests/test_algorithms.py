@@ -26,7 +26,7 @@ from revsel.algorithms import (
 )
 from revsel.adversary import gen_random_instance, gen_two_length
 from revsel.core import Interval, validate_solution
-from revsel.harness import TranscriptEntry, apply_action, run_policy
+from revsel.harness import apply_action, run_policy
 from revsel.rng import Stream
 
 
@@ -308,8 +308,6 @@ def test_argument_free_actions_are_shared_and_frozen():
         Action.reject(),
         Action.accept({4, 1}),
         Action.accept({7}, discard_rest=True),
-        TranscriptEntry(3, Action.accept({1})),
-        TranscriptEntry(4, Action.reject()),
     ],
 )
 def test_records_are_slotted_and_round_trip(record):
@@ -374,9 +372,10 @@ def test_every_policy_keeps_a_feasible_solution(seed, n):
     for pid in DETERMINISTIC_IDS:
         state, transcript = run_policy(make_policy(pid), seq)
         assert validate_solution(seq, state.ids)
-        accepted = [e.arrival_id for e in transcript.entries if e.action.accepted]
+        actions = list(transcript.actions())
+        accepted = [i for i, action in actions if action.accepted]
         assert len(accepted) == len(set(accepted))
-        displaced = {d for e in transcript.entries for d in e.action.displaced}
+        displaced = {d for _, action in actions for d in action.displaced}
         later_accepts = set(accepted)
         assert state.ids <= later_accepts
         assert not (state.ids & displaced) or all(
@@ -401,5 +400,5 @@ def test_greedy_subsume_never_displaces_more_than_one():
     for seed in range(200):
         seq = gen_random_instance(30, 4, "unit", seed)
         _, transcript = run_policy(make_policy("greedy-subsume"), seq)
-        for e in transcript.entries:
-            assert len(e.action.displaced) <= 1
+        for _, action in transcript.actions():
+            assert len(action.displaced) <= 1

@@ -1,5 +1,6 @@
 """CLI behavior: flows, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -228,6 +229,21 @@ def test_cli_outputs_reproducible(tmp_path, capsys):
             "--out", inst)
     with open(inst) as fh:
         assert fh.read() == first
+
+
+def test_arb_run_with_discarding_accepts_keeps_its_bytes(tmp_path, capsys):
+    # The classify-by-length wrapper's discarding accepts are the only rows
+    # with "discard_rest"; this run has two, one of them displacing two ids.
+    inst = str(tmp_path / "inst.jsonl")
+    run_cli(capsys, "generate", "random", "--n", "50", "--k-target", "3", "--seed", "1",
+            "--out", inst)
+    code, out, _ = run_cli(capsys, "run", "arb:greedy-disjoint", inst, "--seed", "5")
+    assert code == EXIT_OK
+    discards = [row for row in json.loads(out)["transcript"] if row.get("discard_rest")]
+    assert [(row["id"], row["displaced"]) for row in discards] == [(1, [0]), (4, [1, 3])]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8f6dd1474b49c8b3d919e564c004221610387f2b4c014f5ffe696f4ecc66f23f"
+    )
 
 
 def test_threshold_table_policy_from_file(tmp_path, capsys):

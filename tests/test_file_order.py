@@ -240,5 +240,5 @@ def test_memoryless_file_order_draws_from_trial_zero():
     stream = Stream.for_trial(11, 0)
     expected = [stream.bernoulli(Fraction(1, 2)) for _ in seq]
     _, transcript = run_file_order(make_policy("rand-memoryless:p=1/2"), seq, 11)
-    assert [e.action.accepted for e in transcript.entries] == expected
+    assert [action.accepted for _, action in transcript.actions()] == expected
     assert 0 < sum(expected) < 64

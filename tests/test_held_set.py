@@ -186,7 +186,7 @@ def test_nesting_depth_with_partial_overlap_inside_a_chain():
 
 
 def _accepted_of(transcript):
-    return [e.arrival_id for e in transcript.entries if e.action.accepted]
+    return [i for i, action in transcript.actions() if action.accepted]
 
 
 @given(instances(), st.data())

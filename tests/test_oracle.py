@@ -20,7 +20,7 @@ from reference import (
 
 from revsel import _engine, oracle
 from revsel.adversary import gen_greedy_tight, gen_random_instance, gen_two_length
-from revsel.algorithms import Action, make_policy
+from revsel.algorithms import make_policy
 from revsel.core import (
     ArrivalSequence,
     Interval,
@@ -32,7 +32,6 @@ from revsel.core import (
 from revsel.harness import (
     InfeasibleActionError,
     RunTranscript,
-    TranscriptEntry,
     replay_actions,
     run_policy,
 )
@@ -245,25 +244,27 @@ def test_charging_certificate_feasibility_is_preserved():
 # [0, 4) and [4, 8) touch; [2, 6) straddles both; [10, 12) stands apart.
 # Greedy-subsume accepts 0 and 1, rejects 2 and accepts 3.
 _TAMPER = ((0, 4, 1), (4, 8, 1), (2, 6, 1), (10, 12, 1))
-_ACCEPT, _REJECT = Action.accept(), Action.reject()
 
 
-@pytest.mark.parametrize("actions, message", [
+# Hand-built transcript columns: (ids, kinds, offsets, displaced), where a
+# kind is 0 reject, 1 accept or 2 an accept that discards the rest.
+@pytest.mark.parametrize("columns, message", [
     # a displaced member that does not conflict with the arrival
-    ([(0, _ACCEPT), (1, _ACCEPT), (2, _REJECT), (3, Action.accept({0}))],
+    (((0, 1, 2, 3), b"\x01\x01\x00\x01", (0, 0, 0, 0, 1), (0,)),
      "displaced id 0 does not conflict with arrival 3"),
     # an accept that overlaps a held member
-    ([(0, _ACCEPT), (1, _ACCEPT), (2, _ACCEPT)], "leaves a conflict with held 0"),
+    (((0, 1, 2), b"\x01\x01\x01", (0, 0, 0, 0), ()), "leaves a conflict with held 0"),
     # an arrival seen twice, first accepted, then rejected
-    ([(0, _ACCEPT), (1, _ACCEPT), (0, _REJECT)], "interval 0 appeared twice"),
+    (((0, 1, 0), b"\x01\x01\x00", (0, 0, 0, 0), ()), "interval 0 appeared twice"),
     # a displaced id that is no interval of the instance
-    ([(0, _ACCEPT), (3, Action.accept({99}))], "displaced id 99 is not currently held"),
+    (((0, 3), b"\x01\x01", (0, 0, 1), (99,)), "displaced id 99 is not currently held"),
+    # a discarding accept that leaves member 1 held
+    (((0, 1, 3), b"\x01\x01\x02", (0, 0, 0, 1), (0,)),
+     "a discarding accept must displace the whole solution"),
 ])
-def test_charging_refuses_what_the_harness_refuses(actions, message):
+def test_charging_refuses_what_the_harness_refuses(columns, message):
     s = seq(*_TAMPER)
-    transcript = RunTranscript(
-        "greedy-subsume", tuple(TranscriptEntry(i, action) for i, action in actions)
-    )
+    transcript = RunTranscript("greedy-subsume", *columns)
     with pytest.raises(InfeasibleActionError, match=message):
         replay_actions(s, transcript)
     with pytest.raises(InfeasibleActionError, match=message):
@@ -363,7 +364,7 @@ def column_instances(draw, max_size=14, weights=tie_weights):
 
 def _accepted_by_greedy_subsume(inst):
     _, transcript = run_greedy(inst)
-    return [e.arrival_id for e in transcript.entries if e.action.accepted]
+    return [i for i, action in transcript.actions() if action.accepted]
 
 
 @given(column_instances())
