@@ -98,7 +98,13 @@ class Columns(NamedTuple):
 
 
 class ArrivalSequence(Sequence[Interval]):
-    """An instance: intervals in online arrival order, with distinct ids."""
+    """An instance: intervals in online arrival order, with distinct ids.
+
+    It holds its :class:`Columns` or its ``Interval`` tuple and builds the
+    other once, on first use; a sequence read from a file starts from the
+    columns. ``==`` and ``hash`` compare the columns, which are equal
+    exactly when the interval tuples are, since the weights fix the scale.
+    """
 
     def __init__(self, intervals: Iterable[Interval]):
         self._intervals = tuple(intervals)
@@ -110,8 +116,16 @@ class ArrivalSequence(Sequence[Interval]):
                     raise ValueError(f"duplicate interval id {iv.id}")
                 seen.add(iv.id)
 
+    @classmethod
+    def _from_columns(cls, columns: Columns) -> ArrivalSequence:
+        """A sequence over checked columns with distinct ids."""
+        seq = cls.__new__(cls)
+        seq.columns = columns
+        seq._pos = dict(zip(columns.ids, range(len(columns.ids))))
+        return seq
+
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self._pos)
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self._intervals)
@@ -120,13 +134,10 @@ class ArrivalSequence(Sequence[Interval]):
         return self._intervals[i]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ArrivalSequence)
-            and self._intervals == other._intervals
-        )
+        return isinstance(other, ArrivalSequence) and self.columns == other.columns
 
     def __hash__(self):
-        return hash(self._intervals)
+        return hash(self.columns)
 
     def position(self, interval_id: int) -> int:
         """The arrival position of the interval with this id."""
@@ -146,17 +157,32 @@ class ArrivalSequence(Sequence[Interval]):
 
     @cached_property
     def columns(self) -> Columns:
-        """The instance's :class:`Columns`, built on first use and shared."""
+        """The instance's :class:`Columns`, shared by every reader."""
         ivs = self._intervals
-        weights = [iv.weight for iv in ivs]
-        scale = lcm(*{w.denominator for w in weights})
-        return Columns(
+        # Keyed by (numerator, denominator): a pair hashes faster than a Fraction.
+        keys = [iv.weight.as_integer_ratio() for iv in ivs]
+        return _columns(
             tuple(self._pos),
             tuple(iv.start for iv in ivs),
             tuple(iv.end for iv in ivs),
-            tuple(w.numerator * (scale // w.denominator) for w in weights),
-            scale,
+            keys,
+            {k: Fraction(*k) for k in set(keys)},
         )
+
+    @cached_property
+    def _intervals(self) -> tuple[Interval, ...]:
+        """The intervals of a sequence that started from its columns."""
+        ids, starts, ends, weights, scale = self.columns
+        exact = {w: Fraction(w, scale) for w in set(weights)}
+        return tuple(map(Interval, ids, starts, ends, map(exact.__getitem__, weights)))
+
+
+def _columns(ids, starts, ends, keys: list, weight_of: dict) -> Columns:
+    """The columns of an instance whose i-th weight is ``weight_of[keys[i]]``,
+    a ``Fraction``; each distinct key's weight is scaled once."""
+    scale = lcm(*{w.denominator for w in weight_of.values()})
+    scaled = {k: w.numerator * (scale // w.denominator) for k, w in weight_of.items()}
+    return Columns(ids, starts, ends, tuple(map(scaled.__getitem__, keys)), scale)
 
 
 @dataclass(frozen=True)
@@ -347,18 +373,21 @@ def dumps_jsonl(seq: ArrivalSequence) -> str:
 
 def loads_jsonl(text: str) -> ArrivalSequence:
     """Parse an instance file; ids must be 0..n-1 in file order (blank lines
-    are skipped). A bad record raises ``ValueError`` naming its line."""
+    are skipped). A bad record raises ``ValueError`` naming its line. A file
+    that the chunked decoder reads gives a sequence that holds its columns
+    and builds its ``Interval``s only when one is asked for."""
     lines = text.splitlines()
-    intervals = _decode_chunks(lines)
-    if intervals is None:
-        intervals = _decode_lines(lines)
-    return ArrivalSequence(intervals)
+    columns = _decode_chunks(lines)
+    if columns is None:
+        return ArrivalSequence(_decode_lines(lines))
+    return ArrivalSequence._from_columns(columns)
 
 
-def _decode_chunks(lines: list[str]) -> list[Interval] | None:
-    """The records of `lines`, decoded by the C decoder a chunk at a time,
+def _decode_chunks(lines: list[str]) -> Columns | None:
+    """The columns of `lines`, decoded by the C decoder a chunk at a time,
     or None when a line is not a valid record; :func:`_decode_lines` then
-    names it.
+    names it. Each record is checked as ``Interval`` checks it, and each
+    distinct JSON weight is parsed and checked once.
 
     A chunk is decoded as ``[[line],[line],...]``: the lines must hold no
     bracket of their own, and the chunk must decode to one list per line,
@@ -369,7 +398,9 @@ def _decode_chunks(lines: list[str]) -> list[Interval] | None:
     fast path, and so does nesting deep enough to hit the recursion limit.
     """
     records = [line for line in lines if line and not line.isspace()]
-    intervals: list[Interval] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    raw: list = []  # each record's JSON weight value
     weights: dict = {}  # JSON weight value -> Fraction, each parsed once
     for lo in range(0, len(records), _CHUNK_LINES):
         chunk = records[lo:lo + _CHUNK_LINES]
@@ -385,18 +416,21 @@ def _decode_chunks(lines: list[str]) -> list[Interval] | None:
                     return None
                 ident, start, end = row["id"], row["start"], row["end"]
                 if (type(ident) is not int or type(start) is not int
-                        or type(end) is not int or ident != len(intervals)):
+                        or type(end) is not int or ident != len(starts) or start >= end):
                     return None
                 w = row.get("weight", 1)
                 if type(w) is not int and type(w) is not str:
                     return None
-                weight = weights.get(w)
-                if weight is None:
-                    weight = weights[w] = _weight_from_json(w)
-                intervals.append(Interval(ident, start, end, weight))
+                if w not in weights:
+                    weights[w] = _weight_from_json(w)
+                    if weights[w] < 0:
+                        return None
+                starts.append(start)
+                ends.append(end)
+                raw.append(w)
         except (KeyError, ValueError, TypeError, RecursionError):
             return None
-    return intervals
+    return _columns(tuple(range(len(starts))), tuple(starts), tuple(ends), raw, weights)
 
 
 def _decode_lines(lines: list[str]) -> list[Interval]:

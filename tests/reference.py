@@ -10,9 +10,10 @@ written with one f-string each, the classify-by-length trials replayed one
 decision at a time, the weight helpers and weighted DP that add
 Fractions, the transcript kept as one Action and one entry object per
 arrival, and the oracles, certificate normalization and feasibility check
-that sorted Interval objects by tuple keys. They are quadratic or worse, or
-slow per trial or per key, and exist so that random inputs can be checked
-against them.
+that sorted Interval objects by tuple keys, and the JSONL loader that built
+and checked one Interval per record. They are quadratic or worse, or slow
+per trial, per key or per record, and exist so that random inputs can be
+checked against them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,9 +30,12 @@ from typing import Iterable, Optional
 from revsel import _engine
 from revsel.algorithms import Action, ArbPolicy, PolicyState
 from revsel.core import (
+    _CHUNK_LINES,
     ArrivalSequence,
     EmptyInstanceError,
     Interval,
+    _decode_lines,
+    _weight_from_json,
     conflicts,
     contains_properly,
     validate_solution,
@@ -716,3 +721,50 @@ def object_normalize_certificate(
     assert len(opt) == len(opt_members), "normalization changed |OPT|"
     assert object_validate_solution(seq, opt), "normalization broke feasibility"
     return frozenset(opt), swaps
+
+
+# -- the JSONL loader that built one Interval per record ----------------------
+
+
+def interval_decode_chunks(lines: list[str]) -> list[Interval] | None:
+    """The chunked decoder as it was before it filled columns: one Interval
+    per record, which checks the record; None where it declines."""
+    records = [line for line in lines if line and not line.isspace()]
+    intervals: list[Interval] = []
+    weights: dict = {}  # JSON weight value -> Fraction, each parsed once
+    for lo in range(0, len(records), _CHUNK_LINES):
+        chunk = records[lo:lo + _CHUNK_LINES]
+        body = "[[" + "],[".join(chunk) + "]]"
+        if body.count("[") != len(chunk) + 1 or body.count("]") != len(chunk) + 1:
+            return None
+        try:
+            rows = json.loads(body)
+            if len(rows) != len(chunk):
+                return None
+            for (row,) in rows:
+                if type(row) is not dict:
+                    return None
+                ident, start, end = row["id"], row["start"], row["end"]
+                if (type(ident) is not int or type(start) is not int
+                        or type(end) is not int or ident != len(intervals)):
+                    return None
+                w = row.get("weight", 1)
+                if type(w) is not int and type(w) is not str:
+                    return None
+                weight = weights.get(w)
+                if weight is None:
+                    weight = weights[w] = _weight_from_json(w)
+                intervals.append(Interval(ident, start, end, weight))
+        except (KeyError, ValueError, TypeError, RecursionError):
+            return None
+    return intervals
+
+
+def interval_loads_jsonl(text: str) -> ArrivalSequence:
+    """The loader over :func:`interval_decode_chunks`, falling back to the
+    per-line loop, then ``ArrivalSequence(intervals)``."""
+    lines = text.splitlines()
+    intervals = interval_decode_chunks(lines)
+    if intervals is None:
+        intervals = _decode_lines(lines)
+    return ArrivalSequence(intervals)

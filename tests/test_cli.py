@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from revsel import _engine, adversary, cli
 from revsel.algorithms import Action, Policy
 from revsel.cli import EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from revsel.core import Interval, _decode_chunks, write_jsonl
 from revsel.oracle import ChargeBoundViolation
 
 
@@ -712,3 +713,42 @@ def test_python_floor_writes_the_same_bytes(tmp_path):
                                   check=True, timeout=120)
             written.append((done.stdout, instance.read_bytes()))
         assert written[0] == written[1], argv
+
+
+def _decoded_file(tmp_path, mode):
+    """A 2,000-arrival instance file that the chunked decoder reads."""
+    path = tmp_path / f"{mode}.jsonl"
+    write_jsonl(adversary.gen_random_instance(2000, 3, mode, 1), path)
+    assert _decode_chunks(path.read_text().splitlines()) is not None
+    return str(path)
+
+
+def _count_intervals(monkeypatch):
+    """The ids of the Intervals constructed from now on, one per construction."""
+    built = []
+    check = Interval.__post_init__
+
+    def counting(self):
+        built.append(self.id)
+        check(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.skipif(not _engine.COMPILED, reason="run_policy plays the run over Intervals")
+@pytest.mark.parametrize("mode", ["unit", "rational"])
+def test_run_on_a_decoded_file_builds_no_interval(tmp_path, capsys, monkeypatch, mode):
+    path = _decoded_file(tmp_path, mode)
+    built = _count_intervals(monkeypatch)
+    assert main(["run", "greedy-subsume", path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["transcript"]
+    assert built == []
+
+
+def test_verify_on_a_decoded_file_builds_each_interval_once(tmp_path, capsys, monkeypatch):
+    path = _decoded_file(tmp_path, "unit")
+    built = _count_intervals(monkeypatch)
+    assert main(["verify", path]) == EXIT_OK
+    assert "pass" in capsys.readouterr().out.splitlines()[-1]
+    assert built == list(range(2000))

@@ -1,12 +1,15 @@
 """Geometry predicates, instance statistics, grid normalization, file IO."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import interval_loads_jsonl
 from revsel.algorithms import ThresholdPolicyTables
 from revsel.core import (
     ArrivalSequence,
@@ -361,9 +364,9 @@ def _per_line(text):
         return str(exc)
 
 
-def _read(text):
+def _read(text, load=loads_jsonl):
     try:
-        return loads_jsonl(text)
+        return load(text)
     except ValueError as exc:
         return str(exc)
 
@@ -372,11 +375,26 @@ def _assert_readers_agree(text):
     lines = text.splitlines()
     expected = _per_line(text)
     assert _read(text) == expected
+    _assert_matches_the_interval_loader(text)
     fast = _decode_chunks(lines)
     # The chunked path may decline a valid file; it never accepts a bad one.
     if fast is not None:
-        assert ArrivalSequence(fast) == expected
+        assert ArrivalSequence._from_columns(fast) == expected
     return fast
+
+
+def _assert_matches_the_interval_loader(text):
+    """loads_jsonl reads `text` as the loader that built one Interval per
+    record read it: the same columns, intervals, ids, equality and hash, or
+    the same error."""
+    got, want = _read(text), _read(text, interval_loads_jsonl)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.columns == want.columns  # before any Interval is built
+    assert got == want and hash(got) == hash(want)
+    assert list(got) == list(want)
+    assert [got.by_id(i) for i in reversed(want.columns.ids)] == list(reversed(want))
 
 
 # One example of each kind of line the per-line loop rejects, or that it
@@ -484,6 +502,74 @@ def test_chunked_reader_keeps_line_boundaries(lines, bad_line):
     with pytest.raises(ValueError, match=rf"^line {bad_line}: "):
         loads_jsonl(text)
     _assert_readers_agree(text)
+
+
+# JSON weights in the grammar, with equal values spelled apart, and two
+# (negative, zero denominator) that the reader refuses.
+WEIGHTS = [None, 1, 0, 7, 12, "3", "007", "-0", "0/5", "10/4", "5/2", "1/3", "2/6", "7/12",
+           "-1/2", "1/0"]
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(WEIGHTS), st.integers(1, 9), st.booleans()),
+             max_size=600),
+    st.sampled_from(["\n", "\r\n"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_loader_matches_the_interval_loader_on_any_weights(rows, newline):
+    """Rational, string and repeated weights, blank lines, CRLF and files
+    past one chunk, against the loader that built an Interval per record."""
+    lines = []
+    for i, (weight, length, blank_after) in enumerate(rows):
+        record = {"id": i, "start": i - 300, "end": i - 300 + length}
+        if weight is not None:
+            record["weight"] = weight
+        lines.append(json.dumps(record))
+        if blank_after:
+            lines.append(" " * length)
+    text = newline.join(lines) + newline
+    _assert_readers_agree(text)
+    if "-1/2" not in text and "1/0" not in text:
+        assert _decode_chunks(text.splitlines()) is not None
+
+
+def _decoded(*intervals):
+    """The sequence of `intervals` as the loader reads it from a file."""
+    return loads_jsonl(dumps_jsonl(ArrivalSequence(intervals)))
+
+
+DECODED_CASES = [
+    (),
+    (iv(0, 0, 5),),
+    (iv(0, 0, 5), iv(1, 2, 9, Fraction(3, 2)), iv(2, -4, -1, 7), iv(3, 1, 2, 0)),
+    (iv(0, _Loud(-3), _Loud(4)), iv(1, 5, _Loud(9), Fraction(3, 2)), iv(2, _Loud(10), 12, 7)),
+    tuple(iv(i, i, i + 1 + i % 3, Fraction(i % 5, 1 + i % 4)) for i in range(300)),
+]
+
+
+@pytest.mark.parametrize("intervals", DECODED_CASES)
+def test_a_decoded_sequence_equals_the_interval_built_one(intervals):
+    built = ArrivalSequence(intervals)
+    decoded = _decoded(*intervals)
+    assert decoded == built and built == decoded
+    assert hash(decoded) == hash(built)
+    assert decoded.columns == built.columns
+    assert list(decoded) == list(built)
+    assert all(type(x.weight) is Fraction for x in decoded)
+    if intervals:
+        assert decoded[0] is decoded[0] and decoded.by_id(0) is decoded[0]
+        assert decoded != _decoded(*intervals[:-1])
+
+
+@pytest.mark.parametrize("built_intervals", [False, True])
+def test_a_decoded_sequence_round_trips_through_pickle_and_deepcopy(built_intervals):
+    decoded = _decoded(*DECODED_CASES[2])
+    if built_intervals:
+        decoded[0]
+    for twin in (pickle.loads(pickle.dumps(decoded)), copy.deepcopy(decoded)):
+        assert twin == decoded and hash(twin) == hash(decoded)
+        assert list(twin) == list(decoded)
+        assert twin.position(3) == 3 and len(twin) == 4
 
 
 def _reference_jsonl(seq):
