@@ -400,7 +400,7 @@ def _probe_branch(policy: Policy, history: list[Interval], lo: int, L: int, v: i
     next_id = history[-1].id + 1 if history else 0
     p1 = Interval(next_id, lo, lo + L)
     p2 = Interval(next_id + 1, lo + (L - v), lo + (2 * L - v))
-    state, _ = run_policy(policy, ArrivalSequence([*history, p1, p2]), record=False)
+    state, _ = run_policy(policy, [*history, p1, p2], record=False)
     if p2.id in state:
         return "right"
     # A rejected or displaced p1 is retired, so it is held now only if it

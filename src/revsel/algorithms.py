@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .core import Interval, contains_properly, overlap_amount
+from .core import Interval, conflicts, contains_properly, overlap_amount
 from .rng import Stream
 
 
@@ -79,16 +79,16 @@ _REJECT = Action(False)
 class PolicyState:
     """The feasible solution a policy currently holds (full records).
 
-    Members are pairwise disjoint at all times: the constructor and
-    :meth:`_add` raise ``ValueError`` on an overlapping member, and the
-    harness refuses any action that would create one. Disjoint members have
-    distinct starts, and sorting them by start also sorts their ends, so the
-    members are kept in start-sorted parallel lists (records, starts, ends).
-    The members that conflict with an arrival then form one contiguous run
-    of those lists, which :meth:`conflicting` finds with two bisections:
-    O(log n) comparisons plus the length of the run. :meth:`_add` and
-    :meth:`_remove` also bisect, but their list inserts and deletes still
-    move O(n) references each (ROADMAP item 1).
+    Members are pairwise disjoint at all times: the one mutator,
+    :meth:`_accept`, refuses any action that would leave an overlap. Disjoint
+    members have distinct starts, and sorting them by start also sorts their
+    ends, so the members are kept in start-sorted parallel lists (records,
+    starts, ends). The members that conflict with an arrival then form one
+    contiguous run of those lists, which :meth:`conflicting` finds with two
+    bisections: O(log n) comparisons plus the length of the run. An accept
+    puts the arrival in that run's place, so replacing one member moves
+    nothing, but a conflict-free accept still inserts, moving O(n)
+    references (ROADMAP item 1).
     """
 
     def __init__(self, members: Iterable[Interval] = ()):
@@ -97,7 +97,7 @@ class PolicyState:
         self._starts: list[int] = []
         self._ends: list[int] = []
         for iv in members:
-            self._add(iv)
+            self._accept(iv)
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -122,25 +122,42 @@ class PolicyState:
         hi = bisect_left(self._starts, arrival.end, lo)
         return tuple(self._members[lo:hi])
 
-    # Mutation is reserved for the constructor and the harness's
-    # apply_action, which validates every action before it applies it.
-    # _add's overlap check is apply_action's feasibility check: it must
-    # raise ValueError on any overlap before it changes anything.
-    def _add(self, iv: Interval) -> None:
-        if iv.id in self._by_id:
-            raise ValueError(f"interval {iv.id} is already held")
-        i = bisect_right(self._ends, iv.start)
-        if i < len(self._starts) and self._starts[i] < iv.end:
-            raise ValueError(f"interval {iv.id} overlaps held {self._members[i].id}")
-        self._by_id[iv.id] = iv
-        self._members.insert(i, iv)
-        self._starts.insert(i, iv.start)
-        self._ends.insert(i, iv.end)
-
-    def _remove(self, interval_id: int) -> None:
-        iv = self._by_id.pop(interval_id)
-        i = bisect_left(self._starts, iv.start)
-        del self._members[i], self._starts[i], self._ends[i]
+    # The one mutator, reserved for the constructor and the harness's
+    # apply_action, whose validation it is. The arrival takes the place of
+    # the displaced members, which must be exactly the members it conflicts
+    # with, or every member when it discards the rest. On any other action
+    # it raises ValueError before it changes anything.
+    def _accept(self, arrival: Interval, displaced=frozenset(), discard_rest=False) -> None:
+        by_id, members, starts, ends = self._by_id, self._members, self._starts, self._ends
+        if arrival.id in by_id:
+            raise ValueError(f"interval {arrival.id} is already held")
+        for gone in displaced:
+            if gone not in by_id:
+                raise ValueError(f"displaced id {gone} is not currently held")
+        if discard_rest:
+            if len(displaced) != len(by_id):
+                raise ValueError("a discarding accept must displace the whole solution")
+            lo, hi = 0, len(members)
+        else:
+            for gone in displaced:
+                if not conflicts(by_id[gone], arrival):
+                    raise ValueError(
+                        f"displaced id {gone} does not conflict with arrival {arrival.id}"
+                    )
+            # The conflicting run; a conflict-free arrival bisects once.
+            lo = hi = bisect_right(ends, arrival.start)
+            if lo < len(starts) and starts[lo] < arrival.end:
+                hi = bisect_left(starts, arrival.end, lo)
+            # The displaced members lie in the run: equal sizes make them the run.
+            if hi - lo != len(displaced):
+                clash = next(m for m in members[lo:hi] if m.id not in displaced)
+                raise ValueError(f"accepting {arrival.id} leaves a conflict with held {clash.id}")
+        for gone in displaced:
+            del by_id[gone]
+        by_id[arrival.id] = arrival
+        members[lo:hi] = (arrival,)
+        starts[lo:hi] = (arrival.start,)
+        ends[lo:hi] = (arrival.end,)
 
 
 class Policy:

@@ -42,7 +42,6 @@ from .core import (
     ArrivalSequence,
     EmptyInstanceError,
     Interval,
-    conflicts,
     scaled_weight,
     solution_weight,
 )
@@ -99,36 +98,19 @@ class RunTranscript:
 
 
 def apply_action(state: PolicyState, arrival, action: Action, retired: set[int]) -> None:
-    """Validate and apply one action; mutates `state` and `retired`."""
+    """Validate and apply one action; mutates `state` and `retired`, or raises
+    :class:`InfeasibleActionError` and changes neither. An accept's checks
+    are those of the held set's one mutator, ``PolicyState._accept``."""
     if arrival.id in retired or arrival.id in state:
         raise InfeasibleActionError(f"interval {arrival.id} appeared twice")
     if not action.accepted:
         retired.add(arrival.id)
         return
-    for gone in action.displaced:
-        if gone not in state:
-            raise InfeasibleActionError(f"displaced id {gone} is not currently held")
-    if action.discard_rest:
-        if action.displaced != state.ids:
-            raise InfeasibleActionError("a discarding accept must displace the whole solution")
-    else:
-        for gone in action.displaced:
-            if not conflicts(state.by_id(gone), arrival):
-                raise InfeasibleActionError(
-                    f"displaced id {gone} does not conflict with arrival {arrival.id}"
-                )
-    for gone in action.displaced:
-        state._remove(gone)
-        retired.add(gone)
-    # The arrival is not held (checked above), so _add raises only on an
-    # overlap; its own bisection is the feasibility check.
     try:
-        state._add(arrival)
-    except ValueError:
-        clash = state.conflicting(arrival)
-        raise InfeasibleActionError(
-            f"accepting {arrival.id} leaves a conflict with held {clash[0].id}"
-        ) from None
+        state._accept(arrival, action.displaced, action.discard_rest)
+    except ValueError as exc:
+        raise InfeasibleActionError(str(exc)) from None
+    retired.update(action.displaced)
 
 
 def run_policy(

@@ -109,14 +109,14 @@ def scanning_apply_action(state, arrival, action: Action, retired: set[int]) -> 
                 raise InfeasibleActionError(
                     f"displaced id {gone} does not conflict with arrival {arrival.id}"
                 )
-    for gone in action.displaced:
-        state._remove(gone)
-        retired.add(gone)
     for member in state.members():
-        if conflicts(member, arrival):
+        if member.id not in action.displaced and conflicts(member, arrival):
             raise InfeasibleActionError(
                 f"accepting {arrival.id} leaves a conflict with held {member.id}"
             )
+    for gone in action.displaced:
+        state._remove(gone)
+        retired.add(gone)
     state._add(arrival)
 
 
@@ -267,7 +267,8 @@ def _swap_candidates(seq, outer, accepted, opt):
 
 def _apply_accept(records, events, held, arrival, displaced) -> None:
     """Transfer the displaced intervals' charges to the arrival, then swap
-    them in the held set directly, without the harness's validation."""
+    them in the held set through its mutator, without the harness's checks
+    on repeated ids."""
     for gone in displaced:
         moved = records[gone].current
         if moved:
@@ -275,8 +276,7 @@ def _apply_accept(records, events, held, arrival, displaced) -> None:
             records[arrival.id].current.extend(moved)
             records[gone].current = []
             events.append(("transfer", gone, arrival.id, len(moved)))
-        held._remove(gone)
-    held._add(arrival)
+    held._accept(arrival, displaced)
 
 
 def verify_charging_lazy(

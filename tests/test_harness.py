@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from test_trials import trial_samples
 
-from revsel import _engine
+from revsel import _engine, algorithms
 from revsel.adversary import (
     gen_random_order_bad_wide,
     gen_fork_pair,
@@ -109,28 +109,81 @@ def test_harness_rejects_conflicting_accept():
         run_policy(_Hoarder(), seq)
 
 
-def test_feasible_accepts_search_the_held_set_once(monkeypatch):
-    """apply_action's feasibility check is PolicyState._add's own bisection:
-    a feasible accept never calls conflicting(), and only a refused one
-    does, to name the member it clashes with."""
-    calls = []
+def test_every_accept_searches_the_held_set_once(monkeypatch):
+    """apply_action's checks are PolicyState._accept's: an accept, feasible
+    or refused, finds its conflicting run with one bisection pair (one
+    bisect_right alone when nothing conflicts) and never calls
+    conflicting(); a reject and a discarding accept search not at all."""
+    calls, searches = [], []
     search = PolicyState.conflicting
 
     def counted(self, arrival):
         calls.append(arrival.id)
         return search(self, arrival)
 
+    def counting(name):
+        bisect = getattr(algorithms, name)
+
+        def counted_bisect(*args):
+            searches.append(name)
+            return bisect(*args)
+        return counted_bisect
+
+    def searched(arrival, action):
+        searches.clear()
+        apply_action(state, arrival, action, retired)
+        return searches
+
     monkeypatch.setattr(PolicyState, "conflicting", counted)
+    for name in ("bisect_left", "bisect_right"):
+        monkeypatch.setattr(algorithms, name, counting(name))
     state, retired = PolicyState([Interval(0, 0, 10), Interval(1, 20, 30)]), set()
-    apply_action(state, Interval(2, 10, 20), Action.accept(), retired)  # touches both
-    apply_action(state, Interval(3, 22, 25), Action.accept({1}), retired)
-    apply_action(state, Interval(4, 5, 7), Action.reject(), retired)
-    apply_action(state, Interval(5, 3, 40), Action.accept({0, 2, 3}), retired)
-    assert calls == []
+    pair = ["bisect_right", "bisect_left"]
+    assert searched(Interval(2, 10, 20), Action.accept()) == ["bisect_right"]  # touches both
+    assert searched(Interval(3, 22, 25), Action.accept({1})) == pair
+    assert searched(Interval(4, 5, 7), Action.reject()) == []
+    assert searched(Interval(5, 3, 40), Action.accept({0, 2, 3})) == pair
     assert [m.id for m in state.members()] == [5] and retired == {0, 1, 2, 3, 4}
     with pytest.raises(InfeasibleActionError, match="^accepting 6 leaves a conflict with held 5$"):
-        apply_action(state, Interval(6, 39, 41), Action.accept(), retired)
-    assert calls == [6]
+        searched(Interval(6, 39, 41), Action.accept())
+    assert searches == pair
+    assert searched(Interval(7, 50, 60), Action.accept({5}, discard_rest=True)) == []
+    assert [m.id for m in state.members()] == [7] and calls == []
+
+
+_HELD = (Interval(0, 0, 10), Interval(1, 20, 30))
+
+# One case per refusal: (arrival, action, retired before, message).
+_REFUSALS = [
+    (Interval(0, 40, 50), Action.accept(), {9}, "interval 0 appeared twice"),
+    (Interval(9, 40, 50), Action.reject(), {9}, "interval 9 appeared twice"),
+    (Interval(2, 5, 25), Action.accept({0, 7}), set(), "displaced id 7 is not currently held"),
+    (Interval(2, 5, 8), Action.accept({0}, discard_rest=True), set(),
+     "a discarding accept must displace the whole solution"),
+    (Interval(2, 5, 8), Action.accept({0, 1}), set(),
+     "displaced id 1 does not conflict with arrival 2"),
+    (Interval(2, 5, 25), Action.accept({0}), set(), "accepting 2 leaves a conflict with held 1"),
+    (Interval(2, 5, 25), Action.accept({1}), set(), "accepting 2 leaves a conflict with held 0"),
+    (Interval(2, 10, 20), Action.accept({1}), set(),
+     "displaced id 1 does not conflict with arrival 2"),  # touching is no conflict
+    (Interval(2, 12, 14), Action.accept({0, 1}), set(),
+     "displaced id 0 does not conflict with arrival 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "arrival, action, retired, message",
+    _REFUSALS,
+    ids=["held-twice", "retired-twice", "not-held", "part-discard", "no-conflict", "clash-right",
+         "clash-left", "touching", "no-conflict-first"],
+)
+def test_a_refused_action_changes_nothing(arrival, action, retired, message):
+    state = PolicyState(_HELD)
+    before = state.members(), state.ids, set(retired)
+    with pytest.raises(InfeasibleActionError, match=f"^{message}$"):
+        apply_action(state, arrival, action, retired)
+    assert (state.members(), state.ids, retired) == before
+    assert len(state) == 2 and all(state.by_id(m.id) is m for m in _HELD)
 
 
 def test_replay_matches_live_run():

@@ -105,17 +105,21 @@ def test_conflicting_matches_scan(seq, queries):
     state, reference = PolicyState(), ScanningPolicyState()
     for interval in seq:  # keep the disjoint ones, as a held set must
         if not reference.conflicting(interval):
-            state._add(interval)
+            state._accept(interval)
             reference._add(interval)
     assert state.members() == reference.members()
     for s, length, _ in queries:
         arrival = iv(10_000, s, s + length)
         assert state.conflicting(arrival) == reference.conflicting(arrival)
-    for member in reference.members()[::2]:
-        state._remove(member.id)
+    for member in reference.members()[::2]:  # replace in place, by a new id
+        state._accept(iv(member.id + 1_000, member.start, member.end), {member.id})
         reference._remove(member.id)
+        reference._add(iv(member.id + 1_000, member.start, member.end))
     assert state.members() == reference.members()
     assert state.ids == reference.ids and len(state) == len(reference)
+    for s, length, _ in queries:
+        arrival = iv(10_000, s, s + length)
+        assert state.conflicting(arrival) == reference.conflicting(arrival)
 
 
 def _outcome(apply, state, arrival, action, retired):
@@ -162,11 +166,13 @@ def test_apply_action_matches_scanning_reference_on_any_action(seq, data):
     for arrival in order:
         clash = [m.id for m in reference.conflicting(arrival)]
         action = data.draw(_any_action(seq, sorted(reference.ids), clash))
-        assert _outcome(apply_action, state, arrival, action, retired) == _outcome(
-            scanning_apply_action, reference, arrival, action, ref_retired
-        )
+        before = state.members(), set(retired)
+        outcome = _outcome(apply_action, state, arrival, action, retired)
+        assert outcome == _outcome(scanning_apply_action, reference, arrival, action, ref_retired)
         assert state.members() == reference.members()
         assert retired == ref_retired
+        if outcome is not None:  # a refused action changes nothing
+            assert (state.members(), retired) == before
 
 
 @given(instances())
@@ -227,7 +233,7 @@ def test_policy_state_rejects_overlapping_members():
     state = PolicyState([iv(0, 5, 8), iv(1, 0, 5)])  # touching is disjoint
     assert [m.id for m in state.members()] == [1, 0]
     with pytest.raises(ValueError):
-        state._add(iv(2, 7, 12))
+        state._accept(iv(2, 7, 12))
     with pytest.raises(ValueError):
-        state._add(iv(0, 20, 21))  # id already held
+        state._accept(iv(0, 20, 21))  # id already held
     assert [m.id for m in state.members()] == [1, 0]
