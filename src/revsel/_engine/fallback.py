@@ -16,11 +16,14 @@ def best_subset_scaled(
     """Exhaustive search over all subsets by increasing bitmask.
 
     feasible[S] extends feasible[S minus lowest bit]; ties on weight keep the
-    smallest mask, so both backends return the same subset.
+    smallest mask, so both backends return the same subset. Like the
+    kernel, it refuses more than 24 intervals before it allocates anything.
     """
     n = len(starts)
     if n == 0:
         return 0, 0
+    if n > 24:  # SUBSET_CAP in _kernel.c
+        raise ValueError("subset search capped at 24 intervals")
     masks = [0] * n
     for i in range(n):
         for j in range(n):

@@ -101,8 +101,8 @@ class ArrivalSequence(Sequence[Interval]):
     """An instance: intervals in online arrival order, with distinct ids.
 
     It holds its :class:`Columns` or its ``Interval`` tuple and builds the
-    other once, on first use; a sequence read from a file starts from the
-    columns. ``==`` and ``hash`` compare the columns, which are equal
+    other once, on first use; every sequence :func:`loads_jsonl` reads starts
+    from the columns. ``==`` and ``hash`` compare the columns, which are equal
     exactly when the interval tuples are, since the weights fix the scale.
     """
 
@@ -373,30 +373,14 @@ def dumps_jsonl(seq: ArrivalSequence) -> str:
 
 def loads_jsonl(text: str) -> ArrivalSequence:
     """Parse an instance file; ids must be 0..n-1 in file order (blank lines
-    are skipped). A bad record raises ``ValueError`` naming its line. A file
-    that the chunked decoder reads gives a sequence that holds its columns
-    and builds its ``Interval``s only when one is asked for."""
-    lines = text.splitlines()
-    columns = _decode_chunks(lines)
-    if columns is None:
-        return ArrivalSequence(_decode_lines(lines))
-    return ArrivalSequence._from_columns(columns)
+    are skipped). A bad record raises ``ValueError`` naming its line.
 
-
-def _decode_chunks(lines: list[str]) -> Columns | None:
-    """The columns of `lines`, decoded by the C decoder a chunk at a time,
-    or None when a line is not a valid record; :func:`_decode_lines` then
-    names it. Each record is checked as ``Interval`` checks it, and each
-    distinct JSON weight is parsed and checked once.
-
-    A chunk is decoded as ``[[line],[line],...]``: the lines must hold no
-    bracket of their own, and the chunk must decode to one list per line,
-    each holding one object. Every bracket is then structural (none lies in
-    a string), so each line sits alone between its own pair and is one JSON
-    value, decoded as ``json.loads`` decodes that line alone. A line that
-    runs into the next, holds two values or leaves a string open ends the
-    fast path, and so does nesting deep enough to hit the recursion limit.
+    Each chunk of records is decoded in one call (:func:`_decode_chunk`) or,
+    where that declines, line by line; either way each record gets one check,
+    in ``Interval``'s order, and each distinct JSON weight is parsed once. The
+    sequence holds its columns and builds ``Interval``s only when asked.
     """
+    lines = text.splitlines()
     records = [line for line in lines if line and not line.isspace()]
     starts: list[int] = []
     ends: list[int] = []
@@ -404,66 +388,73 @@ def _decode_chunks(lines: list[str]) -> Columns | None:
     weights: dict = {}  # JSON weight value -> Fraction, each parsed once
     for lo in range(0, len(records), _CHUNK_LINES):
         chunk = records[lo:lo + _CHUNK_LINES]
-        body = "[[" + "],[".join(chunk) + "]]"
-        if body.count("[") != len(chunk) + 1 or body.count("]") != len(chunk) + 1:
-            return None
+        rows = _decode_chunk(chunk)
+        if rows is None:  # decoded lazily, so that a bad line raises in the loop
+            rows = map(json.loads, map(str.strip, chunk))
         try:
-            rows = json.loads(body)
-            if len(rows) != len(chunk):
-                return None
-            for (row,) in rows:
-                if type(row) is not dict:
-                    return None
+            for row in rows:
                 ident, start, end = row["id"], row["start"], row["end"]
-                if (type(ident) is not int or type(start) is not int
-                        or type(end) is not int or ident != len(starts) or start >= end):
-                    return None
+                # A JSON float or bool must not pass as an int.
+                if type(ident) is not int or type(start) is not int or type(end) is not int:
+                    raise TypeError(
+                        f"id, start and end must be JSON integers, got {ident!r}, {start!r}, {end!r}"
+                    )
                 w = row.get("weight", 1)
-                if type(w) is not int and type(w) is not str:
-                    return None
-                if w not in weights:
+                # true == 1, so only an int or str may look up the cache.
+                fresh = (type(w) is not int and type(w) is not str) or w not in weights
+                if fresh:
                     weights[w] = _weight_from_json(w)
-                    if weights[w] < 0:
-                        return None
+                if start >= end:
+                    raise ValueError(f"interval {ident}: start must be < end")
+                if fresh and weights[w].numerator < 0:
+                    raise ValueError(f"interval {ident}: weight must be non-negative")
+                if ident != len(starts):
+                    break  # raised below, without the record-error prefix
                 starts.append(start)
                 ends.append(end)
                 raw.append(w)
-        except (KeyError, ValueError, TypeError, RecursionError):
-            return None
-    return _columns(tuple(range(len(starts))), tuple(starts), tuple(ends), raw, weights)
-
-
-def _decode_lines(lines: list[str]) -> list[Interval]:
-    """The records of `lines` one line at a time; the only reader that
-    raises, with the number of the first bad line."""
-    intervals = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-            ident, start, end = row["id"], row["start"], row["end"]
-            # A JSON float or bool must not pass as an int.
-            if type(ident) is not int or type(start) is not int or type(end) is not int:
-                raise TypeError(
-                    f"id, start and end must be JSON integers, got {ident!r}, {start!r}, {end!r}"
-                )
-            iv = Interval(
-                id=ident,
-                start=start,
-                end=end,
-                weight=_weight_from_json(row.get("weight", 1)),
-            )
+            else:
+                continue
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
-            raise ValueError(f"line {lineno}: invalid interval record: {exc}") from exc
-        if iv.id != len(intervals):
             raise ValueError(
-                f"line {lineno}: expected id {len(intervals)}, got {iv.id} "
-                "(ids are 0..n-1 in file order)"
-            )
-        intervals.append(iv)
-    return intervals
+                f"line {_line_number(lines, len(starts))}: invalid interval record: {exc}"
+            ) from exc
+        raise ValueError(
+            f"line {_line_number(lines, len(starts))}: expected id {len(starts)}, got {ident} "
+            "(ids are 0..n-1 in file order)"
+        )
+    return ArrivalSequence._from_columns(
+        _columns(tuple(range(len(starts))), tuple(starts), tuple(ends), raw, weights)
+    )
+
+
+def _decode_chunk(lines: list[str]) -> list | None:
+    """The JSON values of `lines`, one per line, from one C decoder call; None
+    unless each line provably decoded as ``json.loads`` decodes it alone.
+
+    The chunk is decoded as ``[[line],[line],...]``: the lines must hold no
+    bracket of their own, and the chunk must decode to one list per line,
+    each holding one value. Every bracket is then structural (none lies in
+    a string), so each line sits alone between its own pair and is one JSON
+    value. A line that runs into the next, holds two values or leaves a
+    string open is declined, and so is nesting deep enough to hit the
+    recursion limit.
+    """
+    body = "[[" + "],[".join(lines) + "]]"
+    if body.count("[") != len(lines) + 1 or body.count("]") != len(lines) + 1:
+        return None
+    try:
+        rows = json.loads(body)
+        if len(rows) == len(lines):
+            return [row for (row,) in rows]
+    except (ValueError, RecursionError):
+        pass
+    return None
+
+
+def _line_number(lines: list[str], index: int) -> int:
+    """The number of the line holding the record at `index`, from 0."""
+    return [n for n, line in enumerate(lines, 1) if line and not line.isspace()][index]
 
 
 def write_jsonl(seq: ArrivalSequence, path) -> None:

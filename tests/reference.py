@@ -34,7 +34,6 @@ from revsel.core import (
     ArrivalSequence,
     EmptyInstanceError,
     Interval,
-    _decode_lines,
     _weight_from_json,
     conflicts,
     contains_properly,
@@ -760,11 +759,45 @@ def interval_decode_chunks(lines: list[str]) -> list[Interval] | None:
     return intervals
 
 
+def interval_decode_lines(lines: list[str]) -> list[Interval]:
+    """The records of `lines` one line at a time, one Interval each; the
+    only reader here that raises, with the number of the first bad line."""
+    intervals = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            ident, start, end = row["id"], row["start"], row["end"]
+            # A JSON float or bool must not pass as an int.
+            if type(ident) is not int or type(start) is not int or type(end) is not int:
+                raise TypeError(
+                    f"id, start and end must be JSON integers, got {ident!r}, {start!r}, {end!r}"
+                )
+            iv = Interval(
+                id=ident,
+                start=start,
+                end=end,
+                weight=_weight_from_json(row.get("weight", 1)),
+            )
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
+            raise ValueError(f"line {lineno}: invalid interval record: {exc}") from exc
+        if iv.id != len(intervals):
+            raise ValueError(
+                f"line {lineno}: expected id {len(intervals)}, got {iv.id} "
+                "(ids are 0..n-1 in file order)"
+            )
+        intervals.append(iv)
+    return intervals
+
+
 def interval_loads_jsonl(text: str) -> ArrivalSequence:
-    """The loader over :func:`interval_decode_chunks`, falling back to the
-    per-line loop, then ``ArrivalSequence(intervals)``."""
+    """The loader over :func:`interval_decode_chunks`, falling back for the
+    whole file to :func:`interval_decode_lines`, then
+    ``ArrivalSequence(intervals)``."""
     lines = text.splitlines()
     intervals = interval_decode_chunks(lines)
     if intervals is None:
-        intervals = _decode_lines(lines)
+        intervals = interval_decode_lines(lines)
     return ArrivalSequence(intervals)

@@ -103,16 +103,33 @@ def test_trial_loop_parity_on_dense_single_length_instances():
             assert _kernel_trials(policy, seq, 100, seed) == _trials(policy, seq, seed, 100)
 
 
+def _subset_outcome(impl, starts, ends, weights):
+    """The search's answer, or the type and text of its refusal."""
+    try:
+        return impl.best_subset_scaled(starts, ends, weights)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _subset_columns(seq):
+    return [iv.start for iv in seq], [iv.end for iv in seq], [int(iv.weight) for iv in seq]
+
+
+# One past the cap: 2**25 masks, which neither side may enumerate.
+PAST_THE_CAP = gen_random_instance(25, 3, "int", 0)
+
+
 @compiled
 def test_subset_search_parity():
-    for seed in range(40):
-        seq = gen_random_instance(1 + seed % 15, 1 + seed % 5, "int", seed)
-        starts = [iv.start for iv in seq]
-        ends = [iv.end for iv in seq]
-        weights = [int(iv.weight) for iv in seq]
-        assert _engine._impl.best_subset_scaled(
-            starts, ends, weights
-        ) == fallback.best_subset_scaled(starts, ends, weights)
+    for seq in [gen_random_instance(1 + seed % 15, 1 + seed % 5, "int", seed)
+                for seed in range(40)] + [PAST_THE_CAP]:
+        columns = _subset_columns(seq)
+        assert _subset_outcome(_engine._impl, *columns) == _subset_outcome(fallback, *columns)
+
+
+def test_fallback_subset_search_refuses_past_the_cap():
+    refusal = (ValueError, "subset search capped at 24 intervals")
+    assert _subset_outcome(fallback, *_subset_columns(PAST_THE_CAP)) == refusal
 
 
 def test_subset_search_agrees_with_oracles_regardless_of_backend():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from revsel import _engine, adversary, cli
 from revsel.algorithms import Action, Policy
 from revsel.cli import EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
-from revsel.core import Interval, _decode_chunks, write_jsonl
+from revsel.core import _CHUNK_LINES, Interval, _decode_chunk, write_jsonl
 from revsel.oracle import ChargeBoundViolation
 
 
@@ -716,10 +716,18 @@ def test_python_floor_writes_the_same_bytes(tmp_path):
 
 
 def _decoded_file(tmp_path, mode):
-    """A 2,000-arrival instance file that the chunked decoder reads."""
+    """A 2,000-arrival instance file. In mode "tagged" (unit weights), one
+    line of its last chunk holds a list, so that chunk is decoded line by
+    line; every other chunk, in every mode, is decoded in one call."""
     path = tmp_path / f"{mode}.jsonl"
-    write_jsonl(adversary.gen_random_instance(2000, 3, mode, 1), path)
-    assert _decode_chunks(path.read_text().splitlines()) is not None
+    write_jsonl(adversary.gen_random_instance(2000, 3, "unit" if mode == "tagged" else mode, 1),
+                path)
+    lines = path.read_text().splitlines()
+    if mode == "tagged":
+        lines[1990] = lines[1990][:-1] + ', "tags": [1, 2]}'
+        path.write_text("\n".join(lines) + "\n")
+    chunks = [lines[lo:lo + _CHUNK_LINES] for lo in range(0, len(lines), _CHUNK_LINES)]
+    assert [_decode_chunk(c) is None for c in chunks] == [False] * 7 + [mode == "tagged"]
     return str(path)
 
 
@@ -737,7 +745,7 @@ def _count_intervals(monkeypatch):
 
 
 @pytest.mark.skipif(not _engine.COMPILED, reason="run_policy plays the run over Intervals")
-@pytest.mark.parametrize("mode", ["unit", "rational"])
+@pytest.mark.parametrize("mode", ["unit", "rational", "tagged"])
 def test_run_on_a_decoded_file_builds_no_interval(tmp_path, capsys, monkeypatch, mode):
     path = _decoded_file(tmp_path, mode)
     built = _count_intervals(monkeypatch)

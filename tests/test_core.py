@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import interval_loads_jsonl
+from reference import interval_decode_lines, interval_loads_jsonl
 from revsel.algorithms import ThresholdPolicyTables
 from revsel.core import (
+    _CHUNK_LINES,
     ArrivalSequence,
     EmptyInstanceError,
-    _decode_chunks,
-    _decode_lines,
     Interval,
+    _decode_chunk,
     call_control_point_bound,
     conflicts,
     contains_properly,
@@ -359,9 +359,15 @@ def test_negative_string_weight_is_rejected_by_the_interval():
 def _per_line(text):
     """The per-line loop alone: an ArrivalSequence or the error message."""
     try:
-        return ArrivalSequence(_decode_lines(text.splitlines()))
+        return ArrivalSequence(interval_decode_lines(text.splitlines()))
     except ValueError as exc:
         return str(exc)
+
+
+def _chunks(text):
+    """The non-blank lines of `text` in the reader's chunks."""
+    records = [line for line in text.splitlines() if line.strip()]
+    return [records[lo:lo + _CHUNK_LINES] for lo in range(0, len(records), _CHUNK_LINES)]
 
 
 def _read(text, load=loads_jsonl):
@@ -372,15 +378,20 @@ def _read(text, load=loads_jsonl):
 
 
 def _assert_readers_agree(text):
-    lines = text.splitlines()
-    expected = _per_line(text)
-    assert _read(text) == expected
+    """The reader and the per-line loop give the same sequence or error.
+    True when every chunk was decoded in one call."""
+    assert _read(text) == _per_line(text)
     _assert_matches_the_interval_loader(text)
-    fast = _decode_chunks(lines)
-    # The chunked path may decline a valid file; it never accepts a bad one.
-    if fast is not None:
-        assert ArrivalSequence._from_columns(fast) == expected
-    return fast
+    whole = True
+    for chunk in _chunks(text):
+        rows = _decode_chunk(chunk)
+        # The one call may decline a chunk; what it decodes, it decodes as
+        # each line alone (repr tells NaN, 1, 1.0 and true apart).
+        if rows is None:
+            whole = False
+        else:
+            assert repr(rows) == repr([json.loads(line.strip()) for line in chunk])
+    return whole
 
 
 def _assert_matches_the_interval_loader(text):
@@ -391,7 +402,8 @@ def _assert_matches_the_interval_loader(text):
     if isinstance(want, str):
         assert got == want
         return
-    assert got.columns == want.columns  # before any Interval is built
+    assert "_intervals" not in vars(got)  # the reader fills columns alone
+    assert got.columns == want.columns
     assert got == want and hash(got) == hash(want)
     assert list(got) == list(want)
     assert [got.by_id(i) for i in reversed(want.columns.ids)] == list(reversed(want))
@@ -435,6 +447,14 @@ ODD_LINES = [
     '\x1f{"id": {i}, "start": 0, "end": 3}\xa0',
     '\ufeff{"id": {i}, "start": 0, "end": 3}',
     '{"id": {i}, "start": 0, "end": 3, "weight": NaN}',
+    # Two faults, one line for each pair of neighbouring checks: the keys,
+    # the integer types, the weight's parse, start < end, the weight's sign
+    # and the id order. The earlier check names the line.
+    '{"id": 0.5, "start": 0}',
+    '{"id": {i}, "start": 0.5, "end": 3, "weight": "x"}',
+    '{"id": {i}, "start": 3, "end": 3, "weight": "x"}',
+    '{"id": {i}, "start": 3, "end": 3, "weight": -1}',
+    '{"id": 99999, "start": 0, "end": 3, "weight": -1}',
 ]
 
 
@@ -468,9 +488,9 @@ def test_chunked_reader_matches_the_per_line_loop(n, edits, newline, style):
         else:
             lines.insert(pos, ["", "   ", "\t \x0c"][kind - len(ODD_LINES)])
     text = newline.join(lines) + (newline if n % 2 else "")
-    fast = _assert_readers_agree(text)
+    whole = _assert_readers_agree(text)
     if not edits:
-        assert fast is not None  # a plain valid file takes the chunked path
+        assert whole  # a plain valid file is decoded a chunk at a time
 
 
 @pytest.mark.parametrize("odd", ODD_LINES)
@@ -498,7 +518,7 @@ def test_each_odd_line_reads_as_the_per_line_loop_reads_it(odd, pos):
 ])
 def test_chunked_reader_keeps_line_boundaries(lines, bad_line):
     text = "\n".join(lines) + "\n"
-    assert _decode_chunks(text.splitlines()) is None
+    assert None in map(_decode_chunk, _chunks(text))
     with pytest.raises(ValueError, match=rf"^line {bad_line}: "):
         loads_jsonl(text)
     _assert_readers_agree(text)
@@ -528,9 +548,24 @@ def test_loader_matches_the_interval_loader_on_any_weights(rows, newline):
         if blank_after:
             lines.append(" " * length)
     text = newline.join(lines) + newline
-    _assert_readers_agree(text)
-    if "-1/2" not in text and "1/0" not in text:
-        assert _decode_chunks(text.splitlines()) is not None
+    # Every line is plain JSON, so even a refused weight is checked in a
+    # chunk that was decoded in one call.
+    assert _assert_readers_agree(text)
+
+
+def test_only_the_chunk_holding_an_odd_line_is_decoded_line_by_line(monkeypatch):
+    """A valid line the one call declines costs its own chunk a per-line
+    decode; the chunks around it are each decoded in one call."""
+    lines = [f'{{"id": {i}, "start": {i}, "end": {i + 2}}}' for i in range(600)]
+    lines[300] = '{"id": 300, "start": 0, "end": 3, "tags": [1, 2]}'
+    decode, calls = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or decode(text))
+    seq = loads_jsonl("\n".join(lines))
+    monkeypatch.undo()
+    assert seq == interval_loads_jsonl("\n".join(lines))
+    assert "_intervals" not in vars(seq)
+    assert calls[1:-1] == lines[256:512]
+    assert [len(decode(c)) for c in (calls[0], calls[-1])] == [256, 88]
 
 
 def _decoded(*intervals):
