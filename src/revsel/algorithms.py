@@ -17,8 +17,8 @@ Built-in policies:
                        replacing on one side only.
 * ``threshold:<file>`` table-driven single-length policy (maps overlap to a
                        replace/keep bit per side).
-* ``rand-memoryless:p=<frac>``  accept with fixed probability p, displacing
-                       all conflicting members.
+* ``rand-memoryless:p=<frac>``  the constant case of the memoryless policy:
+                       accept with probability p, displacing all conflicts.
 * ``arb:<subroutine>`` classify-by-length wrapper that keeps one randomly
                        chosen length and delegates to a per-length subroutine.
 """
@@ -386,29 +386,6 @@ def memoryless_randomized_step(
     return Action.reject()
 
 
-class RandMemorylessPolicy(Policy):
-    """Memoryless randomized policy with a constant acceptance probability."""
-
-    deterministic = False
-
-    def __init__(self, p: Fraction):
-        p = Fraction(p)
-        if p < 0 or p > 1:
-            raise ValueError("p must lie in [0, 1]")
-        if p.denominator > 1 << 64:  # Stream.bernoulli draws below it
-            raise ValueError(f"p={p} has a denominator above 2**64")
-        self.p = p
-        self.name = f"rand-memoryless:p={p}"
-
-    def decide(self, state, arrival, rng=None):
-        if rng is None:
-            raise ValueError(f"{self.name} needs an rng stream")
-        return memoryless_randomized_step(lambda _iv, _st: self.p, state, arrival, rng)
-
-    def kernel_spec(self):
-        return {"mode": "memoryless", "p": self.p}
-
-
 class FunctionMemorylessPolicy(Policy):
     """Memoryless randomized policy with an arbitrary acceptance function."""
 
@@ -422,6 +399,23 @@ class FunctionMemorylessPolicy(Policy):
         if rng is None:
             raise ValueError(f"{self.name} needs an rng stream")
         return memoryless_randomized_step(self.acceptance, state, arrival, rng)
+
+
+class RandMemorylessPolicy(FunctionMemorylessPolicy):
+    """The constant case of the memoryless policy: accept with probability
+    p, whatever the arrival and the held solution."""
+
+    def __init__(self, p: Fraction):
+        p = Fraction(p)
+        if p < 0 or p > 1:
+            raise ValueError("p must lie in [0, 1]")
+        if p.denominator > 1 << 64:  # Stream.bernoulli draws below it
+            raise ValueError(f"p={p} has a denominator above 2**64")
+        super().__init__(lambda _iv, _st: p, name=f"rand-memoryless:p={p}")
+        self.p = p
+
+    def kernel_spec(self):
+        return {"mode": "memoryless", "p": self.p}
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +441,20 @@ ARB_SUBROUTINES: dict[str, Callable[[PolicyState, Interval], Action]] = {
 }
 
 
+def takes_over(i: int, rng: Stream) -> bool:
+    """Whether the i-th distinct length (i >= 1) becomes the chosen one:
+    the first always, with no draw; the i-th for i >= 2 iff one
+    ``randbelow(i)`` draw comes up 0, which has probability exactly 1/i."""
+    return i == 1 or rng.randbelow(i) == 0
+
+
 class ArbPolicy(Policy):
     """Keep one length, chosen online uniformly at random, delegate the rest.
 
-    The i-th distinct length observed becomes the chosen one with probability
-    1/i; on a switch the whole held solution is discarded and the subroutine
-    restarts from scratch. Arrivals whose length differs from the chosen one
-    are rejected outright.
+    The i-th distinct length observed becomes the chosen one by
+    :func:`takes_over`. A switch discards the whole held solution and
+    restarts the subroutine, which accepts any arrival into an empty one.
+    Arrivals whose length differs from the chosen one are rejected outright.
     """
 
     deterministic = False
@@ -464,16 +465,16 @@ class ArbPolicy(Policy):
         self.subroutine = subroutine
         self.name = f"arb:{subroutine}"
         self.chosen_length: Optional[int] = None
-        self.lengths_seen: list[int] = []
+        self.lengths_seen: dict[int, None] = {}  # in first-seen order
 
     def observe(self, arrival: Interval, rng: Stream) -> bool:
         """Update the length choice for this arrival; True if a restart
         happened (the held solution must be discarded)."""
         if arrival.length in self.lengths_seen:
             return False
-        self.lengths_seen.append(arrival.length)
+        self.lengths_seen[arrival.length] = None
         i = len(self.lengths_seen)
-        if i == 1 or rng.randbelow(i) == 0:  # probability exactly 1/i
+        if takes_over(i, rng):
             self.chosen_length = arrival.length
             return i > 1
         return False
@@ -486,13 +487,9 @@ class ArbPolicy(Policy):
             # A restart always switches to the arrival's own length, so a
             # mismatch implies no restart happened.
             return Action.reject()
-        step = ARB_SUBROUTINES[self.subroutine]
         if restarted:
-            inner = step(PolicyState(), arrival)
-            if not inner.accepted:  # empty solution: both subroutines accept
-                raise AssertionError("subroutine rejected on an empty solution")
             return Action.accept(state.ids, discard_rest=True)
-        return step(state, arrival)
+        return ARB_SUBROUTINES[self.subroutine](state, arrival)
 
     def fresh(self):
         """A new wrapper: the length choice is per-run state, which no

@@ -37,7 +37,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import _engine
-from .algorithms import Action, ArbPolicy, Policy, PolicyState
+from .algorithms import Action, ArbPolicy, Policy, PolicyState, takes_over
 from .core import (
     ArrivalSequence,
     EmptyInstanceError,
@@ -46,7 +46,7 @@ from .core import (
     solution_weight,
 )
 from .oracle import OptCertificate, opt_unweighted, opt_weighted
-from .rng import Stream, permutation
+from .rng import Stream, permutation, substream_seed
 
 
 class InfeasibleActionError(RuntimeError):
@@ -516,12 +516,14 @@ def run_arb_expectation(
     from an empty set over the arrivals of length L in file order. That run
     is made once per length, through :func:`run_policy`, which validates
     every action. Trial t then makes only the wrapper's length draws from
-    substream t: over the lengths in first-arrival order, the i-th (i >= 2)
-    takes over when ``randbelow(i) == 0``. With a text sink `out`, the
-    trials' CSV goes to it a chunk at a time, as in :func:`run_random_order`.
+    substream t: over the lengths in first-arrival order, the i-th takes over
+    when :func:`takes_over` says so. With a text sink `out`, the trials' CSV
+    goes to it a chunk at a time, as in :func:`run_random_order`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if len(seq) == 0:
+        raise EmptyInstanceError("cannot benchmark an empty instance")
     opt = opt_for(seq)
     by_length: dict[int, list] = {}
     for iv in seq:
@@ -533,15 +535,15 @@ def run_arb_expectation(
         alg_of[length] = scaled_weight(seq, state.ids)
     lengths = list(by_length)
     choices: dict[int, int] = {}
+    rng = Stream(0)  # reseeded per trial
 
     def draws(lo: int, count: int) -> list[int]:
         algs = []
         for t in range(lo, lo + count):
-            rng = Stream.for_trial(seed, t)
-            chosen = lengths[0]
-            for i in range(2, len(lengths) + 1):
-                if rng.randbelow(i) == 0:
-                    chosen = lengths[i - 1]
+            rng.state = substream_seed(seed, t)
+            for i, length in enumerate(lengths, 1):
+                if takes_over(i, rng):
+                    chosen = length
             algs.append(alg_of[chosen])
             choices[chosen] = choices.get(chosen, 0) + 1
         return algs

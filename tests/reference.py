@@ -7,11 +7,11 @@ normalization, the charging audit that normalizes during its own unvalidated
 replay, the trial kernel that scans its held set with its own splitmix64
 copy, the trial statistics that keep one Fraction per trial, the CSV rows
 written with one f-string each, the classify-by-length trials replayed one
-decision at a time, the weight helpers and weighted DP that add
-Fractions, the transcript kept as one Action and one entry object per
-arrival, and the oracles, certificate normalization and feasibility check
-that sorted Interval objects by tuple keys, and the JSONL loader that built
-and checked one Interval per record. They are quadratic or worse, or slow
+decision at a time and their length draws made inline, the weight helpers
+and weighted DP that add Fractions, the transcript kept as one Action and
+one entry object per arrival, and the oracles, certificate normalization
+and feasibility check that sorted Interval objects by tuple keys, and the
+JSONL loader that built and checked one Interval per record. They are quadratic or worse, or slow
 per trial, per key or per record, and exist so that random inputs can be
 checked against them.
 """
@@ -544,6 +544,24 @@ def replay_arb_expectation(policy: ArbPolicy, seq: ArrivalSequence, trials: int,
         opt_value=opt,
     )
     return stats, choices, len(seq.lengths())
+
+
+def arb_length_draws(lengths: list[int], seed: int, trial: int) -> list[tuple[int, int]]:
+    """The classify-by-length wrapper's draws in trial `trial`, as
+    ``run_arb_expectation`` once made them inline, on the private
+    splitmix64 copy: over the lengths in first-arrival order, the first is
+    chosen with no draw, and the i-th (i >= 2) takes over iff its
+    ``randbelow(i)`` draw comes up 0. One (chosen length, stream state)
+    pair per length, taken after its draw."""
+    state = _substream(seed, trial)
+    chosen = lengths[0]
+    out = [(chosen, state)]
+    for i in range(2, len(lengths) + 1):
+        state, r = _randbelow(state, i)
+        if r == 0:
+            chosen = lengths[i - 1]
+        out.append((chosen, state))
+    return out
 
 
 # -- weights as Fractions ---------------------------------------------------

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import arb_length_draws
 
 from revsel import _engine
 from revsel.algorithms import (
     Action,
     ArbPolicy,
+    FunctionMemorylessPolicy,
     PolicyDomainError,
     PolicyState,
     ThresholdPolicyTables,
@@ -22,6 +24,7 @@ from revsel.algorithms import (
     make_policy,
     memoryless_randomized_step,
     never_replace_step,
+    takes_over,
     threshold_memoryless_step,
 )
 from revsel.adversary import gen_random_instance, gen_two_length
@@ -242,6 +245,19 @@ def test_arb_rejects_other_lengths_and_discards_on_switch():
     assert not a2.accepted
 
 
+def test_takes_over_draws_as_the_reference_does():
+    """The length-choice rule, called for the 1st to 40th length, against
+    its restatement in reference.py: the same chosen length and the same
+    stream state after every call, for seeds 0-99."""
+    lengths = list(range(1, 41))
+    for seed in range(100):
+        rng, chosen = Stream.for_trial(seed, 0), None
+        for i, expected in enumerate(arb_length_draws(lengths, seed, 0), 1):
+            if takes_over(i, rng):
+                chosen = lengths[i - 1]
+            assert (chosen, rng.state) == expected, (seed, i)
+
+
 def test_arb_heavier_replace_subroutine():
     arb = ArbPolicy("heavier-replace")
     rng = Stream.for_trial(2, 0)
@@ -266,11 +282,11 @@ def test_fresh_shares_stateless_policies_and_renews_arb(tmp_path):
     state, retired, rng = state_of(), set(), Stream.for_trial(3, 0)
     for arrival in gen_two_length(4):
         apply_action(state, arrival, arb.decide(state, arrival, rng), retired)
-    assert arb.chosen_length is not None and arb.lengths_seen == [4, 1]
+    assert arb.chosen_length is not None and list(arb.lengths_seen) == [4, 1]
     renewed = arb.fresh()
     assert renewed is not arb and isinstance(renewed, ArbPolicy)
     assert renewed.name == "arb:heavier-replace"
-    assert renewed.chosen_length is None and renewed.lengths_seen == []
+    assert renewed.chosen_length is None and not renewed.lengths_seen
 
 
 # -- action contract ------------------------------------------------------------
@@ -348,6 +364,8 @@ def test_make_policy_identifiers():
         spec = policy.kernel_spec()
         assert (None if spec is None else spec["mode"]) == mode
         assert spec is None or spec["mode"] in _engine._MODES
+    # rand-memoryless is the memoryless policy's constant case.
+    assert isinstance(make_policy("rand-memoryless:p=1/3"), FunctionMemorylessPolicy)
     for pid in ("nope", "rand-memoryless:q=1", "one-dir-up", "greedy"):
         with pytest.raises(ValueError):
             make_policy(pid)

@@ -26,7 +26,7 @@ from revsel.algorithms import (
     ThresholdPolicyTables,
     make_policy,
 )
-from revsel.core import ArrivalSequence, Interval
+from revsel.core import ArrivalSequence, EmptyInstanceError, Interval
 from revsel.harness import (
     InfeasibleActionError,
     apply_action,
@@ -418,3 +418,11 @@ def test_arb_single_length_is_deterministic():
     arb = run_arb_expectation(ArbPolicy("greedy-disjoint"), seq, 50, seed=1)
     direct = run_adversarial(make_policy("never-replace"), seq)
     assert arb.stats.histogram == {direct.alg_value: 50}
+
+
+def test_arb_expectation_refuses_an_empty_instance_as_random_order_does():
+    empty = ArrivalSequence([])
+    for run, policy in ((run_random_order, make_policy("greedy-subsume")),
+                        (run_arb_expectation, ArbPolicy("greedy-disjoint"))):
+        with pytest.raises(EmptyInstanceError, match="^cannot benchmark an empty instance$"):
+            run(policy, empty, 1, 0)

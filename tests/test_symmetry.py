@@ -3,10 +3,10 @@
 Policies, oracles and the charging audit compare coordinates only with one
 another, so shifting an instance by an integer changes no result, exact
 copies included. Multiplying every coordinate by a positive integer keeps
-every comparison too, and so changes no result of a policy that does no
-arithmetic on lengths beyond comparing them: every built-in policy but
-``threshold:<file>``, whose tables key on the overlap amount. Reflecting it onto ``[c - end, c - start)`` turns every
-left into a right: a policy and its mirror then give the same transcript.
+every comparison too, and so changes no result of a built-in policy, once a
+``threshold:<file>`` table's overlap keys are multiplied with them.
+Reflecting an instance onto ``[c - end, c - start)`` turns every left into
+a right: a policy and its mirror then give the same transcript.
 ``one-dir-left`` and ``one-dir-right`` are each other's mirror, a threshold
 table's mirror swaps its sides, and every other built-in policy is its own.
 The one exception is an exact copy, which a threshold table always treats
@@ -130,6 +130,12 @@ def swapped(t):
     return ThresholdPolicyTables(t.right, t.left, t.right_default, t.left_default)
 
 
+def scaled_table(t, m):
+    return ThresholdPolicyTables({v * m: bit for v, bit in t.left.items()},
+                                 {v * m: bit for v, bit in t.right.items()},
+                                 t.left_default, t.right_default)
+
+
 @given(instances(copies=False), st.integers(-20, 20), tables)
 @settings(max_examples=150, deadline=None)
 def test_mirrored_policies_give_equal_transcripts(seq, c, table):
@@ -221,18 +227,22 @@ def test_coincident_copies_break_the_one_dir_mirror():
 
 
 @given(instances(copies=True),
-       st.one_of(st.integers(1, 10**6), st.just(2**58)))
+       st.one_of(st.integers(1, 10**6), st.just(2**58)), tables)
 @settings(max_examples=100, deadline=None)
-def test_scaling_changes_no_transcript_or_verdict(seq, m):
-    """Every built-in policy but threshold:<file> gives the same run after
-    the coordinates are multiplied by m, exact copies included; the factor
-    2**58 moves most coordinates past the kernel's 64-bit guard, so that
-    side runs through run_policy."""
+def test_scaling_changes_no_transcript_or_verdict(seq, m, table):
+    """Every built-in policy gives the same run after the coordinates are
+    multiplied by m, exact copies included, and so does a threshold table
+    whose overlap keys are multiplied by m; the factor 2**58 moves most
+    coordinates past the kernel's 64-bit guard, so that side runs through
+    run_policy."""
     bigger = scaled(seq, m)
     for pid in POLICIES:
         assert adversarial_bytes(make_policy(pid), seq) == (
             adversarial_bytes(make_policy(pid), bigger)
         ), pid
+    assert adversarial_bytes(ThresholdPolicy(table), seq) == (
+        adversarial_bytes(ThresholdPolicy(scaled_table(table, m)), bigger)
+    )
     k = len(seq.lengths())
     for bound in (k, 1):
         assert audit(seq, bound) == audit(bigger, bound)

@@ -3,14 +3,16 @@
 the one splitmix64 shuffle against the old private copy, the
 histogram-based TrialStats against the one that keeps a Fraction per trial,
 its block-table CSV rows against one f-string per row, and the
-classify-by-length reduction against its trials replayed one by one. The
-kernel modes are also diffed against the Python policies they stand for,
-replayed by ``harness._trials``, and chunked kernel calls against one."""
+classify-by-length reduction against its trials replayed one by one and
+its length draws made inline. The kernel modes are also diffed against the
+Python policies they stand for, replayed by ``harness._trials``, and
+chunked kernel calls against one."""
 
 import io
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     ListTrialStats,
+    arb_length_draws,
     fstring_csv_rows,
     permutation_raw,
     replay_arb_expectation,
@@ -523,5 +526,8 @@ def test_arb_expectation_matches_trial_replay(seq, subroutine, trials, seed):
     ref, choices, distinct = replay_arb_expectation(policy, seq, trials, seed)
     assert buf.getvalue() == ref.to_csv()
     assert list(arb.length_choices.items()) == list(choices.items())
+    lengths = list(dict.fromkeys(iv.length for iv in seq))
+    last = Counter(arb_length_draws(lengths, seed, t)[-1][0] for t in range(trials))
+    assert arb.length_choices == last
     assert arb.distinct_lengths == distinct
     assert arb.stats.mean_alg == ref.mean_alg
