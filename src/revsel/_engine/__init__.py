@@ -2,10 +2,10 @@
 subset search.
 
 The compiled kernel, ``_kernel.c``, is one CPython C-API module that
-implements one policy loop, the exhaustive subset search and the indent-2
-JSON writer behind :func:`dumps_json`. The policy loop replays six policy
-modes on any weights: the single-length threshold tables (which include
-one-directional replacement), always-replace, never-replace,
+implements one policy loop, the exhaustive subset search and the one-pass
+indent-2 JSON writer behind :func:`dumps_json`. The policy loop replays six
+policy modes on any weights: the single-length threshold tables (which
+include one-directional replacement), always-replace, never-replace,
 greedy-subsume, call-control and the constant-probability memoryless
 policy; all but the first take intervals of any lengths. It has two
 entries. :func:`run_single_length_trials` plays permutation trials, each
@@ -22,8 +22,9 @@ harness replays the trials through the policies themselves
 :func:`run_file_order` plays one run in file order and reports every
 arrival's action; its twin is ``harness.run_policy``, which
 ``harness.run_file_order`` falls back to when it returns None. The subset
-search has a twin in :mod:`.fallback`. The JSON writer needs none: without
-the kernel, :func:`dumps_json` is ``json.dumps`` itself.
+search has a twin in :mod:`.fallback`. The JSON writer needs none: where
+the kernel is missing or declines a payload's type, :func:`dumps_json` is
+``json.dumps`` itself.
 
 This module alone decides whether the kernel stands in for a policy: the
 harness hands both entries every policy's ``kernel_spec()``, and
@@ -229,15 +230,15 @@ def best_subset_scaled(starts, ends, weights):
     return (_impl if fits else fallback).best_subset_scaled(starts, ends, weights)
 
 
-# The C encoder's text: json.dumps runs it only when there is no indent.
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def dumps_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``. With `indent`,
-    json.dumps runs the pure-Python encoder; the kernel instead re-spaces
-    the C encoder's compact text, so both give the same text and raise the
-    same errors."""
+    """``json.dumps(obj, indent=2, sort_keys=True)``. The kernel writes it in
+    one pass when `obj` holds only None, bools, ints, ASCII strs, lists,
+    tuples and str-keyed dicts (the exact types, nested at most
+    ``JSON_DEPTH_CAP`` deep), which is all the CLI's payloads hold. It
+    declines anything else before writing, and json.dumps then writes the
+    text or raises the error, as it does without the kernel."""
     if _impl is not None:
-        return _impl.indent_json(_COMPACT.encode(obj))
+        text = _impl.dumps_json(obj)
+        if text is not None:
+            return text
     return json.dumps(obj, indent=2, sort_keys=True)

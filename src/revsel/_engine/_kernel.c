@@ -19,9 +19,9 @@
  * keep those two in lockstep. Coordinates, weights and the acceptance
  * fraction are read as 64-bit integers, and an int that does not fit
  * raises OverflowError: the dispatchers in revsel._engine keep such inputs
- * away from this module. indent_json re-spaces the compact JSON text of
- * the C encoder into json.dumps(indent=2)'s layout; its fallback is
- * json.dumps itself.
+ * away from this module. dumps_json writes json.dumps(indent=2,
+ * sort_keys=True)'s text in one pass for the few types the CLI's payloads
+ * hold and declines the rest; its fallback is json.dumps itself.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -558,115 +558,259 @@ done:
     return out;
 }
 
-/* One pass of indent_json over the ASCII text s[0, n): with out == NULL it
- * only counts the output's length, else it also writes it there. Returns the
- * length, or -1 (with ValueError set) on unbalanced brackets or an open
- * string. Both passes run this one function, so they cannot disagree. */
-static Py_ssize_t indent_pass(const char *s, Py_ssize_t n, Py_UCS1 *out)
+/* The JSON writer: json.dumps(obj, indent=2, sort_keys=True) in one pass,
+ * for the types that the CLI's payloads hold. None, True and False; exact
+ * ints; exact ASCII strs, escaped as ensure_ascii escapes them; exact lists
+ * and tuples; exact dicts whose keys are all exact strs. Anything else, and
+ * containers nested more than JSON_DEPTH_CAP deep (which stops a cycle too),
+ * declines: the entry then returns None and writes nothing, so json.dumps
+ * writes every text and raises every error that this writer does not. The
+ * writer calls no Python code, and until it declines it allocates no object
+ * that the garbage collector tracks, so the payload cannot change under it
+ * and the borrowed references it holds stay valid. */
+#define JSON_DEPTH_CAP 64
+/* The output's first allocation in bytes; it doubles whenever it fills. */
+#define JSON_FIRST_ALLOC 4096
+
+enum { JSON_ERROR = -1, JSON_OK = 0, JSON_DECLINE = 1 };
+
+/* The output, an ASCII str of `cap` characters of which `size` are written;
+ * it is resized in place, which its single reference allows. */
+typedef struct {
+    PyObject *out;
+    Py_ssize_t size, cap;
+} JsonWriter;
+
+/* Where the next n bytes go, growing the output if need be; NULL with
+ * MemoryError set if it cannot grow. */
+static Py_UCS1 *json_reserve(JsonWriter *w, Py_ssize_t n)
 {
-    Py_ssize_t size = 0, depth = 0;
-    int in_string = 0;
-/* Appends a newline and the indent of the current depth. */
-#define NEWLINE()                                   \
-    do {                                            \
-        if (out != NULL) {                          \
-            out[size] = '\n';                       \
-            memset(out + size + 1, ' ', 2 * depth); \
-        }                                           \
-        size += 1 + 2 * depth;                      \
-    } while (0)
-/* Appends one byte; `ch` must have no side effects, since the size pass
- * does not evaluate it. */
-#define PUT(ch)                   \
-    do {                          \
-        if (out != NULL)          \
-            out[size] = (ch);     \
-        size++;                   \
-    } while (0)
-    for (Py_ssize_t i = 0; i < n; i++) {
-        char c = s[i];
-        if (in_string) {
-            /* Escapes are copied verbatim; the escaped byte cannot close
-             * the string. */
-            if (c == '\\' && i + 1 < n) {
-                PUT(c);
-                c = s[++i];
-            } else if (c == '"') {
-                in_string = 0;
-            }
-            PUT(c);
-            continue;
-        }
-        switch (c) {
-        case '"':
-            in_string = 1;
-            PUT(c);
-            break;
-        case '[':
-        case '{':
-            PUT(c);
-            if (i + 1 < n && s[i + 1] == (c == '[' ? ']' : '}')) {
-                i++; /* an empty container stays on its line */
-                PUT(s[i]);
-            } else {
-                depth++;
-                NEWLINE();
-            }
-            break;
-        case ']':
-        case '}':
-            if (--depth < 0) {
-                PyErr_SetString(PyExc_ValueError, "indent_json: unbalanced brackets");
-                return -1;
-            }
-            NEWLINE();
-            PUT(c);
-            break;
-        case ',':
-            PUT(c);
-            NEWLINE();
-            break;
-        case ':':
-            PUT(c);
-            PUT(' ');
-            break;
-        default:
-            PUT(c);
-        }
+    if (w->size + n > w->cap) {
+        Py_ssize_t cap = w->cap;
+        while (cap < w->size + n)
+            cap *= 2;
+        if (PyUnicode_Resize(&w->out, cap) < 0)
+            return NULL;
+        w->cap = cap;
     }
-#undef NEWLINE
-#undef PUT
-    if (depth != 0 || in_string) {
-        PyErr_SetString(PyExc_ValueError, "indent_json: unbalanced brackets or quotes");
-        return -1;
-    }
-    return size;
+    Py_UCS1 *p = PyUnicode_1BYTE_DATA(w->out) + w->size;
+    w->size += n;
+    return p;
 }
 
-/* json.dumps(obj, indent=2, sort_keys=True) from the text that
- * json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode(obj) makes
- * of the same obj: a size pass, then a fill pass into a new ASCII string. */
-static PyObject *indent_json(PyObject *Py_UNUSED(self), PyObject *text)
+static int json_put(JsonWriter *w, const char *s, Py_ssize_t n)
 {
-    if (!PyUnicode_Check(text)) {
-        PyErr_SetString(PyExc_TypeError, "indent_json takes a str");
-        return NULL;
+    Py_UCS1 *p = json_reserve(w, n);
+    if (p == NULL)
+        return JSON_ERROR;
+    memcpy(p, s, n);
+    return JSON_OK;
+}
+
+/* The byte `before` (if not 0), a newline, the indent of `depth` levels and
+ * the byte `after` (if not 0). */
+static int json_line(JsonWriter *w, char before, int depth, char after)
+{
+    Py_UCS1 *p = json_reserve(w, (before != 0) + 1 + 2 * depth + (after != 0));
+    if (p == NULL)
+        return JSON_ERROR;
+    if (before != 0)
+        *p++ = before;
+    *p++ = '\n';
+    memset(p, ' ', 2 * depth);
+    if (after != 0)
+        p[2 * depth] = after;
+    return JSON_OK;
+}
+
+/* The letter that follows the backslash in ensure_ascii's escape of the
+ * ASCII byte `ch` ('u' for \u00XX), or 0 if `ch` stands for itself. */
+static char json_escape(Py_UCS1 ch)
+{
+    switch (ch) {
+    case '"':
+        return '"';
+    case '\\':
+        return '\\';
+    case '\b':
+        return 'b';
+    case '\f':
+        return 'f';
+    case '\n':
+        return 'n';
+    case '\r':
+        return 'r';
+    case '\t':
+        return 't';
     }
-    Py_ssize_t n;
-    const char *s = PyUnicode_AsUTF8AndSize(text, &n);
-    if (s == NULL)
-        return NULL;
-    if (!PyUnicode_IS_ASCII(text)) {
-        PyErr_SetString(PyExc_ValueError, "indent_json takes ASCII text");
-        return NULL;
+    return ch < 0x20 || ch == 0x7f ? 'u' : 0;
+}
+
+static int json_string(JsonWriter *w, PyObject *s)
+{
+    if (!PyUnicode_IS_ASCII(s))
+        return JSON_DECLINE;
+    const Py_UCS1 *c = PyUnicode_1BYTE_DATA(s);
+    Py_ssize_t n = PyUnicode_GET_LENGTH(s), size = n + 2;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        char e = json_escape(c[i]);
+        size += e == 0 ? 0 : e == 'u' ? 5 : 1;
     }
-    Py_ssize_t size = indent_pass(s, n, NULL);
-    if (size < 0)
+    Py_UCS1 *p = json_reserve(w, size);
+    if (p == NULL)
+        return JSON_ERROR;
+    *p++ = '"';
+    if (size == n + 2) {
+        memcpy(p, c, n);
+        p += n;
+    } else {
+        for (Py_ssize_t i = 0; i < n; i++) {
+            char e = json_escape(c[i]);
+            if (e == 0) {
+                *p++ = c[i];
+                continue;
+            }
+            *p++ = '\\';
+            *p++ = e;
+            if (e == 'u') {
+                memcpy(p, "00", 2);
+                p[2] = Py_hexdigits[c[i] >> 4];
+                p[3] = Py_hexdigits[c[i] & 15];
+                p += 4;
+            }
+        }
+    }
+    *p = '"';
+    return JSON_OK;
+}
+
+/* An exact int's decimal text; one past 64 bits goes through its repr, and
+ * declines if that fails (past the interpreter's digit limit). */
+static int json_int(JsonWriter *w, PyObject *o)
+{
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    if (!overflow) {
+        char digits[24], *end = digits + sizeof digits, *p = end;
+        unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+        do {
+            *--p = (char)('0' + u % 10);
+            u /= 10;
+        } while (u != 0);
+        if (v < 0)
+            *--p = '-';
+        return json_put(w, p, end - p);
+    }
+    PyObject *text = PyObject_Repr(o);
+    if (text == NULL) {
+        PyErr_Clear();
+        return JSON_DECLINE;
+    }
+    int rc = json_put(w, (const char *)PyUnicode_1BYTE_DATA(text), PyUnicode_GET_LENGTH(text));
+    Py_DECREF(text);
+    return rc;
+}
+
+static int json_value(JsonWriter *w, PyObject *o, int depth);
+
+static int json_list(JsonWriter *w, PyObject *o, int depth)
+{
+    if (PySequence_Fast_GET_SIZE(o) == 0)
+        return json_put(w, "[]", 2);
+    int rc = JSON_OK;
+    for (Py_ssize_t i = 0; rc == JSON_OK && i < PySequence_Fast_GET_SIZE(o); i++) {
+        rc = json_line(w, i == 0 ? '[' : ',', depth + 1, 0);
+        if (rc == JSON_OK)
+            rc = json_value(w, PySequence_Fast_GET_ITEM(o, i), depth + 1);
+    }
+    return rc == JSON_OK ? json_line(w, 0, depth, ']') : rc;
+}
+
+/* One dict entry, borrowed. */
+typedef struct {
+    PyObject *key, *value;
+} JsonItem;
+
+/* Orders items by their keys, ASCII strs, as str comparison does. */
+static int json_key_order(const void *a, const void *b)
+{
+    PyObject *x = ((const JsonItem *)a)->key, *y = ((const JsonItem *)b)->key;
+    Py_ssize_t nx = PyUnicode_GET_LENGTH(x), ny = PyUnicode_GET_LENGTH(y);
+    int c = memcmp(PyUnicode_1BYTE_DATA(x), PyUnicode_1BYTE_DATA(y), nx < ny ? nx : ny);
+    return c != 0 ? c : (nx > ny) - (nx < ny);
+}
+
+/* Dicts of up to this many entries sort them on the stack. */
+#define JSON_STACK_ITEMS 16
+
+static int json_dict(JsonWriter *w, PyObject *o, int depth)
+{
+    Py_ssize_t n = PyDict_GET_SIZE(o), pos = 0, i = 0;
+    if (n == 0)
+        return json_put(w, "{}", 2);
+    JsonItem stack[JSON_STACK_ITEMS];
+    JsonItem *items = n <= JSON_STACK_ITEMS ? stack : PyMem_New(JsonItem, n);
+    if (items == NULL) {
+        PyErr_NoMemory();
+        return JSON_ERROR;
+    }
+    int rc = JSON_OK;
+    while (rc == JSON_OK && PyDict_Next(o, &pos, &items[i].key, &items[i].value)) {
+        if (!PyUnicode_CheckExact(items[i].key) || !PyUnicode_IS_ASCII(items[i].key))
+            rc = JSON_DECLINE;
+        i++;
+    }
+    if (rc == JSON_OK)
+        qsort(items, n, sizeof *items, json_key_order);
+    for (i = 0; rc == JSON_OK && i < n; i++) {
+        rc = json_line(w, i == 0 ? '{' : ',', depth + 1, 0);
+        if (rc == JSON_OK)
+            rc = json_string(w, items[i].key);
+        if (rc == JSON_OK)
+            rc = json_put(w, ": ", 2);
+        if (rc == JSON_OK)
+            rc = json_value(w, items[i].value, depth + 1);
+    }
+    if (items != stack)
+        PyMem_Free(items);
+    return rc == JSON_OK ? json_line(w, 0, depth, '}') : rc;
+}
+
+/* `o` at indent level `depth`. */
+static int json_value(JsonWriter *w, PyObject *o, int depth)
+{
+    if (o == Py_None)
+        return json_put(w, "null", 4);
+    if (o == Py_True)
+        return json_put(w, "true", 4);
+    if (o == Py_False)
+        return json_put(w, "false", 5);
+    if (PyLong_CheckExact(o))
+        return json_int(w, o);
+    if (PyUnicode_CheckExact(o))
+        return json_string(w, o);
+    int list = PyList_CheckExact(o) || PyTuple_CheckExact(o);
+    if (!list && !PyDict_CheckExact(o))
+        return JSON_DECLINE;
+    if (depth >= JSON_DEPTH_CAP)
+        return JSON_DECLINE;
+    return list ? json_list(w, o, depth) : json_dict(w, o, depth);
+}
+
+/* json.dumps(obj, indent=2, sort_keys=True), or None where the writer
+ * declines. */
+static PyObject *dumps_json(PyObject *Py_UNUSED(self), PyObject *obj)
+{
+    JsonWriter w = {PyUnicode_New(JSON_FIRST_ALLOC, 127), 0, JSON_FIRST_ALLOC};
+    if (w.out == NULL)
         return NULL;
-    PyObject *out = PyUnicode_New(size, 127);
-    if (out != NULL)
-        indent_pass(s, n, PyUnicode_1BYTE_DATA(out));
-    return out;
+    int rc = json_value(&w, obj, 0);
+    if (rc == JSON_OK && PyUnicode_Resize(&w.out, w.size) == 0)
+        return w.out;
+    Py_DECREF(w.out);
+    if (rc == JSON_DECLINE)
+        Py_RETURN_NONE;
+    return NULL;
 }
 
 static PyMethodDef kernel_methods[] = {
@@ -678,20 +822,25 @@ static PyMethodDef kernel_methods[] = {
      "(accept flags, offsets, displaced positions, final positions) of one file-order run."},
     {"best_subset_scaled", best_subset_scaled, METH_VARARGS,
      "(best total weight, member bitmask) over all conflict-free subsets."},
-    {"indent_json", indent_json, METH_O,
-     "json.dumps(obj, indent=2, sort_keys=True) from obj's compact sorted encoding."},
+    {"dumps_json", dumps_json, METH_O,
+     "json.dumps(obj, indent=2, sort_keys=True) in one pass, or None for a type it declines."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Compiled policy loop, subset search and JSON indenter of revsel._engine.",
+    .m_doc = "Compiled policy loop, subset search and JSON writer of revsel._engine.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
-    return PyModule_Create(&kernel_module);
+    PyObject *module = PyModule_Create(&kernel_module);
+    if (module != NULL
+        && (PyModule_AddIntConstant(module, "JSON_DEPTH_CAP", JSON_DEPTH_CAP) < 0
+            || PyModule_AddIntConstant(module, "JSON_FIRST_ALLOC", JSON_FIRST_ALLOC) < 0))
+        Py_CLEAR(module);
+    return module;
 }

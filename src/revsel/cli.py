@@ -55,7 +55,8 @@ class SystemExit_Usage(Exception):
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, the text of every JSON
-    output; the engine's kernel writes it when one is loaded."""
+    output; the engine's kernel writes it in one pass when one is loaded and
+    the payload holds only the types it writes."""
     return _engine.dumps_json(obj)
 
 
@@ -63,7 +64,8 @@ def _emit(payload: dict, out: str | None) -> None:
     text = _json_text(payload)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     print(text)
 
 
@@ -332,8 +334,7 @@ def _cmd_bench_backends(args) -> int:
     brute = adversary.gen_random_instance(15, 4, "int", args.seed).columns
     columns = [list(brute.starts), list(brute.ends), list(brute.weights)]
     # File-order runs, and the indent-2 JSON writer on a `run greedy-subsume`
-    # payload: json.dumps against the kernel's re-spacing of the C encoder's
-    # compact text.
+    # payload: json.dumps against the kernel's one-pass writer.
     seq = adversary.gen_random_instance(2000, 3, "unit", args.seed)
     payload = run_adversarial(make_policy("greedy-subsume"), seq).to_json_dict()
     # (label, ops, repeats, pure-python call, compiled call); each backend's

@@ -13,7 +13,10 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 import zlib
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -25,7 +28,7 @@ from kernel_cases import call_cases
 from reference import permutation_raw, replay_arb_expectation
 from test_trials import SEEDS, kernel_inputs, kernel_modes, mode_policy, raw_trials, trial_samples
 
-from revsel import _engine
+from revsel import _engine, cli
 from revsel._engine import fallback
 from revsel.adversary import gen_random_instance, gen_random_order_bad
 from revsel.algorithms import (
@@ -36,7 +39,7 @@ from revsel.algorithms import (
 )
 from revsel.cli import main
 from revsel.core import ArrivalSequence, Interval, write_jsonl
-from revsel.harness import _trials, run_arb_expectation, run_random_order
+from revsel.harness import _trials, run_adversarial, run_arb_expectation, run_random_order
 from revsel.oracle import opt_bruteforce, opt_unweighted, opt_weighted
 from revsel.rng import Stream, mix64, permutation, substream_seed
 
@@ -464,11 +467,86 @@ def test_json_command_bytes_match_across_backends(tmp_path, capsys):
         assert compiled_out.read_bytes() == pure_out.read_bytes(), argv
 
 
+# -- the JSON writer ----------------------------------------------------------
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    pass
+
+
+def _nested(levels):
+    """0 inside `levels` lists."""
+    payload = 0
+    for _ in range(levels):
+        payload = [payload]
+    return payload
+
+
+def _self_containing():
+    payload = [1]
+    payload.append(payload)
+    return payload
+
+
+# Payload builders, each given the kernel writer's depth cap.
+DECLINED = {
+    "float": lambda cap: 0.5,
+    "fraction": lambda cap: Fraction(1, 2),
+    "set": lambda cap: {1, 2},
+    "int-enum": lambda cap: _Level.ONE,
+    "str-subclass": lambda cap: _Text("a"),
+    "ordered-dict": lambda cap: OrderedDict(a=1),
+    "int-key": lambda cap: {1: "a"},
+    "str-subclass-key": lambda cap: {_Text("a"): 1},
+    "non-ascii": lambda cap: "\u00e9",
+    "past-the-digit-limit": lambda cap: 10**5000,
+    "past-the-cap": lambda cap: _nested(cap + 1),
+    "cycle": lambda cap: _self_containing(),
+}
+
+
 @compiled
-@pytest.mark.parametrize("text", ['["\u00e9"]', "[1]]", "[[1]", '["open'])
-def test_indent_json_rejects_text_the_encoder_cannot_make(text):
-    with pytest.raises(ValueError):
-        _engine._impl.indent_json(text)
+@pytest.mark.parametrize("make", DECLINED.values(), ids=DECLINED.keys())
+def test_kernel_writer_declines_what_it_does_not_write(make):
+    """The kernel writer returns None for a type it does not write, alone or
+    after other output, and the CLI's writer then gives json.dumps's text or
+    raises json.dumps's error."""
+    payload = make(_engine._impl.JSON_DEPTH_CAP)
+    for obj in (payload, {"a": [None, "x", 1], "b": payload}):
+        assert _engine._impl.dumps_json(obj) is None
+        try:
+            expected = json.dumps(obj, indent=2, sort_keys=True)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as caught:
+                cli._json_text(obj)
+            assert str(caught.value) == str(exc)
+        else:
+            assert cli._json_text(obj) == expected
+
+
+@compiled
+def test_kernel_writer_writes_nesting_up_to_the_cap():
+    for levels in range(_engine._impl.JSON_DEPTH_CAP + 1):
+        payload = _nested(levels)
+        assert _engine._impl.dumps_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@compiled
+def test_kernel_writer_peak_memory_is_at_most_three_times_its_output():
+    """The writer's only large allocation is the output it grows in place."""
+    seq = gen_random_instance(2000, 3, "unit", 1)
+    payload = run_adversarial(make_policy("greedy-subsume"), seq).to_json_dict()
+    tracemalloc.start()
+    try:
+        text = _engine.dumps_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
 
 
 # -- the loader ---------------------------------------------------------------
@@ -630,7 +708,8 @@ def _sanitizer_cases():
     six modes in file order and as trials, weighted and not, with policy
     tuples packed as ``raw_trials`` packs them, so that the threshold modes
     meet mixed lengths too, which the dispatcher never hands the kernel. A
-    few cases fail part way through reading their inputs."""
+    few cases fail part way through reading their inputs, and the JSON
+    writer writes a payload per instance and declines one part way."""
     edge = 2**62 - 9
     rows = [
         [(0, 1), (2, 3), (4, 5), (0, 5)],
@@ -656,8 +735,9 @@ def _sanitizer_cases():
                           (starts, ends, packed, 3, seed, weights if i % 2 else [], i)))
         cases.append(("permutation_raw", (len(seq), seed, i)))
         cases.append(("best_subset_scaled", [list(c[:12]) for c in cols[1:4]]))
-        payload = {"rows": rows[i % len(rows)], "w": [str(iv.weight) for iv in seq], "none": {}}
-        cases.append(("indent_json", (_engine._COMPACT.encode(payload),)))
+        payload = {"rows": rows[i % len(rows)], "w": {str(iv.id): str(iv.weight) for iv in seq},
+                   "none": {}}
+        cases.append(("dumps_json", (payload,)))
     never = (2, [], [], 0, [], [], 0, 0, 1)
     cases += [
         ("run_file_order_raw", ([0, 2, 4], [1, 3, 2**70], never, 1)),
@@ -666,6 +746,11 @@ def _sanitizer_cases():
                                           2, 1, [], 0)),
         ("run_file_order_raw", ([0], [1], (5, [], [], 0, [], [], 0, 1, 0), 1)),
         ("run_single_length_trials_raw", ([0], [1], never, 2, 1, [], -1)),
+        # The writer declines only after outgrowing its first allocation,
+        # and nests exactly to its depth cap.
+        ("dumps_json", (list(range(_engine._impl.JSON_FIRST_ALLOC)) + [0.5],)),
+        ("dumps_json", ({**{f"k{i}": i for i in range(40)}, "z": 0.5},)),
+        ("dumps_json", (_nested(_engine._impl.JSON_DEPTH_CAP),)),
     ]
     return cases
 

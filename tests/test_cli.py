@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -507,13 +508,16 @@ def test_json_writer_matches_json_dumps(payload):
 @pytest.mark.parametrize("payload", [
     {}, [], (), [{}], {"a": []}, "é\x00 \ud800", 2**64 + 1, -0.0, float("nan"),
     float("-inf"), 1e300, {1.5: 1, 2: 2}, {True: 1}, {None: 1}, {"a": {"b": (1, [2.5, None])}},
+    -2**63, 2**63 - 1, 2**63, -2**63 - 1, {"ab": 1, "a": 2, "abc": 3, "b": 0, "": 5, "B": 6},
+    {str(i): [i] * (i % 3) for i in range(40)},
 ])
 def test_json_writer_matches_json_dumps_on_edge_values(payload):
     assert cli._json_text(payload) == _reference_json_text(payload)
 
 
-# Text that the writer must copy verbatim: the characters it re-spaces
-# outside strings, quotes, and backslashes (escaped in the encoder's text).
+# Strings of the characters that structure JSON outside strings, quotes and
+# backslashes: inside a string the writer escapes the last two and copies
+# the rest verbatim.
 STRUCTURAL = '\\"\',:[]{} '
 structural_text = st.text(st.sampled_from(STRUCTURAL + "a\n"), max_size=8)
 structural_payloads = st.recursive(
@@ -536,6 +540,7 @@ def test_json_writer_copies_strings_of_structural_characters(payload):
     "\\", "a\\", '"', '\\"', "[{,:}]", {"\\": "\\"}, {'\\"': ['"', "\\", ","]},
     {"a,b": "c:d", "[": "]", "{": "}"}, ["\\", "\\\\", "x\\"], {"k\\": {"\\": []}},
     [[], {}, [[]], {"a": {}}], {"a": [], "b": {}, "c": [{}]}, [[[[]]]], "top-level string",
+    "".join(map(chr, range(128))), {chr(c): c for c in range(128)},
 ])
 def test_json_writer_on_escapes_and_empty_containers(payload):
     assert cli._json_text(payload) == _reference_json_text(payload)
@@ -557,14 +562,16 @@ def _outputs(capsys, tmp_path, argv, out_name):
     return (*run_cli(capsys, *argv, "--out", str(out)), out.read_bytes())
 
 
-def test_every_command_writes_the_bytes_json_dumps_writes(tmp_path, capsys, monkeypatch):
+def _json_commands(tmp_path, capsys):
+    """(argv, --out file name or None) of a command of each kind that
+    writes JSON, on instances generated into `tmp_path`."""
     unit = str(tmp_path / "unit.jsonl")
     rational = str(tmp_path / "rational.jsonl")
     run_cli(capsys, "generate", "random", "--n", "300", "--k-target", "3", "--seed", "4",
             "--out", unit)
     run_cli(capsys, "generate", "random", "--n", "60", "--k-target", "3",
             "--weight-mode", "rational", "--seed", "4", "--out", rational)
-    commands = [
+    return [
         (("run", "greedy-subsume", unit), "run.json"),
         (("run", "call-control", rational), "run.json"),
         (("run", "rand-memoryless:p=1/3", unit, "--seed", "2"), "run.json"),
@@ -575,13 +582,33 @@ def test_every_command_writes_the_bytes_json_dumps_writes(tmp_path, capsys, monk
         (("bench", "call-control", rational, "--trials", "50", "--seed", "3"), "bench.csv"),
         (("bench", "arb:greedy-disjoint", unit, "--trials", "20", "--seed", "3"), None),
     ]
-    for argv, out_name in commands:
+
+
+def test_every_command_writes_the_bytes_json_dumps_writes(tmp_path, capsys, monkeypatch):
+    for argv, out_name in _json_commands(tmp_path, capsys):
         got = _outputs(capsys, tmp_path, argv, out_name)
         with monkeypatch.context() as m:
             m.setattr(cli, "_json_text", _reference_json_text)
             expected = _outputs(capsys, tmp_path, argv, out_name)
         assert got == expected, argv
         assert got[0] == EXIT_OK, argv
+
+
+@pytest.mark.skipif(not _engine.COMPILED, reason="compiled engine not built")
+def test_the_kernel_writes_every_command_payload_itself(tmp_path, capsys, monkeypatch):
+    """No payload of those commands falls back to json.dumps, which the
+    kernel writer leaves the types it declines."""
+    commands = _json_commands(tmp_path, capsys)
+    fallbacks = []
+
+    def dumps(obj, **kwargs):
+        fallbacks.append(argv)
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(_engine, "json", SimpleNamespace(dumps=dumps))
+    for argv, out_name in commands:
+        assert _outputs(capsys, tmp_path, argv, out_name)[0] == EXIT_OK, argv
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("p, message", [
