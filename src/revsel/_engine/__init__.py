@@ -2,8 +2,9 @@
 subset search.
 
 The compiled kernel, ``_kernel.c``, is one CPython C-API module that
-implements one policy loop, the exhaustive subset search and the one-pass
-indent-2 JSON writer behind :func:`dumps_json`. The policy loop replays six
+implements one policy loop, the exhaustive subset search, the one-pass
+indent-2 JSON writer behind :func:`dumps_json` and the instance file reader
+behind :func:`jsonl_columns`. The policy loop replays six
 policy modes on any weights: the single-length threshold tables (which
 include one-directional replacement), always-replace, never-replace,
 greedy-subsume, call-control and the constant-probability memoryless
@@ -24,7 +25,11 @@ arrival's action; its twin is ``harness.run_policy``, which
 ``harness.run_file_order`` falls back to when it returns None. The subset
 search has a twin in :mod:`.fallback`. The JSON writer needs none: where
 the kernel is missing or declines a payload's type, :func:`dumps_json` is
-``json.dumps`` itself.
+``json.dumps`` itself. Nor does the reader: it takes only lines of the
+form ``core.dumps_jsonl`` writes, with integers of at most 18 digits, and
+declines any other text before it keeps a record; where it declines or the
+kernel is missing, ``core.loads_jsonl`` reads the text through its chunk
+loop, which alone raises, so every error and line number is the loop's.
 
 This module alone decides whether the kernel stands in for a policy: the
 harness hands both entries every policy's ``kernel_spec()``, and
@@ -228,6 +233,19 @@ def best_subset_scaled(starts, ends, weights):
     starts, ends, weights = list(starts), list(ends), list(weights)
     fits = _impl is not None and _fits(starts, ends) and sum(map(abs, weights)) < _LIMIT
     return (_impl if fits else fallback).best_subset_scaled(starts, ends, weights)
+
+
+def jsonl_columns(text):
+    """``(starts, ends, weights)`` of an instance file's `text`, as three
+    tuples holding each record's start, end and raw JSON weight (an int, 1
+    where the record has none, or a "p/q" str), when the kernel accepts
+    the text: an exact ASCII str whose every line has the exact form that
+    ``core.dumps_jsonl`` writes, with integers of at most 18 digits (the
+    grammar is in ``_kernel.c``). None
+    for any other text, decided before a record is kept, and always
+    without a kernel; ``core.loads_jsonl``'s chunk loop then reads the text
+    and raises every error."""
+    return None if _impl is None else _impl.jsonl_columns(text)
 
 
 def dumps_json(obj) -> str:

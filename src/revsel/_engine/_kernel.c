@@ -1,5 +1,6 @@
 /* Compiled engine: the policy loop behind permutation trials and file-order
- * runs, exhaustive subset search and the indent-2 JSON writer.
+ * runs, exhaustive subset search, the indent-2 JSON writer and the
+ * instance file reader.
  *
  * A CPython module that gcc alone builds. One inlined loop, play, replays a
  * kernel-mode policy over one arrival order and writes the held-set update
@@ -22,6 +23,11 @@
  * away from this module. dumps_json writes json.dumps(indent=2,
  * sort_keys=True)'s text in one pass for the few types the CLI's payloads
  * hold and declines the rest; its fallback is json.dumps itself.
+ * jsonl_columns reads an instance file's text straight into its start and
+ * end columns and raw weights when every line is byte for byte what
+ * core.dumps_jsonl writes, with integers of at most 18 digits; it declines
+ * any other text before it keeps a record, and core.loads_jsonl's chunk
+ * loop then reads the text and raises every error.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -813,6 +819,198 @@ static PyObject *dumps_json(PyObject *Py_UNUSED(self), PyObject *obj)
     return NULL;
 }
 
+/* The JSONL reader: the start and end columns and each record's raw JSON
+ * weight of a text that core.dumps_jsonl writes, or None. It accepts an
+ * exact ASCII str whose lines, split on '\n' alone with the final newline
+ * optional and none blank, are each byte for byte
+ *     {"end": E, "id": I, "start": S}  or  {"end": E, "id": I, "start": S, "weight": W}
+ * where E, I and S are canonical JSON integers of at most JSONL_DIGITS
+ * digits (no leading zero, no -0), I is the line's index from 0 and S < E,
+ * and W is such an integer that is not negative, or a "p/q" string of two
+ * digit runs of at most JSONL_DIGITS digits each with q not 0. A first pass
+ * checks every line and keeps C integers alone, so anything else declines
+ * before a record is kept: core.loads_jsonl's chunk loop then reads the
+ * text and raises every error. On such a text that loop reads the same
+ * columns and the same raw weights, since json.loads gives each of these
+ * lines as the one dict it spells. Through a small cache, records whose
+ * weights are spelled alike mostly share one weight object. */
+#define JSONL_DIGITS 18
+/* Slots of the weight cache, a power of two. */
+#define JSONL_CACHE 64
+
+/* One record: its endpoints and its weight's text, text[w, w + wlen),
+ * which is an integer's digits, the inside of a "p/q" string (`quoted`)
+ * or, with wlen 0, absent. */
+typedef struct {
+    i64 s, e;
+    Py_ssize_t w, wlen;
+    int quoted;
+} jsonl_record;
+
+/* Whether text[*at, end) starts with the literal `lit`; moves *at past it. */
+static inline int jsonl_literal(const Py_UCS1 *text, Py_ssize_t end, Py_ssize_t *at,
+                                const char *lit, Py_ssize_t n)
+{
+    if (end - *at < n || memcmp(text + *at, lit, n) != 0)
+        return 0;
+    *at += n;
+    return 1;
+}
+
+/* The length of the run of at most JSONL_DIGITS digits at text[*at], which
+ * *at moves past; 0 if there is none or a longer one. */
+static inline Py_ssize_t jsonl_digits(const Py_UCS1 *text, Py_ssize_t end, Py_ssize_t *at)
+{
+    Py_ssize_t from = *at;
+    while (*at < end && (unsigned)(text[*at] - '0') < 10 && *at - from <= JSONL_DIGITS)
+        ++*at;
+    return *at - from > JSONL_DIGITS ? 0 : *at - from;
+}
+
+/* The value of the run of at most JSONL_DIGITS digits text[from, to). */
+static inline i64 jsonl_value(const Py_UCS1 *text, Py_ssize_t from, Py_ssize_t to)
+{
+    i64 v = 0;
+    for (Py_ssize_t i = from; i < to; i++)
+        v = 10 * v + (text[i] - '0');
+    return v;
+}
+
+/* Reads the canonical JSON integer at text[*at] into *v, a '-' first only
+ * when `sign` allows it; 0 if there is none. */
+static inline int jsonl_int(const Py_UCS1 *text, Py_ssize_t end, Py_ssize_t *at, int sign,
+                            i64 *v)
+{
+    int neg = sign && *at < end && text[*at] == '-';
+    *at += neg;
+    Py_ssize_t from = *at, n = jsonl_digits(text, end, at);
+    if (n == 0 || (n > 1 && text[from] == '0') || (neg && text[from] == '0'))
+        return 0;
+    *v = neg ? -jsonl_value(text, from, *at) : jsonl_value(text, from, *at);
+    return 1;
+}
+
+/* Checks the record at text[*at] as line `index`'s and reads it into *r,
+ * moving *at past it; 0 where the reader declines it. */
+static int jsonl_line(const Py_UCS1 *text, Py_ssize_t end, Py_ssize_t *at, Py_ssize_t index,
+                      jsonl_record *r)
+{
+    i64 id;
+    if (!(jsonl_literal(text, end, at, "{\"end\": ", 8) && jsonl_int(text, end, at, 1, &r->e)
+          && jsonl_literal(text, end, at, ", \"id\": ", 8) && jsonl_int(text, end, at, 1, &id)
+          && jsonl_literal(text, end, at, ", \"start\": ", 11)
+          && jsonl_int(text, end, at, 1, &r->s)))
+        return 0;
+    if (id != index || r->s >= r->e)
+        return 0;
+    r->wlen = 0;
+    if (jsonl_literal(text, end, at, "}", 1))
+        return 1;
+    if (!jsonl_literal(text, end, at, ", \"weight\": ", 12))
+        return 0;
+    r->quoted = jsonl_literal(text, end, at, "\"", 1);
+    r->w = *at;
+    if (r->quoted) {
+        Py_ssize_t q;
+        if (jsonl_digits(text, end, at) == 0 || !jsonl_literal(text, end, at, "/", 1))
+            return 0;
+        q = *at;
+        if (jsonl_digits(text, end, at) == 0 || !jsonl_literal(text, end, at, "\"", 1))
+            return 0;
+        while (text[q] == '0')
+            q++;
+        if (text[q] == '"')
+            return 0; /* q is 0 */
+        r->wlen = *at - 1 - r->w;
+    } else {
+        i64 w;
+        if (!jsonl_int(text, end, at, 0, &w))
+            return 0;
+        r->wlen = *at - r->w;
+    }
+    return jsonl_literal(text, end, at, "}", 1);
+}
+
+/* The raw weight of record r: the int 1 when absent, else an int or a str
+ * made once per text that the cache's slot still holds. `cache` borrows
+ * the objects, which the caller's weight tuple owns. */
+static PyObject *jsonl_weight(const Py_UCS1 *text, const jsonl_record *r, jsonl_record *slots,
+                              PyObject **cache)
+{
+    if (r->wlen == 0)
+        return PyLong_FromLong(1);
+    const Py_UCS1 *w = text + r->w;
+    u64 h = 14695981039346656037ULL; /* FNV-1a */
+    for (Py_ssize_t i = 0; i < r->wlen; i++)
+        h = (h ^ w[i]) * 1099511628211ULL;
+    Py_ssize_t k = (Py_ssize_t)(h & (JSONL_CACHE - 1));
+    /* An integer's digits never spell a "p/q" string's inside. */
+    if (cache[k] != NULL && slots[k].wlen == r->wlen
+        && memcmp(text + slots[k].w, w, r->wlen) == 0) {
+        Py_INCREF(cache[k]);
+        return cache[k];
+    }
+    PyObject *v;
+    if (r->quoted) {
+        v = PyUnicode_New(r->wlen, 127);
+        if (v != NULL)
+            memcpy(PyUnicode_1BYTE_DATA(v), w, r->wlen);
+    } else {
+        v = PyLong_FromLongLong(jsonl_value(text, r->w, r->w + r->wlen));
+    }
+    if (v != NULL) {
+        slots[k] = *r;
+        cache[k] = v;
+    }
+    return v;
+}
+
+/* (starts, ends, weights) as three tuples for a text the reader accepts,
+ * else None; see above. */
+static PyObject *jsonl_columns(PyObject *Py_UNUSED(self), PyObject *obj)
+{
+    if (!PyUnicode_CheckExact(obj) || !PyUnicode_IS_ASCII(obj))
+        Py_RETURN_NONE;
+    const Py_UCS1 *text = PyUnicode_1BYTE_DATA(obj);
+    Py_ssize_t end = PyUnicode_GET_LENGTH(obj), n = 0, at = 0;
+    if (end > 0 && text[end - 1] == '\n')
+        end--; /* the final newline */
+    Py_ssize_t lines = PyUnicode_GET_LENGTH(obj) == 0 ? 0 : 1;
+    for (const Py_UCS1 *p = text; (p = memchr(p, '\n', end - (p - text))) != NULL; p++)
+        lines++;
+    jsonl_record *records = PyMem_New(jsonl_record, lines + 1);
+    if (records == NULL)
+        return PyErr_NoMemory();
+    for (; n < lines; n++) {
+        if (!jsonl_line(text, end, &at, n, &records[n]) || (at < end && text[at++] != '\n'))
+            break;
+    }
+    if (n < lines) {
+        PyMem_Free(records);
+        Py_RETURN_NONE;
+    }
+    PyObject *out = NULL, *starts = PyTuple_New(n), *ends = PyTuple_New(n), *weights = PyTuple_New(n);
+    jsonl_record slots[JSONL_CACHE];
+    PyObject *cache[JSONL_CACHE] = {NULL};
+    int ok = starts != NULL && ends != NULL && weights != NULL;
+    for (Py_ssize_t i = 0; ok && i < n; i++) {
+        PyObject *s = PyLong_FromLongLong(records[i].s), *e = PyLong_FromLongLong(records[i].e);
+        PyObject *w = jsonl_weight(text, &records[i], slots, cache);
+        /* A tuple frees the items it holds and skips the slots left NULL. */
+        ok = s != NULL && e != NULL && w != NULL;
+        PyTuple_SET_ITEM(starts, i, s);
+        PyTuple_SET_ITEM(ends, i, e);
+        PyTuple_SET_ITEM(weights, i, w);
+    }
+    if (ok)
+        out = PyTuple_Pack(3, starts, ends, weights);
+    Py_XDECREF(starts);
+    Py_XDECREF(ends);
+    Py_XDECREF(weights);
+    PyMem_Free(records);
+    return out;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"permutation_raw", permutation_raw, METH_VARARGS,
      "Trial permutation, matching rng.permutation exactly."},
@@ -824,13 +1022,15 @@ static PyMethodDef kernel_methods[] = {
      "(best total weight, member bitmask) over all conflict-free subsets."},
     {"dumps_json", dumps_json, METH_O,
      "json.dumps(obj, indent=2, sort_keys=True) in one pass, or None for a type it declines."},
+    {"jsonl_columns", jsonl_columns, METH_O,
+     "(starts, ends, raw weights) of a text as core.dumps_jsonl writes it, or None."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Compiled policy loop, subset search and JSON writer of revsel._engine.",
+    .m_doc = "Compiled policy loop, subset search, JSON writer and JSONL reader of revsel._engine.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -21,7 +21,10 @@ from fractions import Fraction
 from . import _engine, adversary
 from .algorithms import ArbPolicy, make_policy
 from .core import (
+    _loads_chunks,
+    dumps_jsonl,
     instance_stats,
+    loads_jsonl,
     read_jsonl,
     write_jsonl,
 )
@@ -292,8 +295,8 @@ def _cmd_verify(args) -> int:
 def _build_bench_backends(sub):
     p = sub.add_parser("bench-backends",
                        help="time the compiled kernels against the pure-Python paths "
-                            "(policy replay, subset search and JSON writer) and diff "
-                            "their outputs")
+                            "(policy replay, subset search, JSON writer and instance "
+                            "file reader) and diff their outputs")
     p.set_defaults(handler=_cmd_bench_backends)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=1)
@@ -333,10 +336,13 @@ def _cmd_bench_backends(args) -> int:
     multi = adversary.gen_random_instance(100, 3, "unit", args.seed)
     brute = adversary.gen_random_instance(15, 4, "int", args.seed).columns
     columns = [list(brute.starts), list(brute.ends), list(brute.weights)]
-    # File-order runs, and the indent-2 JSON writer on a `run greedy-subsume`
-    # payload: json.dumps against the kernel's one-pass writer.
+    # File-order runs; the indent-2 JSON writer on a `run greedy-subsume`
+    # payload, json.dumps against the kernel's one-pass writer; and the
+    # reader on the instance's file, the chunk loop against the kernel's
+    # reader, diffed by the columns they read.
     seq = adversary.gen_random_instance(2000, 3, "unit", args.seed)
     payload = run_adversarial(make_policy("greedy-subsume"), seq).to_json_dict()
+    text = dumps_jsonl(seq)
     # (label, ops, repeats, pure-python call, compiled call); each backend's
     # output of its last repeat is diffed.
     cases = [
@@ -350,6 +356,8 @@ def _cmd_bench_backends(args) -> int:
          lambda: _engine._impl.best_subset_scaled(*columns)),
         ("json-writer", 5, 5, lambda: json.dumps(payload, indent=2, sort_keys=True),
          lambda: _engine.dumps_json(payload)),
+        ("jsonl-reader", 20, 20, lambda: _loads_chunks(text).columns,
+         lambda: loads_jsonl(text).columns),
     ]
 
     backends = ["pure-python", "compiled"] if _engine.COMPILED else ["pure-python"]

@@ -23,6 +23,8 @@ from math import gcd, lcm
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import _engine
+
 
 class EmptyInstanceError(ValueError):
     """Raised by operations that need at least one interval."""
@@ -118,10 +120,11 @@ class ArrivalSequence(Sequence[Interval]):
 
     @classmethod
     def _from_columns(cls, columns: Columns) -> ArrivalSequence:
-        """A sequence over checked columns with distinct ids."""
+        """A sequence over checked columns whose ids are 0..n-1 in order, so
+        that each id is its own position."""
         seq = cls.__new__(cls)
         seq.columns = columns
-        seq._pos = dict(zip(columns.ids, range(len(columns.ids))))
+        seq._pos = dict(zip(columns.ids, columns.ids))
         return seq
 
     def __len__(self) -> int:
@@ -375,10 +378,37 @@ def loads_jsonl(text: str) -> ArrivalSequence:
     """Parse an instance file; ids must be 0..n-1 in file order (blank lines
     are skipped). A bad record raises ``ValueError`` naming its line.
 
-    Each chunk of records is decoded in one call (:func:`_decode_chunk`) or,
-    where that declines, line by line; either way each record gets one check,
-    in ``Interval``'s order, and each distinct JSON weight is parsed once. The
-    sequence holds its columns and builds ``Interval``s only when asked.
+    A text as :func:`dumps_jsonl` writes it, with integers of at most 18
+    digits, goes straight into columns in the engine's kernel
+    (``_engine.jsonl_columns``). The kernel declines every other text before
+    it keeps a record, and without a kernel there is none to ask; the chunk
+    loop, :func:`_loads_chunks`, then reads the text, and every error and
+    line number is its own. Either way each distinct JSON weight is parsed
+    once, and the sequence holds its columns and builds ``Interval``s only
+    when asked.
+    """
+    columns = _kernel_columns(text)
+    if columns is None:
+        return _loads_chunks(text)
+    return ArrivalSequence._from_columns(columns)
+
+
+def _kernel_columns(text: str) -> Columns | None:
+    """The columns the kernel reads from `text`, or None where it declines;
+    its raw weights are dropped before the caller builds the id map."""
+    read = _engine.jsonl_columns(text)
+    if read is None:
+        return None
+    starts, ends, raw = read
+    weights = {w: _weight_from_json(w) for w in set(raw)}
+    return _columns(tuple(range(len(starts))), starts, ends, raw, weights)
+
+
+def _loads_chunks(text: str) -> ArrivalSequence:
+    """:func:`loads_jsonl`'s pure-Python reader, for any text. Each chunk of
+    records is decoded in one call (:func:`_decode_chunk`) or, where that
+    declines, line by line; either way each record gets one check, in
+    ``Interval``'s order.
     """
     lines = text.splitlines()
     records = [line for line in lines if line and not line.isspace()]

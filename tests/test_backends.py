@@ -38,7 +38,7 @@ from revsel.algorithms import (
     make_policy,
 )
 from revsel.cli import main
-from revsel.core import ArrivalSequence, Interval, write_jsonl
+from revsel.core import ArrivalSequence, Interval, dumps_jsonl, write_jsonl
 from revsel.harness import _trials, run_adversarial, run_arb_expectation, run_random_order
 from revsel.oracle import opt_bruteforce, opt_unweighted, opt_weighted
 from revsel.rng import Stream, mix64, permutation, substream_seed
@@ -708,8 +708,9 @@ def _sanitizer_cases():
     six modes in file order and as trials, weighted and not, with policy
     tuples packed as ``raw_trials`` packs them, so that the threshold modes
     meet mixed lengths too, which the dispatcher never hands the kernel. A
-    few cases fail part way through reading their inputs, and the JSON
-    writer writes a payload per instance and declines one part way."""
+    few cases fail part way through reading their inputs, the JSON writer
+    writes a payload per instance and declines one part way, and the JSONL
+    reader reads each instance's file and declines cut and edited ones."""
     edge = 2**62 - 9
     rows = [
         [(0, 1), (2, 3), (4, 5), (0, 5)],
@@ -738,7 +739,10 @@ def _sanitizer_cases():
         payload = {"rows": rows[i % len(rows)], "w": {str(iv.id): str(iv.weight) for iv in seq},
                    "none": {}}
         cases.append(("dumps_json", (payload,)))
+        cases.append(("jsonl_columns", (dumps_jsonl(seq),)))
     never = (2, [], [], 0, [], [], 0, 0, 1)
+    text = dumps_jsonl(seqs[-1])
+    widest = 10**18 - 1
     cases += [
         ("run_file_order_raw", ([0, 2, 4], [1, 3, 2**70], never, 1)),
         ("run_single_length_trials_raw", ([0, 2], [1, 3], never, 2, 1, [1, 2**70], 0)),
@@ -751,6 +755,19 @@ def _sanitizer_cases():
         ("dumps_json", (list(range(_engine._impl.JSON_FIRST_ALLOC)) + [0.5],)),
         ("dumps_json", ({**{f"k{i}": i for i in range(40)}, "z": 0.5},)),
         ("dumps_json", (_nested(_engine._impl.JSON_DEPTH_CAP),)),
+        # The reader on an empty text, texts cut part way through a number
+        # and a key, 18- and 19-digit numbers, and texts that decline on
+        # their last byte.
+        ("jsonl_columns", ("",)),
+        ("jsonl_columns", (text[:text.index('"start": ', len(text) // 2) + 10],)),
+        ("jsonl_columns", (text[:text.index('"start": ', len(text) // 2) + 4],)),
+        ("jsonl_columns", (f'{{"end": {widest}, "id": 0, "start": {-widest}}}',)),
+        ("jsonl_columns", (f'{{"end": {widest + 1}, "id": 0, "start": 0}}',)),
+        ("jsonl_columns", (f'{{"end": 1, "id": 0, "start": 0, "weight": "{widest}/{widest}"}}',)),
+        ("jsonl_columns", (f'{{"end": 1, "id": 0, "start": 0, "weight": "1/{widest + 1}"}}',)),
+        ("jsonl_columns", (text[:-1] + "\r",)),
+        ("jsonl_columns", (text + "\n",)),
+        ("jsonl_columns", (text[:-2] + "\u00e9\n",)),
     ]
     return cases
 

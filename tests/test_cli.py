@@ -299,17 +299,28 @@ def test_bench_backends_command(capsys):
     for label in ("trials always-replace", "trials call-control ",
                   "trials call-control weighted", "trials rand-memoryless:p=1/3",
                   "file-order greedy-subsume", "file-order always-replace",
-                  "subset-search", "json-writer"):
+                  "subset-search", "json-writer", "jsonl-reader"):
         assert label in out
     if _engine.COMPILED:
         assert out.splitlines()[-1] == "outputs identical across backends: True"
 
 
-def test_bench_backends_exits_3_when_the_backends_differ(capsys, monkeypatch):
+def _skew_subset_search(monkeypatch):
     from revsel._engine import fallback
 
     search = fallback.best_subset_scaled
     monkeypatch.setattr(fallback, "best_subset_scaled", lambda *columns: (search(*columns), 1))
+
+
+def _skew_chunk_loop(monkeypatch):
+    load = cli._loads_chunks
+    # The chunk loop reads all but the last record.
+    monkeypatch.setattr(cli, "_loads_chunks", lambda text: load(text[:text.rindex("{")]))
+
+
+@pytest.mark.parametrize("skew", [_skew_subset_search, _skew_chunk_loop])
+def test_bench_backends_exits_3_when_the_backends_differ(capsys, monkeypatch, skew):
+    skew(monkeypatch)
     code, out, err = run_cli(capsys, "bench-backends", "--trials", "20", "--seed", "1")
     assert err == ""
     if _engine.COMPILED:

@@ -3,13 +3,17 @@
 import copy
 import json
 import pickle
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference import interval_decode_lines, interval_loads_jsonl
+from revsel import _engine
+from revsel.adversary import gen_random_instance
 from revsel.algorithms import ThresholdPolicyTables
 from revsel.core import (
     _CHUNK_LINES,
@@ -17,6 +21,7 @@ from revsel.core import (
     EmptyInstanceError,
     Interval,
     _decode_chunk,
+    _loads_chunks,
     call_control_point_bound,
     conflicts,
     contains_properly,
@@ -28,6 +33,20 @@ from revsel.core import (
     scale_rational_endpoints,
     validate_solution,
 )
+
+
+@pytest.fixture(params=["kernel", "loop"] if _engine.COMPILED else ["loop"])
+def reader(request, monkeypatch):
+    """Runs a loader test as loaded and, with the kernel, again with the
+    kernel reader declining every text, so that the chunk loop reads the
+    canonical texts too."""
+    if request.param == "loop":
+        monkeypatch.setattr(_engine, "jsonl_columns", lambda text: None)
+
+
+both_readers = pytest.mark.usefixtures("reader")
+# The reader fixture patches the same function for every example.
+FIXTURE = HealthCheck.function_scoped_fixture
 
 
 def iv(i, s, e, w=1):
@@ -217,6 +236,7 @@ def test_scale_rational_endpoints():
     assert not conflicts(s[0], s[1])
 
 
+@both_readers
 def test_jsonl_round_trip():
     s = ArrivalSequence(
         [iv(0, 0, 5), iv(1, 2, 9, Fraction(3, 2)), iv(2, -4, -1, 7)]
@@ -237,6 +257,7 @@ class _Loud(int):
         return "loud"
 
 
+@both_readers
 def test_jsonl_writer_writes_int_subclasses_as_json_dumps_does():
     s = ArrivalSequence([
         iv(0, _Loud(-3), _Loud(4)), iv(1, 5, _Loud(9), Fraction(3, 2)), iv(2, _Loud(10), 12, 7),
@@ -259,6 +280,7 @@ def test_jsonl_writer_requires_sequential_ids():
         dumps_jsonl(ArrivalSequence([iv(1, 0, 5)]))
 
 
+@both_readers
 def test_jsonl_rejects_garbage():
     with pytest.raises(ValueError):
         loads_jsonl('{"id": 0, "start": 1}\n')
@@ -266,6 +288,7 @@ def test_jsonl_rejects_garbage():
         loads_jsonl('{"id": 0, "start": 3, "end": 3}\n')
 
 
+@both_readers
 @pytest.mark.parametrize("field", ["id", "start", "end"])
 @pytest.mark.parametrize("value", ["1.0", "0.9", "true", "false", '"1"', "null"])
 def test_jsonl_rejects_non_integer_ids_and_coordinates(field, value):
@@ -303,11 +326,13 @@ def test_threshold_tables_read_integer_keys_and_bits():
     )
 
 
+@both_readers
 def test_jsonl_integer_fields_stay_exact():
     (only,) = loads_jsonl('{"id": 0, "start": -9007199254740993, "end": 2}\n')
     assert only.start == -9007199254740993 and type(only.start) is int
 
 
+@both_readers
 def test_jsonl_reader_requires_ids_in_file_order():
     def text(*ids):  # one record per id; None is a blank line
         return "\n".join(
@@ -321,6 +346,7 @@ def test_jsonl_reader_requires_ids_in_file_order():
             loads_jsonl(text(*ids))
 
 
+@both_readers
 def test_jsonl_weight_with_zero_denominator_names_its_line():
     text = '{"id": 0, "start": 0, "end": 2}\n{"id": 1, "start": 0, "end": 2, "weight": "1/0"}\n'
     with pytest.raises(
@@ -329,6 +355,7 @@ def test_jsonl_weight_with_zero_denominator_names_its_line():
         loads_jsonl(text)
 
 
+@both_readers
 @pytest.mark.parametrize("weight", [
     "0.5", "1e3", " 3 ", "3 ", "+3", "3/-2", "-3/-2", "1/2/3", "/2", "3/", "", "nan",
     "inf", "0x10", "1_000", "\u0663", "3\n",
@@ -339,6 +366,7 @@ def test_jsonl_rejects_string_weights_outside_the_grammar(weight):
         loads_jsonl(record + "\n")
 
 
+@both_readers
 @pytest.mark.parametrize("weight, value", [
     ("3", 3), ("007", 7), ("-0", 0), ("0/5", 0), ("10/4", Fraction(5, 2)), (4, 4),
 ])
@@ -348,6 +376,7 @@ def test_jsonl_reads_string_weights_in_the_grammar(weight, value):
     assert only.weight == value
 
 
+@both_readers
 def test_negative_string_weight_is_rejected_by_the_interval():
     with pytest.raises(ValueError, match=r"^line 1: .*weight must be non-negative"):
         loads_jsonl('{"id": 0, "start": 0, "end": 2, "weight": "-1/2"}\n')
@@ -467,6 +496,7 @@ def _record(i, style):
     ][style]
 
 
+@both_readers
 @given(
     st.integers(0, 600),
     st.lists(st.tuples(st.integers(0, 600), st.sampled_from(range(len(ODD_LINES) + 3))),
@@ -474,7 +504,7 @@ def _record(i, style):
     st.sampled_from(["\n", "\r\n", "\r"]),
     st.integers(0, 2),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, suppress_health_check=[FIXTURE])
 def test_chunked_reader_matches_the_per_line_loop(n, edits, newline, style):
     """Valid files (a mix of key orders, spacing and weights), and the same
     with blank lines, whitespace lines or odd records put in anywhere, also
@@ -493,6 +523,7 @@ def test_chunked_reader_matches_the_per_line_loop(n, edits, newline, style):
         assert whole  # a plain valid file is decoded a chunk at a time
 
 
+@both_readers
 @pytest.mark.parametrize("odd", ODD_LINES)
 @pytest.mark.parametrize("pos", [1, 290])
 def test_each_odd_line_reads_as_the_per_line_loop_reads_it(odd, pos):
@@ -502,6 +533,7 @@ def test_each_odd_line_reads_as_the_per_line_loop_reads_it(odd, pos):
     _assert_readers_agree("\n".join(lines) + "\n")
 
 
+@both_readers
 @pytest.mark.parametrize("lines, bad_line", [
     # Joined with commas alone, each of these decodes to three valid records.
     (['{"id": 0, "start": 0, "end": 1}, {"id": 1, "start": 2, "end": 3}',
@@ -530,12 +562,13 @@ WEIGHTS = [None, 1, 0, 7, 12, "3", "007", "-0", "0/5", "10/4", "5/2", "1/3", "2/
            "-1/2", "1/0"]
 
 
+@both_readers
 @given(
     st.lists(st.tuples(st.sampled_from(WEIGHTS), st.integers(1, 9), st.booleans()),
              max_size=600),
     st.sampled_from(["\n", "\r\n"]),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, suppress_health_check=[FIXTURE])
 def test_loader_matches_the_interval_loader_on_any_weights(rows, newline):
     """Rational, string and repeated weights, blank lines, CRLF and files
     past one chunk, against the loader that built an Interval per record."""
@@ -553,6 +586,7 @@ def test_loader_matches_the_interval_loader_on_any_weights(rows, newline):
     assert _assert_readers_agree(text)
 
 
+@both_readers
 def test_only_the_chunk_holding_an_odd_line_is_decoded_line_by_line(monkeypatch):
     """A valid line the one call declines costs its own chunk a per-line
     decode; the chunks around it are each decoded in one call."""
@@ -582,6 +616,7 @@ DECODED_CASES = [
 ]
 
 
+@both_readers
 @pytest.mark.parametrize("intervals", DECODED_CASES)
 def test_a_decoded_sequence_equals_the_interval_built_one(intervals):
     built = ArrivalSequence(intervals)
@@ -596,6 +631,7 @@ def test_a_decoded_sequence_equals_the_interval_built_one(intervals):
         assert decoded != _decoded(*intervals[:-1])
 
 
+@both_readers
 @pytest.mark.parametrize("built_intervals", [False, True])
 def test_a_decoded_sequence_round_trips_through_pickle_and_deepcopy(built_intervals):
     decoded = _decoded(*DECODED_CASES[2])
@@ -619,11 +655,12 @@ def _reference_jsonl(seq):
     return "".join(rows)
 
 
+@both_readers
 @given(st.lists(st.tuples(
     st.integers(-2**70, 2**70), st.integers(1, 2**66),
     st.one_of(st.just(Fraction(1)), st.fractions(min_value=0, max_denominator=10**20)),
 ), max_size=30))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, suppress_health_check=[FIXTURE])
 def test_jsonl_writer_matches_json_dumps_per_record(rows):
     s = ArrivalSequence(Interval(i, a, a + ln, w) for i, (a, ln, w) in enumerate(rows))
     text = dumps_jsonl(s)
@@ -631,6 +668,7 @@ def test_jsonl_writer_matches_json_dumps_per_record(rows):
     assert loads_jsonl(text) == s
 
 
+@both_readers
 @pytest.mark.parametrize("start, end", [(False, True), (0, True), (False, 1)])
 def test_bool_coordinates_are_rejected_so_every_interval_round_trips(start, end):
     """The writer would write a bool as true/false, which the reader
@@ -644,6 +682,7 @@ def test_bool_coordinates_are_rejected_so_every_interval_round_trips(start, end)
     assert loads_jsonl(text) == s
 
 
+@both_readers
 def test_jsonl_nesting_beyond_the_recursion_limit_names_its_line():
     deep = '{"a": ' * 5000 + "1" + "}" * 5000
     text = '{"id": 0, "start": 0, "end": 2}\n{"id": 1, "start": 0, "end": 2, "x": ' + deep + "}\n"
@@ -651,3 +690,158 @@ def test_jsonl_nesting_beyond_the_recursion_limit_names_its_line():
         ValueError, match=r"^line 2: invalid interval record: maximum recursion depth exceeded"
     ):
         loads_jsonl(text)
+
+
+# -- the kernel reader against the chunk loop ---------------------------------------
+
+compiled = pytest.mark.skipif(not _engine.COMPILED, reason="compiled engine not built")
+
+# The widest coordinate the kernel reader takes: 18 digits.
+WIDEST = 10**18 - 1
+COORDINATES = st.one_of(st.integers(-5, 5), st.integers(-WIDEST, WIDEST - 1))
+# Unit, integer and rational weights; a rational's reduced terms keep at
+# most 18 digits each.
+WEIGHT_MODES = {
+    "unit": st.just(Fraction(1)),
+    "int": st.one_of(st.integers(0, 3), st.integers(0, WIDEST)).map(Fraction),
+    "rational": st.builds(Fraction, st.integers(0, WIDEST), st.integers(1, WIDEST)),
+}
+
+
+@st.composite
+def canonical_sequences(draw, min_size=0):
+    weights = WEIGHT_MODES[draw(st.sampled_from(sorted(WEIGHT_MODES)))]
+    rows = draw(st.lists(st.tuples(COORDINATES, COORDINATES, weights),
+                         min_size=min_size, max_size=30))
+    # start < end <= WIDEST
+    return ArrivalSequence(
+        Interval(i, min(a, b), max(a, b) + (a == b), w) for i, (a, b, w) in enumerate(rows)
+    )
+
+
+@given(canonical_sequences())
+@settings(max_examples=200, deadline=None)
+def test_kernel_reader_reads_the_writers_texts_as_the_chunk_loop(seq):
+    """Every text dumps_jsonl writes, with or without its final newline,
+    reads to the chunk loop's columns, and the kernel takes it with each
+    record's raw JSON weight."""
+    text = dumps_jsonl(seq)
+    for variant in (text, text[:-1]):
+        got = loads_jsonl(variant)
+        assert got.columns == _loads_chunks(variant).columns == seq.columns
+        assert "_intervals" not in vars(got)
+        if _engine.COMPILED:
+            rows = [json.loads(line) for line in text.splitlines()]
+            starts, ends, weights = _engine.jsonl_columns(variant)
+            assert starts == tuple(row["start"] for row in rows)
+            assert ends == tuple(row["end"] for row in rows)
+            # repr tells the int 3 from the str "3"
+            assert repr(weights) == repr(tuple(row.get("weight", 1) for row in rows))
+
+
+def _with_weight(line, weight):
+    return re.sub(r'(, "weight": [^}]*)?\}$', f', "weight": {weight}}}', line)
+
+
+# One edit of a canonical line each, which the kernel reader declines; the
+# chunk loop reads some of the results and refuses the others.
+MUTANTS = {
+    "blank line": lambda line: line + "\n",
+    "crlf": lambda line: line + "\r",
+    "minus zero": lambda line: re.sub(r'"start": -?[0-9]+', '"start": -0', line),
+    "leading zero": lambda line: line.replace('"id": ', '"id": 0'),
+    "19 digits": lambda line: re.sub(r'"end": -?[0-9]+', '"end": 1' + "0" * 18, line),
+    "swapped keys": lambda line: re.sub(r'"end": (-?[0-9]+), "id": ([0-9]+)',
+                                        r'"id": \2, "end": \1', line),
+    "extra space": lambda line: line.replace('"start": ', '"start":  '),
+    "zero denominator": lambda line: _with_weight(line, '"3/0"'),
+    "negative rational": lambda line: _with_weight(line, '"-1/2"'),
+    "non-ascii": lambda line: line.replace('"id"', '"ïd"'),
+    "skipped id": lambda line: re.sub(r'"id": ([0-9]+)', lambda m: f'"id": {int(m[1]) + 1}',
+                                      line),
+    "start == end": lambda line: re.sub(r'^(\{"end": (-?[0-9]+), "id": [0-9]+, "start": )-?[0-9]+',
+                                        r"\g<1>\2", line),
+}
+
+
+@given(canonical_sequences(min_size=1), st.sampled_from(sorted(MUTANTS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernel_reader_declines_edited_texts(seq, mutant, data):
+    """An edited line anywhere declines the whole text, which then reads to
+    the chunk loop's columns or fails with its exact error and line."""
+    lines = dumps_jsonl(seq).splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at] = MUTANTS[mutant](lines[at])
+    text = "\n".join(lines) + "\n"
+    assert text != dumps_jsonl(seq)
+    assert _engine.jsonl_columns(text) is None
+    assert _read(text) == _read(text, _loads_chunks)
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_each_edit_declines_on_the_last_line(mutant):
+    """Each edit made on the last of 300 lines: the kernel reader declines
+    only after checking every line before it."""
+    seq = gen_random_instance(300, 3, "rational", 1)
+    lines = dumps_jsonl(seq).splitlines()
+    lines[-1] = MUTANTS[mutant](lines[-1])
+    text = "\n".join(lines) + "\n"
+    assert _engine.jsonl_columns(text) is None
+    assert _read(text) == _read(text, _loads_chunks)
+
+
+@pytest.mark.parametrize("text, accepted", [
+    ("", True),
+    ("\n", False),
+    ("\n\n", False),
+    (" ", False),
+    ('{"end": 1, "id": 0, "start": 0}\n\n', False),
+    ('{"end": 1, "id": 0, "start": 0}\n{"end": 1, "id": 1, "start": 0}\n\n', False),
+    ('{"end": 1, "id": 0, "start": 0}\n{"end": 1, "id": 1, "start": 0', False),
+    ('{"end": 1, "id": 0, "start": 0}\n{"end": 1, "id": 1, "sta', False),
+    ('{"end": 1, "id": 0, "start": 0, "weight": "1/01"}\n', True),
+    ('{"end": 1, "id": 0, "start": 0, "weight": "1/00"}\n', False),
+    ('{"end": 1, "id": 0, "start": 0, "weight": "00/1"}\n', True),
+    ('{"end": 1, "id": 0, "start": 0, "weight": 0}\n', True),
+    ('{"end": 1, "id": 0, "start": 0, "weight": 00}\n', False),
+    ('{"end": 1, "id": 0, "start": 0, "weight": -1}\n', False),
+    ('{"end": 1, "id": 0, "start": 0, "weight": "3"}\n', False),
+    ('{"end": 1, "id": 0, "start": 0, "weight": "1/2/3"}\n', False),
+    ('{"end": 1, "id": 0, "start": 0, "weight": 1}\n', True),
+    ('{"end": 1, "id": 0, "start": -0}\n', False),
+    (f'{{"end": {WIDEST}, "id": 0, "start": {-WIDEST}}}\n', True),
+    (f'{{"end": {WIDEST + 1}, "id": 0, "start": {-WIDEST}}}\n', False),
+    (f'{{"end": 1, "id": 0, "start": {-WIDEST - 1}}}\n', False),
+    (f'{{"end": 1, "id": 0, "start": 0, "weight": "{WIDEST}/{WIDEST}"}}\n', True),
+    (f'{{"end": 1, "id": 0, "start": 0, "weight": "{WIDEST + 1}/3"}}\n', False),
+    ('{"end": 1, "id": 0, "start": 0}\x00', False),
+    ('{"end": 1, "id": 0, "start": 0}}\n', False),
+])
+def test_edge_texts_read_as_the_chunk_loop_reads_them(text, accepted):
+    """The kernel takes exactly the texts in the writer's form, and every
+    text reads to the chunk loop's columns or fails with its error."""
+    assert (_engine.jsonl_columns(text) is not None) == (accepted and _engine.COMPILED)
+    assert _read(text) == _read(text, _loads_chunks)
+
+
+def test_kernel_reader_declines_bytes():
+    assert _engine.jsonl_columns(b'{"end": 1, "id": 0, "start": 0}\n') is None
+
+
+@compiled
+def test_kernel_reader_peaks_at_half_the_chunk_loop():
+    """One load of the 2,000-line rational file through the kernel reader
+    keeps no lines, records or decoded rows: its tracemalloc peak is at
+    most half of the chunk loop's on the same text."""
+    text = dumps_jsonl(gen_random_instance(2000, 3, "rational", 1))
+    peaks = {}
+    for load in (loads_jsonl, _loads_chunks):
+        load(text)  # anything built once per process is built before tracing
+        tracemalloc.start()
+        try:
+            load(text)
+            peaks[load] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert _engine.jsonl_columns(text) is not None
+    assert peaks[loads_jsonl] <= peaks[_loads_chunks] / 2
