@@ -1,10 +1,11 @@
-"""Hot-loop engine: the compiled kernel, and a pure-Python twin of its
-subset search.
+"""Hot-loop engine: the compiled kernel, and pure-Python twins of its
+subset search and exact oracles.
 
 The compiled kernel, ``_kernel.c``, is one CPython C-API module that
-implements one policy loop, the exhaustive subset search, the one-pass
-indent-2 JSON writer behind :func:`dumps_json` and the instance file reader
-behind :func:`jsonl_columns`. The policy loop replays six
+implements one policy loop, the exhaustive subset search, the exact oracles
+behind :func:`opt_members`, the one-pass indent-2 JSON writer behind
+:func:`dumps_json` and the instance file reader behind
+:func:`jsonl_columns`. The policy loop replays six
 policy modes on any weights: the single-length threshold tables (which
 include one-directional replacement), always-replace, never-replace,
 greedy-subsume, call-control and the constant-probability memoryless
@@ -23,9 +24,14 @@ harness replays the trials through the policies themselves
 :func:`run_file_order` plays one run in file order and reports every
 arrival's action; its twin is ``harness.run_policy``, which
 ``harness.run_file_order`` falls back to when it returns None. The subset
-search has a twin in :mod:`.fallback`. The JSON writer needs none: where
+search and the oracles have twins in :mod:`.fallback`: the oracles'
+kernel entry declines, while it reads them, columns that leave its 64-bit
+guard, and the twin then picks the same members. The JSON writer needs
+none: a payload may carry a ``harness.RunTranscript`` where its rows go,
+which the kernel writes straight from the transcript's columns, and where
 the kernel is missing or declines a payload's type, :func:`dumps_json` is
-``json.dumps`` itself. Nor does the reader: it takes only lines of the
+``json.dumps`` itself, rendering each transcript through its
+``to_json_list``. Nor does the reader: it takes only lines of the
 form ``core.dumps_jsonl`` writes, with integers of at most 18 digits, and
 declines any other text before it keeps a record; where it declines or the
 kernel is missing, ``core.loads_jsonl`` reads the text through its chunk
@@ -228,6 +234,21 @@ def run_file_order(starts, ends, spec: Optional[dict], seed: Optional[int] = Non
     return _impl.run_file_order_raw(starts, ends, policy, 0 if seed is None else seed)
 
 
+def opt_members(ids, starts, ends, weights=()):
+    """The member positions of an exact optimum over the columns: the
+    earliest-finish greedy's maximum-cardinality set when `weights` is
+    empty, else the end-time DP's maximum-weight set. The kernel answers
+    unless it declines while it reads the columns (an item that is not an
+    exact int strictly inside +-2**62, a start not below its end, or
+    weights whose absolute values sum to 2**62 or more); its twin,
+    ``fallback.opt_members``, then does, step for step alike."""
+    if _impl is not None:
+        members = _impl.opt_members(ids, starts, ends, weights)
+        if members is not None:
+            return members
+    return fallback.opt_members(ids, starts, ends, weights)
+
+
 def best_subset_scaled(starts, ends, weights):
     """(best total weight, member bitmask) over all conflict-free subsets."""
     starts, ends, weights = list(starts), list(ends), list(weights)
@@ -248,15 +269,30 @@ def jsonl_columns(text):
     return None if _impl is None else _impl.jsonl_columns(text)
 
 
+def json_default(obj):
+    """json.dumps's `default` for the CLI's payloads: a ``RunTranscript`` as
+    its rows, ``to_json_list()``; anything else raises json.dumps's own
+    TypeError."""
+    from ..harness import RunTranscript
+
+    if isinstance(obj, RunTranscript):
+        return obj.to_json_list()
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def dumps_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``. The kernel writes it in
-    one pass when `obj` holds only None, bools, ints, ASCII strs, lists,
-    tuples and str-keyed dicts (the exact types, nested at most
-    ``JSON_DEPTH_CAP`` deep), which is all the CLI's payloads hold. It
-    declines anything else before writing, and json.dumps then writes the
-    text or raises the error, as it does without the kernel."""
+    """``json.dumps(obj, indent=2, sort_keys=True, default=json_default)``,
+    so a payload may carry a ``RunTranscript`` where its rows go. The kernel
+    writes it in one pass when `obj` holds only None, bools, ints, ASCII
+    strs, lists, tuples, str-keyed dicts (the exact types, nested at most
+    ``JSON_DEPTH_CAP`` deep) and transcripts, whose rows it writes straight
+    from their columns; that is all the CLI's payloads hold. It declines
+    anything else before writing, and json.dumps then writes the text or
+    raises the error, as it does without the kernel."""
+    from ..harness import RunTranscript
+
     if _impl is not None:
-        text = _impl.dumps_json(obj)
+        text = _impl.dumps_json(obj, RunTranscript)
         if text is not None:
             return text
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, default=json_default)

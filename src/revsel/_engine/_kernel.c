@@ -1,6 +1,6 @@
 /* Compiled engine: the policy loop behind permutation trials and file-order
- * runs, exhaustive subset search, the indent-2 JSON writer and the
- * instance file reader.
+ * runs, exhaustive subset search, the exact oracles, the indent-2 JSON
+ * writer and the instance file reader.
  *
  * A CPython module that gcc alone builds. One inlined loop, play, replays a
  * kernel-mode policy over one arrival order and writes the held-set update
@@ -16,13 +16,18 @@
  * order) and the memoryless draws are the policy's. The file-order run
  * matches harness.run_policy action for action. Neither checks
  * feasibility: the tests diff both against the harness. The subset search
- * matches its twin in revsel._engine.fallback (same enumeration order);
- * keep those two in lockstep. Coordinates, weights and the acceptance
- * fraction are read as 64-bit integers, and an int that does not fit
- * raises OverflowError: the dispatchers in revsel._engine keep such inputs
- * away from this module. dumps_json writes json.dumps(indent=2,
- * sort_keys=True)'s text in one pass for the few types the CLI's payloads
- * hold and declines the rest; its fallback is json.dumps itself.
+ * matches its twin in revsel._engine.fallback (same enumeration order),
+ * and so do the oracles, opt_members (same sort order, same members in the
+ * same order); keep each pair in lockstep. Coordinates, weights and the
+ * acceptance fraction are read as 64-bit integers, and an int that does
+ * not fit raises OverflowError: the dispatchers in revsel._engine keep such
+ * inputs away from this module. opt_members alone guards its own inputs:
+ * it declines, while it reads them, anything its twin must take instead.
+ * dumps_json writes json.dumps(indent=2, sort_keys=True)'s text in one pass
+ * for the few types the CLI's payloads hold, a run's transcript among them,
+ * whose rows it writes straight from its columns, and declines the rest;
+ * its fallback is json.dumps itself, which renders a transcript through
+ * its to_json_list().
  * jsonl_columns reads an instance file's text straight into its start and
  * end columns and raw weights when every line is byte for byte what
  * core.dumps_jsonl writes, with integers of at most 18 digits; it declines
@@ -31,6 +36,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -564,16 +570,214 @@ done:
     return out;
 }
 
+/* The exact oracles: the member positions of a maximum-cardinality set by
+ * earliest-finish greedy (no weights) or of a maximum-weight set by the
+ * end-time DP, step for step as their twin, fallback.opt_members, takes
+ * them. Inputs stay strictly inside +-2**62 and weights sum below it, so no
+ * comparison or sum overflows; the entry declines anything else while it
+ * reads, before it allocates a Python object. */
+#define ORACLE_LIMIT ((i64)1 << 62)
+
+/* An arrival in the oracles' sort: its end, start, id and position. */
+typedef struct {
+    i64 e, s, id;
+    Py_ssize_t p;
+} oracle_item;
+
+/* Whether x sorts before y: by end ascending, then by start, descending
+ * with `longer_first` (the greedy's order, the longer interval last) and
+ * ascending without (the DP's), then by id ascending. Ids are distinct, so
+ * the order is total and any sort gives the twin's stable sorts' order. */
+static inline int oracle_before(const oracle_item *x, const oracle_item *y, int longer_first)
+{
+    if (x->e != y->e)
+        return x->e < y->e;
+    if (x->s != y->s)
+        return longer_first ? x->s > y->s : x->s < y->s;
+    return x->id < y->id;
+}
+
+/* Runs that the sort orders by insertion before it merges them. */
+#define ORACLE_RUN 16
+
+/* Sorts items[0, n) by oracle_before: insertion-sorted runs, then
+ * bottom-up merges that alternate between items and tmp (n items each).
+ * Returns the array that holds the result. Inlined, so that each call
+ * site's constant `longer_first` leaves one comparison path; qsort's
+ * comparator call per step took three times as long. */
+static inline __attribute__((always_inline)) oracle_item *
+oracle_sort(oracle_item *items, oracle_item *tmp, Py_ssize_t n, int longer_first)
+{
+    for (Py_ssize_t lo = 0; lo < n; lo += ORACLE_RUN) {
+        Py_ssize_t hi = Py_MIN(lo + ORACLE_RUN, n);
+        for (Py_ssize_t i = lo + 1; i < hi; i++) {
+            oracle_item x = items[i];
+            Py_ssize_t j = i;
+            for (; j > lo && oracle_before(&x, &items[j - 1], longer_first); j--)
+                items[j] = items[j - 1];
+            items[j] = x;
+        }
+    }
+    for (Py_ssize_t width = ORACLE_RUN; width < n; width *= 2) {
+        for (Py_ssize_t lo = 0; lo < n; lo += 2 * width) {
+            Py_ssize_t mid = Py_MIN(lo + width, n), hi = Py_MIN(lo + 2 * width, n);
+            Py_ssize_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi)
+                tmp[k++] = oracle_before(&items[j], &items[i], longer_first) ? items[j++]
+                                                                             : items[i++];
+            while (i < mid)
+                tmp[k++] = items[i++];
+            while (j < hi)
+                tmp[k++] = items[j++];
+        }
+        oracle_item *swap = items;
+        items = tmp;
+        tmp = swap;
+    }
+    return items;
+}
+
+/* Item i of the exact list or tuple `seq` into *v; 0 unless it is an exact
+ * int strictly inside +-2**62. */
+static inline int oracle_value(PyObject *seq, Py_ssize_t i, i64 *v)
+{
+    PyObject *o = PySequence_Fast_GET_ITEM(seq, i);
+    int overflow;
+    if (!PyLong_CheckExact(o))
+        return 0;
+    *v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    return !overflow && -ORACLE_LIMIT < *v && *v < ORACLE_LIMIT;
+}
+
+static inline int oracle_column(PyObject *seq, Py_ssize_t n)
+{
+    return (PyList_CheckExact(seq) || PyTuple_CheckExact(seq)) && PySequence_Fast_GET_SIZE(seq) == n;
+}
+
+/* The greedy's members in the order it takes them; tmp is the sort's
+ * scratch. */
+static Py_ssize_t oracle_greedy(oracle_item *items, oracle_item *tmp, Py_ssize_t n, i64 *members)
+{
+    Py_ssize_t m = 0;
+    i64 frontier = 0;
+    items = oracle_sort(items, tmp, n, 1);
+    for (Py_ssize_t j = 0; j < n; j++) {
+        if (m == 0 || items[j].s >= frontier) {
+            members[m++] = items[j].p;
+            frontier = items[j].e;
+        }
+    }
+    return m;
+}
+
+/* The DP's members in its backtracking order; tmp is the sort's scratch.
+ * prev[j] is the last index whose end is at most item j's start,
+ * bisect_right(ends, s) - 1, and best holds the n + 1 prefix optima. Every
+ * start is below its end, so prev[j] < j: the search stops at j, and the
+ * backtracking takes at most n steps. */
+static Py_ssize_t oracle_dp(oracle_item *items, oracle_item *tmp, Py_ssize_t n,
+                            const i64 *weights, Py_ssize_t *prev, i64 *best, i64 *members)
+{
+    items = oracle_sort(items, tmp, n, 0);
+    best[0] = 0;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        Py_ssize_t lo = 0, hi = j;
+        while (lo < hi) {
+            Py_ssize_t mid = (lo + hi) / 2;
+            if (items[j].s < items[mid].e)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        prev[j] = lo - 1;
+        i64 take = weights[items[j].p] + best[lo];
+        best[j + 1] = take > best[j] ? take : best[j];
+    }
+    Py_ssize_t m = 0;
+    for (Py_ssize_t j = n; j > 0;) {
+        if (best[j] == best[j - 1]) {
+            j--;
+        } else {
+            members[m++] = items[j - 1].p;
+            j = prev[j - 1] + 1;
+        }
+    }
+    return m;
+}
+
+/* opt_members(ids, starts, ends, weights): the member positions, as a list,
+ * of the greedy's set when weights is empty and of the DP's otherwise; None
+ * where the entry declines: a column that is not an exact list or tuple of
+ * the ids' length (weights may be empty instead), an item that is not an
+ * exact int strictly inside +-2**62, a start that is not below its end
+ * (which no instance holds), or weights whose absolute values sum to 2**62
+ * or more. */
+static PyObject *opt_members(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *ids, *starts, *ends, *weights, *out = NULL;
+    if (!PyArg_ParseTuple(args, "OOOO", &ids, &starts, &ends, &weights))
+        return NULL;
+    if (!PyList_CheckExact(ids) && !PyTuple_CheckExact(ids))
+        Py_RETURN_NONE;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(ids), i = 0;
+    int weighted = n > 0 && oracle_column(weights, n);
+    if (!oracle_column(starts, n) || !oracle_column(ends, n)
+        || !(weighted || oracle_column(weights, 0)))
+        Py_RETURN_NONE;
+    oracle_item *items = PyMem_New(oracle_item, n + 1), *tmp = PyMem_New(oracle_item, n + 1);
+    Py_ssize_t *prev = PyMem_New(Py_ssize_t, n + 1);
+    i64 *members = PyMem_New(i64, n + 1), *w = PyMem_New(i64, n + 1),
+        *best = PyMem_New(i64, n + 1);
+    if (items == NULL || tmp == NULL || prev == NULL || members == NULL || w == NULL
+        || best == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (u64 total = 0; i < n; i++) {
+        oracle_item *it = &items[i];
+        it->p = i;
+        if (!oracle_value(ids, i, &it->id) || !oracle_value(starts, i, &it->s)
+            || !oracle_value(ends, i, &it->e) || it->s >= it->e)
+            break;
+        if (weighted) {
+            if (!oracle_value(weights, i, &w[i]))
+                break;
+            total += (u64)(w[i] < 0 ? -w[i] : w[i]);
+            if (total >= (u64)ORACLE_LIMIT)
+                break;
+        }
+    }
+    if (i < n) {
+        out = Py_NewRef(Py_None);
+        goto done;
+    }
+    Py_ssize_t m = weighted ? oracle_dp(items, tmp, n, w, prev, best, members)
+                            : oracle_greedy(items, tmp, n, members);
+    out = list_of(members, m);
+done:
+    PyMem_Free(items);
+    PyMem_Free(tmp);
+    PyMem_Free(prev);
+    PyMem_Free(members);
+    PyMem_Free(w);
+    PyMem_Free(best);
+    return out;
+}
+
 /* The JSON writer: json.dumps(obj, indent=2, sort_keys=True) in one pass,
  * for the types that the CLI's payloads hold. None, True and False; exact
  * ints; exact ASCII strs, escaped as ensure_ascii escapes them; exact lists
- * and tuples; exact dicts whose keys are all exact strs. Anything else, and
- * containers nested more than JSON_DEPTH_CAP deep (which stops a cycle too),
- * declines: the entry then returns None and writes nothing, so json.dumps
- * writes every text and raises every error that this writer does not. The
- * writer calls no Python code, and until it declines it allocates no object
- * that the garbage collector tracks, so the payload cannot change under it
- * and the borrowed references it holds stay valid. */
+ * and tuples; exact dicts whose keys are all exact strs; and transcripts,
+ * objects of exactly the type the caller names (harness.RunTranscript),
+ * written as the list of rows their to_json_list() gives, straight from
+ * their four column slots. Anything else, and containers nested more than
+ * JSON_DEPTH_CAP deep (which stops a cycle too), declines: the entry then
+ * returns None and writes nothing, so json.dumps writes every text and
+ * raises every error that this writer does not. The writer calls no Python
+ * code (it reads a transcript's slots through their member descriptors),
+ * and until it declines it allocates no object that the garbage collector
+ * tracks, so the payload cannot change under it and the borrowed
+ * references it holds stay valid. */
 #define JSON_DEPTH_CAP 64
 /* The output's first allocation in bytes; it doubles whenever it fills. */
 #define JSON_FIRST_ALLOC 4096
@@ -585,6 +789,7 @@ enum { JSON_ERROR = -1, JSON_OK = 0, JSON_DECLINE = 1 };
 typedef struct {
     PyObject *out;
     Py_ssize_t size, cap;
+    PyTypeObject *rows; /* the transcript type, or NULL */
 } JsonWriter;
 
 /* Where the next n bytes go, growing the output if need be; NULL with
@@ -782,6 +987,115 @@ static int json_dict(JsonWriter *w, PyObject *o, int depth)
     return rc == JSON_OK ? json_line(w, 0, depth, '}') : rc;
 }
 
+/* Slot `name` of the transcript `t`, read through the member descriptor in
+ * its type's dict, so that no Python code runs; NULL, with no error set,
+ * where the type has no such slot or it is unset. */
+static PyObject *json_slot(PyObject *t, const char *name)
+{
+    PyObject *d = PyDict_GetItemString(Py_TYPE(t)->tp_dict, name);
+    if (d == NULL || !Py_IS_TYPE(d, &PyMemberDescr_Type))
+        return NULL;
+    PyObject *v = PyMember_GetOne((const char *)t, ((PyMemberDescrObject *)d)->d_member);
+    if (v == NULL)
+        PyErr_Clear();
+    return v;
+}
+
+/* Item i of `offsets` into *v; 0 unless it is an exact int in [lo, hi]. */
+static inline int json_offset(PyObject *offsets, Py_ssize_t i, Py_ssize_t lo, Py_ssize_t hi,
+                              Py_ssize_t *v)
+{
+    PyObject *o = PyList_GET_ITEM(offsets, i);
+    int overflow;
+    if (!PyLong_CheckExact(o))
+        return 0;
+    long long x = PyLong_AsLongLongAndOverflow(o, &overflow);
+    *v = (Py_ssize_t)x;
+    return !overflow && lo <= x && x <= hi;
+}
+
+static inline int json_exact_int(JsonWriter *w, PyObject *o)
+{
+    return PyLong_CheckExact(o) ? json_int(w, o) : JSON_DECLINE;
+}
+
+/* The rows of a transcript whose columns are the arrival ids, one kind per
+ * arrival (0 reject, 1 accept, 2 accept and discard the rest) and the
+ * displaced ids, displaced[offsets[p], offsets[p + 1]): each row a dict of
+ * "action", "discard_rest" (kind 2 only), "displaced" and "id". Declines
+ * unless ids and displaced are lists of exact ints, kinds a bytearray of
+ * 0, 1 and 2 as long as ids, and offsets a non-decreasing list of
+ * len(ids) + 1 exact ints from 0 on that ends at len(displaced). */
+static int json_rows_of(JsonWriter *w, PyObject *ids, PyObject *kinds, PyObject *offsets,
+                        PyObject *gone, int depth)
+{
+    if (!PyList_CheckExact(ids) || !PyByteArray_CheckExact(kinds) || !PyList_CheckExact(offsets)
+        || !PyList_CheckExact(gone))
+        return JSON_DECLINE;
+    Py_ssize_t n = PyList_GET_SIZE(ids), total = PyList_GET_SIZE(gone), lo, hi;
+    const char *kind = PyByteArray_AS_STRING(kinds);
+    if (PyByteArray_GET_SIZE(kinds) != n || PyList_GET_SIZE(offsets) != n + 1
+        || !json_offset(offsets, 0, 0, total, &lo))
+        return JSON_DECLINE;
+    for (Py_ssize_t p = 0; p < n; p++)
+        if ((unsigned char)kind[p] > 2)
+            return JSON_DECLINE;
+    if (n == 0)
+        return lo == total ? json_put(w, "[]", 2) : JSON_DECLINE;
+    int rc = JSON_OK;
+    for (Py_ssize_t p = 0; rc == JSON_OK && p < n; p++, lo = hi) {
+        if (!json_offset(offsets, p + 1, lo, total, &hi) || (p == n - 1 && hi != total))
+            return JSON_DECLINE;
+        rc = json_line(w, p == 0 ? '[' : ',', depth + 1, 0);
+        if (rc == JSON_OK)
+            rc = json_line(w, '{', depth + 2, 0);
+        if (rc == JSON_OK)
+            rc = kind[p] ? json_put(w, "\"action\": \"accept\"", 18)
+                         : json_put(w, "\"action\": \"reject\"", 18);
+        if (rc == JSON_OK && kind[p] == 2) {
+            rc = json_line(w, ',', depth + 2, 0);
+            if (rc == JSON_OK)
+                rc = json_put(w, "\"discard_rest\": true", 20);
+        }
+        if (rc == JSON_OK)
+            rc = json_line(w, ',', depth + 2, 0);
+        if (rc == JSON_OK)
+            rc = json_put(w, "\"displaced\": ", 13);
+        if (rc == JSON_OK && lo == hi)
+            rc = json_put(w, "[]", 2);
+        for (Py_ssize_t i = lo; rc == JSON_OK && i < hi; i++) {
+            rc = json_line(w, i == lo ? '[' : ',', depth + 3, 0);
+            if (rc == JSON_OK)
+                rc = json_exact_int(w, PyList_GET_ITEM(gone, i));
+        }
+        if (rc == JSON_OK && lo < hi)
+            rc = json_line(w, 0, depth + 2, ']');
+        if (rc == JSON_OK)
+            rc = json_line(w, ',', depth + 2, 0);
+        if (rc == JSON_OK)
+            rc = json_put(w, "\"id\": ", 6);
+        if (rc == JSON_OK)
+            rc = json_exact_int(w, PyList_GET_ITEM(ids, p));
+        if (rc == JSON_OK)
+            rc = json_line(w, 0, depth + 1, '}');
+    }
+    return rc == JSON_OK ? json_line(w, 0, depth, ']') : rc;
+}
+
+static int json_rows(JsonWriter *w, PyObject *t, int depth)
+{
+    PyObject *ids = json_slot(t, "ids"), *kinds = json_slot(t, "kinds");
+    PyObject *offsets = json_slot(t, "offsets"), *gone = json_slot(t, "displaced");
+    int rc = JSON_DECLINE;
+    if (ids != NULL && kinds != NULL && offsets != NULL && gone != NULL)
+        rc = json_rows_of(w, ids, kinds, offsets, gone, depth);
+    Py_XDECREF(ids);
+    Py_XDECREF(kinds);
+    Py_XDECREF(offsets);
+    Py_XDECREF(gone);
+    return rc;
+}
+
 /* `o` at indent level `depth`. */
 static int json_value(JsonWriter *w, PyObject *o, int depth)
 {
@@ -796,18 +1110,30 @@ static int json_value(JsonWriter *w, PyObject *o, int depth)
     if (PyUnicode_CheckExact(o))
         return json_string(w, o);
     int list = PyList_CheckExact(o) || PyTuple_CheckExact(o);
-    if (!list && !PyDict_CheckExact(o))
+    int rows = w->rows != NULL && Py_IS_TYPE(o, w->rows);
+    if (!list && !rows && !PyDict_CheckExact(o))
         return JSON_DECLINE;
     if (depth >= JSON_DEPTH_CAP)
         return JSON_DECLINE;
+    if (rows)
+        return json_rows(w, o, depth);
     return list ? json_list(w, o, depth) : json_dict(w, o, depth);
 }
 
-/* json.dumps(obj, indent=2, sort_keys=True), or None where the writer
- * declines. */
-static PyObject *dumps_json(PyObject *Py_UNUSED(self), PyObject *obj)
+/* dumps_json(obj, rows=None): json.dumps(obj, indent=2, sort_keys=True),
+ * with each object of exactly the type `rows` written as its transcript
+ * rows, or None where the writer declines. */
+static PyObject *dumps_json(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    JsonWriter w = {PyUnicode_New(JSON_FIRST_ALLOC, 127), 0, JSON_FIRST_ALLOC};
+    PyObject *obj, *rows = Py_None;
+    if (!PyArg_ParseTuple(args, "O|O", &obj, &rows))
+        return NULL;
+    if (rows != Py_None && !PyType_Check(rows)) {
+        PyErr_SetString(PyExc_TypeError, "rows must be a type or None");
+        return NULL;
+    }
+    JsonWriter w = {PyUnicode_New(JSON_FIRST_ALLOC, 127), 0, JSON_FIRST_ALLOC,
+                    rows == Py_None ? NULL : (PyTypeObject *)rows};
     if (w.out == NULL)
         return NULL;
     int rc = json_value(&w, obj, 0);
@@ -1020,8 +1346,11 @@ static PyMethodDef kernel_methods[] = {
      "(accept flags, offsets, displaced positions, final positions) of one file-order run."},
     {"best_subset_scaled", best_subset_scaled, METH_VARARGS,
      "(best total weight, member bitmask) over all conflict-free subsets."},
-    {"dumps_json", dumps_json, METH_O,
-     "json.dumps(obj, indent=2, sort_keys=True) in one pass, or None for a type it declines."},
+    {"dumps_json", dumps_json, METH_VARARGS,
+     "json.dumps(obj, indent=2, sort_keys=True) in one pass, writing each object of exactly "
+     "the type `rows` as its transcript rows, or None for a type it declines."},
+    {"opt_members", opt_members, METH_VARARGS,
+     "Member positions of the greedy (no weights) or DP optimum, or None where it declines."},
     {"jsonl_columns", jsonl_columns, METH_O,
      "(starts, ends, raw weights) of a text as core.dumps_jsonl writes it, or None."},
     {NULL, NULL, 0, NULL},
@@ -1030,7 +1359,8 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Compiled policy loop, subset search, JSON writer and JSONL reader of revsel._engine.",
+    .m_doc = "Compiled policy loop, subset search, exact oracles, JSON writer and JSONL reader "
+             "of revsel._engine.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -269,6 +269,10 @@ class AdaptiveTranscript:
         return r is None or r >= bound
 
     def to_json_dict(self) -> dict:
+        """The game as JSON data for ``_engine.dumps_json``: the columnar
+        transcript itself stands where its action rows go, and the writer
+        writes them straight from its columns (or json.dumps, through
+        ``to_json_list``)."""
         return {
             "policy": self.transcript.policy,
             "copies": self.copies,
@@ -276,7 +280,7 @@ class AdaptiveTranscript:
             "arrivals": [
                 {"id": iv.id, "start": iv.start, "end": iv.end} for iv in self.arrivals
             ],
-            "actions": self.transcript.to_json_list(),
+            "actions": self.transcript,
             "opt_certificate": sorted(self.opt_certificate),
             "final_solution": sorted(self.final_solution),
             "levels": [rec.to_json_dict() for rec in self.levels],

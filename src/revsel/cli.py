@@ -58,8 +58,9 @@ class SystemExit_Usage(Exception):
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, the text of every JSON
-    output; the engine's kernel writes it in one pass when one is loaded and
-    the payload holds only the types it writes."""
+    output, with a run's transcript written as its rows; the engine's kernel
+    writes it in one pass when one is loaded and the payload holds only the
+    types it writes."""
     return _engine.dumps_json(obj)
 
 
@@ -295,8 +296,8 @@ def _cmd_verify(args) -> int:
 def _build_bench_backends(sub):
     p = sub.add_parser("bench-backends",
                        help="time the compiled kernels against the pure-Python paths "
-                            "(policy replay, subset search, JSON writer and instance "
-                            "file reader) and diff their outputs")
+                            "(policy replay, subset search, exact oracles, JSON writer and "
+                            "instance file reader) and diff their outputs")
     p.set_defaults(handler=_cmd_bench_backends)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=1)
@@ -336,11 +337,15 @@ def _cmd_bench_backends(args) -> int:
     multi = adversary.gen_random_instance(100, 3, "unit", args.seed)
     brute = adversary.gen_random_instance(15, 4, "int", args.seed).columns
     columns = [list(brute.starts), list(brute.ends), list(brute.weights)]
-    # File-order runs; the indent-2 JSON writer on a `run greedy-subsume`
-    # payload, json.dumps against the kernel's one-pass writer; and the
-    # reader on the instance's file, the chunk loop against the kernel's
-    # reader, diffed by the columns they read.
+    # File-order runs; the exact oracles, the fallback twin against the
+    # kernel, the greedy on the unit instance and the DP on a rational one;
+    # the indent-2 JSON writer on a `run greedy-subsume` payload, json.dumps
+    # (which renders the transcript through to_json_list) against the
+    # kernel's one-pass writer; and the reader on the instance's file, the
+    # chunk loop against the kernel's reader, diffed by the columns they read.
     seq = adversary.gen_random_instance(2000, 3, "unit", args.seed)
+    unit = seq.columns[:3]
+    rational = adversary.gen_random_instance(2000, 3, "rational", args.seed).columns[:4]
     payload = run_adversarial(make_policy("greedy-subsume"), seq).to_json_dict()
     text = dumps_jsonl(seq)
     # (label, ops, repeats, pure-python call, compiled call); each backend's
@@ -354,7 +359,12 @@ def _cmd_bench_backends(args) -> int:
         file_order_case("always-replace", seq),
         ("subset-search", 50, 50, lambda: _engine.fallback.best_subset_scaled(*columns),
          lambda: _engine._impl.best_subset_scaled(*columns)),
-        ("json-writer", 5, 5, lambda: json.dumps(payload, indent=2, sort_keys=True),
+        ("oracle-greedy", 20, 20, lambda: _engine.fallback.opt_members(*unit, ()),
+         lambda: _engine._impl.opt_members(*unit, ())),
+        ("oracle-dp", 20, 20, lambda: _engine.fallback.opt_members(*rational),
+         lambda: _engine._impl.opt_members(*rational)),
+        ("json-writer", 5, 5,
+         lambda: json.dumps(payload, indent=2, sort_keys=True, default=_engine.json_default),
          lambda: _engine.dumps_json(payload)),
         ("jsonl-reader", 20, 20, lambda: _loads_chunks(text).columns,
          lambda: loads_jsonl(text).columns),

@@ -110,6 +110,7 @@ class ArrivalSequence(Sequence[Interval]):
 
     def __init__(self, intervals: Iterable[Interval]):
         self._intervals = tuple(intervals)
+        self._n = len(self._intervals)
         self._pos = {iv.id: p for p, iv in enumerate(self._intervals)}
         if len(self._pos) != len(self._intervals):
             seen = set()
@@ -121,14 +122,15 @@ class ArrivalSequence(Sequence[Interval]):
     @classmethod
     def _from_columns(cls, columns: Columns) -> ArrivalSequence:
         """A sequence over checked columns whose ids are 0..n-1 in order, so
-        that each id is its own position."""
+        that each id is its own position and no id map is kept."""
         seq = cls.__new__(cls)
         seq.columns = columns
-        seq._pos = dict(zip(columns.ids, columns.ids))
+        seq._n = len(columns.ids)
+        seq._pos = None
         return seq
 
     def __len__(self) -> int:
-        return len(self._pos)
+        return self._n
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self._intervals)
@@ -143,7 +145,18 @@ class ArrivalSequence(Sequence[Interval]):
         return hash(self.columns)
 
     def position(self, interval_id: int) -> int:
-        """The arrival position of the interval with this id."""
+        """The arrival position of the interval with this id. Without an id
+        map (ids 0..n-1) an exact int is its own position, and any other key
+        is found as a dict of the ids would find it: the one id whose hash is
+        the key's (an int's hash is itself below n), if it compares equal, so
+        True and 1.0 find 1."""
+        if self._pos is None:
+            if type(interval_id) is int and 0 <= interval_id < self._n:
+                return interval_id
+            p = hash(interval_id)
+            if 0 <= p < self._n and p == interval_id:
+                return p
+            raise UnknownIntervalError(interval_id)
         try:
             return self._pos[interval_id]
         except KeyError:

@@ -86,7 +86,9 @@ class RunTranscript:
                 yield i, accept if kind else reject
 
     def to_json_list(self) -> list:
-        """One row per arrival, written straight from the columns."""
+        """One row per arrival, written straight from the columns: the
+        Python rendering of the rows that the kernel's JSON writer writes
+        itself (``_engine.dumps_json``)."""
         rows, d = [], self.displaced
         for i, kind, lo, hi in zip(self.ids, self.kinds, self.offsets, self.offsets[1:]):
             gone = d[lo:hi] if lo < hi else []
@@ -175,13 +177,17 @@ class RunResult:
     seed: Optional[int] = None
 
     def to_json_dict(self) -> dict:
+        """The result as JSON data for ``_engine.dumps_json``: the columnar
+        transcript itself stands where its rows go, and the writer writes
+        them straight from its columns (or json.dumps, through
+        ``to_json_list``)."""
         return {
             "policy": self.transcript.policy,
             "final_solution": sorted(self.final_solution),
             "alg_value": format_value(self.alg_value),
             "opt_value": format_value(self.opt_value),
             "ratio": format_value(self.ratio),
-            "transcript": self.transcript.to_json_list(),
+            "transcript": self.transcript,
             "seed": self.seed,
         }
 

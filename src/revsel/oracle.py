@@ -3,7 +3,11 @@
 Three independent routes to the offline optimum: earliest-finish-time greedy
 (unweighted), dynamic programming over end times (weighted), and exhaustive
 subset enumeration (the oracle for the oracles, capped at 20 intervals).
-Values are exact rationals throughout.
+Values are exact rationals throughout. The greedy and the DP pick their
+members in the engine (``_engine.opt_members``): the compiled kernel when it
+takes the columns, else its pure-Python twin in ``_engine.fallback``, which
+picks the same members. Every certificate, whichever path picked it, is
+checked for feasibility and valued here.
 
 ``verify_charging`` replays a greedy-subsume run and rebuilds the accounting
 that maps every optimal interval onto a held interval, checking the
@@ -51,33 +55,19 @@ def _certify(seq: ArrivalSequence, members: Iterable[int], method: str) -> OptCe
     return OptCertificate(members=members, value=solution_weight(seq, members), method=method)
 
 
-def _end_order(seq: ArrivalSequence, longer_first: bool) -> list[int]:
-    """The arrival positions sorted by end, then by start (descending when
-    `longer_first`), then by id: one stable sort per key, last key first."""
-    cols = seq.columns
-    order = sorted(range(len(seq)), key=cols.ids.__getitem__)
-    order.sort(key=cols.starts.__getitem__, reverse=longer_first)
-    order.sort(key=cols.ends.__getitem__)
-    return order
-
-
 def opt_unweighted(seq: ArrivalSequence) -> OptCertificate:
     """Maximum-cardinality disjoint subset via earliest-finish-time greedy.
 
     Ties on end time are broken toward the longer interval last, so a chosen
     set never includes an interval that strictly contains another instance
-    interval (its content would have been chosen first).
+    interval (its content would have been chosen first). The engine's kernel
+    or its twin picks the members (``_engine.opt_members``).
     """
     if len(seq) == 0:
         raise EmptyInstanceError("opt_unweighted requires a non-empty instance")
     ids, starts, ends, _, _ = seq.columns
-    chosen = []
-    frontier = None
-    for p in _end_order(seq, longer_first=True):
-        if frontier is None or starts[p] >= frontier:
-            chosen.append(ids[p])
-            frontier = ends[p]
-    return _certify(seq, chosen, "greedy")
+    members = _engine.opt_members(ids, starts, ends)
+    return _certify(seq, map(ids.__getitem__, members), "greedy")
 
 
 def opt_weighted(seq: ArrivalSequence) -> OptCertificate:
@@ -86,27 +76,14 @@ def opt_weighted(seq: ArrivalSequence) -> OptCertificate:
     Half-open compatibility: an interval may start exactly where the previous
     one ends. The DP adds the integer weights of
     :attr:`~revsel.core.ArrivalSequence.columns`, all over one scale, which
-    keeps every comparison of the exact weights.
+    keeps every comparison of the exact weights. The engine's kernel or its
+    twin picks the members (``_engine.opt_members``).
     """
     if len(seq) == 0:
         raise EmptyInstanceError("opt_weighted requires a non-empty instance")
     ids, starts, ends, weights, _ = seq.columns
-    order = _end_order(seq, longer_first=False)
-    order_ends = [ends[p] for p in order]
-    # prev[j]: rightmost index i < j with order[i] ending by order[j]'s start
-    prev = [bisect.bisect_right(order_ends, starts[p]) - 1 for p in order]
-    best = [0] * (len(order) + 1)
-    for j, p in enumerate(order):
-        best[j + 1] = max(best[j], weights[p] + best[prev[j] + 1])
-    members = []
-    j = len(order)
-    while j > 0:
-        if best[j] == best[j - 1]:
-            j -= 1
-        else:
-            members.append(ids[order[j - 1]])
-            j = prev[j - 1] + 1
-    return _certify(seq, members, "dp")
+    members = _engine.opt_members(ids, starts, ends, weights)
+    return _certify(seq, map(ids.__getitem__, members), "dp")
 
 
 BRUTE_FORCE_LIMIT = 20

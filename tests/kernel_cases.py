@@ -14,6 +14,34 @@ import sys
 
 # The entries that take the policy as one tuple, which JSON turns into a list.
 POLICY_ENTRIES = ("run_single_length_trials_raw", "run_file_order_raw")
+# A JSON writer case whose second argument is this string writes transcripts,
+# each given in its payload as a dict of this one key.
+ROWS = "rows"
+
+
+class Transcript:
+    """The four column slots of ``harness.RunTranscript`` that the kernel's
+    JSON writer reads, under their names."""
+
+    __slots__ = ("ids", "kinds", "offsets", "displaced")
+
+    def __init__(self, ids, kinds, offsets, displaced):
+        self.ids, self.kinds, self.offsets, self.displaced = ids, kinds, offsets, displaced
+
+
+def transcripts(value):
+    """`value` with each ``{ROWS: [ids, kinds, offsets, displaced]}`` made a
+    Transcript, whose kinds, given as a list, become a bytearray."""
+    if isinstance(value, list):
+        return [transcripts(v) for v in value]
+    if isinstance(value, dict):
+        if list(value) == [ROWS]:
+            ids, kinds, offsets, displaced = value[ROWS]
+            if isinstance(kinds, list):
+                kinds = bytearray(kinds)
+            return Transcript(ids, kinds, offsets, displaced)
+        return {k: transcripts(v) for k, v in value.items()}
+    return value
 
 
 def call_cases(kernel, cases):
@@ -24,6 +52,8 @@ def call_cases(kernel, cases):
         args = list(args)
         if name in POLICY_ENTRIES:
             args[2] = tuple(args[2])
+        if name == "dumps_json" and args[1:] == [ROWS]:
+            args = [transcripts(args[0]), Transcript]
         try:
             result = getattr(kernel, name)(*args)
         except (ValueError, OverflowError) as exc:

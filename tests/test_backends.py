@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_cases import call_cases
+from kernel_cases import ROWS, call_cases
 from reference import permutation_raw, replay_arb_expectation
 from test_trials import SEEDS, kernel_inputs, kernel_modes, mode_policy, raw_trials, trial_samples
 
@@ -39,7 +39,15 @@ from revsel.algorithms import (
 )
 from revsel.cli import main
 from revsel.core import ArrivalSequence, Interval, dumps_jsonl, write_jsonl
-from revsel.harness import _trials, run_adversarial, run_arb_expectation, run_random_order
+from revsel.harness import (
+    RunTranscript,
+    _trials,
+    run_adversarial,
+    run_arb_expectation,
+    run_file_order,
+    run_policy,
+    run_random_order,
+)
 from revsel.oracle import opt_bruteforce, opt_unweighted, opt_weighted
 from revsel.rng import Stream, mix64, permutation, substream_seed
 
@@ -356,6 +364,10 @@ class _RecordingKernel:
         self.calls.append(args)
         return self.result
 
+    def opt_members(self, *args):
+        """Declines, so the oracles' twin answers for the trials' optimum."""
+        return None
+
 
 def test_trial_guards_on_weight_sums_and_denominators(monkeypatch):
     top = 2**62
@@ -480,10 +492,21 @@ class _Text(str):
 
 def _nested(levels):
     """0 inside `levels` lists."""
-    payload = 0
+    return _nested_around(0, levels)
+
+
+def _nested_around(payload, levels):
+    """`payload` inside `levels` lists."""
     for _ in range(levels):
         payload = [payload]
     return payload
+
+
+def _rows(transcript):
+    """A transcript's columns as a sanitizer case carries them (see
+    ``kernel_cases.transcripts``)."""
+    t = transcript
+    return {ROWS: [t.ids, list(t.kinds), t.offsets, t.displaced]}
 
 
 def _self_containing():
@@ -533,6 +556,72 @@ def test_kernel_writer_writes_nesting_up_to_the_cap():
     for levels in range(_engine._impl.JSON_DEPTH_CAP + 1):
         payload = _nested(levels)
         assert _engine._impl.dumps_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+class _SubTranscript(RunTranscript):
+    __slots__ = ()
+
+
+# Transcripts whose columns the kernel writer declines, as (type, ids,
+# kinds, offsets, displaced); json.dumps renders each through to_json_list.
+DECLINED_TRANSCRIPTS = {
+    "kind-3": (RunTranscript, [0, 1], bytearray([1, 3]), [0, 0, 0], []),
+    "kinds-bytes": (RunTranscript, [0, 1], bytes([1, 1]), [0, 0, 0], []),
+    "kinds-short": (RunTranscript, [0, 1], bytearray([1]), [0, 0, 0], []),
+    "offsets-past-the-end": (RunTranscript, [0, 1], bytearray([1, 1]), [0, 1, 2], [5]),
+    "offsets-decreasing": (RunTranscript, [0, 1], bytearray([1, 1]), [1, 0, 2], [5, 6]),
+    "offset-negative": (RunTranscript, [0, 1], bytearray([1, 1]), [-1, 0, 1], [5]),
+    "offsets-short": (RunTranscript, [0, 1], bytearray([1, 1]), [0, 1], [5]),
+    "offsets-ending-early": (RunTranscript, [0, 1], bytearray([1, 1]), [0, 0, 0], [5]),
+    "offset-past-64-bits": (RunTranscript, [0], bytearray([1]), [0, 2**64], [5]),
+    "bool-id": (RunTranscript, [0, True], bytearray([1, 1]), [0, 0, 1], [5]),
+    "bool-displaced": (RunTranscript, [0, 1], bytearray([1, 2]), [0, 0, 1], [False]),
+    "int-enum-id": (RunTranscript, [_Level.ONE], bytearray([1]), [0, 0], []),
+    "ids-tuple": (RunTranscript, (0, 1), bytearray([1, 1]), [0, 0, 0], []),
+    "subclass": (_SubTranscript, [0], bytearray([1]), [0, 0], []),
+}
+
+
+@compiled
+@pytest.mark.parametrize("columns", DECLINED_TRANSCRIPTS.values(),
+                         ids=DECLINED_TRANSCRIPTS.keys())
+def test_kernel_writer_declines_transcripts_it_does_not_write(columns):
+    """The rows then come from to_json_list, through json.dumps."""
+    make, *columns = columns
+    payload = {"policy": "p", "transcript": make("p", *columns)}
+    assert _engine._impl.dumps_json(payload, RunTranscript) is None
+    assert _engine.dumps_json(payload) == json.dumps(
+        payload, indent=2, sort_keys=True, default=_engine.json_default)
+
+
+@compiled
+def test_kernel_writer_writes_transcripts_as_to_json_list_does():
+    """Offsets that start past 0, every kind, huge ids, an empty transcript,
+    and a transcript nested exactly to the depth cap; one past it declines."""
+    cap = _engine._impl.JSON_DEPTH_CAP
+    transcripts = [
+        RunTranscript("p", [0, 1], bytearray([2, 0]), [1, 1, 2], [5, 6]),
+        RunTranscript("p", [2**70, -3, 7], bytearray([1, 2, 0]), [0, 2, 3, 3], [-1, 2**65, 9]),
+        RunTranscript("p"),
+    ]
+    payloads = [{"transcript": t, "rows": [t, (t,)]} for t in transcripts]
+    payloads.append(_nested_around(transcripts[1], cap - 1))
+    for payload in payloads:
+        text = _engine._impl.dumps_json(payload, RunTranscript)
+        assert text == json.dumps(payload, indent=2, sort_keys=True, default=_engine.json_default)
+    deeper = _nested_around(transcripts[1], cap)
+    assert _engine._impl.dumps_json(deeper, RunTranscript) is None
+    assert _engine.dumps_json(deeper) == json.dumps(
+        deeper, indent=2, sort_keys=True, default=_engine.json_default)
+
+
+def test_json_default_raises_json_dumps_error_for_other_objects():
+    for obj in (Fraction(1, 2), {1, 2}, object()):
+        with pytest.raises(TypeError) as ours:
+            _engine.dumps_json({"a": [obj]})
+        with pytest.raises(TypeError) as theirs:
+            json.dumps({"a": [obj]})
+        assert str(ours.value) == str(theirs.value)
 
 
 @compiled
@@ -710,7 +799,10 @@ def _sanitizer_cases():
     meet mixed lengths too, which the dispatcher never hands the kernel. A
     few cases fail part way through reading their inputs, the JSON writer
     writes a payload per instance and declines one part way, and the JSONL
-    reader reads each instance's file and declines cut and edited ones."""
+    reader reads each instance's file and declines cut and edited ones. The
+    oracles take every instance, unweighted and weighted, and the writer
+    every instance's run transcript (a greedy-subsume run, or an arb run
+    that discards), plus the oracles' and the transcript writer's edges."""
     edge = 2**62 - 9
     rows = [
         [(0, 1), (2, 3), (4, 5), (0, 5)],
@@ -740,7 +832,17 @@ def _sanitizer_cases():
                    "none": {}}
         cases.append(("dumps_json", (payload,)))
         cases.append(("jsonl_columns", (dumps_jsonl(seq),)))
+        ids = list(cols.ids)
+        cases.append(("opt_members", (ids, starts, ends, [])))
+        cases.append(("opt_members", (ids, starts, ends, weights)))
+        if i % 2:
+            _, transcript = run_policy(make_policy("arb:greedy-disjoint"), seq,
+                                       Stream.for_trial(i, 0))
+        else:
+            _, transcript = run_file_order(make_policy("greedy-subsume"), seq)
+        cases.append(("dumps_json", ({"policy": "p", "transcript": _rows(transcript)}, ROWS)))
     never = (2, [], [], 0, [], [], 0, 0, 1)
+    top = 2**62
     text = dumps_jsonl(seqs[-1])
     widest = 10**18 - 1
     cases += [
@@ -768,6 +870,51 @@ def _sanitizer_cases():
         ("jsonl_columns", (text[:-1] + "\r",)),
         ("jsonl_columns", (text + "\n",)),
         ("jsonl_columns", (text[:-2] + "\u00e9\n",)),
+        # The oracles on one interval, on copies of one interval, on the
+        # empty columns, and on both sides of the guard: coordinates and ids
+        # at +-(2**62 - 1) and +-2**62, weight sums of 2**62 - 1 and 2**62,
+        # a value past 64 bits, a bool id, a start at its end and weights
+        # of the wrong length.
+        ("opt_members", ([0], [0], [1], [])),
+        ("opt_members", ([0], [0], [1], [5])),
+        ("opt_members", ([4, 3, 2, 1, 0], [3] * 5, [7] * 5, [])),
+        ("opt_members", ([4, 3, 2, 1, 0], [3] * 5, [7] * 5, [2, 2, 2, 2, 2])),
+        ("opt_members", ([], [], [], [])),
+        ("opt_members", ([1 - top, top - 1], [1 - top, 0], [0, top - 1], [])),
+        ("opt_members", ([1 - top, top - 1], [1 - top, 0], [0, top - 1], [1, 1])),
+        ("opt_members", ([0, 1], [-top, 0], [0, 1], [])),
+        ("opt_members", ([0, 1], [0, 1], [1, top], [])),
+        ("opt_members", ([-top, 1], [0, 1], [1, 2], [])),
+        ("opt_members", ([0, top], [0, 1], [1, 2], [1, 1])),
+        ("opt_members", ([0, 1, 2], [0, 1, 0], [1, 2, 2], [top // 2, top // 2 - 2, 1])),
+        ("opt_members", ([0, 1, 2], [0, 1, 0], [1, 2, 2], [top // 2, top // 2 - 1, 1])),
+        ("opt_members", ([0, 1], [0, 1], [1, 2], [1, -(top - 1)])),
+        ("opt_members", ([0, 1], [0, 1], [1, 2**70], [])),
+        ("opt_members", ([0, True], [0, 1], [1, 2], [])),
+        ("opt_members", ([0, 1], [0, 1], [1, 1], [1, 1])),
+        ("opt_members", ([0, 1], [0, 1], [1, 2], [1])),
+        # The transcript writer's declines: a kind of 3, kinds that are not
+        # a bytearray, offsets past the displaced ids, decreasing, negative
+        # or one short, a bool id and a bool displaced id; then an empty
+        # transcript, one that outgrows the first allocation, and one
+        # nested exactly to the depth cap and one past it.
+        *[("dumps_json", ({"t": {ROWS: columns}}, ROWS)) for columns in (
+            [[0, 1], [1, 3], [0, 0, 0], []],
+            [[0, 1], "ab", [0, 0, 0], []],
+            [[0, 1], [1, 1], [0, 1, 2], [5]],
+            [[0, 1], [1, 1], [1, 0, 2], [5, 6]],
+            [[0, 1], [1, 1], [-1, 0, 1], [5]],
+            [[0, 1], [1, 1], [0, 1], [5]],
+            [[0, True], [1, 1], [0, 0, 1], [5]],
+            [[0, 1], [1, 2], [0, 0, 1], [False]],
+            [[], [], [0], []],
+            [list(range(1000)), [p % 3 for p in range(1000)], [0] + list(range(1000)),
+             list(range(999))],
+        )],
+        ("dumps_json", (_nested_around({ROWS: [[0, 1], [2, 1], [0, 1, 3], [7, 8, 9]]},
+                                       _engine._impl.JSON_DEPTH_CAP - 1), ROWS)),
+        ("dumps_json", (_nested_around({ROWS: [[0], [1], [0, 0], []]},
+                                       _engine._impl.JSON_DEPTH_CAP), ROWS)),
     ]
     return cases
 

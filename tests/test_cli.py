@@ -18,6 +18,7 @@ from revsel import _engine, adversary, cli
 from revsel.algorithms import Action, Policy
 from revsel.cli import EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from revsel.core import _CHUNK_LINES, Interval, _decode_chunk, write_jsonl
+from revsel.harness import RunTranscript
 from revsel.oracle import ChargeBoundViolation
 
 
@@ -149,6 +150,26 @@ def test_duel_randomized_with_copies(capsys):
         capsys, "duel", "rand-memoryless:p=1/2", "--k", "2", "--copies", "20", "--seed", "7"
     )
     assert code == EXIT_OK
+
+
+@pytest.mark.skipif(not _engine.COMPILED, reason="compiled engine not built")
+def test_run_and_duel_write_their_rows_without_to_json_list(tmp_path, capsys, monkeypatch):
+    """The kernel writes a transcript's rows straight from its columns, so
+    `run` and `duel` print the same bytes when the Python rendering fails."""
+    inst = str(tmp_path / "tight.jsonl")
+    run_cli(capsys, "generate", "greedy-tight", "--out", inst)
+    argvs = [("run", "greedy-subsume", inst), ("run", "rand-memoryless:p=1/2", inst, "--seed", "3"),
+             ("duel", "greedy-subsume", "--k", "3"),
+             ("duel", "rand-memoryless:p=1/2", "--k", "2", "--copies", "20", "--seed", "7")]
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+
+    def refuse(self):
+        raise AssertionError("a transcript was rendered in Python")
+
+    monkeypatch.setattr(RunTranscript, "to_json_list", refuse)
+    for argv, before in zip(argvs, expected):
+        assert before[0] == EXIT_OK and '"action": ' in before[1]
+        assert run_cli(capsys, *argv) == before
 
 
 def test_duel_refuses_copies_below_one_for_every_policy(capsys):
@@ -299,7 +320,8 @@ def test_bench_backends_command(capsys):
     for label in ("trials always-replace", "trials call-control ",
                   "trials call-control weighted", "trials rand-memoryless:p=1/3",
                   "file-order greedy-subsume", "file-order always-replace",
-                  "subset-search", "json-writer", "jsonl-reader"):
+                  "subset-search", "oracle-greedy", "oracle-dp", "json-writer",
+                  "jsonl-reader"):
         assert label in out
     if _engine.COMPILED:
         assert out.splitlines()[-1] == "outputs identical across backends: True"
@@ -312,13 +334,21 @@ def _skew_subset_search(monkeypatch):
     monkeypatch.setattr(fallback, "best_subset_scaled", lambda *columns: (search(*columns), 1))
 
 
+def _skew_oracle_twin(monkeypatch):
+    from revsel._engine import fallback
+
+    members = fallback.opt_members
+    # The twin drops the last member it picks.
+    monkeypatch.setattr(fallback, "opt_members", lambda *columns: members(*columns)[:-1])
+
+
 def _skew_chunk_loop(monkeypatch):
     load = cli._loads_chunks
     # The chunk loop reads all but the last record.
     monkeypatch.setattr(cli, "_loads_chunks", lambda text: load(text[:text.rindex("{")]))
 
 
-@pytest.mark.parametrize("skew", [_skew_subset_search, _skew_chunk_loop])
+@pytest.mark.parametrize("skew", [_skew_subset_search, _skew_oracle_twin, _skew_chunk_loop])
 def test_bench_backends_exits_3_when_the_backends_differ(capsys, monkeypatch, skew):
     skew(monkeypatch)
     code, out, err = run_cli(capsys, "bench-backends", "--trials", "20", "--seed", "1")
@@ -487,9 +517,29 @@ def test_string_weight_outside_the_grammar_is_usage_error(tmp_path, capsys, weig
 
 
 def _reference_json_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """json.dumps's text, with a run's transcript rendered by to_json_list."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_engine.json_default)
 
 
+@st.composite
+def appended_transcripts(draw):
+    """Transcripts as ``RunTranscript.append`` writes them: any ids, every
+    kind, and up to three displaced ids per accept."""
+    transcript = RunTranscript("p")
+    for i in draw(st.lists(st.integers(-2**70, 2**70), max_size=5)):
+        kind = draw(st.sampled_from([0, 1, 2]))
+        displaced = draw(st.lists(st.integers(-5, 2**65), max_size=3)) if kind else ()
+        transcript.append(i, Action(kind != 0, frozenset(displaced), kind == 2))
+    return transcript
+
+
+small_ints = st.lists(st.integers(-1, 4), max_size=4)
+# Columns that no run writes, which the kernel writer mostly declines: kinds
+# past 2, offsets of any length and order, bool ids.
+raw_transcripts = st.builds(
+    RunTranscript, st.just("p"), st.lists(st.one_of(st.integers(0, 3), st.booleans()), max_size=3),
+    small_ints.map(lambda kinds: bytearray(k % 4 for k in kinds)), small_ints, small_ints,
+)
 json_leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -497,6 +547,8 @@ json_leaves = st.one_of(
     st.floats(),
     st.text(),
     st.text(st.characters(max_codepoint=0x3f)),  # control characters and quotes
+    appended_transcripts(),
+    raw_transcripts,
 )
 json_payloads = st.recursive(
     json_leaves,

@@ -20,6 +20,7 @@ from revsel.core import (
     ArrivalSequence,
     EmptyInstanceError,
     Interval,
+    UnknownIntervalError,
     _decode_chunk,
     _loads_chunks,
     call_control_point_bound,
@@ -641,6 +642,57 @@ def test_a_decoded_sequence_round_trips_through_pickle_and_deepcopy(built_interv
         assert twin == decoded and hash(twin) == hash(decoded)
         assert list(twin) == list(decoded)
         assert twin.position(3) == 3 and len(twin) == 4
+
+
+def _position_outcome(seq, key):
+    """The position with its type (True == 1, but a position is an int), or
+    the refusal."""
+    try:
+        p = seq.position(key)
+        return type(p), p
+    except UnknownIntervalError as exc:
+        return "unknown", exc.args
+
+
+def _read_and_built(n):
+    """A sequence of n intervals read from its file, which keeps no id map
+    since its ids are 0..n-1, and the same built from its intervals, which
+    keeps one."""
+    built = ArrivalSequence(Interval(i, i, i + 1) for i in range(n))
+    read = loads_jsonl(dumps_jsonl(built))
+    assert read._pos is None and built._pos is not None
+    return read, built
+
+
+# Keys that an int id map finds or misses: ints around 0..n-1, ints whose
+# hash is small (2**61 - 1 hashes to 0), bools, floats, fractions, strs and
+# None.
+position_keys = st.one_of(
+    st.integers(-3, 24), st.integers(), st.booleans(), st.floats(), st.fractions(),
+    st.sampled_from([2**61 - 1, 2**61, 2**61 + 3, -(2**61) + 1, 2**64 + 2, -1, -2]),
+    st.text(max_size=2), st.none(),
+)
+
+
+@given(st.integers(0, 20), st.lists(position_keys, max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_a_read_sequence_finds_positions_as_an_id_map_does(n, keys):
+    read, built = _read_and_built(n)
+    for key in keys:
+        assert _position_outcome(read, key) == _position_outcome(built, key), key
+
+
+@pytest.mark.parametrize("key, expected", [(True, 1), (1.0, 1), (Fraction(2), 2), (0, 0), (3, 3)])
+def test_a_read_sequence_finds_hash_equal_keys(key, expected):
+    read, built = _read_and_built(4)
+    assert _position_outcome(read, key) == _position_outcome(built, key) == (int, expected)
+
+
+@pytest.mark.parametrize("key", [-1, 4, 0.5, "1", None, 2**61 - 1, 2**64])
+def test_a_read_sequence_refuses_unknown_ids(key):
+    read, _ = _read_and_built(4)
+    with pytest.raises(UnknownIntervalError):
+        read.position(key)
 
 
 def _reference_jsonl(seq):

@@ -10,12 +10,18 @@ kernel's other modes, one-dir tables on the single-length instances and
 ``rand-memoryless`` under two seeds, are diffed against ``run_policy`` too,
 and the classify-by-length wrapper, which discards on a restart, against
 the scanning held set. Every instance's three oracles agree on the optimum,
-and the greedy-subsume run passes the charging audit at 2k. The step
+the kernel's greedy and DP give their fallback twins' certificates, members
+and all, under three weightings, and the greedy-subsume run passes the
+charging audit at 2k. The JSON payload of every kernel policy's run on
+every instance, and of every duel with k <= 3, is written by the kernel
+byte for byte as json.dumps writes it through the transcript's
+``to_json_list``. The step
 policies never discard and never displace part of a run, so the module also
 applies every action to every disjoint held set of grid intervals through
 ``apply_action``, diffed against ``scanning_apply_action``.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -23,13 +29,25 @@ import pytest
 from reference import ScanningPolicyState, scanning_apply_action, scanning_run_policy
 
 from revsel import _engine
+from revsel.adversary import adaptive_lower_bound_driver
 from revsel.algorithms import ARB_SUBROUTINES, Action, PolicyState, make_policy
 from revsel.core import ArrivalSequence, Interval
-from revsel.harness import InfeasibleActionError, apply_action, run_file_order, run_policy
+from revsel.harness import (
+    InfeasibleActionError,
+    RunTranscript,
+    apply_action,
+    format_value,
+    run_adversarial,
+    run_file_order,
+    run_policy,
+)
 from revsel.oracle import opt_bruteforce, opt_unweighted, opt_weighted, verify_charging
 from revsel.rng import Stream
 
+compiled = pytest.mark.skipif(not _engine.COMPILED, reason="compiled engine not built")
 STEP_POLICIES = ["greedy-subsume", "call-control", "always-replace", "never-replace"]
+# Every policy that the kernel's file-order run plays.
+KERNEL_POLICIES = STEP_POLICIES + ["one-dir-left", "one-dir-right", "rand-memoryless:p=1/3"]
 GRID = [(s, s + length) for length in (1, 2, 3) for s in range(7 - length)]
 
 
@@ -106,6 +124,67 @@ def test_every_small_instance_has_one_optimum_and_passes_the_audit():
         k = len(seq.lengths())
         _, transcript = run_file_order(greedy, seq)
         assert verify_charging(seq, transcript, opt, k).max_total <= 2 * k, list(seq)
+
+
+# Arrival i's weight: all equal, so that the DP meets the most ties; all
+# distinct; and zero for every third arrival, which the DP may take or leave.
+WEIGHTINGS = [lambda i: 1, lambda i: i + 1, lambda i: i % 3]
+
+
+@compiled
+def test_every_small_instance_has_the_twins_certificates(monkeypatch):
+    """The kernel takes every instance's columns, and its certificates equal
+    those of the fallback twin, which answers when no kernel is loaded."""
+    instances = [ArrivalSequence(Interval(iv.id, iv.start, iv.end, Fraction(weight(iv.id)))
+                                 for iv in seq)
+                 for seq in small_instances() for weight in WEIGHTINGS]
+    for seq in instances:
+        ids, starts, ends, weights, _ = seq.columns
+        for w in ((), weights):
+            assert _engine._impl.opt_members(ids, starts, ends, w) is not None, list(seq)
+    kernel = [(opt_unweighted(seq), opt_weighted(seq)) for seq in instances]
+    monkeypatch.setattr(_engine, "_impl", None)
+    for seq, certificates in zip(instances, kernel):
+        assert certificates == (opt_unweighted(seq), opt_weighted(seq)), list(seq)
+
+
+def _kernel_text(payload):
+    text = _engine._impl.dumps_json(payload, RunTranscript)
+    assert text is not None
+    return text
+
+
+def _dumps_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, default=_engine.json_default)
+
+
+@compiled
+@pytest.mark.parametrize("pid", KERNEL_POLICIES)
+def test_every_small_run_payload_is_written_as_json_dumps_writes_it(pid):
+    """The threshold policies take the single-length instances only."""
+    policy = make_policy(pid)
+    for seq in small_instances():
+        if pid.startswith("one-dir") and len(seq.lengths()) > 1:
+            continue
+        payload = run_adversarial(policy, seq, None if policy.deterministic else 1).to_json_dict()
+        assert _kernel_text(payload) == _dumps_text(payload), list(seq)
+
+
+@compiled
+@pytest.mark.parametrize("pid", KERNEL_POLICIES)
+def test_every_small_duel_payload_is_written_as_json_dumps_writes_it(pid):
+    """The payload `duel` prints, for k <= 3; the randomized policy plays
+    one and three copies under two seeds."""
+    policy = make_policy(pid)
+    plays = [(1, None)] if policy.deterministic else list(product((1, 3), (1, 2)))
+    for k in (1, 2, 3):
+        for copies, seed in plays:
+            game = adaptive_lower_bound_driver(k, policy, copies=copies, seed=seed)
+            payload = game.to_json_dict()
+            payload["ratio"] = format_value(game.ratio)
+            payload["bound"] = format_value(Fraction(2 * k))
+            payload["bound_met"] = game.ratio_at_least(Fraction(2 * k))
+            assert _kernel_text(payload) == _dumps_text(payload), (k, copies, seed)
 
 
 def disjoint_sets(chosen=(), free_from=0):

@@ -1,7 +1,6 @@
 """Runners: exact ratios, reproducibility, trial statistics, action safety."""
 
 import io
-import json
 from fractions import Fraction
 
 import pytest
@@ -51,9 +50,7 @@ def test_run_adversarial_examples():
 def test_run_result_serialization_is_stable():
     r1 = run_adversarial(make_policy("greedy-subsume"), gen_greedy_tight())
     r2 = run_adversarial(make_policy("greedy-subsume"), gen_greedy_tight())
-    assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
-        r2.to_json_dict(), sort_keys=True
-    )
+    assert _engine.dumps_json(r1.to_json_dict()) == _engine.dumps_json(r2.to_json_dict())
     assert r1.to_json_dict()["ratio"] == "4/1"
 
 
@@ -198,9 +195,7 @@ def test_transcript_reproducible_bit_for_bit():
     policy = make_policy("rand-memoryless:p=1/3")
     a = run_adversarial(policy, seq, seed=99)
     b = run_adversarial(policy, seq, seed=99)
-    assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-        b.to_json_dict(), sort_keys=True
-    )
+    assert _engine.dumps_json(a.to_json_dict()) == _engine.dumps_json(b.to_json_dict())
     c = run_adversarial(policy, seq, seed=100)
     assert a.to_json_dict() != c.to_json_dict()
 

@@ -362,6 +362,90 @@ def column_instances(draw, max_size=14, weights=tie_weights):
     return ArrivalSequence(Interval(i, s, s + n, w) for i, (s, n, w) in zip(ids, rows))
 
 
+# The kernel oracles' guard: they take ids, coordinates and weights strictly
+# inside +-2**62, and weights whose absolute values sum below it.
+LIMIT = 2**62
+# Shifts that keep 0..14 inside the guard, put it across an edge, or past one.
+guard_shifts = st.sampled_from([0, LIMIT - 30, LIMIT - 8, LIMIT, 2**64, -LIMIT + 1,
+                                -LIMIT + 6, -LIMIT - 1])
+
+
+@st.composite
+def guarded_instances(draw):
+    """column_instances moved to the guard: the coordinates and the ids each
+    shifted by a draw of guard_shifts, and the weights times a factor that
+    puts their sum below 2**62, near it or past it."""
+    inst = draw(column_instances())
+    at, id_at = draw(guard_shifts), draw(guard_shifts)
+    factor = draw(st.sampled_from([1, LIMIT // 64, LIMIT // 24, LIMIT // 12, LIMIT // 4]))
+    return ArrivalSequence(Interval(iv.id + id_at, iv.start + at, iv.end + at, iv.weight * factor)
+                           for iv in inst)
+
+
+def _kernel_declines(columns, weights) -> bool:
+    ids, starts, ends = columns[:3]
+    return (any(abs(v) >= LIMIT for column in (ids, starts, ends, weights) for v in column)
+            or sum(map(abs, weights)) >= LIMIT)
+
+
+def _certificates(inst):
+    return opt_unweighted(inst), opt_weighted(inst)
+
+
+def _check_both_paths(inst):
+    """The certificates equal the Interval-object versions', and the twin's
+    when the kernel is left out; the kernel declines exactly past the
+    guard."""
+    certificates = _certificates(inst)
+    assert certificates == (object_opt_unweighted(inst), object_opt_weighted(inst))
+    if _engine.COMPILED:
+        cols = inst.columns
+        for weights in ((), cols.weights):
+            members = _engine._impl.opt_members(*cols[:3], weights)
+            assert (members is None) == _kernel_declines(cols, weights)
+        with mock.patch.object(_engine, "_impl", None):
+            assert _certificates(inst) == certificates
+
+
+@given(guarded_instances())
+@settings(max_examples=400, deadline=None)
+def test_oracles_give_one_certificate_on_both_sides_of_the_guard(inst):
+    _check_both_paths(inst)
+
+
+EDGE = LIMIT - 1
+GUARD_EDGES = {
+    "coordinates-inside": [(0, -EDGE, 0, 1), (1, 0, EDGE, 1), (2, -EDGE, EDGE, 1)],
+    "start-at-the-guard": [(0, -LIMIT, 0, 1), (1, 0, 5, 1)],
+    "end-at-the-guard": [(0, 0, LIMIT, 1), (1, 0, 5, 1)],
+    "ids-inside": [(-EDGE, 0, 2, 1), (EDGE, 1, 3, 1), (0, 2, 4, 1)],
+    "id-at-the-guard": [(-LIMIT, 0, 2, 1), (0, 1, 3, 1)],
+    "id-past-64-bits": [(2**70, 0, 2, 1), (0, 1, 3, 1)],
+    "weight-sum-inside": [(0, 0, 2, LIMIT // 2), (1, 2, 4, LIMIT // 2 - 1), (2, 0, 4, 0)],
+    "weight-sum-at-the-guard": [(0, 0, 2, LIMIT // 2), (1, 2, 4, LIMIT // 2), (2, 0, 4, 0)],
+    "weight-at-the-guard": [(0, 0, 2, LIMIT), (1, 1, 4, 1)],
+    "copies-of-one-interval": [(i, 3, 7, 2) for i in (4, 2, 0, 1, 3)],
+}
+
+
+@pytest.mark.parametrize("rows", GUARD_EDGES.values(), ids=GUARD_EDGES.keys())
+def test_oracles_give_one_certificate_at_the_guard_edges(rows):
+    _check_both_paths(ArrivalSequence(Interval(i, s, e, w) for i, s, e, w in rows))
+
+
+@pytest.mark.parametrize("ids", [["b", "a", "c"], [1.5, 0.5, 2.5], [True, False, 2],
+                                 [Fraction(1, 2), Fraction(1, 3), 0]])
+def test_ids_that_are_not_exact_ints_take_the_twin(ids):
+    """Interval does not type-check ids; the kernel declines them."""
+    inst = ArrivalSequence(Interval(i, s, e, w)
+                           for i, (s, e, w) in zip(ids, [(0, 2, 1), (2, 4, 2), (0, 4, 3)]))
+    certificates = _certificates(inst)
+    assert certificates == (object_opt_unweighted(inst), object_opt_weighted(inst))
+    if _engine.COMPILED:
+        assert _engine._impl.opt_members(*inst.columns[:4]) is None
+        assert _engine._impl.opt_members(*inst.columns[:3], ()) is None
+
+
 def _accepted_by_greedy_subsume(inst):
     _, transcript = run_greedy(inst)
     return [i for i, action in transcript.actions() if action.accepted]
