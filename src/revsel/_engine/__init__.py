@@ -24,23 +24,25 @@ harness replays the trials through the policies themselves
 :func:`run_file_order` plays one run in file order and reports every
 arrival's action; its twin is ``harness.run_policy``, which
 ``harness.run_file_order`` falls back to when it returns None. The subset
-search and the oracles have twins in :mod:`.fallback`: the oracles'
-kernel entry declines, while it reads them, columns that leave its 64-bit
-guard, and the twin then picks the same members. The JSON writer needs
-none: a payload may carry a ``harness.RunTranscript`` where its rows go,
-which the kernel writes straight from the transcript's columns, and where
-the kernel is missing or declines a payload's type, :func:`dumps_json` is
-``json.dumps`` itself, rendering each transcript through its
-``to_json_list``. Nor does the reader: it takes only lines of the
-form ``core.dumps_jsonl`` writes, with integers of at most 18 digits, and
-declines any other text before it keeps a record; where it declines or the
-kernel is missing, ``core.loads_jsonl`` reads the text through its chunk
-loop, which alone raises, so every error and line number is the loop's.
+search and the oracles have twins in :mod:`.fallback`, which answer alike.
+These four numeric entries guard their own inputs: they read an instance's
+``Columns`` in place and return None, while they read, on an item that is
+not an exact int strictly inside +-2**62 or weights whose absolute values
+sum to 2**62 or more. The JSON writer needs no twin: a payload may carry a
+``harness.RunTranscript`` where its rows go, which the kernel writes
+straight from the transcript's columns, and where the kernel is missing or
+declines a payload's type, :func:`dumps_json` is ``json.dumps`` itself,
+rendering each transcript through its ``to_json_list``. Nor does the
+reader: it takes only lines of the form ``core.dumps_jsonl`` writes, with
+integers of at most 18 digits, and declines any other text before it keeps
+a record; where it declines or the kernel is missing, ``core.loads_jsonl``
+reads the text through its chunk loop, which alone raises, so every error
+and line number is the loop's.
 
 This module alone decides whether the kernel stands in for a policy: the
 harness hands both entries every policy's ``kernel_spec()``, and
 :func:`_kernel_args`, which builds the one policy tuple both raw kernel
-entries take, is the one check. The subset search keeps its 64-bit guard.
+entries take, holds the policy rules; the 64-bit guard is the kernel's.
 
 Selection happens once at import: a build of the ``_kernel.c`` beside this
 file, cached in this package's ``__pycache__`` under a checksum of the
@@ -153,26 +155,16 @@ _MODES = {
     "memoryless": 5,
 }
 
-# Kernel inputs stay strictly inside +-2**62, so that differences of
-# coordinates and sums of weights fit in 64 bits.
-_LIMIT = 1 << 62
 
-
-def _fits(*columns) -> bool:
-    return all(-_LIMIT < min(c) and max(c) < _LIMIT for c in columns if c)
-
-
-def _kernel_args(starts, ends, spec: Optional[dict], weights=()):
-    """``(starts, ends, policy, weights)`` as both policy-loop entries take
-    them: the columns as lists, and `policy` one tuple of the mode; the left
+def _kernel_args(starts, ends, spec: Optional[dict]):
+    """``(starts, ends, policy)`` as both policy-loop entries take them: the
+    columns themselves, and `policy` one tuple of the mode; the left
     threshold table's keys, bits and default; the right table's (empty
     tables but for the "threshold" mode); and the acceptance numerator and
     denominator (0 and 1 but for "memoryless"). None wherever the kernel
     cannot stand in for the policy: no kernel is loaded; there is no spec;
-    a "threshold" spec meets more than one length, where the policy raises
-    PolicyDomainError; or the inputs leave the 64-bit guard (coordinates or
-    table keys at +-2**62 or beyond, weights summing to 2**62 or more, an
-    acceptance denominator of 2**62 or more)."""
+    or a "threshold" spec meets more than one length, where the policy
+    raises PolicyDomainError."""
     if _impl is None or spec is None:
         return None
     sides = [[], [], 0, [], [], 0]
@@ -185,14 +177,7 @@ def _kernel_args(starts, ends, spec: Optional[dict], weights=()):
             keys = sorted(table)
             sides += [keys, [table[k] for k in keys], default]
     p = spec.get("p", 0)  # the memoryless mode's acceptance probability
-    policy = (_MODES[spec["mode"]], *sides, p.numerator, p.denominator)
-    starts, ends, weights = list(starts), list(ends), list(weights)
-    fits = (
-        _fits(starts, ends, sides[0], sides[3])
-        and p.denominator < _LIMIT
-        and sum(map(abs, weights)) < _LIMIT
-    )
-    return (starts, ends, policy, weights) if fits else None
+    return starts, ends, (_MODES[spec["mode"]], *sides, p.numerator, p.denominator)
 
 
 def run_single_length_trials(
@@ -203,18 +188,17 @@ def run_single_length_trials(
     all-1 weights count: the kernel runs its counting loop, and a trial's
     count is its held weight. Slot t holds trial ``first + t``, so calls
     over consecutive ranges of trials give the bits of one call. None where
-    :func:`_kernel_args` is; the caller then replays the policy. Every mode
-    but "threshold" takes any mix of lengths; the name dates from when all
-    modes were single-length."""
+    :func:`_kernel_args` is or the kernel's guard declines; the caller then
+    replays the policy. Every mode but "threshold" takes any mix of
+    lengths; the name dates from when all modes were single-length."""
     if first < 0:
         raise ValueError("the first trial index must be >= 0")
-    args = _kernel_args(starts, ends, spec, weights)
+    args = _kernel_args(starts, ends, spec)
     if args is None:
         return None
-    starts, ends, policy, weights = args
     if weights.count(1) == len(weights):
-        weights = []
-    return _impl.run_single_length_trials_raw(starts, ends, policy, trials, seed, weights, first)
+        weights = ()
+    return _impl.run_single_length_trials_raw(*args, trials, seed, weights, first)
 
 
 def run_file_order(starts, ends, spec: Optional[dict], seed: Optional[int] = None):
@@ -225,23 +209,22 @@ def run_file_order(starts, ends, spec: Optional[dict], seed: Optional[int] = Non
     ``harness.run_file_order`` keeps as a transcript: one accept flag per
     arrival, as bytes; the positions arrival p displaced,
     ``displaced[offsets[p]:offsets[p + 1]]``; and the final members'
-    positions in start order. None where :func:`_kernel_args` is, and for a
-    memoryless policy without a seed, which ``run_policy`` refuses."""
+    positions in start order. None where :func:`_kernel_args` is or the
+    kernel's guard declines, and for a memoryless policy without a seed,
+    which ``run_policy`` refuses."""
     args = _kernel_args(starts, ends, spec)
     if args is None or (seed is None and spec["mode"] == "memoryless"):
         return None
-    starts, ends, policy, _ = args
-    return _impl.run_file_order_raw(starts, ends, policy, 0 if seed is None else seed)
+    return _impl.run_file_order_raw(*args, 0 if seed is None else seed)
 
 
 def opt_members(ids, starts, ends, weights=()):
     """The member positions of an exact optimum over the columns: the
     earliest-finish greedy's maximum-cardinality set when `weights` is
     empty, else the end-time DP's maximum-weight set. The kernel answers
-    unless it declines while it reads the columns (an item that is not an
-    exact int strictly inside +-2**62, a start not below its end, or
-    weights whose absolute values sum to 2**62 or more); its twin,
-    ``fallback.opt_members``, then does, step for step alike."""
+    unless its guard declines the columns (an id counts as a coordinate) or
+    a start is not below its end; its twin, ``fallback.opt_members``, then
+    does, step for step alike."""
     if _impl is not None:
         members = _impl.opt_members(ids, starts, ends, weights)
         if members is not None:
@@ -250,10 +233,14 @@ def opt_members(ids, starts, ends, weights=()):
 
 
 def best_subset_scaled(starts, ends, weights):
-    """(best total weight, member bitmask) over all conflict-free subsets."""
-    starts, ends, weights = list(starts), list(ends), list(weights)
-    fits = _impl is not None and _fits(starts, ends) and sum(map(abs, weights)) < _LIMIT
-    return (_impl if fits else fallback).best_subset_scaled(starts, ends, weights)
+    """(best total weight, member bitmask) over all conflict-free subsets:
+    the kernel's unless its guard declines, and then its twin's,
+    ``fallback.best_subset_scaled``, which picks the same mask."""
+    if _impl is not None:
+        best = _impl.best_subset_scaled(starts, ends, weights)
+        if best is not None:
+            return best
+    return fallback.best_subset_scaled(starts, ends, weights)
 
 
 def jsonl_columns(text):

@@ -18,11 +18,11 @@
  * feasibility: the tests diff both against the harness. The subset search
  * matches its twin in revsel._engine.fallback (same enumeration order),
  * and so do the oracles, opt_members (same sort order, same members in the
- * same order); keep each pair in lockstep. Coordinates, weights and the
- * acceptance fraction are read as 64-bit integers, and an int that does
- * not fit raises OverflowError: the dispatchers in revsel._engine keep such
- * inputs away from this module. opt_members alone guards its own inputs:
- * it declines, while it reads them, anything its twin must take instead.
+ * same order); keep each pair in lockstep. These four entries take exact
+ * lists or tuples of one length and read every coordinate, table key,
+ * weight and acceptance numerator and denominator through one guard,
+ * read_int (weights summing below 2**62, too); on anything else they return
+ * None while they read, and revsel._engine takes the Python path instead.
  * dumps_json writes json.dumps(indent=2, sort_keys=True)'s text in one pass
  * for the few types the CLI's payloads hold, a run's transcript among them,
  * whose rows it writes straight from its columns, and declines the rest;
@@ -119,15 +119,38 @@ static PyObject *permutation_raw(PyObject *Py_UNUSED(self), PyObject *args)
     return out;
 }
 
-/* Reads item i of `list` (at least n long) into out[i]; -1 on error. */
-static int read_i64s(PyObject *list, Py_ssize_t n, i64 *out)
+#define GUARD ((i64)1 << 62)
+
+/* The one guard: `o` into *v; 0 unless it is an exact int strictly inside
+ * +-GUARD, so that no difference of two such ints overflows 64 bits. */
+static inline int read_int(PyObject *o, i64 *v)
 {
-    for (Py_ssize_t i = 0; i < n; i++) {
-        out[i] = PyLong_AsLongLong(PyList_GET_ITEM(list, i));
-        if (out[i] == -1 && PyErr_Occurred())
-            return -1;
-    }
-    return 0;
+    int overflow;
+    if (!PyLong_CheckExact(o))
+        return 0;
+    *v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    return !overflow && -GUARD < *v && *v < GUARD;
+}
+
+/* The length of `seq` if it is an exact list or tuple, else -1. */
+static inline Py_ssize_t column_length(PyObject *seq)
+{
+    return PyList_CheckExact(seq) || PyTuple_CheckExact(seq) ? PySequence_Fast_GET_SIZE(seq) : -1;
+}
+
+/* The column `seq`, an exact list or tuple of n items, into out through
+ * read_int; 0 where it declines, or with `total` (weights) once their
+ * absolute values sum to GUARD. No add wraps: each term is below GUARD. */
+static int read_column(PyObject *seq, Py_ssize_t n, i64 *out, u64 *total)
+{
+    if (column_length(seq) != n)
+        return 0;
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (!read_int(items[i], &out[i])
+            || (total != NULL && (*total += (u64)(out[i] < 0 ? -out[i] : out[i])) >= (u64)GUARD))
+            return 0;
+    return 1;
 }
 
 /* One side's replace bits: the table's keys and truth values, and its
@@ -139,10 +162,13 @@ typedef struct {
     int dflt;
 } table;
 
+/* -1 on error, 0 where the keys or the columns' lengths decline, else 1. */
 static int read_table(PyObject *keys, PyObject *vals, int dflt, table *tb)
 {
-    tb->n = Py_MIN(PyList_GET_SIZE(keys), PyList_GET_SIZE(vals));
+    tb->n = column_length(keys);
     tb->dflt = dflt;
+    if (tb->n < 0 || column_length(vals) != tb->n)
+        return 0;
     tb->keys = PyMem_New(i64, tb->n + 1);
     tb->bits = PyMem_Malloc(tb->n + 1);
     if (tb->keys == NULL || tb->bits == NULL) {
@@ -150,12 +176,12 @@ static int read_table(PyObject *keys, PyObject *vals, int dflt, table *tb)
         return -1;
     }
     for (Py_ssize_t i = 0; i < tb->n; i++) {
-        int bit = PyObject_IsTrue(PyList_GET_ITEM(vals, i));
+        int bit = PyObject_IsTrue(PySequence_Fast_GET_ITEM(vals, i));
         if (bit < 0)
             return -1;
         tb->bits[i] = (char)bit;
     }
-    return read_i64s(keys, tb->n, tb->keys);
+    return read_column(keys, tb->n, tb->keys, NULL);
 }
 
 static int lookup(const table *tb, i64 v)
@@ -187,7 +213,7 @@ static inline __attribute__((always_inline)) int replaces(int mode, i64 s, i64 e
     if (mode == CALL_CONTROL) {
         if (inside)
             return 1;
-        /* Lengths reach 2**63 - 2 inside the dispatchers' +-2**62 guard, so
+        /* Lengths reach 2**63 - 2 inside the +-2**62 guard, so
          * twice a length needs 64 unsigned bits. */
         u64 twice = 2 * ((u64)e - (u64)s);
         for (Py_ssize_t i = first; i < last; i++)
@@ -245,21 +271,23 @@ static void release(inputs *in)
     PyMem_Free(in->fr.bits);
 }
 
-/* Reads into `in` the arguments both policy-loop entries take: the columns
- * (at most `limit` arrivals), the policy tuple (the mode; the left table's
- * keys, bits and default; the right table's; the acceptance numerator and
- * denominator) and the seed. -1 on error; either way release(in) frees
- * what `in` holds. */
+/* Reads into `in` the arguments both policy-loop entries take: the columns,
+ * the policy tuple (the mode; the left table's keys, bits and default; the
+ * right table's; the acceptance numerator and denominator) and the seed.
+ * -1 on error, 0 where the guard declines, else 1; either way release(in)
+ * frees what `in` holds. */
 static int read_inputs(PyObject *starts, PyObject *ends, PyObject *policy, PyObject *seed,
-                       Py_ssize_t limit, inputs *in)
+                       inputs *in)
 {
-    PyObject *flk, *flv, *frk, *frv;
-    int fld, frd;
-    long long num, den;
+    PyObject *flk, *flv, *frk, *frv, *numo, *deno;
+    int fld, frd, rc;
+    i64 num, den;
     *in = (inputs){0};
-    if (!PyArg_ParseTuple(policy, "iO!O!pO!O!pLL", &in->mode, &PyList_Type, &flk, &PyList_Type,
-                          &flv, &fld, &PyList_Type, &frk, &PyList_Type, &frv, &frd, &num, &den))
+    if (!PyArg_ParseTuple(policy, "iOOpOOpOO", &in->mode, &flk, &flv, &fld, &frk, &frv, &frd,
+                          &numo, &deno))
         return -1;
+    if (!read_int(numo, &num) || !read_int(deno, &den))
+        return 0;
     if (den < 1 || num < 0) {
         PyErr_SetString(PyExc_ValueError, "acceptance fraction needs num >= 0 and den >= 1");
         return -1;
@@ -269,8 +297,9 @@ static int read_inputs(PyObject *starts, PyObject *ends, PyObject *policy, PyObj
     in->seed = PyLong_AsUnsignedLongLongMask(seed);
     if (in->seed == (u64)-1 && PyErr_Occurred())
         return -1;
-    Py_ssize_t n = Py_MIN(Py_MIN(PyList_GET_SIZE(starts), PyList_GET_SIZE(ends)), limit);
-    in->n = n;
+    Py_ssize_t n = in->n = column_length(starts);
+    if (n < 0)
+        return 0;
     in->arrivals = PyMem_New(arrival, n + 1);
     in->held_s = PyMem_New(i64, n + 1);
     in->held_e = PyMem_New(i64, n + 1);
@@ -279,14 +308,15 @@ static int read_inputs(PyObject *starts, PyObject *ends, PyObject *policy, PyObj
         PyErr_NoMemory();
         return -1;
     }
-    if (read_table(flk, flv, fld, &in->fl) < 0 || read_table(frk, frv, frd, &in->fr) < 0)
-        return -1;
+    if ((rc = read_table(flk, flv, fld, &in->fl)) <= 0
+        || (rc = read_table(frk, frv, frd, &in->fr)) <= 0)
+        return rc;
     /* The held columns are free until the first arrival: read through them. */
-    if (read_i64s(starts, n, in->held_s) < 0 || read_i64s(ends, n, in->held_e) < 0)
-        return -1;
+    if (!read_column(starts, n, in->held_s, NULL) || !read_column(ends, n, in->held_e, NULL))
+        return 0;
     for (Py_ssize_t i = 0; i < n; i++)
         in->arrivals[i] = (arrival){in->held_s[i], in->held_e[i], i};
-    return 0;
+    return 1;
 }
 
 /* Plays `order`'s n arrivals, in order, against an empty held set and
@@ -391,15 +421,15 @@ run_trials(int weighted, int memoryless, const inputs *in, const i64 *weights, u
         shuffle(order, n, substream(in->seed, trial));
         u64 draws = memoryless ? substream(in->seed, ((u64)1 << 32) + trial) : 0;
         Py_ssize_t h = play(weighted, memoryless, 0, in, order, draws, NULL);
-        u64 alg = (u64)h;
+        i64 alg = h;
         if (weighted) {
-            /* The dispatchers keep weight sums below 2**62; unsigned
-             * addition keeps any other sum defined. */
+            /* The guard keeps the weights' absolute values summing below
+             * 2**62. */
             alg = 0;
             for (Py_ssize_t i = 0; i < h; i++)
-                alg += (u64)weights[in->held_p[i]];
+                alg += weights[in->held_p[i]];
         }
-        PyObject *v = PyLong_FromLongLong((i64)alg);
+        PyObject *v = PyLong_FromLongLong(alg);
         if (v == NULL)
             return -1;
         PyList_SET_ITEM(out, t, v);
@@ -411,21 +441,22 @@ static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObjec
 {
     PyObject *starts, *ends, *policy, *seed, *weights, *out = NULL;
     Py_ssize_t trials, first;
-    if (!PyArg_ParseTuple(args, "O!O!O!nOO!n", &PyList_Type, &starts, &PyList_Type, &ends,
-                          &PyTuple_Type, &policy, &trials, &seed, &PyList_Type, &weights, &first))
+    if (!PyArg_ParseTuple(args, "OOO!nOOn", &starts, &ends, &PyTuple_Type, &policy, &trials,
+                          &seed, &weights, &first))
         return NULL;
     if (first < 0) {
         PyErr_SetString(PyExc_ValueError, "the first trial index must be >= 0");
         return NULL;
     }
-    /* An empty weights list means unit weights: a trial's ALG is then its
-     * held count, and no weight is kept. */
-    Py_ssize_t nw = PyList_GET_SIZE(weights);
-    int weighted = nw > 0;
+    /* Empty weights mean unit weights: a trial's ALG is then its held
+     * count, and no weight is kept. */
+    int weighted = column_length(weights) != 0;
     inputs in;
     arrival *order = NULL;
     i64 *arrival_w = NULL;
-    if (read_inputs(starts, ends, policy, seed, weighted ? nw : PY_SSIZE_T_MAX, &in) < 0)
+    u64 total = 0;
+    int rc = read_inputs(starts, ends, policy, seed, &in);
+    if (rc <= 0)
         goto done;
     order = PyMem_New(arrival, in.n + 1);
     if (weighted)
@@ -434,7 +465,7 @@ static PyObject *run_single_length_trials_raw(PyObject *Py_UNUSED(self), PyObjec
         PyErr_NoMemory();
         goto done;
     }
-    if (weighted && read_i64s(weights, in.n, arrival_w) < 0)
+    if (weighted && (rc = read_column(weights, in.n, arrival_w, &total)) == 0)
         goto done;
     if ((out = PyList_New(Py_MAX(trials, 0))) == NULL)
         goto done;
@@ -451,7 +482,7 @@ done:
     release(&in);
     PyMem_Free(order);
     PyMem_Free(arrival_w);
-    return out;
+    return rc == 0 ? Py_NewRef(Py_None) : out;
 }
 
 /* A new list of v[0, n); NULL on error. */
@@ -477,12 +508,12 @@ static PyObject *list_of(const i64 *v, Py_ssize_t n)
 static PyObject *run_file_order_raw(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *starts, *ends, *policy, *seed, *accepted = NULL, *out = NULL;
-    if (!PyArg_ParseTuple(args, "O!O!O!O", &PyList_Type, &starts, &PyList_Type, &ends,
-                          &PyTuple_Type, &policy, &seed))
+    if (!PyArg_ParseTuple(args, "OOO!O", &starts, &ends, &PyTuple_Type, &policy, &seed))
         return NULL;
     inputs in;
     recording rec = {0};
-    if (read_inputs(starts, ends, policy, seed, PY_SSIZE_T_MAX, &in) < 0)
+    int rc = read_inputs(starts, ends, policy, seed, &in);
+    if (rc <= 0)
         goto done;
     Py_ssize_t n = in.n;
     rec.displaced = PyMem_New(i64, n + 1);
@@ -512,37 +543,34 @@ done:
     release(&in);
     PyMem_Free(rec.displaced);
     PyMem_Free(rec.offsets);
-    return out;
+    return rc == 0 ? Py_NewRef(Py_None) : out;
 }
 
+/* best_subset_scaled(starts, ends, weights): (best total weight, member
+ * bitmask) over all conflict-free subsets; None where the guard declines. */
 static PyObject *best_subset_scaled(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *starts, *ends, *weights, *out = NULL;
-    if (!PyArg_ParseTuple(args, "O!O!O!", &PyList_Type, &starts, &PyList_Type,
-                          &ends, &PyList_Type, &weights))
+    if (!PyArg_ParseTuple(args, "OOO", &starts, &ends, &weights))
         return NULL;
-    Py_ssize_t n = PyList_GET_SIZE(starts);
-    if (n == 0)
-        return Py_BuildValue("(ii)", 0, 0);
+    Py_ssize_t n = column_length(starts);
     if (n > SUBSET_CAP) {
         PyErr_SetString(PyExc_ValueError, "subset search capped at 24 intervals");
         return NULL;
     }
-    if (PyList_GET_SIZE(ends) < n || PyList_GET_SIZE(weights) < n) {
-        PyErr_SetString(PyExc_IndexError, "list index out of range");
-        return NULL;
-    }
-    uint32_t size = (uint32_t)1 << n, masks[SUBSET_CAP] = {0}, best_mask = 0;
+    uint32_t masks[SUBSET_CAP] = {0}, best_mask = 0;
     i64 cs[SUBSET_CAP], ce[SUBSET_CAP], ws[SUBSET_CAP], best = 0;
+    u64 total = 0;
+    if (n < 0 || !read_column(starts, n, cs, NULL) || !read_column(ends, n, ce, NULL)
+        || !read_column(weights, n, ws, &total))
+        Py_RETURN_NONE;
+    uint32_t size = (uint32_t)1 << n;
     char *feasible = PyMem_Calloc(size, 1);
     i64 *weight = PyMem_Malloc((size_t)size * sizeof(i64));
     if (feasible == NULL || weight == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (read_i64s(starts, n, cs) < 0 || read_i64s(ends, n, ce) < 0 ||
-        read_i64s(weights, n, ws) < 0)
-        goto done;
     for (Py_ssize_t i = 0; i < n; i++)
         for (Py_ssize_t j = 0; j < n; j++)
             if (i != j && (cs[i] > cs[j] ? cs[i] : cs[j]) < (ce[i] < ce[j] ? ce[i] : ce[j]))
@@ -573,10 +601,7 @@ done:
 /* The exact oracles: the member positions of a maximum-cardinality set by
  * earliest-finish greedy (no weights) or of a maximum-weight set by the
  * end-time DP, step for step as their twin, fallback.opt_members, takes
- * them. Inputs stay strictly inside +-2**62 and weights sum below it, so no
- * comparison or sum overflows; the entry declines anything else while it
- * reads, before it allocates a Python object. */
-#define ORACLE_LIMIT ((i64)1 << 62)
+ * them. */
 
 /* An arrival in the oracles' sort: its end, start, id and position. */
 typedef struct {
@@ -637,23 +662,6 @@ oracle_sort(oracle_item *items, oracle_item *tmp, Py_ssize_t n, int longer_first
     return items;
 }
 
-/* Item i of the exact list or tuple `seq` into *v; 0 unless it is an exact
- * int strictly inside +-2**62. */
-static inline int oracle_value(PyObject *seq, Py_ssize_t i, i64 *v)
-{
-    PyObject *o = PySequence_Fast_GET_ITEM(seq, i);
-    int overflow;
-    if (!PyLong_CheckExact(o))
-        return 0;
-    *v = PyLong_AsLongLongAndOverflow(o, &overflow);
-    return !overflow && -ORACLE_LIMIT < *v && *v < ORACLE_LIMIT;
-}
-
-static inline int oracle_column(PyObject *seq, Py_ssize_t n)
-{
-    return (PyList_CheckExact(seq) || PyTuple_CheckExact(seq)) && PySequence_Fast_GET_SIZE(seq) == n;
-}
-
 /* The greedy's members in the order it takes them; tmp is the sort's
  * scratch. */
 static Py_ssize_t oracle_greedy(oracle_item *items, oracle_item *tmp, Py_ssize_t n, i64 *members)
@@ -707,22 +715,19 @@ static Py_ssize_t oracle_dp(oracle_item *items, oracle_item *tmp, Py_ssize_t n,
 
 /* opt_members(ids, starts, ends, weights): the member positions, as a list,
  * of the greedy's set when weights is empty and of the DP's otherwise; None
- * where the entry declines: a column that is not an exact list or tuple of
- * the ids' length (weights may be empty instead), an item that is not an
- * exact int strictly inside +-2**62, a start that is not below its end
- * (which no instance holds), or weights whose absolute values sum to 2**62
- * or more. */
+ * where the guard declines (an id counts as a coordinate, and weights may
+ * be empty instead of the ids' length) or a start is not below its end,
+ * which no instance holds. It declines before it allocates a Python
+ * object. */
 static PyObject *opt_members(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *ids, *starts, *ends, *weights, *out = NULL;
     if (!PyArg_ParseTuple(args, "OOOO", &ids, &starts, &ends, &weights))
         return NULL;
-    if (!PyList_CheckExact(ids) && !PyTuple_CheckExact(ids))
-        Py_RETURN_NONE;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(ids), i = 0;
-    int weighted = n > 0 && oracle_column(weights, n);
-    if (!oracle_column(starts, n) || !oracle_column(ends, n)
-        || !(weighted || oracle_column(weights, 0)))
+    Py_ssize_t n = column_length(ids), i = 0;
+    int weighted = n > 0 && column_length(weights) == n;
+    if (n < 0 || column_length(starts) != n || column_length(ends) != n
+        || !(weighted || column_length(weights) == 0))
         Py_RETURN_NONE;
     oracle_item *items = PyMem_New(oracle_item, n + 1), *tmp = PyMem_New(oracle_item, n + 1);
     Py_ssize_t *prev = PyMem_New(Py_ssize_t, n + 1);
@@ -733,21 +738,17 @@ static PyObject *opt_members(PyObject *Py_UNUSED(self), PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    for (u64 total = 0; i < n; i++) {
+    PyObject **id = PySequence_Fast_ITEMS(ids), **s = PySequence_Fast_ITEMS(starts),
+             **e = PySequence_Fast_ITEMS(ends);
+    for (; i < n; i++) {
         oracle_item *it = &items[i];
         it->p = i;
-        if (!oracle_value(ids, i, &it->id) || !oracle_value(starts, i, &it->s)
-            || !oracle_value(ends, i, &it->e) || it->s >= it->e)
+        if (!read_int(id[i], &it->id) || !read_int(s[i], &it->s) || !read_int(e[i], &it->e)
+            || it->s >= it->e)
             break;
-        if (weighted) {
-            if (!oracle_value(weights, i, &w[i]))
-                break;
-            total += (u64)(w[i] < 0 ? -w[i] : w[i]);
-            if (total >= (u64)ORACLE_LIMIT)
-                break;
-        }
     }
-    if (i < n) {
+    u64 total = 0;
+    if (i < n || (weighted && !read_column(weights, n, w, &total))) {
         out = Py_NewRef(Py_None);
         goto done;
     }

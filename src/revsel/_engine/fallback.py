@@ -61,9 +61,7 @@ def opt_members(ids, starts, ends, weights) -> list[int]:
     return members
 
 
-def best_subset_scaled(
-    starts: list[int], ends: list[int], weights: list[int]
-) -> tuple[int, int]:
+def best_subset_scaled(starts, ends, weights) -> tuple[int, int]:
     """Exhaustive search over all subsets by increasing bitmask.
 
     feasible[S] extends feasible[S minus lowest bit]; ties on weight keep the

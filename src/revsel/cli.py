@@ -335,8 +335,7 @@ def _cmd_bench_backends(args) -> int:
     # on a multi-length unit one and on a rational one, and the memoryless
     # policy's draws on a multi-length unit one.
     multi = adversary.gen_random_instance(100, 3, "unit", args.seed)
-    brute = adversary.gen_random_instance(15, 4, "int", args.seed).columns
-    columns = [list(brute.starts), list(brute.ends), list(brute.weights)]
+    columns = adversary.gen_random_instance(15, 4, "int", args.seed).columns[1:4]
     # File-order runs; the exact oracles, the fallback twin against the
     # kernel, the greedy on the unit instance and the DP on a rational one;
     # the indent-2 JSON writer on a `run greedy-subsume` payload, json.dumps
@@ -358,7 +357,7 @@ def _cmd_bench_backends(args) -> int:
         file_order_case("greedy-subsume", seq),
         file_order_case("always-replace", seq),
         ("subset-search", 50, 50, lambda: _engine.fallback.best_subset_scaled(*columns),
-         lambda: _engine._impl.best_subset_scaled(*columns)),
+         lambda: _engine.best_subset_scaled(*columns)),
         ("oracle-greedy", 20, 20, lambda: _engine.fallback.opt_members(*unit, ()),
          lambda: _engine._impl.opt_members(*unit, ())),
         ("oracle-dp", 20, 20, lambda: _engine.fallback.opt_members(*rational),

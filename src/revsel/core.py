@@ -299,12 +299,17 @@ def call_control_point_bound(k: int) -> int:
     return 1 << (2 * k + 1)
 
 
-def validate_solution(seq: ArrivalSequence, members: Iterable[int]) -> bool:
-    """True iff the referenced intervals are pairwise non-conflicting."""
-    _, starts, ends, _, _ = seq.columns
-    chosen = sorted(map(seq.position, members), key=starts.__getitem__)
+def positions_disjoint(starts, ends, positions: Iterable[int]) -> bool:
+    """True iff the intervals at these arrival positions are pairwise
+    non-conflicting; a position given twice conflicts with itself."""
+    chosen = sorted(positions, key=starts.__getitem__)
     # In start order, half-open intervals are disjoint iff each ends by the next's start.
     return all(ends[a] <= starts[b] for a, b in zip(chosen, chosen[1:]))
+
+
+def validate_solution(seq: ArrivalSequence, members: Iterable[int]) -> bool:
+    """True iff the referenced intervals are pairwise non-conflicting."""
+    return positions_disjoint(*seq.columns[1:3], map(seq.position, members))
 
 
 def scaled_weight(seq: ArrivalSequence, members: Iterable[int]) -> int:
@@ -408,7 +413,7 @@ def loads_jsonl(text: str) -> ArrivalSequence:
 
 def _kernel_columns(text: str) -> Columns | None:
     """The columns the kernel reads from `text`, or None where it declines;
-    its raw weights are dropped before the caller builds the id map."""
+    each distinct raw weight is parsed once."""
     read = _engine.jsonl_columns(text)
     if read is None:
         return None

@@ -7,7 +7,8 @@ Values are exact rationals throughout. The greedy and the DP pick their
 members in the engine (``_engine.opt_members``): the compiled kernel when it
 takes the columns, else its pure-Python twin in ``_engine.fallback``, which
 picks the same members. Every certificate, whichever path picked it, is
-checked for feasibility and valued here.
+checked for feasibility and valued here, from the member positions the
+engine returns.
 
 ``verify_charging`` replays a greedy-subsume run and rebuilds the accounting
 that maps every optimal interval onto a held interval, checking the
@@ -32,7 +33,7 @@ from .core import (
     EmptyInstanceError,
     Interval,
     contains_properly,
-    solution_weight,
+    positions_disjoint,
     validate_solution,
 )
 
@@ -49,10 +50,13 @@ class OptCertificate:
         assert self.method in ("greedy", "dp", "brute")
 
 
-def _certify(seq: ArrivalSequence, members: Iterable[int], method: str) -> OptCertificate:
-    members = frozenset(members)
-    assert validate_solution(seq, members), "oracle produced an infeasible set"
-    return OptCertificate(members=members, value=solution_weight(seq, members), method=method)
+def _certify(seq: ArrivalSequence, positions: list[int], method: str) -> OptCertificate:
+    """The certificate of the members at arrival `positions`, checked for
+    feasibility and valued exactly; positions become ids only here."""
+    ids, starts, ends, weights, scale = seq.columns
+    assert positions_disjoint(starts, ends, positions), "oracle produced an infeasible set"
+    value = Fraction(sum(map(weights.__getitem__, positions)), scale)
+    return OptCertificate(frozenset(map(ids.__getitem__, positions)), value, method)
 
 
 def opt_unweighted(seq: ArrivalSequence) -> OptCertificate:
@@ -66,8 +70,7 @@ def opt_unweighted(seq: ArrivalSequence) -> OptCertificate:
     if len(seq) == 0:
         raise EmptyInstanceError("opt_unweighted requires a non-empty instance")
     ids, starts, ends, _, _ = seq.columns
-    members = _engine.opt_members(ids, starts, ends)
-    return _certify(seq, map(ids.__getitem__, members), "greedy")
+    return _certify(seq, _engine.opt_members(ids, starts, ends), "greedy")
 
 
 def opt_weighted(seq: ArrivalSequence) -> OptCertificate:
@@ -82,8 +85,7 @@ def opt_weighted(seq: ArrivalSequence) -> OptCertificate:
     if len(seq) == 0:
         raise EmptyInstanceError("opt_weighted requires a non-empty instance")
     ids, starts, ends, weights, _ = seq.columns
-    members = _engine.opt_members(ids, starts, ends, weights)
-    return _certify(seq, map(ids.__getitem__, members), "dp")
+    return _certify(seq, _engine.opt_members(ids, starts, ends, weights), "dp")
 
 
 BRUTE_FORCE_LIMIT = 20
@@ -101,10 +103,9 @@ def opt_bruteforce(seq: ArrivalSequence) -> OptCertificate:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_LIMIT} intervals, got {n}")
     if n == 0:
         return OptCertificate(frozenset(), Fraction(0), "brute")
-    ids, starts, ends, weights, _ = seq.columns
+    _, starts, ends, weights, _ = seq.columns
     _, mask = _engine.best_subset_scaled(starts, ends, weights)
-    members = [ids[i] for i in range(n) if mask >> i & 1]
-    return _certify(seq, members, "brute")
+    return _certify(seq, [p for p in range(n) if mask >> p & 1], "brute")
 
 
 # ---------------------------------------------------------------------------

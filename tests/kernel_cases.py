@@ -14,6 +14,13 @@ import sys
 
 # The entries that take the policy as one tuple, which JSON turns into a list.
 POLICY_ENTRIES = ("run_single_length_trials_raw", "run_file_order_raw")
+# Where each numeric entry takes a column, which goes in as a tuple, as an
+# instance's columns do.
+COLUMN_ARGS = {
+    "run_single_length_trials_raw": (0, 1, 5),
+    "run_file_order_raw": (0, 1),
+    "best_subset_scaled": (0, 1, 2),
+}
 # A JSON writer case whose second argument is this string writes transcripts,
 # each given in its payload as a dict of this one key.
 ROWS = "rows"
@@ -52,11 +59,13 @@ def call_cases(kernel, cases):
         args = list(args)
         if name in POLICY_ENTRIES:
             args[2] = tuple(args[2])
+        for i in COLUMN_ARGS.get(name, ()):
+            args[i] = tuple(args[i])
         if name == "dumps_json" and args[1:] == [ROWS]:
             args = [transcripts(args[0]), Transcript]
         try:
             result = getattr(kernel, name)(*args)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             result = [type(exc).__name__, str(exc)]
         results.append(_plain(result))
     return results

@@ -13,7 +13,8 @@ one entry object per arrival, and the oracles, certificate normalization
 and feasibility check that sorted Interval objects by tuple keys, and the
 JSONL loader that built and checked one Interval per record. They are quadratic or worse, or slow
 per trial, per key or per record, and exist so that random inputs can be
-checked against them.
+checked against them. Beside them is the 64-bit guard that the engine's
+dispatchers once applied in Python, now the kernel's own.
 """
 
 from __future__ import annotations
@@ -562,6 +563,30 @@ def arb_length_draws(lengths: list[int], seed: int, trial: int) -> list[tuple[in
             chosen = lengths[i - 1]
         out.append((chosen, state))
     return out
+
+
+# -- the kernel's 64-bit guard ----------------------------------------------
+
+
+GUARD = 1 << 62
+
+
+def guard_takes(columns, weights=(), values=()) -> bool:
+    """Whether a numeric kernel entry takes its inputs: `columns` exact lists
+    or tuples of one length; `weights` an exact list or tuple, empty or of
+    that length too; and every item of them and of `values` (the table keys
+    and the acceptance numerator and denominator) an exact int strictly
+    inside +-2**62, with the weights' absolute values summing below 2**62.
+    The dispatchers' rule before the kernel took it over, plus exact ints
+    and equal lengths."""
+    n = len(columns[0])
+    if any(type(c) not in (list, tuple) or len(c) != n for c in columns):
+        return False
+    if type(weights) not in (list, tuple) or len(weights) not in (0, n):
+        return False
+    items = [v for column in (*columns, weights, values) for v in column]
+    return (all(type(v) is int and -GUARD < v < GUARD for v in items)
+            and sum(map(abs, weights)) < GUARD)
 
 
 # -- weights as Fractions ---------------------------------------------------

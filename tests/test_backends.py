@@ -1,7 +1,7 @@
 """Compiled engine vs the pure-Python paths it stands for: the trial kernel
 against the policies replayed by ``harness._trials``, the permutation
 against ``rng.permutation``, the subset search against its fallback twin.
-Also draws aimed at the rejection branch, the dispatchers' 64-bit guards,
+Also draws aimed at the rejection branch, the kernel's 64-bit guard,
 the loader that builds the C kernel, and a build of it under AddressSanitizer
 and UBSan."""
 
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_cases import ROWS, call_cases
-from reference import permutation_raw, replay_arb_expectation
+from reference import GUARD, guard_takes, permutation_raw, replay_arb_expectation
 from test_trials import SEEDS, kernel_inputs, kernel_modes, mode_policy, raw_trials, trial_samples
 
 from revsel import _engine, cli
@@ -118,7 +118,7 @@ def _subset_outcome(impl, starts, ends, weights):
     """The search's answer, or the type and text of its refusal."""
     try:
         return impl.best_subset_scaled(starts, ends, weights)
-    except ValueError as exc:
+    except (ValueError, IndexError) as exc:
         return type(exc), str(exc)
 
 
@@ -302,7 +302,7 @@ def test_both_entries_answer_none_where_the_kernel_cannot_stand_in(monkeypatch):
         assert _answers(*one_length, spec) == (None, None)
 
 
-# -- the dispatchers keep inputs beyond 64 bits away from the kernel ----------
+# -- the kernel guards its own inputs, and its callers take the Python paths --
 
 
 @compiled
@@ -314,8 +314,7 @@ def test_coordinates_beyond_64_bits_take_the_fallback(monkeypatch):
     )
     starts = [iv.start for iv in seq]
     ends = [iv.end for iv in seq]
-    with pytest.raises(OverflowError):
-        _engine._impl.best_subset_scaled(starts, ends, [1] * len(seq))
+    assert _engine._impl.best_subset_scaled(starts, ends, [1] * len(seq)) is None
     compiled_cert = opt_bruteforce(seq)
     policy = make_policy("always-replace")
     assert _kernel_trials(policy, seq, 40, 3) is None
@@ -353,8 +352,8 @@ def test_weight_sums_beyond_64_bits_take_the_fallback():
 
 
 class _RecordingKernel:
-    """Stands in for a loaded kernel: records the arguments of each call it
-    gets and answers each with `result`."""
+    """Stands in for a loaded kernel: records the arguments of each trial
+    call it gets and answers each with `result`."""
 
     def __init__(self, result):
         self.calls = []
@@ -369,7 +368,9 @@ class _RecordingKernel:
         return None
 
 
-def test_trial_guards_on_weight_sums_and_denominators(monkeypatch):
+def test_trial_guards_on_weight_sums_and_denominators():
+    """The kernel answers just inside each guard and declines just past it,
+    and the harness's trials give the policy's answers either way."""
     top = 2**62
     rows = [(0, 2), (1, 3), (5, 6)]
     cases = [  # (policy, weights, whether the kernel may take it)
@@ -384,19 +385,15 @@ def test_trial_guards_on_weight_sums_and_denominators(monkeypatch):
         )
         expected = _trials(policy, seq, 5, 20)
         assert trial_samples(policy, seq, 20, 5) == expected
-        if kernel and _engine.COMPILED:  # just inside the guards, the kernel matches
-            assert _kernel_trials(policy, seq, 20, 5) == expected
-        recorder = _RecordingKernel(expected)
-        with monkeypatch.context() as patch:
-            patch.setattr(_engine, "_impl", recorder)
-            assert _kernel_trials(policy, seq, 20, 5) == (expected if kernel else None)
-        assert len(recorder.calls) == (1 if kernel else 0)
+        assert _kernel_trials(policy, seq, 20, 5) == (
+            expected if kernel and _engine.COMPILED else None)
 
 
 def test_unit_instances_reach_the_kernel_with_no_weights(monkeypatch):
     """The harness hands the engine every instance's integer weights; the
-    engine turns all-1 weights into the empty list of the kernel's counting
-    loop and passes any other weights on as they are."""
+    engine turns all-1 weights into the empty tuple of the kernel's counting
+    loop and passes any other weights on as they are: the instance's own
+    columns, as it does the starts and ends."""
     unit = gen_random_instance(12, 3, "unit", 4)
     weighted = gen_random_instance(12, 3, "rational", 4)
     assert unit.is_unweighted() and not weighted.is_unweighted()
@@ -407,8 +404,116 @@ def test_unit_instances_reach_the_kernel_with_no_weights(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(_engine, "_impl", recorder)
                 run_random_order(policy, seq, 5, seed=1)
-            expected = [] if seq is unit else list(seq.columns.weights)
-            assert [args[5] for args in recorder.calls] == [expected]  # the weights
+            (call,) = recorder.calls
+            assert call[0] is seq.columns.starts and call[1] is seq.columns.ends
+            assert call[5] is (() if seq is unit else seq.columns.weights)
+
+
+class _Small(IntEnum):
+    TWO = 2
+
+
+# Shifts that put small coordinates inside the guard, across either of its
+# edges, and past 64 bits.
+GUARD_SHIFTS = [0, GUARD - 40, GUARD - 12, GUARD, -GUARD - 12, -GUARD + 1, 2**63 - 20, -(2**70)]
+# Weight columns whose absolute values sum to just below and just at the
+# guard, padded with zeros or cut to the instance's length.
+GUARD_WEIGHTS = [[GUARD // 2, GUARD // 2 - 1], [GUARD // 2, GUARD // 2],
+                 [-(GUARD // 2), GUARD // 2], [GUARD - 1], [GUARD]]
+GUARD_KEYS = [1, 3, GUARD - 1, GUARD, -GUARD, 2**70]
+GUARD_FRACTIONS = [(0, 1), (2, 3), (1, GUARD - 1), (1, GUARD), (1, GUARD + 1),
+                   (GUARD - 1, GUARD - 1)]
+
+
+@st.composite
+def guard_cases(draw):
+    """(starts, ends, weights, policy) for the three numeric kernel entries:
+    list or tuple columns of small shifted coordinates; weights that are
+    empty, small, at the guard's sums, or one short or one long; now and
+    then a bool or IntEnum item; and a policy tuple of any mode whose table
+    keys and acceptance fraction reach past the guard."""
+    shift = draw(st.sampled_from(GUARD_SHIFTS))
+    rows = draw(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 8)), max_size=8))
+    n = len(rows)
+    columns = [[s + shift for s, _ in rows], [s + length + shift for s, length in rows]]
+    weights = draw(st.one_of(
+        st.just([]),
+        st.lists(st.integers(0, 5), min_size=n, max_size=n),
+        st.sampled_from(GUARD_WEIGHTS).map(lambda w: (w + [0] * n)[:n]),
+    ))
+    weights = draw(st.sampled_from([weights, weights[:-1], weights + [1]]))
+    columns.append(weights)
+    odd = draw(st.sampled_from([None, True, _Small.TWO]))
+    at = draw(st.sampled_from(columns))
+    if odd is not None and at:
+        at[draw(st.integers(0, len(at) - 1))] = odd
+    starts, ends, weights = (draw(st.sampled_from([list, tuple]))(c) for c in columns)
+    left, right = (draw(st.lists(st.sampled_from(GUARD_KEYS), max_size=1)) for _ in range(2))
+    num, den = draw(st.sampled_from(GUARD_FRACTIONS))
+    policy = (draw(st.integers(0, 5)), left, [1] * len(left), 0, right, [0] * len(right), 1,
+              num, den)
+    return starts, ends, weights, policy
+
+
+@compiled
+@given(guard_cases(), SEEDS)
+@settings(max_examples=500, deadline=None)
+def test_each_numeric_entry_declines_exactly_where_the_guard_does(case, seed):
+    """Each raw entry answers None exactly where the reference guard
+    declines its inputs, and the engine's subset search then gives its
+    twin's answer or error."""
+    starts, ends, weights, policy = case
+    values = [*policy[1], *policy[4], *policy[7:]]
+    impl = _engine._impl
+    trials = impl.run_single_length_trials_raw(starts, ends, policy, 3, seed, weights, 0)
+    assert (trials is not None) == guard_takes((starts, ends), weights, values)
+    run = impl.run_file_order_raw(starts, ends, policy, seed)
+    assert (run is not None) == guard_takes((starts, ends), (), values)
+    subset = impl.best_subset_scaled(starts, ends, weights)
+    assert (subset is not None) == guard_takes((starts, ends, weights), weights)
+    assert _subset_outcome(_engine, *case[:3]) == _subset_outcome(fallback, *case[:3])
+
+
+@st.composite
+def guard_instances(draw):
+    """An instance of shifted small coordinates, of one length or several,
+    with weights up to the guard's sums and, unshifted, an IntEnum start;
+    and the kernel policies to run on it, memoryless ones with acceptance
+    denominators of 2**62 +- 1 and, on one length, threshold tables with a
+    key that reaches the guard."""
+    shift = draw(st.sampled_from(GUARD_SHIFTS))
+    lengths = st.integers(1, 8)
+    if draw(st.booleans()):
+        lengths = st.just(draw(lengths))
+    rows = draw(st.lists(st.tuples(st.integers(0, 30), lengths), min_size=1, max_size=8))
+    weights = draw(st.lists(st.sampled_from([1, 2, Fraction(1, 2), GUARD // 4, GUARD // 2 - 1]),
+                            min_size=len(rows), max_size=len(rows)))
+    intervals = [Interval(i, s + shift, s + length + shift, w)
+                 for i, ((s, length), w) in enumerate(zip(rows, weights))]
+    if shift == 0 and draw(st.booleans()):
+        first = intervals[0]
+        intervals[0] = Interval(0, _Small.TWO, first.length + 2, first.weight)
+    seq = ArrivalSequence(intervals)
+    policies = [make_policy(pid) for pid in ("always-replace", "greedy-subsume", "call-control")]
+    policies += [make_policy(f"rand-memoryless:p=1/{GUARD + d}") for d in (-1, 1)]
+    if len(seq.lengths()) == 1:
+        key = draw(st.sampled_from(GUARD_KEYS[:4]))
+        policies.append(ThresholdPolicy(ThresholdPolicyTables(left={key: 1, 1: 0}, left_default=1)))
+    return seq, policies
+
+
+@given(guard_instances(), SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_the_harness_gives_the_policies_answers_on_both_sides_of_the_guard(case, seed):
+    """Wherever the kernel declines, the harness's trials, file-order runs
+    and the engine's subset search give the Python paths' answers."""
+    seq, policies = case
+    for policy in policies:
+        assert trial_samples(policy, seq, 3, seed) == _trials(policy, seq, seed, 3)
+        assert run_file_order(policy, seq, seed)[1] == (
+            run_policy(policy, seq, Stream.for_trial(seed, 0))[1])
+    columns = seq.columns[1:4]
+    assert _engine.best_subset_scaled(*columns) == fallback.best_subset_scaled(*columns)
 
 
 # -- whole commands on both backends ------------------------------------------
@@ -797,7 +902,8 @@ def _sanitizer_cases():
     six modes in file order and as trials, weighted and not, with policy
     tuples packed as ``raw_trials`` packs them, so that the threshold modes
     meet mixed lengths too, which the dispatcher never hands the kernel. A
-    few cases fail part way through reading their inputs, the JSON writer
+    few cases stop part way through reading their inputs, where the guard
+    declines them (see :func:`_guard_declines`), the JSON writer
     writes a payload per instance and declines one part way, and the JSONL
     reader reads each instance's file and declines cut and edited ones. The
     oracles take every instance, unweighted and weighted, and the writer
@@ -820,19 +926,18 @@ def _sanitizer_cases():
     cases = []
     for i, seq in enumerate(seqs):
         cols = seq.columns
-        starts, ends, weights = map(list, cols[1:4])
+        ids, starts, ends, weights = cols[:4]
         seed = (i * 0x9E3779B97F4A7C15) % 2**64
         for packed in policies:
             cases.append(("run_file_order_raw", (starts, ends, packed, seed)))
             cases.append(("run_single_length_trials_raw",
-                          (starts, ends, packed, 3, seed, weights if i % 2 else [], i)))
+                          (starts, ends, packed, 3, seed, weights if i % 2 else (), i)))
         cases.append(("permutation_raw", (len(seq), seed, i)))
-        cases.append(("best_subset_scaled", [list(c[:12]) for c in cols[1:4]]))
+        cases.append(("best_subset_scaled", [c[:12] for c in cols[1:4]]))
         payload = {"rows": rows[i % len(rows)], "w": {str(iv.id): str(iv.weight) for iv in seq},
                    "none": {}}
         cases.append(("dumps_json", (payload,)))
         cases.append(("jsonl_columns", (dumps_jsonl(seq),)))
-        ids = list(cols.ids)
         cases.append(("opt_members", (ids, starts, ends, [])))
         cases.append(("opt_members", (ids, starts, ends, weights)))
         if i % 2:
@@ -845,11 +950,8 @@ def _sanitizer_cases():
     top = 2**62
     text = dumps_jsonl(seqs[-1])
     widest = 10**18 - 1
-    cases += [
-        ("run_file_order_raw", ([0, 2, 4], [1, 3, 2**70], never, 1)),
-        ("run_single_length_trials_raw", ([0, 2], [1, 3], never, 2, 1, [1, 2**70], 0)),
-        ("run_single_length_trials_raw", ([0], [1], (0, [1, 2**70], [1, 0], 0, [], [], 0, 0, 1),
-                                          2, 1, [], 0)),
+    cases += _guard_declines() + [
+        # A bad acceptance fraction and a negative first trial raise.
         ("run_file_order_raw", ([0], [1], (5, [], [], 0, [], [], 0, 1, 0), 1)),
         ("run_single_length_trials_raw", ([0], [1], never, 2, 1, [], -1)),
         # The writer declines only after outgrowing its first allocation,
@@ -919,11 +1021,41 @@ def _sanitizer_cases():
     return cases
 
 
+def _guard_declines():
+    """Cases that each numeric entry declines part way through reading its
+    inputs: on the last item of a column, past 64 bits or at the guard; on
+    a table key past it; on acceptance denominators at it; on weights one
+    short; and on a bool coordinate."""
+    top = 2**62
+    never = (2, [], [], 0, [], [], 0, 0, 1)
+    return [
+        ("run_file_order_raw", ([0, 2, 4], [1, 3, 2**70], never, 1)),
+        ("run_file_order_raw", ([0, 2, 4], [1, 3, top], never, 1)),
+        ("run_file_order_raw", ([0, 2, 4], [1, 3, 5], (5, [], [], 0, [], [], 0, 1, top), 1)),
+        ("run_file_order_raw", ([0, True], [1, 3], never, 1)),
+        ("run_single_length_trials_raw", ([0, 2], [1, 3], never, 2, 1, [1, 2**70], 0)),
+        ("run_single_length_trials_raw", ([0, 2], [1, 3], never, 2, 1, [top // 2, top // 2], 0)),
+        ("run_single_length_trials_raw", ([0, 2], [1, 3], never, 2, 1, [1, top - 1], 0)),
+        ("run_single_length_trials_raw", ([0, 2], [1, 3], never, 2, 1, [1], 0)),
+        ("run_single_length_trials_raw", ([0], [1], (0, [1, 2**70], [1, 0], 0, [], [], 0, 0, 1),
+                                          2, 1, [], 0)),
+        ("run_single_length_trials_raw", ([0], [1], (0, [1], [1], 0, [top], [0], 0, 0, 1),
+                                          2, 1, [], 0)),
+        ("run_single_length_trials_raw", ([0], [1], (5, [], [], 0, [], [], 0, 1, top), 2, 1, [],
+                                          0)),
+        ("best_subset_scaled", ([0, 2, 4], [1, 3, top], [1, 1, 1])),
+        ("best_subset_scaled", ([0, 2, 4], [1, 3, 5], [1, 1, top - 2])),
+        ("best_subset_scaled", ([0, 2, 4], [1, 3, 5], [1, 1])),
+        ("best_subset_scaled", ([0, 2, False], [1, 3, 5], [1, 1, 1])),
+    ]
+
+
 @needs_cc
 @compiled
 def test_kernel_entries_match_under_address_and_undefined_sanitizers(tmp_path):
     """A build with AddressSanitizer and UBSan, every check fatal, gives the
-    normal build's results on every case. Python's allocator is switched to
+    normal build's results on every case, and each build answers None to
+    each of :func:`_guard_declines`. Python's allocator is switched to
     malloc in the child, so that the sanitizer sees each array the kernel
     allocates, and the held columns' memmoves are bounds-checked."""
     libasan = subprocess.run(
@@ -950,3 +1082,5 @@ def test_kernel_entries_match_under_address_and_undefined_sanitizers(tmp_path):
     assert child.returncode == 0, child.stderr[-3000:]
     expected = json.loads(json.dumps(call_cases(_engine._impl, json.loads(json.dumps(cases)))))
     assert json.loads(child.stdout) == expected
+    declines = json.loads(json.dumps(_guard_declines()))
+    assert call_cases(_engine._impl, declines) == [None] * len(declines)

@@ -25,6 +25,7 @@ from revsel.core import (
     ArrivalSequence,
     Interval,
     UnknownIntervalError,
+    dumps_jsonl,
     loads_jsonl,
     solution_weight,
     validate_solution,
@@ -444,6 +445,25 @@ def test_ids_that_are_not_exact_ints_take_the_twin(ids):
     if _engine.COMPILED:
         assert _engine._impl.opt_members(*inst.columns[:4]) is None
         assert _engine._impl.opt_members(*inst.columns[:3], ()) is None
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+def test_oracles_certify_positions_without_looking_up_ids(monkeypatch, kernel):
+    """Each oracle checks and values the member positions it picks, on the
+    kernel's path and its twin's, and turns them into ids once: it asks the
+    sequence for no position."""
+    unit = loads_jsonl(dumps_jsonl(gen_random_instance(2000, 3, "unit", 1)))
+    small = gen_random_instance(12, 3, "rational", 1)
+    if not kernel:
+        monkeypatch.setattr(_engine, "_impl", None)
+    calls = []
+    position = ArrivalSequence.position
+    monkeypatch.setattr(ArrivalSequence, "position",
+                        lambda seq, i: calls.append(i) or position(seq, i))
+    certificates = [opt_unweighted(unit), opt_weighted(unit), opt_bruteforce(small)]
+    assert calls == []
+    assert [c.value for c in certificates] == [
+        len(certificates[0].members), len(certificates[0].members), opt_weighted(small).value]
 
 
 def _accepted_by_greedy_subsume(inst):
